@@ -433,6 +433,8 @@ def metrological_squeezing(
 # ---------------------------------------------------------------------------
 # Allan deviation
 
+MIN_ALLAN_SAMPLES = 16
+
 
 def allan_deviation(series, tau0_s: float) -> AllanSeries:
     """Overlapping Allan deviation at octave-spaced averaging factors.
@@ -442,8 +444,8 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     for m = 1, 2, 4, ... up to M/3, with naive 1/sqrt(dof) error bars.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or len(x) < 16:
-        raise DataError("need a 1-d series of at least 16 samples")
+    if x.ndim != 1 or len(x) < MIN_ALLAN_SAMPLES:
+        raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples")
     if tau0_s <= 0:
         raise DomainError("tau0 must be > 0")
     m_max = len(x) // 3

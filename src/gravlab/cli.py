@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MIN_ALLAN_SAMPLES,
     allan_deviation,
     delta_p,
     estimate_g,
@@ -32,7 +33,7 @@ from .config import AppConfig, config_hash, load_config
 from .errors import ConfigError, DataError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity, transfer_probability
 from .sensitivity import net_area, scale_factor
-from .shots import read_shot_log, run_campaign, write_shot_log
+from .shots import dump_shot_log, read_shot_log, run_campaign, write_shot_log
 from .squeezing import SqueezingModel, coherent_model, squeezing_parameter, tomography_variance
 
 # reference values the summary table is compared against
@@ -230,6 +231,12 @@ def _cmd_simulate(args) -> int:
     cfg = _apply_state_choice(args.config_obj, args.squeezed)
     campaign = _campaign_with(cfg, args.pairs, args.seed)
     out = _out_path(args, args.out)
+    if out is None:
+        # `--out -`: the log goes to stdout, and no manifest is written
+        records = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
+        dump_shot_log(records, sys.stdout)
+        print(f"wrote {len(records)} shots to stdout", file=sys.stderr)
+        return 0
     manifest = Manifest(out + ".manifest.json", cfg, campaign.seed, args.raw_argv)
     records = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
     write_shot_log(records, out)
@@ -374,6 +381,13 @@ def _cmd_fringes(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     cfg = args.config_obj
+    n_pairs = args.pairs if args.pairs is not None else cfg.campaign.n_pairs
+    if n_pairs < MIN_ALLAN_SAMPLES:
+        # refused before any file exists: each arm's Allan series has one
+        # sample per pair
+        raise ConfigError(
+            f"reproduce needs at least {MIN_ALLAN_SAMPLES} pairs per arm, got {n_pairs}"
+        )
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.campaign.seed
@@ -411,7 +425,7 @@ def _cmd_reproduce(args) -> int:
     results = {}
     for label, squeezed, arm_seed in (("squeezed", True, seed), ("coherent", False, seed + 1)):
         arm_cfg = _apply_state_choice(cfg, squeezed)
-        campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=args.pairs or cfg.campaign.n_pairs)
+        campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=n_pairs)
         records = run_campaign(campaign, arm_cfg.timing, arm_cfg.constants, arm_cfg.noise)
         shots_path = os.path.join(out_dir, f"shots_{label}.jsonl")
         write_shot_log(records, shots_path)

@@ -230,9 +230,14 @@ def echo_residual_phase(
 
 def write_shot_log(records: list[ShotRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            row = {name: getattr(rec, name) for name in SHOT_FIELDS}
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+        dump_shot_log(records, fh)
+
+
+def dump_shot_log(records: list[ShotRecord], fh) -> None:
+    """Write the records as JSON lines to an open text stream."""
+    for rec in records:
+        row = {name: getattr(rec, name) for name in SHOT_FIELDS}
+        fh.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
 def read_shot_log(path) -> list[ShotRecord]:

@@ -4,8 +4,11 @@ Two layers:
 
 * A truncated two-mode Fock space that validates the operator chain
   from spin-changing collisions down to a pair of single-mode squeezing
-  terms, and evolves the vacuum through the action of the sparse
-  matrix exponential on the state.
+  terms, evolves the vacuum, and splits the result into the symmetric
+  and antisymmetric modes. Every operator is a sparse CSR array, and
+  each propagator acts on the state through the action of the matrix
+  exponential, so none is ever formed; only `build_operators` returns
+  dense matrices, for small cutoffs.
 * A four-number Gaussian model (atom number, squeezing strength,
   optimal readout phase, detection noise) that reproduces the measured
   variance-vs-angle tomography and the squeezing parameter in dB.
@@ -22,15 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import CalibrationError, ConfigError, DomainError, NumericalError
 
-# Bounds the cutoff, and with it the dense paths (build_operators,
-# mode_transform, the three-mode full model), which allocate dim x dim
-# arrays. The sparse chain and evolve scale with the ~2 * dim nonzeros.
+# Bounds the state dimension of the sparse chain (the Hamiltonians,
+# evolve, mode_transform, the three-mode full model), whose operators
+# hold a few nonzeros per row.
 MAX_MATRIX_DIM = 20000
+# Bounds build_operators, which returns four dense dim x dim arrays:
+# 134 MB each at the limit (n_max = 63).
+MAX_DENSE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,16 @@ class ModeOperators:
 def build_operators(space: FockSpace) -> ModeOperators:
     """Dense ladder operators; the canonical commutator holds everywhere
     except the final Fock row, which the truncation necessarily breaks."""
-    a_plus, a_minus = (op.toarray() for op in _mode_ladders(space.dim_single, 2))
+    if space.dim > MAX_DENSE_DIM:
+        raise ConfigError(
+            f"dense two-mode dimension {space.dim} exceeds limit {MAX_DENSE_DIM}"
+        )
+    a_plus, a_minus = _mode_ladders(space.dim_single, 2)
     return ModeOperators(
-        a_plus=a_plus,
-        a_minus=a_minus,
-        n_plus=a_plus.T @ a_plus,
-        n_minus=a_minus.T @ a_minus,
+        a_plus=a_plus.toarray(),
+        a_minus=a_minus.toarray(),
+        n_plus=(a_plus.T @ a_plus).toarray(),
+        n_minus=(a_minus.T @ a_minus).toarray(),
     )
 
 
@@ -115,7 +124,7 @@ class Hamiltonians:
     undepleted: sp.csr_array
     symmetric_mode: sp.csr_array
     antisymmetric_mode: sp.csr_array
-    full: np.ndarray | None = None  # dense, small cutoffs only
+    full: sp.csr_array | None = None
 
 
 def build_hamiltonians(
@@ -132,8 +141,7 @@ def build_hamiltonians(
     full            = pump-explicit collision Hamiltonian on a three-mode
                       space (only for small cutoffs; validation use)
 
-    The two-mode pieces are sparse (CSR) with O(dim) nonzeros; `full` is
-    a dense array.
+    Every piece is sparse (CSR) with O(dim) nonzeros.
     """
     a_plus, a_minus = _mode_ladders(space.dim_single, 2)
     om = params.interaction_rad_s
@@ -164,7 +172,7 @@ def build_hamiltonians(
         full = (
             q * nboth
             - (om / n) * ((n0 - 0.5 * sp.eye_array(d**3)) @ nboth + pump_pair + pump_pair.T)
-        ).toarray()
+        ).tocsr()
 
     return Hamiltonians(
         two_mode=two_mode,
@@ -221,14 +229,16 @@ def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
     squeezed vacua with opposite phases. Modeling the rf transfer as
     keeping only the symmetric mode then amounts to taking the first
     marginal.
+
+    The beamsplitter exp(theta (a+^ a- - a+ a-^)) at theta = pi/4 acts
+    on the state through its sparse generator, as in `evolve`; the real
+    orthogonal dim x dim propagator is never formed.
     """
     if state.shape != (space.dim,):
         raise DomainError(f"state must have shape ({space.dim},)")
-    ops = build_operators(space)
-    # beamsplitter generator: exp(theta (a+^ a- - a+ a-^)) at theta = pi/4
-    gen = ops.a_plus.T @ ops.a_minus - ops.a_plus @ ops.a_minus.T
-    u = expm((math.pi / 4.0) * gen)  # real orthogonal
-    out = u @ state
+    a_plus, a_minus = _mode_ladders(space.dim_single, 2)
+    gen = a_plus.T @ a_minus - a_plus @ a_minus.T
+    out = expm_multiply((math.pi / 4.0) * gen, state)
     norm = float(np.linalg.norm(out))
     if abs(norm - float(np.linalg.norm(state))) > 1e-8:
         raise NumericalError("mode transform broke normalization")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gravlab
-from gravlab import ConfigError, PhysicalConstants, scale_factor
+from gravlab import ConfigError, PhysicalConstants, read_shot_log, scale_factor
 from gravlab.cli import main
 from gravlab.config import DEFAULTS, config_hash, load_config, parse_config
 
@@ -317,6 +317,18 @@ class TestSimulateAnalyze:
         self.run_sim(tmp_path, os.path.join("deep", "nest", "shots.jsonl"))
         assert (tmp_path / "deep" / "nest" / "shots.jsonl").exists()
 
+    def test_dash_out_writes_shot_log_to_stdout(self, tmp_path, capsys):
+        log = self.run_sim(tmp_path / "file", "shots.jsonl")
+        capsys.readouterr()
+        self.run_sim(tmp_path / "dash", "-")
+        captured = capsys.readouterr()
+        assert captured.out == log.read_text()
+        piped = tmp_path / "piped.jsonl"
+        piped.write_text(captured.out)
+        assert [rec.index for rec in read_shot_log(piped)] == list(range(400))
+        assert "wrote" in captured.err
+        assert not (tmp_path / "dash").exists()
+
 
 def write_fringe_csv(path, scale, alpha_star, noise=0.0, seed=0):
     k = K_EFF
@@ -440,3 +452,20 @@ class TestReproduceCommand:
             doc.pop("finished_utc")
             doc.pop("command")  # carries the differing --output-dir
         assert ma == mb
+
+    @pytest.mark.parametrize("pairs", ["10", "0"])
+    def test_too_few_pairs_refused_before_writing(self, tmp_path, capsys, pairs):
+        code = main(["reproduce", "--pairs", pairs, "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "at least 16 pairs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_too_few_configured_pairs_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("campaign:\n  n_pairs: 15\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["reproduce", "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 1
+        assert "at least 16 pairs" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

@@ -7,6 +7,7 @@ pump-explicit three-mode model is validated through its 1/N convergence
 onto the pump-replaced limit.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -87,6 +88,12 @@ class TestOperators:
         with pytest.raises(ConfigError):
             FockSpace(n_max=200)
 
+    def test_dense_operators_refused_on_large_space(self):
+        # n_max = 140 passes the sparse limit; four dense 19881 x 19881
+        # arrays would take 3.2 GB each
+        with pytest.raises(ConfigError):
+            build_operators(FockSpace(n_max=140))
+
 
 class TestHamiltonianChain:
     def test_pair_terms_cancel_number_terms_at_matched_zeeman(self):
@@ -110,13 +117,22 @@ class TestHamiltonianChain:
             build_hamiltonians(FockSpace(n_max=30), HamiltonianParams(), include_full=True)
 
 
-def dense_chain(n_max: int, params: HamiltonianParams) -> dict:
-    """The two-mode operator chain from dense Kronecker products: the
-    reference construction the sparse build must reproduce."""
+def dense_ladders(n_max: int, modes: int) -> list[np.ndarray]:
+    """Annihilation operator of each mode from dense Kronecker products,
+    mode 0 the most significant factor."""
     d = n_max + 1
     a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
     eye = np.eye(d)
-    a_plus, a_minus = np.kron(a, eye), np.kron(eye, a)
+    return [
+        functools.reduce(np.kron, [a if j == k else eye for j in range(modes)])
+        for k in range(modes)
+    ]
+
+
+def dense_chain(n_max: int, params: HamiltonianParams) -> dict:
+    """The two-mode operator chain from dense Kronecker products: the
+    reference construction the sparse build must reproduce."""
+    a_plus, a_minus = dense_ladders(n_max, 2)
     om, q = params.interaction_rad_s, params.zeeman_q_rad_s
     pair = a_plus @ a_minus
     two_mode = -om * (pair + pair.T)
@@ -153,6 +169,32 @@ class TestSparseChainOracle:
                 for hamiltonian in (getattr(h, name), dense):
                     got = evolve(hamiltonian, psi, r)
                     assert np.max(np.abs(got - want)) < 1e-12, (name, r)
+
+    @pytest.mark.parametrize("n_max", [4, 8, 12])
+    def test_mode_transform_matches_dense_expm(self, n_max):
+        space = FockSpace(n_max=n_max)
+        a_plus, a_minus = dense_ladders(n_max, 2)
+        generator = a_plus.T @ a_minus - a_plus @ a_minus.T
+        rng = np.random.default_rng(n_max)
+        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        psi /= np.linalg.norm(psi)
+        want = expm((math.pi / 4.0) * generator) @ psi
+        assert np.max(np.abs(mode_transform(psi, space) - want)) < 1e-12
+
+    @pytest.mark.parametrize("n_max", [4, 5, 6])
+    def test_sparse_full_equals_dense_kronecker_construction(self, n_max):
+        params = HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=1.0, pump_atoms=7)
+        full = build_hamiltonians(FockSpace(n_max=n_max), params, include_full=True).full
+        a0, ap, am = dense_ladders(n_max, 3)
+        n0 = a0.T @ a0
+        nboth = ap.T @ ap + am.T @ am
+        pump_pair = a0.T @ a0.T @ ap @ am
+        q, om, n = params.zeeman_q_rad_s, params.interaction_rad_s, params.pump_atoms
+        want = q * nboth - (om / n) * (
+            (n0 - 0.5 * np.eye((n_max + 1) ** 3)) @ nboth + pump_pair + pump_pair.T
+        )
+        assert full.format == "csr"
+        assert np.array_equal(full.toarray(), want)
 
 
 class TestEvolution:
