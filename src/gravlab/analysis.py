@@ -246,19 +246,13 @@ def fringe_intersection(
 # pairing and gravity
 
 
-def _population(rec: ShotRecord) -> float | None:
-    total = rec.count_f1 + rec.count_f2
-    if total <= 0:
-        return None
-    return rec.count_f2 / total
+def _pairs(records: list[ShotRecord]):
+    """Usable (long-T, short-T) pairs of an alternating log.
 
-
-def delta_p(records: list[ShotRecord]) -> DeltaPSeries:
-    """Per consecutive pair, p(long T) - p(short T).
-
-    Requires strict alternation starting on the long-T shot; a trailing
-    unpaired shot is dropped (counted), zero-atom pairs are skipped
-    (counted separately).
+    Requires strict alternation starting on the long-T shot. Returns the
+    first and second shots of every pair in which both shots hold atoms,
+    the number of trailing unpaired shots dropped and the number of pairs
+    skipped for a zero-atom shot.
     """
     if len(records) < 2:
         raise DataError("need at least one full pair of shots")
@@ -267,8 +261,7 @@ def delta_p(records: list[ShotRecord]) -> DeltaPSeries:
     if t1 == t2:
         raise DataError("first two shots share the same T; not an alternating log")
 
-    n_dropped = len(records) % 2
-    times, values = [], []
+    firsts, seconds = [], []
     n_skipped = 0
     for i in range(0, len(records) - 1, 2):
         first, second = records[i], records[i + 1]
@@ -277,18 +270,31 @@ def delta_p(records: list[ShotRecord]) -> DeltaPSeries:
                 f"alternation broken at records {i},{i + 1}: "
                 f"({first.free_evolution_s}, {second.free_evolution_s})"
             )
-        p1 = _population(first)
-        p2 = _population(second)
-        if p1 is None or p2 is None:
+        if first.count_f1 + first.count_f2 <= 0 or second.count_f1 + second.count_f2 <= 0:
             n_skipped += 1
             continue
-        times.append(first.wall_time_s)
-        values.append(p1 - p2)
-    if not values:
+        firsts.append(first)
+        seconds.append(second)
+    if not firsts:
         raise DataError("no usable pairs (all skipped)")
+    return firsts, seconds, len(records) % 2, n_skipped
+
+
+def _population(rec: ShotRecord) -> float:
+    return rec.count_f2 / (rec.count_f1 + rec.count_f2)
+
+
+def delta_p(records: list[ShotRecord]) -> DeltaPSeries:
+    """Per consecutive pair, p(long T) - p(short T).
+
+    Pairs come from the shared pairing validator: a trailing unpaired
+    shot is dropped (counted), zero-atom pairs are skipped (counted
+    separately).
+    """
+    first, second, n_dropped, n_skipped = _pairs(records)
     return DeltaPSeries(
-        times_s=np.asarray(times),
-        values=np.asarray(values),
+        times_s=np.asarray([a.wall_time_s for a in first]),
+        values=np.asarray([_population(a) - _population(b) for a, b in zip(first, second)]),
         n_dropped=n_dropped,
         n_skipped=n_skipped,
     )
@@ -379,46 +385,30 @@ def metrological_squeezing(
     contrast: float = 1.0,
     n_bootstrap: int = 1000,
     bootstrap_seed: int = 1234567,
-    per_pair_atoms: bool = False,
 ) -> SqueezingEstimate:
     """Squeezing of the two-T difference signal, in dB, with a seeded
     percentile bootstrap confidence interval.
 
-    The denominator uses campaign-mean atom numbers per arm by default;
-    per_pair_atoms=True normalizes each pair by its own total instead.
+    Uses the pairs delta_p uses: strict alternation, a trailing shot
+    dropped, zero-atom pairs skipped. The denominator is the sum of the
+    campaign-mean atom numbers of the two arms.
     """
-    if len(records) < 4:
-        raise DataError("need at least 2 pairs of shots")
-    if len(records) % 2:
-        records = records[:-1]
-    first = records[0::2]
-    second = records[1::2]
+    first, second, _, _ = _pairs(records)
     j1 = np.array([r.imbalance for r in first])
     j2 = np.array([r.imbalance for r in second])
     n1 = np.array([r.count_f1 + r.count_f2 for r in first])
     n2 = np.array([r.count_f1 + r.count_f2 for r in second])
 
-    if per_pair_atoms:
-        # normalize each pair difference by its own projection limit,
-        # then compare the aggregate to 1
-        diffs = (j1 - j2) / np.sqrt((n1 + n2) / 4.0)
-        linear = float(np.var(diffs, ddof=1)) / contrast**2
-        samples = diffs
-        atoms_sum = None
-    else:
-        atoms_sum = float(np.mean(n1) + np.mean(n2))
-        linear = squeezing_from_pairs(j1 - j2, atoms_sum, contrast)
-        samples = j1 - j2
+    atoms_sum = float(np.mean(n1) + np.mean(n2))
+    samples = j1 - j2
+    linear = squeezing_from_pairs(samples, atoms_sum, contrast)
 
     rng = np.random.default_rng(bootstrap_seed)
     n = len(samples)
     boots = np.empty(n_bootstrap)
     for k in range(n_bootstrap):
         idx = rng.integers(0, n, n)
-        if per_pair_atoms:
-            boots[k] = float(np.var(samples[idx], ddof=1)) / contrast**2
-        else:
-            boots[k] = squeezing_from_pairs(samples[idx], atoms_sum, contrast)
+        boots[k] = squeezing_from_pairs(samples[idx], atoms_sum, contrast)
     lo, hi = np.percentile(boots, [2.5, 97.5])
 
     return SqueezingEstimate(

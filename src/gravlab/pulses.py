@@ -1,9 +1,10 @@
 """Elementary pulse mathematics.
 
 Smooth-envelope Raman pulses: the Blackman window, its accumulated
-rotation area, the single-pulse sensitivity ramp built from it, and a
-two-level ODE model for the transfer efficiency of a physical pi pulse
-under detuning.
+rotation area, the single-pulse sensitivity ramp built from it, and the
+transfer efficiency of a physical pi pulse under detuning: the Rabi
+formula where the drive keeps a fixed direction, a two-level ODE for a
+Blackman pulse under a constant detuning.
 
 Two distinct areas live on a pulse and must not be conflated:
 
@@ -29,6 +30,8 @@ from .errors import ConfigError, DomainError, NumericalError
 _A0, _A1, _A2 = 0.42, 0.5, 0.08
 
 BLACKMAN_MEAN = _A0  # mean of the window over one pulse; integral is 0.42*tau
+
+ODE_RTOL = 1e-9  # relative tolerance of the constant-detuning DOP853 solve
 
 
 def _window(x):
@@ -73,18 +76,6 @@ class PulseShape:
         return self.area_rad / (BLACKMAN_MEAN * self.duration_s)
 
 
-@dataclass(frozen=True)
-class TwoLevelState:
-    """State vector of the driven two-level system."""
-
-    amplitude_ground: complex
-    amplitude_excited: complex
-
-    @property
-    def norm(self) -> float:
-        return abs(self.amplitude_ground) ** 2 + abs(self.amplitude_excited) ** 2
-
-
 def envelope(shape: PulseShape, t: float) -> float:
     """Normalized drive envelope at time t into the pulse, in [0, 1]."""
     if t < 0 or t > shape.duration_s:
@@ -127,79 +118,51 @@ def pulse_sensitivity(shape: PulseShape, t: float) -> float:
     return math.sin(accumulated_area(shape, t))
 
 
-def _drive_terms(shape: PulseShape, detuning_rad_s: float, detuning_model: str):
+def _transfer(shape: PulseShape, deltas: np.ndarray, detuning_model: str) -> np.ndarray:
+    """Excited-state population after one pulse, for each detuning.
+
+    Rotating-frame Hamiltonian (hbar = 1), starting from the ground state:
+        H(t) = [[-delta(t)/2, Omega(t)/2], [Omega(t)/2, +delta(t)/2]]
+    When delta(t) and Omega(t) share one envelope (square pulses, or the
+    envelope model), H(t) keeps a fixed direction and commutes with itself,
+    so the transfer is the Rabi formula at the generalized area
+    W * area_rad / Omega0 with W = sqrt(Omega0^2 + delta^2). Only a
+    Blackman pulse under a constant detuning needs the ODE.
+    """
     if detuning_model not in ("envelope", "constant"):
         raise ConfigError(f"unknown detuning model {detuning_model!r}")
     om0 = shape.peak_rabi_rad_s
+    if shape.kind == "square" or detuning_model == "envelope":
+        big_w = np.sqrt(om0 * om0 + deltas * deltas)
+        return (om0 / big_w) ** 2 * np.sin(0.5 * big_w * shape.area_rad / om0) ** 2
+
     tau = shape.duration_s
-
-    if shape.kind == "square":
-        # constant drive; both detuning models coincide
-        def terms(t):
-            return om0, detuning_rad_s
-
-        return terms
-
-    def terms(t):
-        w = float(_window(t / tau))
-        if detuning_model == "envelope":
-            # light-shift detuning scales with intensity, i.e. with the
-            # same envelope as the Rabi rate
-            return om0 * w, detuning_rad_s * w
-        return om0 * w, detuning_rad_s
-
-    return terms
-
-
-def evolve_two_level(
-    shape: PulseShape,
-    detuning_rad_s: float,
-    detuning_model: str = "envelope",
-    rtol: float = 1e-9,
-) -> TwoLevelState:
-    """Integrate the driven two-level Schrodinger equation over one pulse.
-
-    Rotating-frame Hamiltonian (hbar = 1):
-        H(t) = [[-delta(t)/2, Omega(t)/2], [Omega(t)/2, +delta(t)/2]]
-    starting from the ground state.
-    """
-    terms = _drive_terms(shape, detuning_rad_s, detuning_model)
+    n = len(deltas)
 
     def rhs(t, y):
-        om, de = terms(t)
-        cg = y[0] + 1j * y[1]
-        ce = y[2] + 1j * y[3]
-        dcg = -1j * (-0.5 * de * cg + 0.5 * om * ce)
-        dce = -1j * (0.5 * om * cg + 0.5 * de * ce)
-        return [dcg.real, dcg.imag, dce.real, dce.imag]
+        om = om0 * float(_window(t / tau))
+        cg, ce = y[:n], y[n:]
+        dcg = -1j * (-0.5 * deltas * cg + 0.5 * om * ce)
+        dce = -1j * (0.5 * om * cg + 0.5 * deltas * ce)
+        return np.concatenate((dcg, dce))
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, shape.duration_s),
-        [1.0, 0.0, 0.0, 0.0],
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-3,
-    )
+    # ground amplitudes of every detuning, then their excited amplitudes
+    y0 = np.zeros(2 * n, dtype=complex)
+    y0[:n] = 1.0
+    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=ODE_RTOL, atol=ODE_RTOL * 1e-3)
     if not sol.success:
         raise NumericalError(f"two-level integration failed: {sol.message}")
-
-    norms = sol.y[0] ** 2 + sol.y[1] ** 2 + sol.y[2] ** 2 + sol.y[3] ** 2
-    drift = float(np.max(np.abs(norms - 1.0)))
+    amp2 = np.abs(sol.y) ** 2
+    drift = float(np.max(np.abs(amp2[:n] + amp2[n:] - 1.0)))
     if drift > 1e-9:
-        raise NumericalError(
-            f"norm drift {drift:.2e} exceeds 1e-9; tighten rtol"
-        )
-
-    yf = sol.y[:, -1]
-    return TwoLevelState(yf[0] + 1j * yf[1], yf[2] + 1j * yf[3])
+        raise NumericalError(f"norm drift {drift:.2e} exceeds 1e-9; tighten ODE_RTOL")
+    return np.clip(amp2[n:, -1], 0.0, 1.0)
 
 
 def transfer_probability(
     shape: PulseShape,
     detuning_rad_s: float,
     detuning_model: str = "envelope",
-    rtol: float = 1e-9,
 ) -> float:
     """Excited-state population after one physical pulse at fixed detuning.
 
@@ -207,9 +170,7 @@ def transfer_probability(
     envelope (a light shift is proportional to intensity); "constant"
     holds it fixed across the pulse.
     """
-    state = evolve_two_level(shape, detuning_rad_s, detuning_model, rtol)
-    p = abs(state.amplitude_excited) ** 2
-    return min(max(p, 0.0), 1.0)
+    return float(_transfer(shape, np.array([float(detuning_rad_s)]), detuning_model)[0])
 
 
 def averaged_transfer(
@@ -218,7 +179,6 @@ def averaged_transfer(
     detuning_sigma_rad_s: float,
     detuning_model: str = "envelope",
     nodes: int = 31,
-    rtol: float = 1e-9,
 ) -> tuple[float, float]:
     """Mean and std of the transfer probability over a Gaussian detuning.
 
@@ -228,16 +188,14 @@ def averaged_transfer(
     if detuning_sigma_rad_s < 0:
         raise DomainError("detuning sigma must be >= 0")
     if detuning_sigma_rad_s == 0:
-        return transfer_probability(shape, detuning_mean_rad_s, detuning_model, rtol), 0.0
+        return transfer_probability(shape, detuning_mean_rad_s, detuning_model), 0.0
     if nodes < 15:
         raise ConfigError("need at least 15 quadrature nodes")
 
     x, w = np.polynomial.hermite.hermgauss(nodes)
     w = w / math.sqrt(math.pi)
     deltas = detuning_mean_rad_s + math.sqrt(2.0) * detuning_sigma_rad_s * x
-    probs = np.array(
-        [transfer_probability(shape, float(d), detuning_model, rtol) for d in deltas]
-    )
+    probs = _transfer(shape, deltas, detuning_model)
     mean = float(np.sum(w * probs))
     second = float(np.sum(w * probs * probs))
     var = max(second - mean * mean, 0.0)

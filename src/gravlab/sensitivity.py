@@ -5,21 +5,19 @@ jumps: a smooth ramp up over the first pulse, a plateau at +1 during the
 first separation time, a ramp back to zero, a dead window during the
 free evolution, then the mirrored negative lobe. The scale factor is the
 time-weighted integral of that response times the effective wavevector
-and converts an acceleration into an interferometer phase.
+and converts an acceleration into an interferometer phase. Both the net
+area and the scale factor have closed forms that hold for any ramp shape;
+gravity_sensitivity stays as the definition they are checked against.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .pulses import PulseShape, pulse_sensitivity
-
-QUAD_ABS_TOL = 1e-12  # seconds; per-segment quadrature tolerance
 
 
 @dataclass(frozen=True)
@@ -94,64 +92,32 @@ def gravity_sensitivity(timing: SequenceTiming, t: float) -> float:
     return -1.0 + ramp(b[6])
 
 
-@dataclass(frozen=True)
-class SensitivityProfile:
-    """g(t) bundled with its timing and epoch edges."""
+def net_area(timing: SequenceTiming) -> float:
+    """Integral of g(t) over the sequence, in seconds.
 
-    timing: SequenceTiming
-    breakpoints: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", self.timing.breakpoints)
-
-    def __call__(self, t: float) -> float:
-        return gravity_sensitivity(self.timing, t)
-
-
-def _segment_quad(timing: SequenceTiming, weight, window=None) -> float:
-    """Integrate g(t)*weight(t) segment by segment (piecewise smooth)."""
-    edges = list(timing.breakpoints)
-    lo = edges[0] if window is None else max(window[0], edges[0])
-    hi = edges[-1] if window is None else min(window[1], edges[-1])
-    if hi <= lo:
-        return 0.0
-    cuts = sorted({lo, hi, *[e for e in edges if lo < e < hi]})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, err = quad(
-            lambda t: gravity_sensitivity(timing, t) * weight(t),
-            a,
-            b,
-            epsabs=QUAD_ABS_TOL,
-            epsrel=1e-12,
-            limit=200,
-        )
-        if not math.isfinite(val) or err > 1e-8:
-            raise NumericalError(
-                f"quadrature did not converge on [{a}, {b}] (err {err:.2e})"
-            )
-        total += val
-    return total
-
-
-def net_area(timing: SequenceTiming, window: tuple[float, float] | None = None) -> float:
-    """Integral of g(t) in seconds, optionally over a window.
-
-    The full sequence integrates to zero: the two lobes carry areas of
-    exactly +(pulse + separation) and -(pulse + separation).
+    Each lobe carries the area of its plateau plus one pulse, whatever the
+    ramp shape: the falling ramp 1 - ramp(t) gives back exactly what the
+    rising ramp left out. The sum of the +(b3 - b1) and -(b7 - b5) lobes,
+    taken from the epoch edges, is zero up to their rounding.
     """
-    return _segment_quad(timing, lambda t: 1.0, window)
+    b = timing.breakpoints
+    return (b[3] - b[1]) - (b[7] - b[5])
 
 
 def scale_factor(timing: SequenceTiming, constants: PhysicalConstants) -> float:
     """Scale factor in s^2/m: k_eff times the time-weighted area of g(t).
 
-    Returned as a positive magnitude; measured fringe fits carry the
-    sign convention of the readout instead.
+    The second lobe is the first one negated and shifted by
+    2 pulse + separation + free evolution, so the weighted area is that
+    shift times the lobe area pulse + separation. It is computed from the
+    durations, so the start time costs no digits. Returned as a positive
+    magnitude; measured fringe fits carry the sign convention of the
+    readout instead.
     """
-    t0 = timing.start_s
-    weighted = _segment_quad(timing, lambda t: t - t0)
-    return constants.k_eff_per_m * abs(weighted)
+    tau, sep = timing.pulse_s, timing.separation_s
+    lobe_area = tau + sep
+    lobe_shift = timing.free_evolution_s + 2.0 * tau + sep
+    return constants.k_eff_per_m * lobe_area * lobe_shift
 
 
 def phase_signal(

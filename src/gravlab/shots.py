@@ -128,7 +128,7 @@ def simulate_shot(
     """Generate one shot from its (seed, index) substream.
 
     The free-evolution time comes from `timing`; pass the precomputed
-    scale factor to avoid re-running the quadrature per shot.
+    scale factor to avoid recomputing it per shot.
     """
     if scale_s2_per_m is None:
         scale_s2_per_m = scale_factor(timing, constants)
@@ -240,7 +240,32 @@ def dump_shot_log(records: list[ShotRecord], fh) -> None:
         fh.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
+def _record_problem(rec: ShotRecord) -> str | None:
+    """Why a record read from a log cannot be analyzed, or None."""
+    # spelled out field by field: a loop over SHOT_FIELDS costs twice as
+    # much, and every shot of a log passes through here
+    f1, f2, imb = rec.count_f1, rec.count_f2, rec.imbalance
+    finite = math.isfinite
+    if not (
+        finite(f1) and finite(f2) and finite(imb) and finite(rec.wall_time_s)
+        and finite(rec.free_evolution_s) and finite(rec.chirp_rad_per_s2)
+        and finite(rec.g_true_m_per_s2)
+    ):
+        name = next(k for k in SHOT_FIELDS if not finite(getattr(rec, k)))
+        return f"{name} is {getattr(rec, name)}"
+    if f1 < 0 or f2 < 0:
+        return f"negative count ({f1}, {f2})"
+    # the generator writes the counts as n/2 -+ imbalance, so the two agree
+    # to the rounding of a sum of that size
+    if not abs(imb - 0.5 * (f2 - f1)) <= 1e-9 * (f1 + f2):
+        return f"imbalance {imb} is not (count_f2 - count_f1)/2 = {0.5 * (f2 - f1)}"
+    return None
+
+
 def read_shot_log(path) -> list[ShotRecord]:
+    """Read a JSONL shot log, rejecting a record that is malformed, holds
+    a non-finite number or a negative count, or whose imbalance is not
+    (count_f2 - count_f1)/2; the error names the file and line."""
     records = []
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -253,9 +278,13 @@ def read_shot_log(path) -> list[ShotRecord]:
                 continue
             try:
                 row = json.loads(line)
-                records.append(ShotRecord(**{k: row[k] for k in SHOT_FIELDS}))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                rec = ShotRecord(**{k: row[k] for k in SHOT_FIELDS})
+                problem = _record_problem(rec)
+            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
                 raise DataError(f"{path}: bad shot record on line {lineno}: {exc}") from exc
+            if problem is not None:
+                raise DataError(f"{path}: bad shot record on line {lineno}: {problem}")
+            records.append(rec)
     if not records:
         raise DataError(f"{path}: no shot records")
     return records

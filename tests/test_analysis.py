@@ -224,11 +224,19 @@ class TestMetrologicalSqueezing:
         assert est.ci_low_db < 0.0 < est.ci_high_db
         assert abs(est.db) < 0.3
 
-    def test_per_pair_normalization_agrees_for_fixed_atom_number(self):
-        recs = list(coherent_campaign(2000))
-        pooled = metrological_squeezing(recs)
-        per_pair = metrological_squeezing(recs, per_pair_atoms=True)
-        assert per_pair.db == pytest.approx(pooled.db, abs=0.1)
+    def test_zero_atom_pairs_skipped_like_delta_p(self):
+        recs = list(coherent_campaign(400))
+        for k in range(0, 400, 20):
+            i = 2 * k + k % 2  # either shot of every 20th pair
+            recs[i] = replace(recs[i], count_f1=0, count_f2=0, imbalance=0.0)
+        assert len(delta_p(recs).values) == 380
+        assert metrological_squeezing(recs).n_pairs == 380
+
+    def test_broken_alternation_rejected(self):
+        recs = list(coherent_campaign(50))
+        recs[10] = replace(recs[10], free_evolution_s=recs[11].free_evolution_s)
+        with pytest.raises(DataError, match="alternation broken"):
+            metrological_squeezing(recs)
 
     def test_odd_record_trimmed(self):
         recs = list(coherent_campaign(10))  # 10 pairs = 20 shots

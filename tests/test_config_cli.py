@@ -299,6 +299,18 @@ class TestSimulateAnalyze:
         assert main(["analyze", "--shots", str(empty)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_analyze_nan_count_is_exit_two(self, tmp_path, capsys):
+        log = self.run_sim(tmp_path, "shots.jsonl")
+        lines = log.read_text().splitlines(keepends=True)
+        row = json.loads(lines[6])
+        row["count_f2"] = float("nan")
+        lines[6] = json.dumps(row) + "\n"
+        log.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
+        assert "line 7" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
     def test_allan_output(self, tmp_path, capsys):
         log = self.run_sim(tmp_path, "shots.jsonl")
         capsys.readouterr()

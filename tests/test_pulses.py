@@ -1,16 +1,18 @@
 """Pulse-level mathematics: envelope, areas, sensitivity ramp, transfer.
 
-Expected numbers come from two independent routes wherever the value is
+Expected numbers come from independent routes wherever the value is
 not trivially known: a closed-form generalized-Rabi expression (exact
 for the envelope-following detuning model, where the Hamiltonian
-direction is time-independent) and a hand-rolled fixed-step RK4
-integrator that shares no code with the production solver.
+direction is time-independent), a hand-rolled fixed-step RK4 integrator
+that shares no code with the production solver, and scipy's expm of the
+constant Hamiltonian of a square pulse.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gravlab import (
     ConfigError,
@@ -25,7 +27,7 @@ from gravlab import (
 
 TAU_EFF = 64.8e-6  # effective pi-pulse duration used in the transfer checks
 
-# frozen outputs of the production solver at rtol=1e-9, recorded once and
+# frozen outputs of the DOP853 solver at rtol=1e-9, recorded once and
 # cross-checked below against the closed form / RK4 routes
 FROZEN_P_ENVELOPE_2500 = 0.9816131451203984
 FROZEN_P_CONSTANT_2500 = 0.9704719876320549
@@ -229,6 +231,16 @@ class TestTransfer:
         with pytest.raises(ConfigError):
             transfer_probability(sh, 0.0, detuning_model="quadratic")
 
+    @pytest.mark.parametrize("model", ["envelope", "constant"])
+    def test_square_pulse_matches_expm(self, model):
+        # a square pulse has a constant Hamiltonian under either model
+        for tau, area, f in ((20e-6, math.pi, 7000.0), (64.8e-6, math.pi / 2, 2500.0), (5e-6, 3.0, -40e3)):
+            sh = PulseShape(kind="square", duration_s=tau, area_rad=area)
+            om, d = sh.peak_rabi_rad_s, 2 * math.pi * f
+            ham = 0.5 * np.array([[-d, om], [om, d]])
+            excited = (expm(-1j * ham * tau) @ np.array([1.0, 0.0]))[1]
+            assert transfer_probability(sh, d, model) == pytest.approx(abs(excited) ** 2, abs=1e-12)
+
 
 class TestAveragedTransfer:
     def test_frozen_reference_point(self):
@@ -246,6 +258,17 @@ class TestAveragedTransfer:
         mean, std = averaged_transfer(sh, 2 * math.pi * 2500.0, 2 * math.pi * 500.0)
         assert mean == pytest.approx(float(np.mean(probs)), abs=4 * float(np.std(probs)) / 200.0)
         assert std == pytest.approx(float(np.std(probs)), rel=0.05)
+
+    def test_constant_model_equals_node_by_node_sum(self):
+        # one ODE solve carries every node; it must give what solving each
+        # node on its own gives
+        sh = PulseShape(duration_s=TAU_EFF)
+        x, w = np.polynomial.hermite.hermgauss(15)
+        deltas = 2 * math.pi * (2500.0 + math.sqrt(2.0) * 500.0 * x)
+        probs = np.array([transfer_probability(sh, float(d), "constant") for d in deltas])
+        mean = float(np.sum(w * probs)) / math.sqrt(math.pi)
+        got, _ = averaged_transfer(sh, 2 * math.pi * 2500.0, 2 * math.pi * 500.0, "constant", nodes=15)
+        assert got == pytest.approx(mean, abs=1e-9)
 
     def test_zero_sigma_degenerates_to_point_value(self):
         sh = PulseShape(duration_s=TAU_EFF)

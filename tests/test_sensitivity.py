@@ -1,21 +1,21 @@
 """Sequence sensitivity function and scale factor.
 
-The quadrature route through net_area/scale_factor is checked against
-closed forms that follow from the ramp symmetry: each lobe of the
-sensitivity function carries an area of exactly +-(pulse + separation),
-and the time-weighted integral reduces to the product of the lobe area
-and the lobe center separation.
+net_area and scale_factor are closed forms that follow from the ramp
+symmetry: each lobe of the sensitivity function carries an area of
+exactly +-(pulse + separation), and the time-weighted integral reduces to
+the product of the lobe area and the lobe center separation. The
+independent route is a piecewise scipy quad of gravity_sensitivity itself.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gravlab import (
     ConfigError,
     PhysicalConstants,
-    SensitivityProfile,
     SequenceTiming,
     gravity_sensitivity,
     net_area,
@@ -27,9 +27,28 @@ FROZEN_SCALE_T1 = 1.4386255468000027  # quadrature output at T = 455 us, default
 FROZEN_SCALE_T2 = 0.7766812767999999  # quadrature output at T = 155 us
 
 
-def closed_form_scale(timing: SequenceTiming, constants: PhysicalConstants) -> float:
-    tau, sep, free = timing.pulse_s, timing.separation_s, timing.free_evolution_s
-    return constants.k_eff_per_m * (2 * tau + sep + free) * (tau + sep)
+def quad_sensitivity(timing: SequenceTiming, weight, lo: float, hi: float) -> float:
+    """Integral of g(t) * weight(t) over [lo, hi], split at the epoch edges
+    so that each piece is smooth."""
+    cuts = sorted({lo, hi, *[e for e in timing.breakpoints if lo < e < hi]})
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        val, err = quad(
+            lambda t: gravity_sensitivity(timing, t) * weight(t), a, b,
+            epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+        assert err < 1e-8
+        total += val
+    return total
+
+
+def random_timing(rng, start=True) -> SequenceTiming:
+    return SequenceTiming(
+        pulse_s=float(rng.uniform(5e-6, 120e-6)),
+        separation_s=float(rng.uniform(10e-6, 250e-6)),
+        free_evolution_s=float(rng.uniform(50e-6, 1.2e-3)),
+        start_s=float(rng.uniform(-5e-3, 5e-3)) if start else 0.0,
+    )
 
 
 class TestPiecewiseShape:
@@ -71,12 +90,6 @@ class TestPiecewiseShape:
                 -gravity_sensitivity(tm, float(t)), abs=1e-12
             )
 
-    def test_profile_wrapper(self):
-        tm = SequenceTiming()
-        prof = SensitivityProfile(tm)
-        assert prof.breakpoints == tm.breakpoints
-        assert prof(tm.breakpoints[1]) == 1.0
-
     def test_translation_by_start_time(self):
         a = SequenceTiming(start_s=0.0)
         b = SequenceTiming(start_s=0.125)
@@ -94,24 +107,27 @@ class TestAreas:
     def test_net_area_vanishes_for_random_timings(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            tm = SequenceTiming(
-                pulse_s=float(rng.uniform(5e-6, 120e-6)),
-                separation_s=float(rng.uniform(10e-6, 250e-6)),
-                free_evolution_s=float(rng.uniform(50e-6, 1.2e-3)),
-                start_s=float(rng.uniform(-5e-3, 5e-3)),
-            )
+            tm = random_timing(rng)
             assert abs(net_area(tm)) < 1e-9 * (tm.pulse_s + tm.separation_s)
+
+    def test_net_area_matches_quadrature(self):
+        rng = np.random.default_rng(5)
+        for tm in [SequenceTiming()] + [random_timing(rng) for _ in range(10)]:
+            b = tm.breakpoints
+            assert net_area(tm) == pytest.approx(
+                quad_sensitivity(tm, lambda t: 1.0, b[0], b[7]), abs=1e-10
+            )
 
     def test_positive_lobe_area_exact(self):
         tm = SequenceTiming()
         lobe_end = tm.start_s + 2 * tm.pulse_s + tm.separation_s
-        area = net_area(tm, window=(tm.start_s, lobe_end))
+        area = quad_sensitivity(tm, lambda t: 1.0, tm.start_s, lobe_end)
         assert area == pytest.approx(tm.pulse_s + tm.separation_s, abs=1e-10)
 
     def test_negative_lobe_area_exact(self):
         tm = SequenceTiming()
         lobe_start = tm.start_s + 2 * tm.pulse_s + tm.separation_s + tm.free_evolution_s
-        area = net_area(tm, window=(lobe_start, tm.start_s + tm.total_s))
+        area = quad_sensitivity(tm, lambda t: 1.0, lobe_start, tm.start_s + tm.total_s)
         assert area == pytest.approx(-(tm.pulse_s + tm.separation_s), abs=1e-10)
 
 
@@ -127,13 +143,11 @@ class TestScaleFactor:
         const = PhysicalConstants()
         rng = np.random.default_rng(77)
         for _ in range(10):
-            tm = SequenceTiming(
-                pulse_s=float(rng.uniform(5e-6, 120e-6)),
-                separation_s=float(rng.uniform(10e-6, 250e-6)),
-                free_evolution_s=float(rng.uniform(50e-6, 1.2e-3)),
-            )
+            tm = random_timing(rng)
+            b = tm.breakpoints
+            weighted = quad_sensitivity(tm, lambda t: t - tm.start_s, b[0], b[7])
             assert scale_factor(tm, const) == pytest.approx(
-                closed_form_scale(tm, const), rel=1e-10
+                const.k_eff_per_m * abs(weighted), rel=1e-10
             )
 
     def test_linearity_identity_two_unrelated_pairs(self):

@@ -261,6 +261,33 @@ class TestShotLogIO:
         with pytest.raises(DataError, match="line 3"):
             read_shot_log(path)
 
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [
+            ("count_f1", float("nan"), "count_f1 is nan"),
+            ("wall_time_s", float("inf"), "wall_time_s is inf"),
+            ("count_f2", -2.0, "negative count"),
+            ("imbalance", 1e3, "imbalance 1000.0 is not"),
+        ],
+    )
+    def test_invalid_record_reported_with_file_and_line(self, tmp_path, field, value, why):
+        recs = run_campaign(CampaignConfig(n_pairs=2, seed=13), TIMING, CONST, quiet_noise())
+        recs[2] = replace(recs[2], **{field: value})
+        path = tmp_path / "bad.jsonl"
+        write_shot_log(recs, path)
+        with pytest.raises(DataError, match=f"bad.jsonl: bad shot record on line 3: {why}"):
+            read_shot_log(path)
+
+    def test_analog_readout_log_reads_back(self, tmp_path):
+        # unquantized counts n/2 -+ jz agree with the imbalance only to rounding
+        recs = run_campaign(
+            CampaignConfig(n_pairs=25, seed=13), TIMING, CONST,
+            quiet_noise(projection_noise=False, sigma_ac_rad=0.3),
+        )
+        path = tmp_path / "analog.jsonl"
+        write_shot_log(recs, path)
+        assert read_shot_log(path) == recs
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "short.jsonl"
         path.write_text(json.dumps({"index": 0}) + "\n")
