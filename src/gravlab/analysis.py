@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DataError, DomainError, FitError
 from .sensitivity import PhysicalConstants
@@ -228,6 +227,7 @@ def fringe_intersection(
     lo, hi = alpha_window
     if hi <= lo:
         raise DomainError("empty alpha window")
+    from scipy.optimize import minimize_scalar  # deferred: its import costs ~0.3 s
     grid = np.linspace(lo, hi, 2001)
     coarse = min(grid, key=spread)
     width = (hi - lo) / 2000.0

@@ -33,7 +33,7 @@ from .config import AppConfig, config_hash, load_config
 from .errors import ConfigError, DataError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity, transfer_probability
 from .sensitivity import net_area, scale_factor
-from .shots import dump_shot_log, read_shot_log, run_campaign, write_shot_log
+from .shots import STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics, write_shot_log
 from .squeezing import SqueezingModel, coherent_model, squeezing_parameter, tomography_variance
 
 # reference values the summary table is compared against
@@ -91,9 +91,9 @@ def _utcnow() -> str:
 class Manifest:
     """Run manifest: enough to regenerate every output bit-exactly.
 
-    Written before the data files, finalized (with hashes and the end
-    timestamp) after; timestamps are the one part that differs between
-    otherwise identical re-runs.
+    Written before the data files, finalized (with hashes, the shot
+    diagnostics of each arm and the end timestamp) after; timestamps are
+    the one part that differs between otherwise identical re-runs.
     """
 
     def __init__(self, path, config: AppConfig, seed, argv):
@@ -102,11 +102,13 @@ class Manifest:
             "toolkit_version": __version__,
             "config_hash": config_hash(config),
             "seed": seed,
+            "stream_version": STREAM_VERSION,
             "command": ["gravlab", *argv],
             "started_utc": _utcnow(),
             "finished_utc": None,
             "config": config.resolved,
             "outputs": [],
+            "diagnostics": {},
         }
         self._write()
 
@@ -242,6 +244,7 @@ def _cmd_simulate(args) -> int:
     write_shot_log(records, out)
     print(f"wrote {out} ({len(records)} shots)")
     manifest.add(out)
+    manifest.doc["diagnostics"]["squeezed" if args.squeezed else "coherent"] = shot_diagnostics(records)
     manifest.finish()
     return 0
 
@@ -430,6 +433,7 @@ def _cmd_reproduce(args) -> int:
         shots_path = os.path.join(out_dir, f"shots_{label}.jsonl")
         write_shot_log(records, shots_path)
         manifest.add(shots_path)
+        manifest.doc["diagnostics"][label] = shot_diagnostics(records)
 
         rows, grav, squeeze = _analysis_rows(arm_cfg, records)
         analysis_path = os.path.join(out_dir, f"analysis_{label}.csv")
@@ -445,6 +449,7 @@ def _cmd_reproduce(args) -> int:
         )
         manifest.add(allan_path)
         results[label] = (grav, squeeze, series)
+        del records  # else both arms' shots are held while the next arm is generated
 
     grav_s, squeeze_s, series_s = results["squeezed"]
     _, squeeze_c, series_c = results["coherent"]

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -116,6 +115,17 @@ def pulse_sensitivity(shape: PulseShape, t: float) -> float:
             "sensitivity_area_rad must be <= pi/2 for a monotone 0 -> 1 ramp"
         )
     return math.sin(accumulated_area(shape, t))
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: only a
+    Blackman pulse under a constant detuning needs it, and importing
+    scipy.integrate also loads scipy.sparse and scipy.optimize. It is a
+    module-level name so that instrumentation can rebind it to count the
+    solves (bench/tracer.py does)."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _transfer(shape: PulseShape, deltas: np.ndarray, detuning_model: str) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 Each shot is one interferometer cycle: draw the technical noise for the
 cycle, accumulate the phase through the sequence scale factor, then draw
-the atomic imbalance from the Gaussian readout model. Shots are keyed by
-(seed, index) counter-based RNG substreams, so any subset can be
-regenerated independently and campaign output never depends on
-execution order.
+the atomic imbalance from the Gaussian readout model. A campaign is one
+array computation over all shot indices, and a single shot is a batch of
+one.
 
-Fixed draw order inside a shot (kept stable so configs stay
-reproducible): atom number, acceleration offset, light-shift phase,
-Raman-laser phase, imbalance.
+The draws are counter-based (Philox4x64-10 keyed by (seed, shot index)),
+so any subset of shots can be regenerated independently. Each draw has
+its own counter, one per channel: atom number, acceleration offset,
+light-shift phase, Raman-laser phase, imbalance. Switching a channel off
+therefore never shifts another.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import ConfigError, DataError, DomainError
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
@@ -105,13 +105,127 @@ class ShotRecord:
     wall_time_s: float
 
 
-def shot_stream(seed: int, index: int) -> Generator:
-    """Counter-based substream for one shot; order-independent."""
-    return Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): round multipliers and Weyl key increments
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT_32 = np.uint64(32)
+_SHIFT_11 = np.uint64(11)
+
+# channel c of shot i is the Philox block at counter (c + 1, 0, 0, 0) under
+# key (seed, i), in the draw order of the module docstring
+N_CHANNELS = 5
+STREAM_VERSION = 2
 
 
-def _round_half_away(x: float) -> float:
-    return math.copysign(math.floor(abs(x) + 0.5), x)
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product m * x, from 32-bit limbs."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT_32
+    lo_lo = x_lo * m_lo
+    hi_lo = x_hi * m_lo
+    # at most 3 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1: no carry is lost
+    cross = (lo_lo >> _SHIFT_32) + (hi_lo & _LOW32) + x_lo * m_hi
+    return x_hi * m_hi + (hi_lo >> _SHIFT_32) + (cross >> _SHIFT_32), x * np.uint64(m)
+
+
+def philox4x64(counter, key) -> tuple[np.ndarray, ...]:
+    """The four output words of Philox4x64-10 at each counter and key.
+
+    `counter` holds four and `key` two uint64 words; each word is a
+    scalar or an array, and all of them broadcast together.
+    """
+    c0, c1, c2, c3 = (np.asarray(w, dtype=np.uint64) for w in counter)
+    k0, k1 = (np.asarray(w, dtype=np.uint64) for w in key)
+    with np.errstate(over="ignore"):
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _standard_normals(seed: int, indices: np.ndarray) -> np.ndarray:
+    """One standard normal per channel and shot, shape (N_CHANNELS, n).
+
+    Words 0 and 1 of each block give u1 = ((w0 >> 11) + 1) 2^-53 in
+    (0, 1] and u2 = (w1 >> 11) 2^-53, and Box-Muller maps them to
+    sqrt(-2 ln u1) cos(2 pi u2).
+    """
+    channel = np.arange(1, N_CHANNELS + 1, dtype=np.uint64)[:, None]
+    w0, w1, _, _ = philox4x64((channel, 0, 0, 0), (np.uint64(seed), indices))
+    u1 = ((w0 >> _SHIFT_11) + np.uint64(1)) * 2.0**-53
+    u2 = (w1 >> _SHIFT_11) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _simulate(
+    constants: PhysicalConstants,
+    noise: NoiseConfig,
+    g_true: float,
+    alpha: float,
+    seed: int,
+    indices: np.ndarray,
+    free_evolution_s: np.ndarray,
+    scale_s2_per_m: np.ndarray,
+    cycle_time_s: float,
+) -> list[ShotRecord]:
+    """The shots at `indices`, with the free evolution and scale factor of
+    each; every shot depends only on (seed, its index)."""
+    z_atoms, z_accel, z_ac, z_raman, z_readout = _standard_normals(seed, indices)
+
+    n = np.maximum(1.0, np.rint(noise.atom_number_mean + noise.atom_number_sigma * z_atoms))
+    n -= n % 2.0  # even split keeps integer counts; may drop to 0
+
+    phi = (
+        phase_signal(g_true + noise.sigma_accel_m_s2 * z_accel, alpha, scale_s2_per_m, constants)
+        + noise.sigma_ac_rad * z_ac
+        + noise.sigma_raman_phase_rad * z_raman
+    )
+    mean_jz = 0.5 * n * noise.effective_contrast * np.sin(phi)
+
+    model = noise.squeezing
+    if noise.projection_noise:
+        # readout quadrature rotates with the accumulated phase
+        var = (n / 4.0) * (
+            math.exp(-2.0 * model.strength) * np.cos(phi) ** 2
+            + math.exp(2.0 * model.strength) * np.sin(phi) ** 2
+        ) + model.detection_noise_atoms**2
+        if not np.all(var > 0.0):
+            raise ConfigError("shot variance must be > 0 with projection noise on")
+        jz = mean_jz + np.sqrt(var) * z_readout
+        jz = np.copysign(np.floor(np.abs(jz) + 0.5), jz)  # round half away from 0
+        jz = np.clip(jz, -n / 2.0, n / 2.0)
+    else:
+        jz = mean_jz  # exact analog mean, not quantized
+
+    return [
+        ShotRecord(
+            index=i,
+            free_evolution_s=t,
+            chirp_rad_per_s2=alpha,
+            g_true_m_per_s2=g_true,
+            count_f1=f1,
+            count_f2=f2,
+            imbalance=j,
+            stream_id=i,
+            wall_time_s=w,
+        )
+        for i, t, f1, f2, j, w in zip(
+            indices.tolist(),
+            np.broadcast_to(free_evolution_s, indices.shape).tolist(),
+            (n / 2.0 - jz).tolist(),
+            (n / 2.0 + jz).tolist(),
+            jz.tolist(),
+            (indices * cycle_time_s).tolist(),
+        )
+    ]
 
 
 def simulate_shot(
@@ -125,54 +239,25 @@ def simulate_shot(
     cycle_time_s: float = 52.0,
     scale_s2_per_m: float | None = None,
 ) -> ShotRecord:
-    """Generate one shot from its (seed, index) substream.
+    """Generate one shot from its (seed, index) counters: a campaign of one.
 
     The free-evolution time comes from `timing`; pass the precomputed
-    scale factor to avoid recomputing it per shot.
+    scale factor to avoid recomputing it.
     """
     if scale_s2_per_m is None:
         scale_s2_per_m = scale_factor(timing, constants)
-    rng = shot_stream(seed, index)
-
-    # fixed draw order; sigma=0 draws still consume the stream
-    n_raw = rng.normal(noise.atom_number_mean, noise.atom_number_sigma)
-    accel = rng.normal(0.0, noise.sigma_accel_m_s2)
-    phi_ac = rng.normal(0.0, noise.sigma_ac_rad)
-    phi_raman = rng.normal(0.0, noise.sigma_raman_phase_rad)
-
-    n = max(1, int(round(n_raw)))
-    n -= n % 2  # even split keeps integer counts; may drop to 0
-
-    phi = phase_signal(g_true + accel, alpha, scale_s2_per_m, constants) + phi_ac + phi_raman
-
-    mean_jz = 0.5 * n * noise.effective_contrast * math.sin(phi)
-
-    model = noise.squeezing
-    if noise.projection_noise:
-        # readout quadrature rotates with the accumulated phase
-        var = (n / 4.0) * (
-            math.exp(-2.0 * model.strength) * math.cos(phi) ** 2
-            + math.exp(2.0 * model.strength) * math.sin(phi) ** 2
-        ) + model.detection_noise_atoms**2
-        if var <= 0.0:
-            raise ConfigError("shot variance must be > 0 with projection noise on")
-        jz = _round_half_away(rng.normal(mean_jz, math.sqrt(var)))
-        jz = min(max(jz, -n / 2.0), n / 2.0)
-    else:
-        rng.normal(0.0, 0.0)  # keep the stream layout identical
-        jz = mean_jz  # exact analog mean, not quantized
-
-    return ShotRecord(
-        index=index,
-        free_evolution_s=timing.free_evolution_s,
-        chirp_rad_per_s2=alpha,
-        g_true_m_per_s2=g_true,
-        count_f1=n / 2.0 - jz,
-        count_f2=n / 2.0 + jz,
-        imbalance=jz,
-        stream_id=index,
-        wall_time_s=index * cycle_time_s,
+    (record,) = _simulate(
+        constants,
+        noise,
+        g_true,
+        alpha,
+        seed,
+        np.array([index], dtype=np.uint64),
+        timing.free_evolution_s,
+        scale_s2_per_m,
+        cycle_time_s,
     )
+    return record
 
 
 def run_campaign(
@@ -183,31 +268,36 @@ def run_campaign(
 ) -> list[ShotRecord]:
     """2 n_pairs shots alternating the long and short free evolution.
 
-    Deterministic in (seed, config) regardless of how generation is
-    scheduled; records come back ordered by index.
+    Deterministic in (seed, config); records come back ordered by index.
     """
-    timing_1 = replace(timing, free_evolution_s=campaign.t1_s)
-    timing_2 = replace(timing, free_evolution_s=campaign.t2_s)
-    scale_1 = scale_factor(timing_1, constants)
-    scale_2 = scale_factor(timing_2, constants)
+    scale_1 = scale_factor(replace(timing, free_evolution_s=campaign.t1_s), constants)
+    scale_2 = scale_factor(replace(timing, free_evolution_s=campaign.t2_s), constants)
+    indices = np.arange(2 * campaign.n_pairs, dtype=np.uint64)
+    long_t = indices % 2 == 0
+    return _simulate(
+        constants,
+        noise,
+        campaign.g_true_m_per_s2,
+        campaign.alpha_rad_per_s2,
+        campaign.seed,
+        indices,
+        np.where(long_t, campaign.t1_s, campaign.t2_s),
+        np.where(long_t, scale_1, scale_2),
+        campaign.cycle_time_s,
+    )
 
-    records = []
-    for pair in range(campaign.n_pairs):
-        for offset, tim, sc in ((0, timing_1, scale_1), (1, timing_2, scale_2)):
-            records.append(
-                simulate_shot(
-                    tim,
-                    constants,
-                    noise,
-                    campaign.g_true_m_per_s2,
-                    campaign.alpha_rad_per_s2,
-                    campaign.seed,
-                    2 * pair + offset,
-                    campaign.cycle_time_s,
-                    scale_s2_per_m=sc,
-                )
-            )
-    return records
+
+def shot_diagnostics(records: list[ShotRecord]) -> dict:
+    """Numerical-health counts of a campaign: shots the even split left
+    with no atoms, and shots with atoms whose imbalance sits at the
+    clamp +-n/2, so that one output port counts 0."""
+    zero_atom = clamped = 0
+    for rec in records:
+        if rec.count_f1 + rec.count_f2 == 0:
+            zero_atom += 1
+        elif rec.count_f1 == 0 or rec.count_f2 == 0:
+            clamped += 1
+    return {"zero_atom_shots": zero_atom, "clamped_imbalances": clamped}
 
 
 def echo_residual_phase(
@@ -233,11 +323,28 @@ def write_shot_log(records: list[ShotRecord], path) -> None:
         dump_shot_log(records, fh)
 
 
+LOG_CHUNK_LINES = 1000  # lines joined per write: bounds the text held at once
+
+
 def dump_shot_log(records: list[ShotRecord], fh) -> None:
-    """Write the records as JSON lines to an open text stream."""
-    for rec in records:
-        row = {name: getattr(rec, name) for name in SHOT_FIELDS}
-        fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    """Write the records as JSON lines to an open text stream.
+
+    Each line is byte for byte json.dumps of the record's SHOT_FIELDS
+    with separators (",", ":"), spelled out as an f-string: numbers in
+    their repr, non-finite floats as json's NaN, Infinity and -Infinity.
+    The fields must hold Python ints and floats, as in every record that
+    gravlab generates or reads.
+    """
+    for start in range(0, len(records), LOG_CHUNK_LINES):
+        text = "".join(
+            f'{{"index":{r.index!r},"free_evolution_s":{r.free_evolution_s!r},'
+            f'"chirp_rad_per_s2":{r.chirp_rad_per_s2!r},"g_true_m_per_s2":{r.g_true_m_per_s2!r},'
+            f'"count_f1":{r.count_f1!r},"count_f2":{r.count_f2!r},"imbalance":{r.imbalance!r},'
+            f'"stream_id":{r.stream_id!r},"wall_time_s":{r.wall_time_s!r}}}\n'
+            for r in records[start : start + LOG_CHUNK_LINES]
+        )
+        # a value follows each ":", and no finite repr holds "nan" or "inf"
+        fh.write(text.replace(":nan", ":NaN").replace(":inf", ":Infinity").replace(":-inf", ":-Infinity"))
 
 
 def _record_problem(rec: ShotRecord) -> str | None:

@@ -8,7 +8,8 @@ Two layers:
   and antisymmetric modes. Every operator is a sparse CSR array, and
   each propagator acts on the state through the action of the matrix
   exponential, so none is ever formed; only `build_operators` returns
-  dense matrices, for small cutoffs.
+  dense matrices, for small cutoffs. scipy.sparse is imported inside
+  the functions that use it, so loading this module loads no scipy.
 * A four-number Gaussian model (atom number, squeezing strength,
   optimal readout phase, detection noise) that reproduces the measured
   variance-vs-angle tomography and the squeezing parameter in dB.
@@ -24,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import CalibrationError, ConfigError, DomainError, NumericalError
 
@@ -78,6 +77,8 @@ def _mode_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
     """Sparse annihilation operator of each mode on the product space of
     `modes` modes, each truncated at dim_single levels (mode 0 is the
     most significant Kronecker factor)."""
+    import scipy.sparse as sp
+
     a = sp.diags_array(np.sqrt(np.arange(1.0, dim_single)), offsets=1, format="csr")
     eye = sp.eye_array(dim_single, format="csr")
     ladders = []
@@ -159,6 +160,8 @@ def build_hamiltonians(
 
     full = None
     if include_full:
+        import scipy.sparse as sp
+
         d = space.dim_single
         if d**3 > MAX_MATRIX_DIM:
             raise ConfigError(
@@ -199,6 +202,8 @@ def evolve(
     33, 488 (2011)). The cost is a sequence of products H @ psi, so a
     sparse H never becomes a dense dim x dim matrix.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     out = expm_multiply(-1j * duration * hamiltonian, state)
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > 1e-8:
@@ -236,6 +241,8 @@ def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
     """
     if state.shape != (space.dim,):
         raise DomainError(f"state must have shape ({space.dim},)")
+    from scipy.sparse.linalg import expm_multiply
+
     a_plus, a_minus = _mode_ladders(space.dim_single, 2)
     gen = a_plus.T @ a_minus - a_plus @ a_minus.T
     out = expm_multiply((math.pi / 4.0) * gen, state)

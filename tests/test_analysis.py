@@ -17,6 +17,7 @@ from gravlab import (
     PhysicalConstants,
     SequenceTiming,
     allan_deviation,
+    calibrate_model,
     coherent_model,
     delta_p,
     estimate_g,
@@ -245,6 +246,27 @@ class TestMetrologicalSqueezing:
     def test_too_few_records(self):
         with pytest.raises(DataError):
             metrological_squeezing(list(coherent_campaign(10))[:3])
+
+
+class TestBootstrapCoverage:
+    def test_95_percent_ci_covers_the_analytic_squeezing(self):
+        # Gaussian readout at the compensating chirp: each shot's imbalance
+        # has variance N/4 e^{-2r} + sigma_det^2, plus 1/12 from rounding to
+        # whole atoms, and a pair difference twice that
+        model = calibrate_model(-5.4, 9.9, 6000.0)
+        contrast = 0.98
+        shot_var = 6000.0 / 4.0 * math.exp(-2.0 * model.strength) + model.detection_noise_atoms**2 + 1.0 / 12.0
+        true_db = 10.0 * math.log10((4.0 / contrast**2) * 2.0 * shot_var / (2.0 * 6000.0))
+        assert true_db == pytest.approx(-5.22, abs=0.005)
+
+        noise = NoiseConfig(squeezing=model, contrast=contrast, sigma_ac_rad=0.0)
+        covered = 0
+        for seed in range(200):
+            camp = CampaignConfig(n_pairs=500, seed=seed, alpha_rad_per_s2=ALPHA_COMP)
+            est = metrological_squeezing(run_campaign(camp, TIMING, CONST, noise), contrast=contrast)
+            covered += est.ci_low_db <= true_db <= est.ci_high_db
+        # for a true 95% rate, P(covered <= 179) = 0.12% and P(covered = 200) = 3.5e-5
+        assert 180 <= covered <= 199, covered
 
 
 def synth_fringe(offset, amp, scale, phase0, n=60, x0=9.8126, periods=1.4, noise=0.0, seed=0):

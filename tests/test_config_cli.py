@@ -262,6 +262,26 @@ class TestSimulateAnalyze:
         digest = hashlib.blake2b(log.read_bytes(), digest_size=8).hexdigest()
         assert entry == {"path": "shots.jsonl", "blake2b16": digest}
 
+    def test_manifest_records_stream_version(self, tmp_path):
+        self.run_sim(tmp_path, "shots.jsonl")
+        manifest = json.loads((tmp_path / "shots.jsonl.manifest.json").read_text())
+        assert manifest["stream_version"] == 2
+
+    def test_zero_atom_and_clamped_shots_counted_in_manifest(self, tmp_path):
+        # ~1 atom per shot: the even split leaves many shots empty, and the
+        # detection noise drives most of the rest to the +-n/2 clamp
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  atom_number_mean: 1\n  atom_number_sigma: 2.0\n")
+        self.run_sim(tmp_path, "shots.jsonl", extra=("--config", str(cfg)))
+        recs = read_shot_log(tmp_path / "shots.jsonl")
+        zero = sum(r.count_f1 + r.count_f2 == 0 for r in recs)
+        clamped = sum(r.count_f1 + r.count_f2 > 0 and min(r.count_f1, r.count_f2) == 0 for r in recs)
+        assert zero > 0 and clamped > 0
+        manifest = json.loads((tmp_path / "shots.jsonl.manifest.json").read_text())
+        assert manifest["diagnostics"] == {
+            "squeezed": {"zero_atom_shots": zero, "clamped_imbalances": clamped}
+        }
+
     def test_same_seed_is_byte_identical(self, tmp_path):
         a = self.run_sim(tmp_path / "a", "shots.jsonl")
         b = self.run_sim(tmp_path / "b", "shots.jsonl")
@@ -464,6 +484,19 @@ class TestReproduceCommand:
             doc.pop("finished_utc")
             doc.pop("command")  # carries the differing --output-dir
         assert ma == mb
+
+    def test_manifest_stream_version_and_diagnostics(self, tmp_path):
+        out = self.run_repro(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stream_version"] == 2
+        for label in ("squeezed", "coherent"):
+            recs = read_shot_log(out / f"shots_{label}.jsonl")
+            assert manifest["diagnostics"][label] == {
+                "zero_atom_shots": sum(r.count_f1 + r.count_f2 == 0 for r in recs),
+                "clamped_imbalances": sum(
+                    r.count_f1 + r.count_f2 > 0 and min(r.count_f1, r.count_f2) == 0 for r in recs
+                ),
+            }
 
     @pytest.mark.parametrize("pairs", ["10", "0"])
     def test_too_few_pairs_refused_before_writing(self, tmp_path, capsys, pairs):

@@ -1,11 +1,13 @@
 """Shot generator: determinism, draw accounting, statistics, log I/O."""
 
+import io
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from gravlab import (
     CampaignConfig,
@@ -19,10 +21,19 @@ from gravlab import (
     coherent_model,
     read_shot_log,
     run_campaign,
+    scale_factor,
     simulate_shot,
     write_shot_log,
 )
-from gravlab.shots import echo_residual_phase
+from gravlab.shots import (
+    LOG_CHUNK_LINES,
+    N_CHANNELS,
+    SHOT_FIELDS,
+    _standard_normals,
+    dump_shot_log,
+    echo_residual_phase,
+    philox4x64,
+)
 
 TIMING = SequenceTiming()
 CONST = PhysicalConstants()
@@ -79,6 +90,121 @@ class TestDeterminism:
         a = simulate_shot(TIMING, CONST, base, G_TRUE, ALPHA_COMP, seed=3, index=0)
         b = simulate_shot(TIMING, CONST, also, G_TRUE, ALPHA_COMP, seed=3, index=0)
         assert a.imbalance == b.imbalance
+
+
+def numpy_philox_block(seed, index, channel):
+    """numpy's Philox4x64-10 block for one channel of one shot; numpy
+    increments the counter before it generates, so this is the block at
+    counter (channel + 1, 0, 0, 0)."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return Philox(key=key, counter=[channel, 0, 0, 0]).random_raw(4)
+
+
+class TestPhiloxKernel:
+    # (seed, index) pairs: index 0, small and top-bit words
+    rng = np.random.default_rng(2011)
+    KEYS = [(0, 0), (7, 0), (2**64 - 1, 0), (3, 2**63), (2**63 + 5, 2**64 - 1)] + [
+        (int(s), int(i)) for s, i in rng.integers(0, 2**64, size=(40, 2), dtype=np.uint64)
+    ]
+
+    def test_blocks_bit_exact_against_numpy(self):
+        seeds = np.array([k[0] for k in self.KEYS], dtype=np.uint64)
+        indices = np.array([k[1] for k in self.KEYS], dtype=np.uint64)
+        channel = np.arange(1, N_CHANNELS + 1, dtype=np.uint64)[:, None]
+        got = np.stack(philox4x64((channel, 0, 0, 0), (seeds, indices)), axis=-1)
+        want = np.array(
+            [[numpy_philox_block(s, i, c) for s, i in self.KEYS] for c in range(N_CHANNELS)]
+        )
+        assert got.dtype == np.uint64
+        assert (want >= 2**63).any()  # the top bit passes through the limb multiply
+        assert np.array_equal(got, want)
+
+    def test_gaussians_are_box_muller_of_words_0_and_1(self):
+        seed = 2**63 + 17
+        indices = np.array([0, 1, 2, 2**40, 2**64 - 1], dtype=np.uint64)
+        got = _standard_normals(seed, indices)
+        for c in range(N_CHANNELS):
+            for k, index in enumerate(indices.tolist()):
+                w0, w1, _, _ = (int(w) for w in numpy_philox_block(seed, index, c))
+                u1 = ((w0 >> 11) + 1) * 2.0**-53
+                u2 = (w1 >> 11) * 2.0**-53
+                want = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                assert got[c, k] == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    def test_gaussian_moments(self):
+        z = _standard_normals(99, np.arange(40000, dtype=np.uint64))
+        assert z.shape == (N_CHANNELS, 40000)
+        se = 1.0 / math.sqrt(40000)
+        assert np.all(np.abs(z.mean(axis=1)) < 4 * se)
+        assert np.all(np.abs(z.var(axis=1) - 1.0) < 4 * math.sqrt(2.0) * se)
+        corr = np.corrcoef(z)
+        assert np.all(np.abs(corr - np.eye(N_CHANNELS)) < 4 * se)
+
+    def test_every_shot_equals_its_batch_of_one(self):
+        camp = CampaignConfig(n_pairs=150, seed=2**64 - 3)
+        noise = calibrated_noise(
+            sigma_ac_rad=0.3, sigma_raman_phase_rad=0.1, atom_number_sigma=900.0, sigma_accel_m_s2=1e-3
+        )
+        records = run_campaign(camp, TIMING, CONST, noise)
+        for rec in records:
+            lone = simulate_shot(
+                replace(TIMING, free_evolution_s=rec.free_evolution_s),
+                CONST,
+                noise,
+                camp.g_true_m_per_s2,
+                camp.alpha_rad_per_s2,
+                seed=camp.seed,
+                index=rec.index,
+                cycle_time_s=camp.cycle_time_s,
+            )
+            assert lone == rec
+
+
+def scalar_shot(z, noise, g_true, alpha, scale):
+    """One shot's counts from its five normals, shot by shot in Python
+    floats: the reference for the array arithmetic of the generator."""
+    n = max(1, int(round(noise.atom_number_mean + noise.atom_number_sigma * z[0])))
+    n -= n % 2
+    phi = (
+        (g_true + noise.sigma_accel_m_s2 * z[1] - alpha / CONST.k_eff_per_m) * scale
+        + noise.sigma_ac_rad * z[2]
+        + noise.sigma_raman_phase_rad * z[3]
+    )
+    mean_jz = 0.5 * n * noise.effective_contrast * math.sin(phi)
+    if not noise.projection_noise:
+        return n / 2.0 - mean_jz, n / 2.0 + mean_jz
+    r = noise.squeezing.strength
+    var = (n / 4.0) * (
+        math.exp(-2.0 * r) * math.cos(phi) ** 2 + math.exp(2.0 * r) * math.sin(phi) ** 2
+    ) + noise.squeezing.detection_noise_atoms**2
+    x = mean_jz + math.sqrt(var) * z[4]
+    jz = min(max(math.copysign(math.floor(abs(x) + 0.5), x), -n / 2.0), n / 2.0)
+    return n / 2.0 - jz, n / 2.0 + jz
+
+
+class TestArrayArithmetic:
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            calibrated_noise(sigma_ac_rad=0.4, sigma_raman_phase_rad=0.2, atom_number_sigma=700.0, sigma_accel_m_s2=1e-4),
+            # a few atoms: zero-atom shots, half-way roundings and clamps
+            calibrated_noise(atom_number_mean=2.0, atom_number_sigma=1.5),
+            quiet_noise(projection_noise=False, sigma_ac_rad=0.3, atom_number_sigma=50.0),
+        ],
+        ids=["noisy", "few-atoms", "analog"],
+    )
+    def test_counts_match_the_scalar_reference(self, noise):
+        camp = CampaignConfig(n_pairs=400, seed=17)
+        recs = run_campaign(camp, TIMING, CONST, noise)
+        z = _standard_normals(camp.seed, np.arange(len(recs), dtype=np.uint64))
+        scales = {t: scale_factor(replace(TIMING, free_evolution_s=t), CONST) for t in (camp.t1_s, camp.t2_s)}
+        for rec in recs:
+            f1, f2 = scalar_shot(
+                z[:, rec.index], noise, camp.g_true_m_per_s2, camp.alpha_rad_per_s2, scales[rec.free_evolution_s]
+            )
+            # the counts are whole atoms, or the analog mean for the last case
+            assert rec.count_f1 == pytest.approx(f1, rel=1e-12, abs=1e-9)
+            assert rec.count_f2 == pytest.approx(f2, rel=1e-12, abs=1e-9)
 
 
 class TestCampaignLayout:
@@ -287,6 +413,39 @@ class TestShotLogIO:
         path = tmp_path / "analog.jsonl"
         write_shot_log(recs, path)
         assert read_shot_log(path) == recs
+
+    @staticmethod
+    def json_lines(records):
+        return "".join(
+            json.dumps({k: getattr(r, k) for k in SHOT_FIELDS}, separators=(",", ":")) + "\n"
+            for r in records
+        )
+
+    @pytest.mark.parametrize(
+        "noise",
+        [calibrated_noise(sigma_ac_rad=0.01, atom_number_sigma=300.0), quiet_noise(projection_noise=False, sigma_ac_rad=0.3)],
+        ids=["quantized", "analog"],
+    )
+    def test_writer_bytes_equal_json_dumps(self, noise):
+        # more shots than one chunk, and a partial last chunk
+        recs = run_campaign(CampaignConfig(n_pairs=LOG_CHUNK_LINES + 7, seed=21), TIMING, CONST, noise)
+        out = io.StringIO()
+        dump_shot_log(recs, out)
+        assert out.getvalue() == self.json_lines(recs)
+
+    def test_writer_spells_special_values_like_json(self):
+        recs = run_campaign(CampaignConfig(n_pairs=3, seed=21), TIMING, CONST, quiet_noise())
+        special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, -5e-324, 2**53 + 1]
+        recs = [
+            replace(recs[k % 6], **{field: value})
+            for k, (field, value) in enumerate(
+                (f, v) for f in SHOT_FIELDS if f not in ("index", "stream_id") for v in special
+            )
+        ]
+        out = io.StringIO()
+        dump_shot_log(recs, out)
+        assert out.getvalue() == self.json_lines(recs)
+        assert ":NaN," in out.getvalue() and ":-Infinity}" in out.getvalue()
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "short.jsonl"
