@@ -1,4 +1,4 @@
-"""Estimation chain from shot records to physics results.
+"""Estimation chain from shot tables to physics results.
 
 Fringe fitting, pair differencing, gravity extraction, the metrological
 squeezing factor, overlapping Allan deviation and the phase-noise
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError
 from .sensitivity import PhysicalConstants
-from .shots import ShotRecord
+from .shots import ShotTable
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def fringe_intersection(
 # pairing and gravity
 
 
-def _pairs(records: list[ShotRecord]):
+def _pairs(shots: ShotTable):
     """Usable (long-T, short-T) pairs of an alternating log.
 
     Requires strict alternation starting on the long-T shot. Returns the
@@ -254,47 +254,44 @@ def _pairs(records: list[ShotRecord]):
     the number of trailing unpaired shots dropped and the number of pairs
     skipped for a zero-atom shot.
     """
-    if len(records) < 2:
+    if len(shots) < 2:
         raise DataError("need at least one full pair of shots")
-    t1 = records[0].free_evolution_s
-    t2 = records[1].free_evolution_s
+    t1, t2 = shots.free_evolution_s[:2].tolist()
     if t1 == t2:
         raise DataError("first two shots share the same T; not an alternating log")
 
-    firsts, seconds = [], []
-    n_skipped = 0
-    for i in range(0, len(records) - 1, 2):
-        first, second = records[i], records[i + 1]
-        if first.free_evolution_s != t1 or second.free_evolution_s != t2:
-            raise DataError(
-                f"alternation broken at records {i},{i + 1}: "
-                f"({first.free_evolution_s}, {second.free_evolution_s})"
-            )
-        if first.count_f1 + first.count_f2 <= 0 or second.count_f1 + second.count_f2 <= 0:
-            n_skipped += 1
-            continue
-        firsts.append(first)
-        seconds.append(second)
-    if not firsts:
-        raise DataError("no usable pairs (all skipped)")
-    return firsts, seconds, len(records) % 2, n_skipped
+    paired = len(shots) - len(shots) % 2
+    first, second = shots[0:paired:2], shots[1:paired:2]
+    broken = (first.free_evolution_s != t1) | (second.free_evolution_s != t2)
+    if broken.any():
+        k = int(broken.argmax())
+        raise DataError(
+            f"alternation broken at records {2 * k},{2 * k + 1}: "
+            f"({float(first.free_evolution_s[k])}, {float(second.free_evolution_s[k])})"
+        )
+    usable = (first.count_f1 + first.count_f2 > 0) & (second.count_f1 + second.count_f2 > 0)
+    if not usable.all():
+        if not usable.any():
+            raise DataError("no usable pairs (all skipped)")
+        first, second = first[usable], second[usable]
+    return first, second, len(shots) % 2, int((~usable).sum())
 
 
-def _population(rec: ShotRecord) -> float:
-    return rec.count_f2 / (rec.count_f1 + rec.count_f2)
+def _population(shots: ShotTable) -> np.ndarray:
+    return shots.count_f2 / (shots.count_f1 + shots.count_f2)
 
 
-def delta_p(records: list[ShotRecord]) -> DeltaPSeries:
+def delta_p(shots: ShotTable) -> DeltaPSeries:
     """Per consecutive pair, p(long T) - p(short T).
 
     Pairs come from the shared pairing validator: a trailing unpaired
     shot is dropped (counted), zero-atom pairs are skipped (counted
     separately).
     """
-    first, second, n_dropped, n_skipped = _pairs(records)
+    first, second, n_dropped, n_skipped = _pairs(shots)
     return DeltaPSeries(
-        times_s=np.asarray([a.wall_time_s for a in first]),
-        values=np.asarray([_population(a) - _population(b) for a, b in zip(first, second)]),
+        times_s=first.wall_time_s,
+        values=_population(first) - _population(second),
         n_dropped=n_dropped,
         n_skipped=n_skipped,
     )
@@ -380,8 +377,11 @@ def squeezing_from_pairs(
     return (4.0 / contrast**2) * var / mean_atoms_sum
 
 
+BOOTSTRAP_CHUNK = 16  # resamples drawn at once: bounds the index array
+
+
 def metrological_squeezing(
-    records: list[ShotRecord],
+    shots: ShotTable,
     contrast: float = 1.0,
     n_bootstrap: int = 1000,
     bootstrap_seed: int = 1234567,
@@ -392,23 +392,24 @@ def metrological_squeezing(
     Uses the pairs delta_p uses: strict alternation, a trailing shot
     dropped, zero-atom pairs skipped. The denominator is the sum of the
     campaign-mean atom numbers of the two arms.
-    """
-    first, second, _, _ = _pairs(records)
-    j1 = np.array([r.imbalance for r in first])
-    j2 = np.array([r.imbalance for r in second])
-    n1 = np.array([r.count_f1 + r.count_f2 for r in first])
-    n2 = np.array([r.count_f1 + r.count_f2 for r in second])
 
-    atoms_sum = float(np.mean(n1) + np.mean(n2))
-    samples = j1 - j2
+    The resamples are drawn BOOTSTRAP_CHUNK at a time as rows of one
+    rng.integers call, which yields the same indices as one call per
+    resample.
+    """
+    first, second, _, _ = _pairs(shots)
+    atoms_sum = float(np.mean(first.count_f1 + first.count_f2) + np.mean(second.count_f1 + second.count_f2))
+    samples = first.imbalance - second.imbalance
     linear = squeezing_from_pairs(samples, atoms_sum, contrast)
 
     rng = np.random.default_rng(bootstrap_seed)
     n = len(samples)
+    squares = samples * samples
     boots = np.empty(n_bootstrap)
-    for k in range(n_bootstrap):
-        idx = rng.integers(0, n, n)
-        boots[k] = squeezing_from_pairs(samples[idx], atoms_sum, contrast)
+    for start in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
+        idx = rng.integers(0, n, (min(BOOTSTRAP_CHUNK, n_bootstrap - start), n))
+        # squeezing_from_pairs of each resample, row by row
+        boots[start : start + len(idx)] = (4.0 / contrast**2) * np.mean(squares[idx], axis=1) / atoms_sum
     lo, hi = np.percentile(boots, [2.5, 97.5])
 
     return SqueezingEstimate(

@@ -29,7 +29,7 @@ from .analysis import (
     metrological_squeezing,
     phase_noise_budget,
 )
-from .config import AppConfig, config_hash, load_config
+from .config import AppConfig, _seed_ok, config_hash, load_config
 from .errors import ConfigError, DataError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity, transfer_probability
 from .sensitivity import net_area, scale_factor
@@ -225,6 +225,8 @@ def _campaign_with(cfg: AppConfig, pairs, seed):
     if pairs is not None:
         campaign = replace(campaign, n_pairs=pairs)
     if seed is not None:
+        if not _seed_ok(seed):
+            raise ConfigError(f"--seed must be an integer in [0, 2^64), got {seed}")
         campaign = replace(campaign, seed=seed)
     return campaign
 
@@ -235,31 +237,30 @@ def _cmd_simulate(args) -> int:
     out = _out_path(args, args.out)
     if out is None:
         # `--out -`: the log goes to stdout, and no manifest is written
-        records = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
-        dump_shot_log(records, sys.stdout)
-        print(f"wrote {len(records)} shots to stdout", file=sys.stderr)
+        shots = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
+        dump_shot_log(shots, sys.stdout)
+        print(f"wrote {len(shots)} shots to stdout", file=sys.stderr)
         return 0
     manifest = Manifest(out + ".manifest.json", cfg, campaign.seed, args.raw_argv)
-    records = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
-    write_shot_log(records, out)
-    print(f"wrote {out} ({len(records)} shots)")
+    shots = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
+    write_shot_log(shots, out)
+    print(f"wrote {out} ({len(shots)} shots)")
     manifest.add(out)
-    manifest.doc["diagnostics"]["squeezed" if args.squeezed else "coherent"] = shot_diagnostics(records)
+    manifest.doc["diagnostics"]["squeezed" if args.squeezed else "coherent"] = shot_diagnostics(shots)
     manifest.finish()
     return 0
 
 
-def _analysis_rows(cfg: AppConfig, records):
-    if len(records) < 2:
+def _analysis_rows(cfg: AppConfig, shots):
+    if len(shots) < 2:
         raise DataError("need at least one full pair of shots")
-    t1 = records[0].free_evolution_s
-    t2 = records[1].free_evolution_s
+    t1, t2 = shots.free_evolution_s[:2].tolist()
     s1 = scale_factor(replace(cfg.timing, free_evolution_s=t1), cfg.constants)
     s2 = scale_factor(replace(cfg.timing, free_evolution_s=t2), cfg.constants)
-    deltas = delta_p(records)
-    alpha = records[0].chirp_rad_per_s2
+    deltas = delta_p(shots)
+    alpha = float(shots.chirp_rad_per_s2[0])
     grav = estimate_g(deltas, cfg.noise.effective_contrast, s1, s2, alpha, cfg.constants)
-    squeeze = metrological_squeezing(records, contrast=cfg.noise.effective_contrast)
+    squeeze = metrological_squeezing(shots, contrast=cfg.noise.effective_contrast)
     rows = [
         ["n_pairs", _f17(grav.n_pairs)],
         ["n_dropped", str(deltas.n_dropped)],
@@ -281,8 +282,8 @@ def _analysis_rows(cfg: AppConfig, records):
 
 def _cmd_analyze(args) -> int:
     cfg = args.config_obj
-    records = read_shot_log(args.shots)
-    rows, grav, squeeze = _analysis_rows(cfg, records)
+    shots = read_shot_log(args.shots)
+    rows, grav, squeeze = _analysis_rows(cfg, shots)
     _write_csv(_out_path(args, args.out), ["quantity", "value"], rows)
     print(
         f"g = {grav.g_exp_m_s2:.6f} +- {grav.sigma_g_m_s2:.6f} m/s^2, "
@@ -292,8 +293,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _allan_series(records):
-    deltas = delta_p(records)
+def _allan_series(shots):
+    deltas = delta_p(shots)
     if len(deltas.times_s) > 1:
         tau0 = float(deltas.times_s[1] - deltas.times_s[0])
     else:
@@ -302,8 +303,7 @@ def _allan_series(records):
 
 
 def _cmd_allan(args) -> int:
-    records = read_shot_log(args.shots)
-    series = _allan_series(records)
+    series = _allan_series(read_shot_log(args.shots))
     rows = [
         [_f17(t), _f17(a), _f17(e)]
         for t, a, e in zip(series.tau_s, series.adev, series.err)
@@ -391,9 +391,12 @@ def _cmd_reproduce(args) -> int:
         raise ConfigError(
             f"reproduce needs at least {MIN_ALLAN_SAMPLES} pairs per arm, got {n_pairs}"
         )
+    seed = args.seed if args.seed is not None else cfg.campaign.seed
+    if not (_seed_ok(seed) and _seed_ok(seed + 1)):
+        # refused before any file exists: the coherent arm runs on seed + 1
+        raise ConfigError(f"reproduce needs a seed in [0, 2^64 - 1), since the coherent arm runs on seed + 1; got {seed}")
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.campaign.seed
     manifest = Manifest(
         os.path.join(out_dir, "manifest.json"), cfg, seed, args.raw_argv
     )
@@ -429,18 +432,18 @@ def _cmd_reproduce(args) -> int:
     for label, squeezed, arm_seed in (("squeezed", True, seed), ("coherent", False, seed + 1)):
         arm_cfg = _apply_state_choice(cfg, squeezed)
         campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=n_pairs)
-        records = run_campaign(campaign, arm_cfg.timing, arm_cfg.constants, arm_cfg.noise)
+        shots = run_campaign(campaign, arm_cfg.timing, arm_cfg.constants, arm_cfg.noise)
         shots_path = os.path.join(out_dir, f"shots_{label}.jsonl")
-        write_shot_log(records, shots_path)
+        write_shot_log(shots, shots_path)
         manifest.add(shots_path)
-        manifest.doc["diagnostics"][label] = shot_diagnostics(records)
+        manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
 
-        rows, grav, squeeze = _analysis_rows(arm_cfg, records)
+        rows, grav, squeeze = _analysis_rows(arm_cfg, shots)
         analysis_path = os.path.join(out_dir, f"analysis_{label}.csv")
         _write_csv(analysis_path, ["quantity", "value"], rows)
         manifest.add(analysis_path)
 
-        series = _allan_series(records)
+        series = _allan_series(shots)
         allan_path = os.path.join(out_dir, f"allan_{label}.csv")
         _write_csv(
             allan_path,
@@ -449,7 +452,7 @@ def _cmd_reproduce(args) -> int:
         )
         manifest.add(allan_path)
         results[label] = (grav, squeeze, series)
-        del records  # else both arms' shots are held while the next arm is generated
+        del shots  # else both arms' shots are held while the next arm is generated
 
     grav_s, squeeze_s, series_s = results["squeezed"]
     _, squeeze_c, series_c = results["coherent"]

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
 from .squeezing import SqueezingModel
 
@@ -90,19 +91,49 @@ class CampaignConfig:
             raise ConfigError("cycle_time_s must be > 0")
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One interferometer realization."""
+WHOLE_FIELDS = ("index", "stream_id")  # int64 columns; the rest are float64
 
-    index: int
-    free_evolution_s: float
-    chirp_rad_per_s2: float
-    g_true_m_per_s2: float
-    count_f1: float
-    count_f2: float
-    imbalance: float  # (count_f2 - count_f1)/2
-    stream_id: int
-    wall_time_s: float
+
+@dataclass(frozen=True, eq=False)
+class ShotTable:
+    """Interferometer shots as columns: one read-only numpy array per
+    field of SHOT_FIELDS, one row per shot. A single shot is a table of
+    one row."""
+
+    index: np.ndarray
+    free_evolution_s: np.ndarray
+    chirp_rad_per_s2: np.ndarray
+    g_true_m_per_s2: np.ndarray
+    count_f1: np.ndarray
+    count_f2: np.ndarray
+    imbalance: np.ndarray  # (count_f2 - count_f1)/2
+    stream_id: np.ndarray
+    wall_time_s: np.ndarray
+
+    def __post_init__(self):
+        for name in SHOT_FIELDS:
+            column = np.asarray(getattr(self, name), dtype=np.int64 if name in WHOLE_FIELDS else float)
+            column = column.view()  # read-only without freezing the caller's array
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        shapes = {getattr(self, name).shape for name in SHOT_FIELDS}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise DataError("shot columns must be 1-d and of one length")
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows) -> ShotTable:
+        """The shots at `rows` (an int, a slice, an index array or a
+        mask), as a table."""
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return ShotTable(*(getattr(self, name)[rows] for name in SHOT_FIELDS))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShotTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in SHOT_FIELDS)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -175,7 +206,7 @@ def _simulate(
     free_evolution_s: np.ndarray,
     scale_s2_per_m: np.ndarray,
     cycle_time_s: float,
-) -> list[ShotRecord]:
+) -> ShotTable:
     """The shots at `indices`, with the free evolution and scale factor of
     each; every shot depends only on (seed, its index)."""
     z_atoms, z_accel, z_ac, z_raman, z_readout = _standard_normals(seed, indices)
@@ -205,27 +236,18 @@ def _simulate(
     else:
         jz = mean_jz  # exact analog mean, not quantized
 
-    return [
-        ShotRecord(
-            index=i,
-            free_evolution_s=t,
-            chirp_rad_per_s2=alpha,
-            g_true_m_per_s2=g_true,
-            count_f1=f1,
-            count_f2=f2,
-            imbalance=j,
-            stream_id=i,
-            wall_time_s=w,
-        )
-        for i, t, f1, f2, j, w in zip(
-            indices.tolist(),
-            np.broadcast_to(free_evolution_s, indices.shape).tolist(),
-            (n / 2.0 - jz).tolist(),
-            (n / 2.0 + jz).tolist(),
-            jz.tolist(),
-            (indices * cycle_time_s).tolist(),
-        )
-    ]
+    index = indices.astype(np.int64)
+    return ShotTable(
+        index=index,
+        free_evolution_s=np.broadcast_to(free_evolution_s, indices.shape),
+        chirp_rad_per_s2=np.broadcast_to(alpha, indices.shape),
+        g_true_m_per_s2=np.broadcast_to(g_true, indices.shape),
+        count_f1=n / 2.0 - jz,
+        count_f2=n / 2.0 + jz,
+        imbalance=jz,
+        stream_id=index,
+        wall_time_s=indices * cycle_time_s,
+    )
 
 
 def simulate_shot(
@@ -238,15 +260,16 @@ def simulate_shot(
     index: int,
     cycle_time_s: float = 52.0,
     scale_s2_per_m: float | None = None,
-) -> ShotRecord:
-    """Generate one shot from its (seed, index) counters: a campaign of one.
+) -> ShotTable:
+    """Generate one shot from its (seed, index) counters: a campaign of
+    one, returned as a one-row table.
 
     The free-evolution time comes from `timing`; pass the precomputed
     scale factor to avoid recomputing it.
     """
     if scale_s2_per_m is None:
         scale_s2_per_m = scale_factor(timing, constants)
-    (record,) = _simulate(
+    return _simulate(
         constants,
         noise,
         g_true,
@@ -257,7 +280,6 @@ def simulate_shot(
         scale_s2_per_m,
         cycle_time_s,
     )
-    return record
 
 
 def run_campaign(
@@ -265,10 +287,10 @@ def run_campaign(
     timing: SequenceTiming,
     constants: PhysicalConstants,
     noise: NoiseConfig,
-) -> list[ShotRecord]:
+) -> ShotTable:
     """2 n_pairs shots alternating the long and short free evolution.
 
-    Deterministic in (seed, config); records come back ordered by index.
+    Deterministic in (seed, config); the rows are ordered by index.
     """
     scale_1 = scale_factor(replace(timing, free_evolution_s=campaign.t1_s), constants)
     scale_2 = scale_factor(replace(timing, free_evolution_s=campaign.t2_s), constants)
@@ -287,111 +309,166 @@ def run_campaign(
     )
 
 
-def shot_diagnostics(records: list[ShotRecord]) -> dict:
+def shot_diagnostics(shots: ShotTable) -> dict:
     """Numerical-health counts of a campaign: shots the even split left
     with no atoms, and shots with atoms whose imbalance sits at the
     clamp +-n/2, so that one output port counts 0."""
-    zero_atom = clamped = 0
-    for rec in records:
-        if rec.count_f1 + rec.count_f2 == 0:
-            zero_atom += 1
-        elif rec.count_f1 == 0 or rec.count_f2 == 0:
-            clamped += 1
-    return {"zero_atom_shots": zero_atom, "clamped_imbalances": clamped}
-
-
-def echo_residual_phase(
-    detuning_offset_rad_s: float, first_half_s: float, second_half_s: float
-) -> float:
-    """Net phase a constant common detuning leaves across an echo pair.
-
-    The echo flips the sign of the accumulated detuning phase, so equal
-    half-durations cancel exactly and only the duration imbalance
-    survives.
-    """
-    if first_half_s < 0 or second_half_s < 0:
-        raise DomainError("half durations must be >= 0")
-    return detuning_offset_rad_s * (first_half_s - second_half_s)
+    empty = shots.count_f1 + shots.count_f2 == 0
+    one_port = (shots.count_f1 == 0) | (shots.count_f2 == 0)
+    return {"zero_atom_shots": int(empty.sum()), "clamped_imbalances": int((one_port & ~empty).sum())}
 
 
 # ---------------------------------------------------------------------------
-# shot log I/O (JSON lines, one record per line)
+# shot log I/O (JSON lines, one shot per line)
 
 
-def write_shot_log(records: list[ShotRecord], path) -> None:
+def write_shot_log(shots: ShotTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        dump_shot_log(records, fh)
+        dump_shot_log(shots, fh)
 
 
 LOG_CHUNK_LINES = 1000  # lines joined per write: bounds the text held at once
+# one line of the log, filled with the repr of each value
+_LOG_LINE = "{" + ",".join(f'"{name}":%s' for name in SHOT_FIELDS) + "}\n"
 
 
-def dump_shot_log(records: list[ShotRecord], fh) -> None:
-    """Write the records as JSON lines to an open text stream.
+def _reprs(column: np.ndarray) -> list:
+    """The values of a column, floats as their repr strings. Each distinct
+    float is formatted once (by bit pattern, so -0.0 stays apart from
+    0.0): a campaign repeats its chirp, g and T on every line."""
+    if column.dtype.kind != "f":
+        return column.tolist()  # %s of a Python int is its repr
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
 
-    Each line is byte for byte json.dumps of the record's SHOT_FIELDS
-    with separators (",", ":"), spelled out as an f-string: numbers in
-    their repr, non-finite floats as json's NaN, Infinity and -Infinity.
-    The fields must hold Python ints and floats, as in every record that
-    gravlab generates or reads.
+
+def dump_shot_log(shots: ShotTable, fh) -> None:
+    """Write the shots as JSON lines to an open text stream.
+
+    Each line is byte for byte json.dumps of the shot's SHOT_FIELDS with
+    separators (",", ":"): numbers in the repr of the Python int or
+    float, non-finite floats as json's NaN, Infinity and -Infinity.
     """
-    for start in range(0, len(records), LOG_CHUNK_LINES):
-        text = "".join(
-            f'{{"index":{r.index!r},"free_evolution_s":{r.free_evolution_s!r},'
-            f'"chirp_rad_per_s2":{r.chirp_rad_per_s2!r},"g_true_m_per_s2":{r.g_true_m_per_s2!r},'
-            f'"count_f1":{r.count_f1!r},"count_f2":{r.count_f2!r},"imbalance":{r.imbalance!r},'
-            f'"stream_id":{r.stream_id!r},"wall_time_s":{r.wall_time_s!r}}}\n'
-            for r in records[start : start + LOG_CHUNK_LINES]
-        )
+    columns = [getattr(shots, name) for name in SHOT_FIELDS]
+    for start in range(0, len(shots), LOG_CHUNK_LINES):
+        chunk = [_reprs(column[start : start + LOG_CHUNK_LINES]) for column in columns]
+        text = "".join(map(_LOG_LINE.__mod__, zip(*chunk)))
         # a value follows each ":", and no finite repr holds "nan" or "inf"
         fh.write(text.replace(":nan", ":NaN").replace(":inf", ":Infinity").replace(":-inf", ":-Infinity"))
 
 
-def _record_problem(rec: ShotRecord) -> str | None:
-    """Why a record read from a log cannot be analyzed, or None."""
-    # spelled out field by field: a loop over SHOT_FIELDS costs twice as
-    # much, and every shot of a log passes through here
-    f1, f2, imb = rec.count_f1, rec.count_f2, rec.imbalance
-    finite = math.isfinite
-    if not (
-        finite(f1) and finite(f2) and finite(imb) and finite(rec.wall_time_s)
-        and finite(rec.free_evolution_s) and finite(rec.chirp_rad_per_s2)
-        and finite(rec.g_true_m_per_s2)
-    ):
-        name = next(k for k in SHOT_FIELDS if not finite(getattr(rec, k)))
-        return f"{name} is {getattr(rec, name)}"
-    if f1 < 0 or f2 < 0:
-        return f"negative count ({f1}, {f2})"
-    # the generator writes the counts as n/2 -+ imbalance, so the two agree
-    # to the rounding of a sum of that size
-    if not abs(imb - 0.5 * (f2 - f1)) <= 1e-9 * (f1 + f2):
-        return f"imbalance {imb} is not (count_f2 - count_f1)/2 = {0.5 * (f2 - f1)}"
-    return None
+LOG_READ_CHARS = 1 << 18  # text parsed at once: bounds the memory of a read
+# a JSON number, or one of json's non-finite spellings; possessive, since
+# a fixed separator always follows
+_NUMBER = r"(-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?[0-9]++)?+|NaN|-?Infinity)"
+# a line exactly as dump_shot_log writes it, capturing the values in
+# SHOT_FIELDS order
+_WRITER_LINE = re.compile("^{" + ",".join(f'"{name}":{_NUMBER}' for name in SHOT_FIELDS) + "}$", re.M)
+_COLUMN = {name: k for k, name in enumerate(SHOT_FIELDS)}
+_WHOLE = [_COLUMN[name] for name in WHOLE_FIELDS]
 
 
-def read_shot_log(path) -> list[ShotRecord]:
+def _json_row(line: str) -> tuple[float, ...]:
+    """The SHOT_FIELDS values of a line in any JSON layout; ValueError
+    or OverflowError says why the line is not a shot record."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    for name in SHOT_FIELDS:
+        if name not in obj:
+            raise ValueError(f"missing key {name!r}")
+        if type(obj[name]) not in (int, float):
+            raise ValueError(f"{name} is {obj[name]!r}, not a number")
+    return tuple(float(obj[name]) for name in SHOT_FIELDS)
+
+
+def _parse_lines(text: str, first_line: int):
+    """Rows and line numbers of a chunk that holds a line in another
+    layout: lines in the writer's layout go through the regex, any other
+    through json.loads. Parsing stops at the first line that is not a
+    shot record; the third item is (line, why) for it, or None."""
+    rows, lines = [], []
+    for line_no, line in enumerate(text.split("\n"), start=first_line):
+        match = _WRITER_LINE.fullmatch(line)
+        if match:
+            rows.append(match.groups())
+        elif line.strip():
+            try:
+                rows.append(_json_row(line))
+            except (ValueError, OverflowError) as exc:
+                return rows, lines, (line_no, str(exc))
+        else:
+            continue
+        lines.append(line_no)
+    return rows, lines, None
+
+
+def _first_problem(values: np.ndarray) -> tuple[int, str] | None:
+    """The first row of `values` (one shot per row, in SHOT_FIELDS
+    order) that cannot be analyzed and why, or None."""
+    finite = np.isfinite(values)
+    f1, f2, imb = (values[:, _COLUMN[name]] for name in ("count_f1", "count_f2", "imbalance"))
+    with np.errstate(invalid="ignore"):
+        whole = values[:, _WHOLE]
+        not_whole = (whole != np.floor(whole)) | (np.abs(whole) >= 2.0**63)
+        negative = (f1 < 0) | (f2 < 0)
+        # the generator writes the counts as n/2 -+ imbalance, so the two
+        # agree to the rounding of a sum of that size
+        mismatch = ~(np.abs(imb - 0.5 * (f2 - f1)) <= 1e-9 * (f1 + f2))
+    bad = ~finite.all(axis=1) | not_whole.any(axis=1) | negative | mismatch
+    if not bad.any():
+        return None
+    r = int(bad.argmax())
+    row = dict(zip(SHOT_FIELDS, values[r].tolist()))
+    if not finite[r].all():
+        name = SHOT_FIELDS[int(finite[r].argmin())]
+        return r, f"{name} is {row[name]}"
+    if not_whole[r].any():
+        name = WHOLE_FIELDS[int(not_whole[r].argmax())]
+        return r, f"{name} {row[name]} is not a whole number below 2^63"
+    if negative[r]:
+        return r, f"negative count ({row['count_f1']}, {row['count_f2']})"
+    expected = 0.5 * (row["count_f2"] - row["count_f1"])
+    return r, f"imbalance {row['imbalance']} is not (count_f2 - count_f1)/2 = {expected}"
+
+
+def read_shot_log(path) -> ShotTable:
     """Read a JSONL shot log, rejecting a record that is malformed, holds
-    a non-finite number or a negative count, or whose imbalance is not
-    (count_f2 - count_f1)/2; the error names the file and line."""
-    records = []
+    a non-finite number, a negative count or a fractional index, or whose
+    imbalance is not (count_f2 - count_f1)/2; the error names the file
+    and line.
+
+    The log is parsed in chunks of about LOG_READ_CHARS characters. A
+    chunk whose lines all have the writer's layout is parsed by one regex
+    and one float conversion; any other chunk line by line, with
+    json.loads for each line in another layout.
+    """
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read shot log {path}: {exc}") from exc
+    blocks = []
+    first_line = 1
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                rec = ShotRecord(**{k: row[k] for k in SHOT_FIELDS})
-                problem = _record_problem(rec)
-            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-                raise DataError(f"{path}: bad shot record on line {lineno}: {exc}") from exc
-            if problem is not None:
-                raise DataError(f"{path}: bad shot record on line {lineno}: {problem}")
-            records.append(rec)
-    if not records:
+        try:
+            while text := fh.read(LOG_READ_CHARS):
+                text += fh.readline()  # end the chunk at a line end
+                n_lines = text.count("\n") + (not text.endswith("\n"))
+                rows = _WRITER_LINE.findall(text)
+                lines, failure = range(first_line, first_line + n_lines), None
+                if len(rows) != n_lines:
+                    rows, lines, failure = _parse_lines(text, first_line)
+                values = np.array(rows, dtype=float).reshape(-1, len(SHOT_FIELDS))
+                problem = _first_problem(values)
+                if problem is not None:
+                    failure = (lines[problem[0]], problem[1])
+                if failure is not None:
+                    raise DataError(f"{path}: bad shot record on line {failure[0]}: {failure[1]}")
+                blocks.append(values.T)
+                first_line += n_lines
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    columns = np.concatenate(blocks, axis=1) if blocks else np.empty((len(SHOT_FIELDS), 0))
+    if not columns.shape[1]:
         raise DataError(f"{path}: no shot records")
-    return records
+    return ShotTable(*columns)

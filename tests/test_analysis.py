@@ -47,55 +47,63 @@ FROZEN_BUDGET_DB = -20.634862575211066
 def coherent_campaign(n_pairs=5000, seed=42):
     noise = NoiseConfig(squeezing=coherent_model(6000.0), contrast=1.0)
     camp = CampaignConfig(n_pairs=n_pairs, seed=seed, alpha_rad_per_s2=ALPHA_COMP)
-    return tuple(run_campaign(camp, TIMING, CONST, noise))
+    return run_campaign(camp, TIMING, CONST, noise)  # read-only columns: safe to share
+
+
+def edited(shots, rows, **values):
+    """A copy of the table with each named column set to its value at `rows`."""
+    columns = {name: getattr(shots, name).copy() for name in values}
+    for name, value in values.items():
+        columns[name][rows] = value
+    return replace(shots, **columns)
 
 
 class TestDeltaP:
     def test_pairing_values_and_times(self):
-        recs = list(coherent_campaign(50))
+        recs = coherent_campaign(50)
         out = delta_p(recs)
         assert out.n_dropped == 0 and out.n_skipped == 0
         assert len(out.values) == 50
+        f1, f2, wall = recs.count_f1.tolist(), recs.count_f2.tolist(), recs.wall_time_s.tolist()
         for k in range(50):
-            a, b = recs[2 * k], recs[2 * k + 1]
-            pa = a.count_f2 / (a.count_f1 + a.count_f2)
-            pb = b.count_f2 / (b.count_f1 + b.count_f2)
+            a, b = 2 * k, 2 * k + 1
+            pa = f2[a] / (f1[a] + f2[a])
+            pb = f2[b] / (f1[b] + f2[b])
             assert out.values[k] == pa - pb
-            assert out.times_s[k] == a.wall_time_s
+            assert out.times_s[k] == wall[a]
 
     def test_trailing_shot_dropped(self):
-        recs = list(coherent_campaign(10))[:-1]
+        recs = coherent_campaign(10)[:-1]
         out = delta_p(recs)
         assert out.n_dropped == 1
         assert len(out.values) == 9
 
     def test_zero_atom_pair_skipped(self):
-        recs = list(coherent_campaign(10))
-        recs[4] = replace(recs[4], count_f1=0, count_f2=0)
+        recs = edited(coherent_campaign(10), 4, count_f1=0, count_f2=0)
         out = delta_p(recs)
         assert out.n_skipped == 1
         assert len(out.values) == 9
 
     def test_all_pairs_skipped_rejected(self):
-        recs = [replace(r, count_f1=0, count_f2=0) for r in coherent_campaign(3)]
+        recs = edited(coherent_campaign(3), slice(None), count_f1=0, count_f2=0)
         with pytest.raises(DataError):
             delta_p(recs)
 
     def test_broken_alternation_rejected(self):
-        recs = list(coherent_campaign(5))
-        recs[3] = replace(recs[3], free_evolution_s=recs[2].free_evolution_s)
+        recs = coherent_campaign(5)
+        recs = edited(recs, 3, free_evolution_s=recs.free_evolution_s[2])
         with pytest.raises(DataError, match="alternation"):
             delta_p(recs)
 
     def test_non_alternating_start_rejected(self):
-        recs = list(coherent_campaign(5))
-        recs[1] = replace(recs[1], free_evolution_s=recs[0].free_evolution_s)
+        recs = coherent_campaign(5)
+        recs = edited(recs, 1, free_evolution_s=recs.free_evolution_s[0])
         with pytest.raises(DataError):
             delta_p(recs)
 
     def test_too_few_records(self):
         with pytest.raises(DataError):
-            delta_p(list(coherent_campaign(5))[:1])
+            delta_p(coherent_campaign(5)[:1])
 
 
 class TestGravityFormula:
@@ -214,38 +222,61 @@ class TestSqueezingFromPairs:
 
 class TestMetrologicalSqueezing:
     def test_bootstrap_is_deterministic(self):
-        recs = list(coherent_campaign(400))
+        recs = coherent_campaign(400)
         a = metrological_squeezing(recs)
         b = metrological_squeezing(recs)
         assert a == b
 
     def test_coherent_campaign_sits_at_unity(self):
-        recs = list(coherent_campaign(5000))
+        recs = coherent_campaign(5000)
         est = metrological_squeezing(recs)
         assert est.ci_low_db < 0.0 < est.ci_high_db
         assert abs(est.db) < 0.3
 
     def test_zero_atom_pairs_skipped_like_delta_p(self):
-        recs = list(coherent_campaign(400))
-        for k in range(0, 400, 20):
-            i = 2 * k + k % 2  # either shot of every 20th pair
-            recs[i] = replace(recs[i], count_f1=0, count_f2=0, imbalance=0.0)
+        k = np.arange(0, 400, 20)
+        rows = 2 * k + k % 2  # either shot of every 20th pair
+        recs = edited(coherent_campaign(400), rows, count_f1=0, count_f2=0, imbalance=0.0)
         assert len(delta_p(recs).values) == 380
         assert metrological_squeezing(recs).n_pairs == 380
 
     def test_broken_alternation_rejected(self):
-        recs = list(coherent_campaign(50))
-        recs[10] = replace(recs[10], free_evolution_s=recs[11].free_evolution_s)
+        recs = coherent_campaign(50)
+        recs = edited(recs, 10, free_evolution_s=recs.free_evolution_s[11])
         with pytest.raises(DataError, match="alternation broken"):
             metrological_squeezing(recs)
 
     def test_odd_record_trimmed(self):
-        recs = list(coherent_campaign(10))  # 10 pairs = 20 shots
+        recs = coherent_campaign(10)  # 10 pairs = 20 shots
         assert metrological_squeezing(recs[:-1]).n_pairs == 9
 
     def test_too_few_records(self):
         with pytest.raises(DataError):
-            metrological_squeezing(list(coherent_campaign(10))[:3])
+            metrological_squeezing(coherent_campaign(10)[:3])
+
+
+class TestBootstrapStream:
+    @pytest.mark.parametrize("n_pairs", [380, 5000, 49_999])
+    def test_ci_equals_one_draw_per_resample(self, n_pairs):
+        # the reference draws each resample with its own rng.integers call
+        # and squeezes it with squeezing_from_pairs; the estimate must agree
+        # to the bit, for a resample count that is not a multiple of the
+        # chunk and for an odd number of pairs
+        shots = coherent_campaign(50_000)[: 2 * n_pairs]
+        j, n = shots.imbalance, shots.count_f1 + shots.count_f2
+        samples = j[0::2] - j[1::2]
+        atoms_sum = float(np.mean(n[0::2]) + np.mean(n[1::2]))
+        rng = np.random.default_rng(99)
+        boots = [
+            squeezing_from_pairs(samples[rng.integers(0, n_pairs, n_pairs)], atoms_sum, 0.98)
+            for _ in range(250)
+        ]
+        lo, hi = np.percentile(boots, [2.5, 97.5])
+        est = metrological_squeezing(shots, contrast=0.98, n_bootstrap=250, bootstrap_seed=99)
+        assert est.n_pairs == n_pairs
+        assert est.linear == squeezing_from_pairs(samples, atoms_sum, 0.98)
+        assert est.ci_low_db == 10.0 * math.log10(lo)
+        assert est.ci_high_db == 10.0 * math.log10(hi)
 
 
 class TestBootstrapCoverage:

@@ -274,13 +274,27 @@ class TestSimulateAnalyze:
         cfg.write_text("noise:\n  atom_number_mean: 1\n  atom_number_sigma: 2.0\n")
         self.run_sim(tmp_path, "shots.jsonl", extra=("--config", str(cfg)))
         recs = read_shot_log(tmp_path / "shots.jsonl")
-        zero = sum(r.count_f1 + r.count_f2 == 0 for r in recs)
-        clamped = sum(r.count_f1 + r.count_f2 > 0 and min(r.count_f1, r.count_f2) == 0 for r in recs)
+        counts = list(zip(recs.count_f1.tolist(), recs.count_f2.tolist()))
+        zero = sum(f1 + f2 == 0 for f1, f2 in counts)
+        clamped = sum(f1 + f2 > 0 and min(f1, f2) == 0 for f1, f2 in counts)
         assert zero > 0 and clamped > 0
         manifest = json.loads((tmp_path / "shots.jsonl.manifest.json").read_text())
         assert manifest["diagnostics"] == {
             "squeezed": {"zero_atom_shots": zero, "clamped_imbalances": clamped}
         }
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_refused_before_writing(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        code = main(["simulate", "--pairs", "16", "--seed", seed, "--output-dir", str(out), "--out", "deep/shots.jsonl"])
+        assert code == 1
+        assert "--seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_accepted(self, tmp_path):
+        log = self.run_sim(tmp_path, "shots.jsonl", extra=("--seed", str(2**64 - 1)))
+        assert json.loads((tmp_path / "shots.jsonl.manifest.json").read_text())["seed"] == 2**64 - 1
+        assert len(log.read_text().splitlines()) == 400
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         a = self.run_sim(tmp_path / "a", "shots.jsonl")
@@ -357,7 +371,7 @@ class TestSimulateAnalyze:
         assert captured.out == log.read_text()
         piped = tmp_path / "piped.jsonl"
         piped.write_text(captured.out)
-        assert [rec.index for rec in read_shot_log(piped)] == list(range(400))
+        assert read_shot_log(piped).index.tolist() == list(range(400))
         assert "wrote" in captured.err
         assert not (tmp_path / "dash").exists()
 
@@ -491,11 +505,10 @@ class TestReproduceCommand:
         assert manifest["stream_version"] == 2
         for label in ("squeezed", "coherent"):
             recs = read_shot_log(out / f"shots_{label}.jsonl")
+            counts = list(zip(recs.count_f1.tolist(), recs.count_f2.tolist()))
             assert manifest["diagnostics"][label] == {
-                "zero_atom_shots": sum(r.count_f1 + r.count_f2 == 0 for r in recs),
-                "clamped_imbalances": sum(
-                    r.count_f1 + r.count_f2 > 0 and min(r.count_f1, r.count_f2) == 0 for r in recs
-                ),
+                "zero_atom_shots": sum(f1 + f2 == 0 for f1, f2 in counts),
+                "clamped_imbalances": sum(f1 + f2 > 0 and min(f1, f2) == 0 for f1, f2 in counts),
             }
 
     @pytest.mark.parametrize("pairs", ["10", "0"])
@@ -504,6 +517,23 @@ class TestReproduceCommand:
         assert code == 1
         assert "at least 16 pairs" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64 - 1), str(2**64)])
+    def test_out_of_range_seed_refused_before_writing(self, tmp_path, capsys, seed):
+        # the coherent arm runs on seed + 1, so 2^64 - 1 cannot be used
+        code = main(["reproduce", "--pairs", "16", "--seed", seed, "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_configured_seed_refused_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"campaign:\n  seed: {2**64 - 1}\n")
+        out = tmp_path / "out"
+        code = main(["reproduce", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out)])
+        assert code == 1
+        assert "seed + 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_configured_pairs_refused(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

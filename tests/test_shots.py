@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +14,10 @@ from gravlab import (
     CampaignConfig,
     ConfigError,
     DataError,
-    DomainError,
     NoiseConfig,
     PhysicalConstants,
     SequenceTiming,
+    ShotTable,
     calibrate_model,
     coherent_model,
     read_shot_log,
@@ -31,7 +32,6 @@ from gravlab.shots import (
     SHOT_FIELDS,
     _standard_normals,
     dump_shot_log,
-    echo_residual_phase,
     philox4x64,
 )
 
@@ -51,6 +51,14 @@ def calibrated_noise(**overrides) -> NoiseConfig:
     kw = dict(squeezing=calibrate_model(-5.4, 9.9, 6000.0), contrast=0.98)
     kw.update(overrides)
     return NoiseConfig(**kw)
+
+
+def edited(shots, rows, **values):
+    """A copy of the table with each named column set to its value at `rows`."""
+    columns = {name: getattr(shots, name).copy() for name in values}
+    for name, value in values.items():
+        columns[name][rows] = value
+    return replace(shots, **columns)
 
 
 class TestDeterminism:
@@ -146,18 +154,18 @@ class TestPhiloxKernel:
             sigma_ac_rad=0.3, sigma_raman_phase_rad=0.1, atom_number_sigma=900.0, sigma_accel_m_s2=1e-3
         )
         records = run_campaign(camp, TIMING, CONST, noise)
-        for rec in records:
+        for i, t in enumerate(records.free_evolution_s.tolist()):
             lone = simulate_shot(
-                replace(TIMING, free_evolution_s=rec.free_evolution_s),
+                replace(TIMING, free_evolution_s=t),
                 CONST,
                 noise,
                 camp.g_true_m_per_s2,
                 camp.alpha_rad_per_s2,
                 seed=camp.seed,
-                index=rec.index,
+                index=i,
                 cycle_time_s=camp.cycle_time_s,
             )
-            assert lone == rec
+            assert lone == records[i]
 
 
 def scalar_shot(z, noise, g_true, alpha, scale):
@@ -198,13 +206,11 @@ class TestArrayArithmetic:
         recs = run_campaign(camp, TIMING, CONST, noise)
         z = _standard_normals(camp.seed, np.arange(len(recs), dtype=np.uint64))
         scales = {t: scale_factor(replace(TIMING, free_evolution_s=t), CONST) for t in (camp.t1_s, camp.t2_s)}
-        for rec in recs:
-            f1, f2 = scalar_shot(
-                z[:, rec.index], noise, camp.g_true_m_per_s2, camp.alpha_rad_per_s2, scales[rec.free_evolution_s]
-            )
+        for i, t in enumerate(recs.free_evolution_s.tolist()):
+            f1, f2 = scalar_shot(z[:, i], noise, camp.g_true_m_per_s2, camp.alpha_rad_per_s2, scales[t])
             # the counts are whole atoms, or the analog mean for the last case
-            assert rec.count_f1 == pytest.approx(f1, rel=1e-12, abs=1e-9)
-            assert rec.count_f2 == pytest.approx(f2, rel=1e-12, abs=1e-9)
+            assert recs.count_f1[i] == pytest.approx(f1, rel=1e-12, abs=1e-9)
+            assert recs.count_f2[i] == pytest.approx(f2, rel=1e-12, abs=1e-9)
 
 
 class TestCampaignLayout:
@@ -212,30 +218,33 @@ class TestCampaignLayout:
         camp = CampaignConfig(n_pairs=1, seed=5)
         recs = run_campaign(camp, TIMING, CONST, quiet_noise())
         assert len(recs) == 2
-        assert recs[0].free_evolution_s == camp.t1_s
-        assert recs[1].free_evolution_s == camp.t2_s
+        assert recs.free_evolution_s.tolist() == [camp.t1_s, camp.t2_s]
+
+    @pytest.mark.parametrize("n_pairs", [1, 7, 300])
+    def test_length_counts_shots(self, n_pairs):
+        recs = run_campaign(CampaignConfig(n_pairs=n_pairs, seed=5), TIMING, CONST, quiet_noise())
+        assert len(recs) == 2 * n_pairs
+        assert all(len(getattr(recs, name)) == 2 * n_pairs for name in SHOT_FIELDS)
 
     def test_alternation_and_wall_time(self):
         camp = CampaignConfig(n_pairs=8, seed=5, cycle_time_s=52.0)
         recs = run_campaign(camp, TIMING, CONST, quiet_noise())
-        for i, rec in enumerate(recs):
-            assert rec.index == i
-            assert rec.stream_id == i
-            assert rec.wall_time_s == i * 52.0
-            assert rec.free_evolution_s == (camp.t1_s if i % 2 == 0 else camp.t2_s)
+        assert recs.index.tolist() == list(range(16))
+        assert recs.stream_id.tolist() == list(range(16))
+        assert recs.wall_time_s.tolist() == [i * 52.0 for i in range(16)]
+        assert recs.free_evolution_s.tolist() == [camp.t1_s, camp.t2_s] * 8
 
     def test_counts_sum_to_even_atom_number(self):
         camp = CampaignConfig(n_pairs=40, seed=12)
         recs = run_campaign(camp, TIMING, CONST, calibrated_noise(atom_number_sigma=333.0))
-        for rec in recs:
-            total = rec.count_f1 + rec.count_f2
-            assert total % 2 == 0
-            assert rec.count_f1 >= 0 and rec.count_f2 >= 0
-            assert rec.imbalance == (rec.count_f2 - rec.count_f1) / 2
+        total = recs.count_f1 + recs.count_f2
+        assert np.all(total % 2 == 0)
+        assert np.all(recs.count_f1 >= 0) and np.all(recs.count_f2 >= 0)
+        assert np.array_equal(recs.imbalance, (recs.count_f2 - recs.count_f1) / 2)
 
     def test_imbalance_integer_quantized(self):
         recs = run_campaign(CampaignConfig(n_pairs=30, seed=4), TIMING, CONST, calibrated_noise())
-        assert all(float(r.imbalance).is_integer() for r in recs)
+        assert np.array_equal(recs.imbalance, np.round(recs.imbalance))
 
 
 class TestNoiseOffLimits:
@@ -244,8 +253,9 @@ class TestNoiseOffLimits:
         # measurement with p exactly one half
         noise = quiet_noise(projection_noise=False)
         rec = simulate_shot(TIMING, CONST, noise, G_TRUE, ALPHA_COMP, seed=1, index=0)
-        assert rec.imbalance == 0.0
-        assert rec.count_f2 / (rec.count_f1 + rec.count_f2) == 0.5
+        assert len(rec) == 1
+        assert rec.imbalance[0] == 0.0
+        assert rec.count_f2[0] / (rec.count_f1[0] + rec.count_f2[0]) == 0.5
 
     def test_analog_mean_matches_phase_model(self):
         # the deterministic readout equals (N/2) C sin(S (g - alpha/k))
@@ -256,7 +266,7 @@ class TestNoiseOffLimits:
         rec = simulate_shot(TIMING, CONST, noise, G_TRUE, alpha, seed=1, index=0)
         s = scale_factor(TIMING, CONST)
         phi = (G_TRUE - alpha / CONST.k_eff_per_m) * s
-        assert rec.imbalance == pytest.approx(3000.0 * 0.9 * math.sin(phi), rel=1e-12)
+        assert rec.imbalance[0] == pytest.approx(3000.0 * 0.9 * math.sin(phi), rel=1e-12)
 
     def test_simulator_mean_tracks_analytic_slope(self):
         # Monte-Carlo mean of Jz vs the analytic linear response
@@ -267,7 +277,7 @@ class TestNoiseOffLimits:
         alpha = (G_TRUE - dg) * CONST.k_eff_per_m
         n_shots = 3000
         jz = [
-            simulate_shot(TIMING, CONST, noise, G_TRUE, alpha, seed=77, index=i).imbalance
+            simulate_shot(TIMING, CONST, noise, G_TRUE, alpha, seed=77, index=i).imbalance[0]
             for i in range(n_shots)
         ]
         s = scale_factor(TIMING, CONST)
@@ -284,7 +294,7 @@ class TestStatistics:
             CONST,
             quiet_noise(),
         )
-        jz = np.array([r.imbalance for r in recs])
+        jz = recs.imbalance
         var = float(np.var(jz, ddof=1))
         se = 1500.0 * math.sqrt(2.0 / (len(jz) - 1))
         assert abs(var - 1500.0) < 3 * se
@@ -298,7 +308,7 @@ class TestStatistics:
             CONST,
             calibrated_noise(),
         )
-        jz = np.array([r.imbalance for r in recs])
+        jz = recs.imbalance
         target = 1500.0 * 10.0**-0.54
         assert float(np.var(jz, ddof=1)) == pytest.approx(target, rel=0.05)
 
@@ -309,7 +319,7 @@ class TestStatistics:
             CONST,
             quiet_noise(),
         )
-        p = np.array([r.count_f2 / (r.count_f1 + r.count_f2) for r in recs])
+        p = recs.count_f2 / (recs.count_f1 + recs.count_f2)
         sem = float(np.std(p, ddof=1)) / math.sqrt(len(p))
         assert abs(float(np.mean(p)) - 0.5) < 3 * sem
 
@@ -325,7 +335,7 @@ class TestStatistics:
     def test_delta_p_variance_monotone_in_sigma(self, channel, values):
         def dp_var(noise):
             recs = run_campaign(CampaignConfig(n_pairs=600, seed=7), TIMING, CONST, noise)
-            p = np.array([r.count_f2 / (r.count_f1 + r.count_f2) for r in recs])
+            p = recs.count_f2 / (recs.count_f1 + recs.count_f2)
             return float(np.var(p[0::2] - p[1::2], ddof=1))
 
         got = [dp_var(calibrated_noise(**{channel: v})) for v in values]
@@ -340,27 +350,54 @@ class TestStatistics:
                 CONST,
                 NoiseConfig(squeezing=model, contrast=0.98),
             )
-            p = np.array([r.count_f2 / (r.count_f1 + r.count_f2) for r in recs])
+            p = recs.count_f2 / (recs.count_f1 + recs.count_f2)
             return float(np.var(p[0::2] - p[1::2], ddof=1))
 
         got = [dp_var(v) for v in (0.0, 16.6, 40.0)]
         assert got == sorted(got)
 
 
-class TestEchoResidual:
-    def test_symmetric_halves_cancel_exactly(self):
-        assert echo_residual_phase(2 * math.pi * 123.0, 5e-3, 5e-3) == 0.0
+class TestShotTable:
+    def shots(self):
+        return run_campaign(CampaignConfig(n_pairs=5, seed=3), TIMING, CONST, calibrated_noise())
 
-    def test_duration_imbalance_leaves_linear_phase(self):
-        got = echo_residual_phase(2 * math.pi * 10.0, 1.1e-3, 1.0e-3)
-        assert got == pytest.approx(2 * math.pi * 10.0 * 1e-4, rel=1e-12)
+    def test_column_types(self):
+        shots = self.shots()
+        for name in SHOT_FIELDS:
+            column = getattr(shots, name)
+            assert column.shape == (10,)
+            assert column.dtype == (np.int64 if name in ("index", "stream_id") else np.float64)
 
-    def test_zero_offset(self):
-        assert echo_residual_phase(0.0, 1.0, 2.0) == 0.0
+    def test_rows_select_every_column(self):
+        shots = self.shots()
+        assert shots[-1] == shots[9:10] == shots[np.array([9])]
+        assert len(shots[-1]) == 1
+        picked = shots[shots.index % 3 == 0]
+        assert picked.index.tolist() == [0, 3, 6, 9]
+        assert picked.imbalance.tolist() == shots.imbalance[::3].tolist()
+        with pytest.raises(IndexError):
+            shots[10]
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(DomainError):
-            echo_residual_phase(1.0, -1e-3, 1e-3)
+    def test_columns_are_read_only(self):
+        counts = np.arange(4.0)
+        shots = ShotTable(np.arange(4), np.zeros(4), np.zeros(4), np.zeros(4), counts, counts, np.zeros(4), np.arange(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            shots.count_f1[0] = 5.0
+        counts[0] = 5.0  # the caller's array stays writable
+        assert shots.count_f1[0] == 5.0
+
+    def test_equality_compares_every_value(self):
+        shots = self.shots()
+        assert shots == self.shots()
+        assert shots != edited(shots, 7, wall_time_s=np.nextafter(shots.wall_time_s[7], np.inf))
+        assert shots != shots[:-1]
+        assert shots != list(shots)
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(DataError):
+            replace(self.shots(), count_f1=np.zeros(9))
+        with pytest.raises(DataError):
+            replace(self.shots(), count_f1=np.zeros((10, 1)))
 
 
 class TestShotLogIO:
@@ -398,7 +435,7 @@ class TestShotLogIO:
     )
     def test_invalid_record_reported_with_file_and_line(self, tmp_path, field, value, why):
         recs = run_campaign(CampaignConfig(n_pairs=2, seed=13), TIMING, CONST, quiet_noise())
-        recs[2] = replace(recs[2], **{field: value})
+        recs = edited(recs, 2, **{field: value})
         path = tmp_path / "bad.jsonl"
         write_shot_log(recs, path)
         with pytest.raises(DataError, match=f"bad.jsonl: bad shot record on line 3: {why}"):
@@ -415,11 +452,9 @@ class TestShotLogIO:
         assert read_shot_log(path) == recs
 
     @staticmethod
-    def json_lines(records):
-        return "".join(
-            json.dumps({k: getattr(r, k) for k in SHOT_FIELDS}, separators=(",", ":")) + "\n"
-            for r in records
-        )
+    def json_lines(shots):
+        rows = zip(*(getattr(shots, name).tolist() for name in SHOT_FIELDS))
+        return "".join(json.dumps(dict(zip(SHOT_FIELDS, row)), separators=(",", ":")) + "\n" for row in rows)
 
     @pytest.mark.parametrize(
         "noise",
@@ -436,16 +471,34 @@ class TestShotLogIO:
     def test_writer_spells_special_values_like_json(self):
         recs = run_campaign(CampaignConfig(n_pairs=3, seed=21), TIMING, CONST, quiet_noise())
         special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, -5e-324, 2**53 + 1]
-        recs = [
-            replace(recs[k % 6], **{field: value})
-            for k, (field, value) in enumerate(
-                (f, v) for f in SHOT_FIELDS if f not in ("index", "stream_id") for v in special
-            )
-        ]
+        whole = [0, -1, 2**53 + 1, 2**63 - 1]
+        edits = [(f, v) for f in SHOT_FIELDS for v in (whole if f in ("index", "stream_id") else special)]
+        recs = recs[np.arange(len(edits)) % 6]
+        columns = {name: getattr(recs, name).copy() for name in SHOT_FIELDS}
+        for k, (field, value) in enumerate(edits):
+            columns[field][k] = value
+        recs = ShotTable(**columns)
         out = io.StringIO()
         dump_shot_log(recs, out)
         assert out.getvalue() == self.json_lines(recs)
         assert ":NaN," in out.getvalue() and ":-Infinity}" in out.getvalue()
+
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xff\xfe\x00garbage\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_shot_log(path)
+
+    @pytest.mark.parametrize("value", ["1.5", "-1e300"])
+    def test_fractional_or_huge_index_rejected(self, tmp_path, value):
+        recs = run_campaign(CampaignConfig(n_pairs=2, seed=13), TIMING, CONST, quiet_noise())
+        path = tmp_path / "bad.jsonl"
+        write_shot_log(recs, path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"index":1,', f'"index":{value},')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"line 2: index {float(value)} is not a whole number")):
+            read_shot_log(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "short.jsonl"
