@@ -98,6 +98,51 @@ class TestOtherLayouts:
         assert read_shot_log(path) == shots
 
 
+def test_patterns_compile_on_python_3_10():
+    # possessive quantifiers and atomic groups are new in Python 3.11's re
+    for token in ("*+", "++", "?+", "}+", "(?>"):
+        assert token not in shots_module._WRITER_LINE.pattern
+
+
+class TestWholeColumns:
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**63 - 1, -(2**63)])
+    @pytest.mark.parametrize("field", ["index", "stream_id"])
+    @pytest.mark.parametrize("layout", ["writer", "other"])
+    def test_large_ints_read_back_exactly(self, tmp_path, chunk_chars, value, field, layout):
+        shots = campaign(3)
+        columns = {name: getattr(shots, name).copy() for name in shots_module.SHOT_FIELDS}
+        columns[field][4] = value
+        shots = shots_module.ShotTable(**columns)
+        lines = writer_lines(shots, tmp_path)
+        if layout == "other":
+            lines = [other_layout(ln) for ln in lines]
+        path = tmp_path / "large.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        back = read_shot_log(path)
+        assert getattr(back, field)[4] == value
+        assert back == shots
+
+    @pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809", "1e19", "2.5"])
+    @pytest.mark.parametrize("layout", ["writer", "other"])
+    def test_outside_int64_or_fractional_refused(self, tmp_path, chunk_chars, value, layout):
+        lines = writer_lines(campaign(3), tmp_path)
+        lines[3] = re.sub(r'"stream_id":[^,]*', f'"stream_id":{value}', lines[3])
+        if layout == "other":
+            lines[3] = other_layout(lines[3])
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 4: stream_id .* is not a whole number in the int64 range"):
+            read_shot_log(path)
+
+    def test_whole_float_spelling_accepted(self, tmp_path):
+        shots = campaign(2)
+        lines = writer_lines(shots, tmp_path)
+        lines[1] = lines[1].replace('"index":1,', '"index":1.0,')
+        path = tmp_path / "float_index.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_shot_log(path) == shots
+
+
 class TestLongLog:
     def test_log_longer_than_a_read_chunk_round_trips(self, tmp_path, chunk_chars):
         shots = campaign(1500)
@@ -161,7 +206,9 @@ class TestProblemsNamed:
         with pytest.raises(DataError, match="line 5: negative count"):
             read_shot_log(path)
 
-    @pytest.mark.parametrize("text", ["{not json}", "[1, 2]", '{"index": "0"}', "null"])
+    @pytest.mark.parametrize(
+        "text", ["{not json}", "[1, 2]", '{"index": "0"}', "null", pytest.param("[" * 100_000, id="nested-too-deeply")],
+    )
     def test_not_a_record(self, tmp_path, text, chunk_chars):
         lines = writer_lines(campaign(3), tmp_path)
         path = tmp_path / "bad.jsonl"
