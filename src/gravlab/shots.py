@@ -282,6 +282,9 @@ def simulate_shot(
     )
 
 
+CAMPAIGN_BLOCK_SHOTS = 4096  # shots generated at once: bounds the numpy temporaries
+
+
 def run_campaign(
     campaign: CampaignConfig,
     timing: SequenceTiming,
@@ -290,23 +293,22 @@ def run_campaign(
 ) -> ShotTable:
     """2 n_pairs shots alternating the long and short free evolution.
 
-    Deterministic in (seed, config); the rows are ordered by index.
+    Deterministic in (seed, config); the rows are ordered by index. The
+    shots are generated in blocks of CAMPAIGN_BLOCK_SHOTS indices, which
+    cannot change them, since each depends only on (seed, its index).
     """
-    scale_1 = scale_factor(replace(timing, free_evolution_s=campaign.t1_s), constants)
-    scale_2 = scale_factor(replace(timing, free_evolution_s=campaign.t2_s), constants)
+    t_free = np.array([campaign.t1_s, campaign.t2_s])  # of even and odd indices
+    scale = np.array([scale_factor(replace(timing, free_evolution_s=float(t)), constants) for t in t_free])
     indices = np.arange(2 * campaign.n_pairs, dtype=np.uint64)
-    long_t = indices % 2 == 0
-    return _simulate(
-        constants,
-        noise,
-        campaign.g_true_m_per_s2,
-        campaign.alpha_rad_per_s2,
-        campaign.seed,
-        indices,
-        np.where(long_t, campaign.t1_s, campaign.t2_s),
-        np.where(long_t, scale_1, scale_2),
-        campaign.cycle_time_s,
-    )
+    blocks = []
+    for start in range(0, len(indices), CAMPAIGN_BLOCK_SHOTS):
+        block = indices[start : start + CAMPAIGN_BLOCK_SHOTS]
+        parity = block % 2
+        blocks.append(_simulate(
+            constants, noise, campaign.g_true_m_per_s2, campaign.alpha_rad_per_s2, campaign.seed,
+            block, t_free[parity], scale[parity], campaign.cycle_time_s,
+        ))
+    return ShotTable(*(np.concatenate([getattr(b, name) for b in blocks]) for name in SHOT_FIELDS))
 
 
 def shot_diagnostics(shots: ShotTable) -> dict:

@@ -5,11 +5,12 @@ Two layers:
 * A truncated two-mode Fock space that validates the operator chain
   from spin-changing collisions down to a pair of single-mode squeezing
   terms, evolves the vacuum, and splits the result into the symmetric
-  and antisymmetric modes. Every operator is a sparse CSR array, and
-  each propagator acts on the state through the action of the matrix
-  exponential, so none is ever formed; only `build_operators` returns
-  dense matrices, for small cutoffs. scipy.sparse is imported inside
-  the functions that use it, so loading this module loads no scipy.
+  and antisymmetric modes. Every operator is a sparse CSR array. Each
+  Hamiltonian conserves a number (N+ - N-, N+ + N- or parity), so its
+  propagator is block diagonal: `evolve` exponentiates each occupied
+  block by its eigendecomposition, and the beamsplitter is one more
+  call to `evolve`. scipy is imported inside the functions that use
+  it, so loading this module loads no scipy.
 * A four-number Gaussian model (atom number, squeezing strength,
   optimal readout phase, detection noise) that reproduces the measured
   variance-vs-angle tomography and the squeezing parameter in dB.
@@ -28,13 +29,13 @@ import numpy as np
 
 from .errors import CalibrationError, ConfigError, DomainError, NumericalError
 
-# Bounds the state dimension of the sparse chain (the Hamiltonians,
-# evolve, mode_transform, the three-mode full model), whose operators
-# hold a few nonzeros per row.
-MAX_MATRIX_DIM = 20000
-# Bounds build_operators, which returns four dense dim x dim arrays:
-# 134 MB each at the limit (n_max = 63).
-MAX_DENSE_DIM = 4096
+# Bounds the state vector (1 MB complex at the limit) of the two-mode
+# space and of the three-mode full model; their sparse operators hold a
+# few nonzeros per row.
+MAX_MATRIX_DIM = 65536
+# Bounds one conserved sector that evolve exponentiates as a dense
+# block: 67 MB complex at the limit.
+MAX_BLOCK_DIM = 2048
 
 
 @dataclass(frozen=True)
@@ -88,32 +89,6 @@ def _mode_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
             op = sp.kron(op, a if j == k else eye, format="csr")
         ladders.append(op)
     return ladders
-
-
-@dataclass(frozen=True)
-class ModeOperators:
-    """Annihilation and number operators on the two-mode product space."""
-
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-
-
-def build_operators(space: FockSpace) -> ModeOperators:
-    """Dense ladder operators; the canonical commutator holds everywhere
-    except the final Fock row, which the truncation necessarily breaks."""
-    if space.dim > MAX_DENSE_DIM:
-        raise ConfigError(
-            f"dense two-mode dimension {space.dim} exceeds limit {MAX_DENSE_DIM}"
-        )
-    a_plus, a_minus = _mode_ladders(space.dim_single, 2)
-    return ModeOperators(
-        a_plus=a_plus.toarray(),
-        a_minus=a_minus.toarray(),
-        n_plus=(a_plus.T @ a_plus).toarray(),
-        n_minus=(a_minus.T @ a_minus).toarray(),
-    )
 
 
 @dataclass(frozen=True)
@@ -195,28 +170,51 @@ def vacuum_state(space: FockSpace) -> np.ndarray:
 def evolve(
     hamiltonian: np.ndarray | sp.sparray, state: np.ndarray, duration: float
 ) -> np.ndarray:
-    """exp(-i H t) |state> for a dense or sparse H.
+    """exp(-i H t) |state> for a Hermitian H, dense or sparse.
 
-    Applies the exponential to the state without forming it (truncated
-    Taylor series with scaling, Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 488 (2011)). The cost is a sequence of products H @ psi, so a
-    sparse H never becomes a dense dim x dim matrix.
+    H is block diagonal over the connected components of its nonzero
+    pattern, the sectors of whatever it conserves. Each sector the state
+    occupies is exponentiated exactly through the eigendecomposition
+    (numpy eigh) of its dense block; sectors where the state is zero stay
+    zero. No dim x dim matrix is formed.
     """
-    from scipy.sparse.linalg import expm_multiply
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
 
-    out = expm_multiply(-1j * duration * hamiltonian, state)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 1e-8:
-        raise NumericalError(f"evolution norm drift {abs(norm - 1.0):.2e}")
+    h = sp.csr_array(hamiltonian)
+    # csgraph takes real weights, so the pattern comes from |H|: an
+    # imaginary H would otherwise lose every edge
+    graph = abs(h)
+    graph.eliminate_zeros()
+    if abs(h - h.conj().T).max() > 1e-12 * max(1.0, graph.max()):
+        raise NumericalError("hamiltonian is not Hermitian")
+    _, sector = connected_components(graph, directed=False)
+    # sorted by sector, H is block diagonal: sector k is the slice
+    # edges[k]:edges[k + 1] of `order`
+    order = np.argsort(sector, kind="stable")
+    edges = np.concatenate(([0], np.cumsum(np.bincount(sector))))
+    occupied = np.unique(sector[state != 0])
+    largest = np.diff(edges)[occupied].max(initial=0)
+    if largest > MAX_BLOCK_DIM:
+        raise ConfigError(f"conserved sector of dimension {largest} exceeds limit {MAX_BLOCK_DIM}")
+
+    blocks = h[order][:, order]
+    out = np.zeros(state.shape, dtype=complex)
+    for k in occupied:
+        lo, hi = edges[k], edges[k + 1]
+        energy, vectors = np.linalg.eigh(blocks[lo:hi, lo:hi].toarray())
+        rows = order[lo:hi]
+        out[rows] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[rows]))
+    drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
+    if drift > 1e-8:
+        raise NumericalError(f"evolution norm drift {drift:.2e}")
     return out
 
 
 def mean_occupations(state: np.ndarray, space: FockSpace) -> tuple[float, float]:
     """(mean n of mode +, mean n of mode -) for a two-mode state."""
-    psi = state.reshape(space.dim_single, space.dim_single)
-    prob = np.abs(psi) ** 2
     n = np.arange(space.dim_single)
-    return float(np.sum(prob.sum(axis=1) * n)), float(np.sum(prob.sum(axis=0) * n))
+    return tuple(float(np.sum(occupation_distribution(state, space, mode) * n)) for mode in (0, 1))
 
 
 def occupation_distribution(state: np.ndarray, space: FockSpace, mode: int = 0) -> np.ndarray:
@@ -235,21 +233,14 @@ def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
     keeping only the symmetric mode then amounts to taking the first
     marginal.
 
-    The beamsplitter exp(theta (a+^ a- - a+ a-^)) at theta = pi/4 acts
-    on the state through its sparse generator, as in `evolve`; the real
-    orthogonal dim x dim propagator is never formed.
+    The beamsplitter exp(theta G), G = a+^ a- - a+ a-^, at theta = pi/4
+    is evolve under the Hermitian H = iG for t = pi/4. It conserves
+    N+ + N-, so it acts block by block on fixed total number.
     """
     if state.shape != (space.dim,):
         raise DomainError(f"state must have shape ({space.dim},)")
-    from scipy.sparse.linalg import expm_multiply
-
     a_plus, a_minus = _mode_ladders(space.dim_single, 2)
-    gen = a_plus.T @ a_minus - a_plus @ a_minus.T
-    out = expm_multiply((math.pi / 4.0) * gen, state)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - float(np.linalg.norm(state))) > 1e-8:
-        raise NumericalError("mode transform broke normalization")
-    return out
+    return evolve(1j * (a_plus.T @ a_minus - a_plus @ a_minus.T), state, math.pi / 4.0)
 
 
 def squeezed_vacuum_stats(r: float) -> dict:

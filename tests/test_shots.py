@@ -27,6 +27,7 @@ from gravlab import (
     write_shot_log,
 )
 from gravlab.shots import (
+    CAMPAIGN_BLOCK_SHOTS,
     LOG_CHUNK_LINES,
     N_CHANNELS,
     SHOT_FIELDS,
@@ -166,6 +167,24 @@ class TestPhiloxKernel:
                 cycle_time_s=camp.cycle_time_s,
             )
             assert lone == records[i]
+
+    def test_block_edges_do_not_change_shots(self):
+        camp = CampaignConfig(n_pairs=CAMPAIGN_BLOCK_SHOTS + 3, seed=17)
+        noise = calibrated_noise(sigma_ac_rad=0.3, atom_number_sigma=900.0, sigma_accel_m_s2=1e-3)
+        records = run_campaign(camp, TIMING, CONST, noise)
+        assert len(records) == 2 * camp.n_pairs > CAMPAIGN_BLOCK_SHOTS
+        for i in (0, CAMPAIGN_BLOCK_SHOTS - 1, CAMPAIGN_BLOCK_SHOTS, len(records) - 1):
+            lone = simulate_shot(
+                replace(TIMING, free_evolution_s=camp.t2_s if i % 2 else camp.t1_s),
+                CONST,
+                noise,
+                camp.g_true_m_per_s2,
+                camp.alpha_rad_per_s2,
+                seed=camp.seed,
+                index=i,
+                cycle_time_s=camp.cycle_time_s,
+            )
+            assert lone == records[i], i
 
 
 def scalar_shot(z, noise, g_true, alpha, scale):

@@ -3,8 +3,8 @@
 Evolution results are checked against analytic pair-production
 statistics (mean occupation, joint and marginal distributions, extracted
 single-mode distribution) rather than against the solver itself. The
-pump-explicit three-mode model is validated through its 1/N convergence
-onto the pump-replaced limit.
+pump-explicit three-mode model is validated against dense `expm` and
+through its 1/N convergence onto the pump-replaced limit.
 """
 
 import functools
@@ -23,7 +23,6 @@ from gravlab import (
     NumericalError,
     SqueezingModel,
     build_hamiltonians,
-    build_operators,
     calibrate_model,
     coherent_model,
     evolve,
@@ -35,6 +34,7 @@ from gravlab import (
     tomography_variance,
     vacuum_state,
 )
+from gravlab.squeezing import _mode_ladders
 
 # closed-form calibration from the (-5.4, +9.9) dB tomography extremes
 FROZEN_R = 1.1302698853537816
@@ -65,34 +65,36 @@ def extracted_distribution(r: float, n_max: int) -> np.ndarray:
 class TestOperators:
     def test_canonical_commutator_below_cutoff(self):
         space = FockSpace(n_max=8)
-        ops = build_operators(space)
-        comm = ops.a_plus @ ops.a_plus.T - ops.a_plus.T @ ops.a_plus
+        a_plus = _mode_ladders(space.dim_single, 2)[0].toarray()
+        comm = a_plus @ a_plus.T - a_plus.T @ a_plus
         # exact identity except on states touching the top Fock level
         d = space.dim_single
         keep = np.array([i // d < d - 1 for i in range(space.dim)])
         assert np.allclose(comm[np.ix_(keep, keep)], np.eye(space.dim)[np.ix_(keep, keep)])
 
     def test_modes_commute(self):
-        ops = build_operators(FockSpace(n_max=6))
-        assert np.max(np.abs(ops.a_plus @ ops.a_minus - ops.a_minus @ ops.a_plus)) == 0.0
+        a_plus, a_minus = (a.toarray() for a in _mode_ladders(FockSpace(n_max=6).dim_single, 2))
+        assert np.max(np.abs(a_plus @ a_minus - a_minus @ a_plus)) == 0.0
 
     def test_number_operator_spectrum(self):
         space = FockSpace(n_max=5)
-        ops = build_operators(space)
-        diag = np.diag(ops.n_plus)
+        a_plus = _mode_ladders(space.dim_single, 2)[0].toarray()
+        diag = np.diag(a_plus.T @ a_plus)
         assert set(np.round(diag).astype(int)) == set(range(space.dim_single))
 
     def test_space_validation(self):
         with pytest.raises(ConfigError):
             FockSpace(n_max=3)
         with pytest.raises(ConfigError):
-            FockSpace(n_max=200)
+            FockSpace(n_max=300)
 
-    def test_dense_operators_refused_on_large_space(self):
-        # n_max = 140 passes the sparse limit; four dense 19881 x 19881
-        # arrays would take 3.2 GB each
+    def test_oversized_sector_refused(self):
+        # only parity is conserved: at n_max = 70 the vacuum's sector
+        # holds 2521 states, above MAX_BLOCK_DIM
+        space = FockSpace(n_max=70)
+        h = build_hamiltonians(space, HamiltonianParams())
         with pytest.raises(ConfigError):
-            build_operators(FockSpace(n_max=140))
+            evolve(h.symmetric_mode, vacuum_state(space), 0.5)
 
 
 class TestHamiltonianChain:
@@ -114,7 +116,7 @@ class TestHamiltonianChain:
 
     def test_full_model_requested_on_oversized_space(self):
         with pytest.raises(ConfigError):
-            build_hamiltonians(FockSpace(n_max=30), HamiltonianParams(), include_full=True)
+            build_hamiltonians(FockSpace(n_max=40), HamiltonianParams(), include_full=True)
 
 
 def dense_ladders(n_max: int, modes: int) -> list[np.ndarray]:
@@ -181,6 +183,16 @@ class TestSparseChainOracle:
         want = expm((math.pi / 4.0) * generator) @ psi
         assert np.max(np.abs(mode_transform(psi, space) - want)) < 1e-12
 
+    def test_full_evolve_matches_dense_expm(self):
+        params = HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=1.0, pump_atoms=7)
+        full = build_hamiltonians(FockSpace(n_max=4), params, include_full=True).full
+        rng = np.random.default_rng(4)
+        psi = rng.standard_normal(full.shape[0]) + 1j * rng.standard_normal(full.shape[0])
+        psi /= np.linalg.norm(psi)
+        for t in (0.5, 1.0, 1.5):
+            want = expm(-1j * full.toarray() * t) @ psi
+            assert np.max(np.abs(evolve(full, psi, t) - want)) < 1e-12, t
+
     @pytest.mark.parametrize("n_max", [4, 5, 6])
     def test_sparse_full_equals_dense_kronecker_construction(self, n_max):
         params = HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=1.0, pump_atoms=7)
@@ -225,11 +237,26 @@ class TestEvolution:
         want = pair_distribution(0.8, np.arange(space.dim_single))
         assert np.max(np.abs(got - want)) < 1e-10
 
+    def test_strong_squeezing_on_minimum_cutoff(self):
+        # r = 2.0 first meets 1e-6 at n_max = 232 (README, numerical limits)
+        space = FockSpace(n_max=232)
+        h = build_hamiltonians(space, HamiltonianParams())
+        out = evolve(h.two_mode, vacuum_state(space), 2.0)
+        np_mean, nm_mean = mean_occupations(out, space)
+        assert np_mean == pytest.approx(math.sinh(2.0) ** 2, abs=1e-6)
+        assert nm_mean == pytest.approx(math.sinh(2.0) ** 2, abs=1e-6)
+        prob = np.abs(out.reshape(space.dim_single, space.dim_single)) ** 2
+        assert np.max(prob - np.diag(np.diag(prob))) == 0.0  # D = 0 only
+        want = pair_distribution(2.0, np.arange(space.dim_single))
+        assert np.max(np.abs(np.diag(prob) - want)) < 1e-7
+
     def test_nonunitary_generator_rejected(self):
         space = FockSpace(n_max=6)
-        bad = 1j * np.eye(space.dim)  # anti-Hermitian H -> non-unitary U
-        with pytest.raises(NumericalError):
-            evolve(bad, vacuum_state(space), 1.0)
+        anti_hermitian = 1j * np.eye(space.dim)  # -> non-unitary U
+        real_nonsymmetric = np.triu(np.ones((space.dim, space.dim)))
+        for bad in (anti_hermitian, real_nonsymmetric):
+            with pytest.raises(NumericalError):
+                evolve(bad, vacuum_state(space), 1.0)
 
     def test_vacuum_state_is_normalized_empty(self):
         space = FockSpace(n_max=12)
