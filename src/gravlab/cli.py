@@ -328,7 +328,10 @@ def _read_fringe_file(path):
                 continue  # header
             if len(parts) < 2 or not (_is_float(parts[0]) and _is_float(parts[1])):
                 raise DataError(f"{path}:{lineno}: expected 'alpha,p'")
-            rows.append((float(parts[0]), float(parts[1])))
+            alpha, p = float(parts[0]), float(parts[1])
+            if not (math.isfinite(alpha) and math.isfinite(p)):
+                raise DataError(f"{path}:{lineno}: non-finite alpha or p")
+            rows.append((alpha, p))
     if not rows:
         raise DataError(f"{path}: no fringe points")
     return rows
@@ -368,17 +371,20 @@ def _cmd_fringes(args) -> int:
         ["file", "offset", "amplitude", "contrast", "scale_s2_per_m", "phase0_rad", "residual_rms"],
         rows,
     )
-    scales = {round(f.scale_s2_per_m, 12) for f in fits}
+    scales = {round(abs(f.scale_s2_per_m), 12) for f in fits}
     if len(fits) >= 2 and len(scales) >= 2:
-        # search one beat period around the scan center: two-fringe spurious
-        # crossings repeat every 2*pi/(S_i + S_j), so a window of half that
-        # spacing around the working chirp keeps only the common crossing
+        # one beat period 2*pi/(|S_a| + |S_b|) of the two steepest fringes
+        # around the scan center: narrower than the 2*pi/||S_i| - |S_j||
+        # spacing of phase agreements, so it holds at most one crossing
+        k = cfg.constants.k_eff_per_m
         mags = sorted((abs(f.scale_s2_per_m) for f in fits), reverse=True)
-        half = math.pi / (mags[0] + mags[1]) * cfg.constants.k_eff_per_m
+        half = math.pi / (mags[0] + mags[1]) * k
         center = float(np.median(alphas))
-        alpha_star = fringe_intersection(fits, cfg.constants, (center - half, center + half))
-        print(f"alpha_star_rad_per_s2,{_f17(alpha_star)}")
-        print(f"alpha_star_over_keff_m_s2,{_f17(alpha_star / cfg.constants.k_eff_per_m)}")
+        star = fringe_intersection(fits, cfg.constants, (center - half, center + half))
+        print(f"alpha_star_rad_per_s2,{_f17(star.alpha_rad_per_s2)}")
+        print(f"alpha_star_over_keff_m_s2,{_f17(star.alpha_rad_per_s2 / k)}")
+        print(f"sigma_alpha_star_rad_per_s2,{_f17(star.sigma_alpha_rad_per_s2)}")
+        print(f"sigma_alpha_star_over_keff_m_s2,{_f17(star.sigma_alpha_rad_per_s2 / k)}")
     return 0
 
 

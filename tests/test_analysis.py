@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from gravlab import (
     metrological_squeezing,
     phase_noise_budget,
     run_campaign,
+    scale_factor,
     squeezing_from_pairs,
 )
 from gravlab.analysis import DeltaPSeries
@@ -386,7 +388,29 @@ class TestFringeIntersection:
         scales = (-1.42, -0.767)
         fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
         got = fringe_intersection(fits, CONST, self.window(scales, ALPHA_COMP + 2e5))
-        assert got / CONST.k_eff_per_m == pytest.approx(G_TRUE, abs=1e-7)
+        assert got.alpha_rad_per_s2 / CONST.k_eff_per_m == pytest.approx(G_TRUE, abs=1e-7)
+        assert got.sigma_alpha_rad_per_s2 == 0.0  # exact fits carry no covariance
+
+    def test_noiseless_scan_sets_cross_at_the_generating_chirp(self):
+        # built like the benchmark's scans: the scales of T = 455, 305 and
+        # 155 us on one 90-point grid over 1.25 periods of the slowest
+        # fringe, p = offset - amp cos(S (x - g0)), and the window the
+        # fringes command uses around the scan center
+        rng = random.Random(2024)
+        scales = [scale_factor(replace(TIMING, free_evolution_s=t), CONST) for t in (455e-6, 305e-6, 155e-6)]
+        span = 1.25 * 2.0 * math.pi / min(scales)
+        worst = 0.0
+        for _ in range(50):
+            g0 = 9.8126 + rng.uniform(-2e-4, 2e-4)
+            center, offset, amp = g0 + rng.uniform(-0.1, 0.1), rng.uniform(0.45, 0.55), rng.uniform(0.3, 0.45)
+            x = center + span * (np.arange(90) / 89 - 0.5)
+            fits = [
+                fit_fringe(np.column_stack([x * CONST.k_eff_per_m, offset - amp * np.cos(s * (x - g0))]), CONST)
+                for s in scales
+            ]
+            star = fringe_intersection(fits, CONST, self.window(scales, float(np.median(x)) * CONST.k_eff_per_m))
+            worst = max(worst, abs(star.alpha_rad_per_s2 / CONST.k_eff_per_m - g0))
+        assert worst <= 1e-10, worst
 
     def test_three_noisy_fringes_cover_truth(self):
         scales = (-1.42, -0.767, -1.1)
@@ -399,16 +423,44 @@ class TestFringeIntersection:
                     0.5, 0.49, s, phase0, n=120, periods=2.0, noise=0.01, seed=100 * seed + k
                 )
                 fits.append(fit_fringe(pts, CONST))
-            alpha = fringe_intersection(fits, CONST, self.window(scales, ALPHA_COMP))
+            alpha = fringe_intersection(fits, CONST, self.window(scales, ALPHA_COMP)).alpha_rad_per_s2
             estimates.append(alpha / CONST.k_eff_per_m)
         err = np.asarray(estimates) - G_TRUE
         sem = float(np.std(err, ddof=1)) / math.sqrt(len(err))
         assert abs(float(np.mean(err))) < 3.0 * sem
 
-    def test_parallel_fringes_rejected(self):
-        fits = [analytic_fit(-1.0, ALPHA_COMP), analytic_fit(-1.0, ALPHA_COMP)]
+    def test_interval_covers_the_crossing(self):
+        # the +-1.96 sigma interval against the true crossing over 200
+        # noisy three-scan sets
+        scales = (-1.42, -0.767, -1.1)
+        window = self.window(scales, ALPHA_COMP)
+        covered = 0
+        for seed in range(200):
+            fits = []
+            for k, s in enumerate(scales):
+                phase0 = (-s * ALPHA_COMP / CONST.k_eff_per_m) % (2.0 * math.pi)
+                pts = synth_fringe(0.5, 0.49, s, phase0, n=120, periods=2.0, noise=0.01, seed=1000 * seed + k)
+                fits.append(fit_fringe(pts, CONST))
+            star = fringe_intersection(fits, CONST, window)
+            covered += abs(star.alpha_rad_per_s2 - ALPHA_COMP) <= 1.96 * star.sigma_alpha_rad_per_s2
+        # for a true 95% rate, P(covered <= 179) = 0.12% and P(covered = 200) = 3.5e-5
+        assert 180 <= covered <= 199, covered
+
+    @pytest.mark.parametrize("scales", [(-1.0, -1.0), (-1.0, 1.0)], ids=["same-sign", "opposite-sign"])
+    def test_parallel_fringes_rejected(self, scales):
+        # a fit folds the sign of the cosine into its scale, so S and -S
+        # are the same fringe slope
+        fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
         with pytest.raises(DomainError, match="parallel"):
             fringe_intersection(fits, CONST, (ALPHA_COMP - 1e6, ALPHA_COMP + 1e6))
+
+    def test_crossing_outside_window_rejected(self):
+        # the true crossing lies half a beat period beyond the right edge
+        scales = (-1.42, -0.767)
+        lo, hi = self.window(scales, ALPHA_COMP)
+        fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
+        with pytest.raises(DomainError, match="outside"):
+            fringe_intersection(fits, CONST, (lo - 0.5 * (hi - lo), lo - 1.0))
 
     def test_single_fit_rejected(self):
         with pytest.raises(DomainError):

@@ -404,9 +404,24 @@ class TestFringesCommand:
         star = [ln for ln in out.splitlines() if ln.startswith("alpha_star_over_keff")]
         assert len(star) == 1
         assert float(star[0].split(",")[1]) == pytest.approx(9.8126, abs=1e-7)
+        printed = dict(ln.split(",") for ln in out.splitlines() if ln.count(",") == 1)
+        sigma = float(printed["sigma_alpha_star_rad_per_s2"])
+        assert 0.0 <= sigma < 1e-9 * K_EFF
+        assert float(printed["sigma_alpha_star_over_keff_m_s2"]) == pytest.approx(sigma / K_EFF, rel=1e-15)
         fits = (tmp_path / "fits.csv").read_text().strip().splitlines()
         assert len(fits) == 3
         assert float(fits[1].split(",")[4]) == pytest.approx(-1.42, rel=1e-6)
+
+    def test_equal_magnitude_scales_report_no_crossing(self, tmp_path, capsys):
+        # p = 0.5 + 0.49 cos(1.1077 x + phase0) for phase0 0.5 and 4.0: the
+        # second fit canonicalizes to scale -1.1077, the same fringe slope
+        f1, f2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        write_fringe_csv(f1, 1.1077, -0.5 / 1.1077 * K_EFF)
+        write_fringe_csv(f2, 1.1077, -4.0 / 1.1077 * K_EFF)
+        assert main(["fringes", str(f1), str(f2), "--output-dir", str(tmp_path)]) == 0
+        assert "alpha_star" not in capsys.readouterr().out
+        fits = (tmp_path / "fringes.csv").read_text().strip().splitlines()[1:]
+        assert sorted(float(row.split(",")[4]) for row in fits) == pytest.approx([-1.1077, 1.1077], rel=1e-9)
 
     def test_single_fringe_reports_no_crossing(self, tmp_path, capsys):
         f1 = tmp_path / "t1.csv"
@@ -431,6 +446,16 @@ class TestFringesCommand:
         bad.write_text("alpha_rad_per_s2,p\n1.5e8\n")
         assert main(["fringes", str(bad)]) == 2
         assert "expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1.5e8,nan", "inf,0.5", "-inf,0.5", "1.5e8,-Infinity"])
+    def test_non_finite_value_is_exit_two_naming_the_line(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        write_fringe_csv(bad, -1.42, 9.8126 * K_EFF)
+        lines = bad.read_text().splitlines()
+        lines[3] = row
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["fringes", str(bad)]) == 2
+        assert f"{bad}:4: non-finite" in capsys.readouterr().err
 
 
 class TestReproduceCommand:
