@@ -92,8 +92,9 @@ class Manifest:
     """Run manifest: enough to regenerate every output bit-exactly.
 
     Written before the data files, finalized (with hashes, the shot
-    diagnostics of each arm and the end timestamp) after; timestamps are
-    the one part that differs between otherwise identical re-runs.
+    diagnostics of each arm, for `reproduce` how each arm's squeezing CI
+    was drawn, and the end timestamp) after; timestamps are the one part
+    that differs between otherwise identical re-runs.
     """
 
     def __init__(self, path, config: AppConfig, seed, argv):
@@ -406,6 +407,7 @@ def _cmd_reproduce(args) -> int:
     manifest = Manifest(
         os.path.join(out_dir, "manifest.json"), cfg, seed, args.raw_argv
     )
+    manifest.doc["bootstrap"] = {}  # how each arm's squeezing CI was drawn
 
     summary = []
 
@@ -445,6 +447,11 @@ def _cmd_reproduce(args) -> int:
         manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
 
         rows, grav, squeeze = _analysis_rows(arm_cfg, shots)
+        manifest.doc["bootstrap"][label] = {
+            "resamples": squeeze.n_resamples,
+            "distinct_squares": squeeze.n_distinct_squares,
+            "sampler": squeeze.sampler,
+        }
         analysis_path = os.path.join(out_dir, f"analysis_{label}.csv")
         _write_csv(analysis_path, ["quantity", "value"], rows)
         manifest.add(analysis_path)

@@ -31,6 +31,7 @@ from gravlab import (
     scale_factor,
     squeezing_from_pairs,
 )
+from gravlab import analysis
 from gravlab.analysis import DeltaPSeries
 
 CONST = PhysicalConstants()
@@ -221,6 +222,15 @@ class TestSqueezingFromPairs:
         with pytest.raises(DomainError):
             squeezing_from_pairs(np.array([1.0, 2.0]), 0.0, 1.0)
 
+    @pytest.mark.parametrize("contrast", [0.0, -0.5, 1.5, math.nan])
+    def test_contrast_outside_unit_interval_refused(self, contrast):
+        with pytest.raises(DomainError, match="contrast"):
+            squeezing_from_pairs(np.array([1.0, 2.0]), 100.0, contrast)
+
+    def test_all_zero_differences_refused(self):
+        with pytest.raises(DomainError, match="zero"):
+            squeezing_from_pairs(np.zeros(10), 100.0, 1.0)
+
 
 class TestMetrologicalSqueezing:
     def test_bootstrap_is_deterministic(self):
@@ -256,29 +266,118 @@ class TestMetrologicalSqueezing:
         with pytest.raises(DataError):
             metrological_squeezing(coherent_campaign(10)[:3])
 
+    @pytest.mark.parametrize("contrast", [0.0, -0.5, 1.5, math.nan])
+    def test_contrast_outside_unit_interval_refused(self, contrast):
+        with pytest.raises(DomainError, match="contrast"):
+            metrological_squeezing(coherent_campaign(50), contrast=contrast)
+
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_fewer_than_two_resamples_refused(self, n_bootstrap):
+        with pytest.raises(DomainError, match="n_bootstrap"):
+            metrological_squeezing(coherent_campaign(50), n_bootstrap=n_bootstrap)
+
+    def test_all_zero_differences_refused(self):
+        recs = coherent_campaign(50)
+        with pytest.raises(DomainError, match="zero"):
+            metrological_squeezing(replace(recs, imbalance=np.zeros(len(recs))))
+
+
+def pair_columns(shots):
+    """Pair differences and the campaign-mean atom sum, as the estimator
+    forms them from a strictly alternating table with no empty shots."""
+    j, n = shots.imbalance, shots.count_f1 + shots.count_f2
+    return j[0::2] - j[1::2], float(np.mean(n[0::2]) + np.mean(n[1::2]))
+
+
+def continuous_table(n_pairs):
+    """A whole-count campaign with every imbalance moved by a uniform
+    fraction of an atom, so that nearly every squared difference is
+    distinct."""
+    shots = coherent_campaign(50_000)[: 2 * n_pairs]
+    jitter = np.random.default_rng(3).uniform(-0.5, 0.5, len(shots))
+    return replace(shots, imbalance=shots.imbalance + jitter)
+
+
+def index_reference(samples, atoms_sum, contrast, n_boot, seed):
+    # one rng.integers call per resample, squeezed by squeezing_from_pairs
+    rng = np.random.default_rng(seed)
+    n = len(samples)
+    boots = [squeezing_from_pairs(samples[rng.integers(0, n, n)], atoms_sum, contrast) for _ in range(n_boot)]
+    return np.percentile(boots, [2.5, 97.5])
+
+
+def multinomial_reference(samples, atoms_sum, contrast, n_boot, seed):
+    # one rng.multinomial call per resample over the distinct squares
+    rng = np.random.default_rng(seed)
+    n = len(samples)
+    values, m = np.unique(samples * samples, return_counts=True)
+    boots = [
+        (4.0 / contrast**2) * (np.sum(rng.multinomial(n, m / n) * values) / n) / atoms_sum
+        for _ in range(n_boot)
+    ]
+    return np.percentile(boots, [2.5, 97.5])
+
+
+REFERENCES = {"index": index_reference, "multinomial": multinomial_reference}
+
+
+def edge_table(n_pairs, n_values):
+    """Pair differences cycling through 0, 1, ..., n_values - 1 atoms:
+    n_values distinct squares."""
+    shots = coherent_campaign(n_pairs)
+    imbalance = np.zeros(len(shots))
+    imbalance[0::2] = np.arange(n_pairs) % n_values
+    return replace(shots, imbalance=imbalance)
+
 
 class TestBootstrapStream:
-    @pytest.mark.parametrize("n_pairs", [380, 5000, 49_999])
-    def test_ci_equals_one_draw_per_resample(self, n_pairs):
-        # the reference draws each resample with its own rng.integers call
-        # and squeezes it with squeezing_from_pairs; the estimate must agree
-        # to the bit, for a resample count that is not a multiple of the
-        # chunk and for an odd number of pairs
-        shots = coherent_campaign(50_000)[: 2 * n_pairs]
-        j, n = shots.imbalance, shots.count_f1 + shots.count_f2
-        samples = j[0::2] - j[1::2]
-        atoms_sum = float(np.mean(n[0::2]) + np.mean(n[1::2]))
-        rng = np.random.default_rng(99)
-        boots = [
-            squeezing_from_pairs(samples[rng.integers(0, n_pairs, n_pairs)], atoms_sum, 0.98)
-            for _ in range(250)
-        ]
-        lo, hi = np.percentile(boots, [2.5, 97.5])
+    # each estimate must agree to the bit with a reference that makes one
+    # generator call per resample, for a resample count that is not a
+    # multiple of the chunk; 49 999 is an odd number of pairs
+
+    def check(self, shots, sampler, n_pairs):
+        samples, atoms_sum = pair_columns(shots)
+        lo, hi = REFERENCES[sampler](samples, atoms_sum, 0.98, 250, 99)
         est = metrological_squeezing(shots, contrast=0.98, n_bootstrap=250, bootstrap_seed=99)
-        assert est.n_pairs == n_pairs
+        assert (est.sampler, est.n_pairs, est.n_resamples) == (sampler, n_pairs, 250)
         assert est.linear == squeezing_from_pairs(samples, atoms_sum, 0.98)
         assert est.ci_low_db == 10.0 * math.log10(lo)
         assert est.ci_high_db == 10.0 * math.log10(hi)
+        return est
+
+    def test_index_draws_on_whole_counts_with_many_distinct_squares(self):
+        # 380 pairs hold more than 380 / 20 distinct squares
+        est = self.check(coherent_campaign(50_000)[:760], "index", 380)
+        assert 20 * est.n_distinct_squares > 380
+
+    def test_index_draws_on_continuous_values(self):
+        est = self.check(continuous_table(49_999), "index", 49_999)
+        assert est.n_distinct_squares > 49_000
+
+    @pytest.mark.parametrize("n_pairs", [5000, 49_999])
+    def test_multinomial_counts_on_whole_counts(self, n_pairs):
+        est = self.check(coherent_campaign(50_000)[: 2 * n_pairs], "multinomial", n_pairs)
+        assert est.n_distinct_squares < 300
+
+    @pytest.mark.parametrize(("n_pairs", "sampler"), [(500, "multinomial"), (499, "index")])
+    def test_sampler_switches_at_twenty_pairs_per_distinct_square(self, n_pairs, sampler):
+        est = self.check(edge_table(n_pairs, 25), sampler, n_pairs)
+        assert est.n_distinct_squares == 25
+
+    def test_samplers_agree_within_monte_carlo_noise(self, monkeypatch):
+        # 5000 whole-count pairs, 1000 resamples, two streams. The linear
+        # bootstrap spread is ~sqrt(2/n) = 2 %, 0.087 dB, so a 2.5 % or
+        # 97.5 % percentile of 1000 resamples has a standard error of
+        # sqrt(0.025 * 0.975 / 1000) / phi(1.96) * 0.087 = 0.0074 dB, and the
+        # difference of two independent ones 0.0104 dB: 0.05 dB is 4.8 of those
+        shots = coherent_campaign(5000)
+        counts = metrological_squeezing(shots, contrast=0.98)
+        monkeypatch.setattr(analysis, "MULTINOMIAL_PAIRS_PER_VALUE", 10**9)
+        indices = metrological_squeezing(shots, contrast=0.98)
+        assert (counts.sampler, indices.sampler) == ("multinomial", "index")
+        assert (counts.linear, counts.db) == (indices.linear, indices.db)
+        assert counts.ci_low_db == pytest.approx(indices.ci_low_db, abs=0.05)
+        assert counts.ci_high_db == pytest.approx(indices.ci_high_db, abs=0.05)
 
 
 class TestBootstrapCoverage:
@@ -299,6 +398,25 @@ class TestBootstrapCoverage:
             est = metrological_squeezing(run_campaign(camp, TIMING, CONST, noise), contrast=contrast)
             covered += est.ci_low_db <= true_db <= est.ci_high_db
         # for a true 95% rate, P(covered <= 179) = 0.12% and P(covered = 200) = 3.5e-5
+        assert 180 <= covered <= 199, covered
+
+    def test_95_percent_ci_covers_the_analytic_squeezing_with_multinomial_counts(self):
+        # the same readout at 5000 pairs: ~100 distinct squares, far below
+        # 5000 / 20, so every campaign resamples counts
+        model = calibrate_model(-5.4, 9.9, 6000.0)
+        contrast = 0.98
+        shot_var = 6000.0 / 4.0 * math.exp(-2.0 * model.strength) + model.detection_noise_atoms**2 + 1.0 / 12.0
+        true_db = 10.0 * math.log10((4.0 / contrast**2) * 2.0 * shot_var / (2.0 * 6000.0))
+
+        noise = NoiseConfig(squeezing=model, contrast=contrast, sigma_ac_rad=0.0)
+        covered = 0
+        for seed in range(200):
+            camp = CampaignConfig(n_pairs=5000, seed=seed, alpha_rad_per_s2=ALPHA_COMP)
+            est = metrological_squeezing(run_campaign(camp, TIMING, CONST, noise), contrast=contrast)
+            assert est.sampler == "multinomial"
+            covered += est.ci_low_db <= true_db <= est.ci_high_db
+        # the band of the index-path test: P(covered <= 179) = 0.12% and
+        # P(covered = 200) = 3.5e-5 for a true 95% rate
         assert 180 <= covered <= 199, covered
 
 

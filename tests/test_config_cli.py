@@ -536,6 +536,19 @@ class TestReproduceCommand:
                 "clamped_imbalances": sum(f1 + f2 > 0 and min(f1, f2) == 0 for f1, f2 in counts),
             }
 
+    @pytest.mark.parametrize(("pairs", "sampler"), [("24", "index"), ("5000", "multinomial")])
+    def test_manifest_records_how_each_ci_was_drawn(self, tmp_path, pairs, sampler):
+        assert main(["reproduce", "--pairs", pairs, "--seed", "3", "--output-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for label in ("squeezed", "coherent"):
+            recs = read_shot_log(tmp_path / f"shots_{label}.jsonl")
+            diffs = recs.imbalance[0::2] - recs.imbalance[1::2]  # no zero-atom shots at 6000 atoms
+            assert manifest["bootstrap"][label] == {
+                "resamples": 1000,
+                "distinct_squares": len(np.unique(diffs * diffs)),
+                "sampler": sampler,
+            }
+
     @pytest.mark.parametrize("pairs", ["10", "0"])
     def test_too_few_pairs_refused_before_writing(self, tmp_path, capsys, pairs):
         code = main(["reproduce", "--pairs", pairs, "--output-dir", str(tmp_path / "out")])
