@@ -475,8 +475,10 @@ def metrological_squeezing(
     return SqueezingEstimate(
         linear=linear,
         db=10.0 * math.log10(linear),
-        ci_low_db=10.0 * math.log10(max(lo, 1e-300)),
-        ci_high_db=10.0 * math.log10(max(hi, 1e-300)),
+        # a percentile of zero (resamples of zero differences only) is an
+        # unbounded end, not a finite number of dB
+        ci_low_db=10.0 * math.log10(lo) if lo > 0 else -math.inf,
+        ci_high_db=10.0 * math.log10(hi) if hi > 0 else -math.inf,
         n_pairs=n,
         n_resamples=n_bootstrap,
         n_distinct_squares=len(values),

@@ -260,6 +260,13 @@ def _analysis_rows(cfg: AppConfig, shots):
     s2 = scale_factor(replace(cfg.timing, free_evolution_s=t2), cfg.constants)
     deltas = delta_p(shots)
     alpha = float(shots.chirp_rad_per_s2[0])
+    varies = shots.chirp_rad_per_s2 != alpha
+    if varies.any():
+        # g takes one alpha/k_eff for the whole log
+        k = int(varies.argmax())
+        raise DataError(
+            f"chirp varies within the log: record {k} has {float(shots.chirp_rad_per_s2[k])}, record 0 has {alpha}"
+        )
     grav = estimate_g(deltas, cfg.noise.effective_contrast, s1, s2, alpha, cfg.constants)
     squeeze = metrological_squeezing(shots, contrast=cfg.noise.effective_contrast)
     rows = [
@@ -296,10 +303,10 @@ def _cmd_analyze(args) -> int:
 
 def _allan_series(shots):
     deltas = delta_p(shots)
-    if len(deltas.times_s) > 1:
-        tau0 = float(deltas.times_s[1] - deltas.times_s[0])
-    else:
+    if len(deltas.values) < 2:
         raise DataError("need at least 2 pairs for an Allan deviation")
+    # tau0 is the log's pair spacing: skipped pairs are closed up, not gaps
+    tau0 = float(shots.wall_time_s[2] - shots.wall_time_s[0])
     return allan_deviation(deltas.values, tau0)
 
 
@@ -501,10 +508,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"gravlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default):
+    def common(p, out_default=None, out=True):
         p.add_argument("--config", help="YAML config path (default $GRAVLAB_CONFIG, then built-ins)")
         p.add_argument("--output-dir", help="directory for output files")
-        p.add_argument("--out", default=out_default, help="output file (default: %(default)s)")
+        if out:
+            p.add_argument("--out", default=out_default, help="output file (default: %(default)s)")
 
     p = sub.add_parser("pulse", help="pulse envelope, area and sensitivity ramp; optional transfer probability")
     common(p, None)
@@ -552,8 +560,11 @@ def build_parser() -> _Parser:
     p.add_argument("files", nargs="+", help="CSV files of alpha_rad_per_s2,p")
     p.set_defaults(func=_cmd_fringes)
 
-    p = sub.add_parser("reproduce", help="simulate + analyze + allan for both input states, with a summary table")
-    common(p, None)
+    # writes fixed file names; no abbreviations, or --out would mean --output-dir
+    p = sub.add_parser(
+        "reproduce", help="simulate + analyze + allan for both input states, with a summary table", allow_abbrev=False
+    )
+    common(p, out=False)
     p.add_argument("--pairs", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_reproduce)

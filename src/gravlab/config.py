@@ -1,9 +1,10 @@
 """Strict YAML configuration: schema, defaults, validation, hashing.
 
-Every key the toolkit understands is listed in ``SCHEMA``; anything
-else is rejected with the offending key path and, when it can be found,
-the line in the file. Defaults live in ``DEFAULTS`` (the shipped
-``default_config.yaml`` mirrors them and a test keeps the two equal).
+Every key the toolkit understands is one row of ``SCHEMA``: its built-in
+value, its check and the requirement text an error quotes. Anything else
+is rejected with the offending key path and, when it can be found, the
+line in the file. The shipped ``default_config.yaml`` mirrors the table
+and a test keeps the two equal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any
 
 import yaml
 
@@ -23,52 +23,6 @@ from .shots import CampaignConfig, NoiseConfig
 from .squeezing import SqueezingModel
 
 ENV_CONFIG_PATH = "GRAVLAB_CONFIG"
-
-# squeezing strength and detection noise solved from the (-5.4, +9.9) dB
-# tomography extremes at 6000 atoms (closed form, see calibrate_model)
-_DEFAULT_R = 1.1302698853537816
-_DEFAULT_SIGMA_DET = 16.61816667208982
-# light-shift phase noise solved so the default squeezed campaign sits at
-# -1.7 dB metrological squeezing (coherent input then lands near +2.1 dB)
-_DEFAULT_SIGMA_AC = 0.007816159981487004
-
-DEFAULTS: dict[str, Any] = {
-    "timing": {
-        "tau_bm_s": 60.0e-6,   # Raman pulse duration (main sequence)
-        "t_sep_s": 77.0e-6,    # separation inside a pulse pair
-        "big_t_s": 455.0e-6,   # free evolution used by single-T commands
-        "t0_s": 0.0,
-    },
-    "constants": {
-        "k_eff_per_m": 1.61057e7,  # 4*pi / 780.241 nm, counter-propagating
-    },
-    "noise": {
-        "contrast": 0.98,
-        "raman_efficiency": 1.0,
-        "sigma_ac_rad": _DEFAULT_SIGMA_AC,
-        "sigma_raman_phase_rad": 1.2e-3,
-        "atom_number_mean": 6000.0,
-        "atom_number_sigma": 0.0,
-        "sigma_accel_m_s2": 0.0,
-        "projection_noise": True,
-        "squeezing": {
-            "strength_r": _DEFAULT_R,
-            "optimal_phase_rad": 1.2 * math.pi,
-            "detection_noise_atoms": _DEFAULT_SIGMA_DET,
-        },
-    },
-    "campaign": {
-        "t1_s": 455.0e-6,
-        "t2_s": 155.0e-6,
-        "chirp_target_m_per_s2": 9.8126,  # alpha/k_eff when alpha is null
-        "alpha_rad_per_s2": None,
-        "g_true_m_per_s2": 9.812637,
-        "n_pairs": 5000,
-        "cycle_time_s": 52.0,
-        "seed": 7,
-    },
-    "output_dir": "runs",
-}
 
 
 def _is_number(v) -> bool:
@@ -81,6 +35,10 @@ def _positive(v) -> bool:
 
 def _non_negative(v) -> bool:
     return _is_number(v) and v >= 0
+
+
+def _at_least_one(v) -> bool:
+    return _is_number(v) and v >= 1
 
 
 def _finite(v) -> bool:
@@ -111,33 +69,39 @@ def _string(v) -> bool:
     return isinstance(v, str) and len(v) > 0
 
 
-# key path -> (predicate, requirement text)
+# key path -> (built-in value, predicate, requirement text)
 SCHEMA: dict[str, tuple] = {
-    "timing.tau_bm_s": (_positive, "a duration in seconds > 0"),
-    "timing.t_sep_s": (_positive, "a duration in seconds > 0"),
-    "timing.big_t_s": (_positive, "a duration in seconds > 0"),
-    "timing.t0_s": (_finite, "a finite time in seconds"),
-    "constants.k_eff_per_m": (_positive, "a wavevector in 1/m > 0"),
-    "noise.contrast": (_unit_interval, "a number in (0, 1]"),
-    "noise.raman_efficiency": (_unit_interval, "a number in (0, 1]"),
-    "noise.sigma_ac_rad": (_non_negative, "radians >= 0"),
-    "noise.sigma_raman_phase_rad": (_non_negative, "radians >= 0"),
-    "noise.atom_number_mean": (_positive, "atoms > 0"),
-    "noise.atom_number_sigma": (_non_negative, "atoms >= 0"),
-    "noise.sigma_accel_m_s2": (_non_negative, "m/s^2 >= 0"),
-    "noise.projection_noise": (_bool, "true or false"),
-    "noise.squeezing.strength_r": (_non_negative, "dimensionless >= 0"),
-    "noise.squeezing.optimal_phase_rad": (_finite, "radians"),
-    "noise.squeezing.detection_noise_atoms": (_non_negative, "atoms >= 0"),
-    "campaign.t1_s": (_positive, "a duration in seconds > 0"),
-    "campaign.t2_s": (_positive, "a duration in seconds > 0"),
-    "campaign.chirp_target_m_per_s2": (_finite, "m/s^2"),
-    "campaign.alpha_rad_per_s2": (_nullable_finite, "rad/s^2 or null"),
-    "campaign.g_true_m_per_s2": (_finite, "m/s^2"),
-    "campaign.n_pairs": (_pos_int, "an integer >= 1"),
-    "campaign.cycle_time_s": (_positive, "seconds > 0"),
-    "campaign.seed": (_seed_ok, "an integer in [0, 2^64)"),
-    "output_dir": (_string, "a non-empty path"),
+    "timing.tau_bm_s": (60.0e-6, _positive, "a duration in seconds > 0"),  # Raman pulse, main sequence
+    "timing.t_sep_s": (77.0e-6, _positive, "a duration in seconds > 0"),  # separation inside a pulse pair
+    "timing.big_t_s": (455.0e-6, _positive, "a duration in seconds > 0"),  # single-T commands
+    "timing.t0_s": (0.0, _finite, "a finite time in seconds"),
+    # 4*pi / 780.241 nm, counter-propagating
+    "constants.k_eff_per_m": (1.61057e7, _positive, "a wavevector in 1/m > 0"),
+    "noise.contrast": (0.98, _unit_interval, "a number in (0, 1]"),
+    "noise.raman_efficiency": (1.0, _unit_interval, "a number in (0, 1]"),
+    # light-shift phase noise solved so the default squeezed campaign sits at
+    # -1.7 dB metrological squeezing (coherent input then lands near +2.1 dB)
+    "noise.sigma_ac_rad": (0.007816159981487004, _non_negative, "radians >= 0"),
+    "noise.sigma_raman_phase_rad": (1.2e-3, _non_negative, "radians >= 0"),
+    "noise.atom_number_mean": (6000.0, _at_least_one, "atoms >= 1"),
+    "noise.atom_number_sigma": (0.0, _non_negative, "atoms >= 0"),
+    "noise.sigma_accel_m_s2": (0.0, _non_negative, "m/s^2 >= 0"),
+    "noise.projection_noise": (True, _bool, "true or false"),
+    # squeezing strength and detection noise solved from the (-5.4, +9.9) dB
+    # tomography extremes at 6000 atoms (closed form, see calibrate_model)
+    "noise.squeezing.strength_r": (1.1302698853537816, _non_negative, "dimensionless >= 0"),
+    "noise.squeezing.optimal_phase_rad": (1.2 * math.pi, _finite, "radians"),
+    "noise.squeezing.detection_noise_atoms": (16.61816667208982, _non_negative, "atoms >= 0"),
+    "campaign.t1_s": (455.0e-6, _positive, "a duration in seconds > 0"),
+    "campaign.t2_s": (155.0e-6, _positive, "a duration in seconds > 0"),
+    # alpha/k_eff when alpha is null
+    "campaign.chirp_target_m_per_s2": (9.8126, _finite, "m/s^2"),
+    "campaign.alpha_rad_per_s2": (None, _nullable_finite, "rad/s^2 or null"),
+    "campaign.g_true_m_per_s2": (9.812637, _finite, "m/s^2"),
+    "campaign.n_pairs": (5000, _pos_int, "an integer >= 1"),
+    "campaign.cycle_time_s": (52.0, _positive, "seconds > 0"),
+    "campaign.seed": (7, _seed_ok, "an integer in [0, 2^64)"),
+    "output_dir": ("runs", _string, "a non-empty path"),
 }
 
 
@@ -150,47 +114,34 @@ class AppConfig:
     noise: NoiseConfig
     campaign: CampaignConfig
     output_dir: str
-    resolved: dict  # merged defaults + overrides, as plain data
+    resolved: dict  # built-ins overlaid with the user's values, as plain data
 
 
-def _find_line(text: str, key: str) -> int | None:
-    token = key.split(".")[-1] + ":"
+def _where(text: str, path: str) -> str:
+    """' (line N)' for the first line setting the path's last key, if any."""
+    token = path.split(".")[-1] + ":"
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip().startswith(token):
-            return lineno
-    return None
+            return f" (line {lineno})"
+    return ""
 
 
-def _walk(user: dict, defaults: dict, text: str, prefix: str = "") -> dict:
-    merged = {}
-    for key, default_value in defaults.items():
+def _walk(user: dict, text: str, prefix: str = "") -> None:
+    """Check a mapping of user values: a key that is a SCHEMA row must pass
+    its predicate, a prefix of rows must be a section, anything else is
+    unknown."""
+    for key, value in user.items():
         path = f"{prefix}{key}"
-        if key in user:
-            value = user[key]
-            if isinstance(default_value, dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config key '{path}' must be a section")
-                merged[key] = _walk(value, default_value, text, path + ".")
-            else:
-                predicate, req = SCHEMA[path]
-                if not predicate(value):
-                    line = _find_line(text, path)
-                    where = f" (line {line})" if line else ""
-                    raise ConfigError(
-                        f"config key '{path}' must be {req}, got {value!r}{where}"
-                    )
-                merged[key] = value
-        elif isinstance(default_value, dict):
-            merged[key] = _walk({}, default_value, text, path + ".")
+        if path in SCHEMA:
+            _, predicate, req = SCHEMA[path]
+            if not predicate(value):
+                raise ConfigError(f"config key '{path}' must be {req}, got {value!r}{_where(text, path)}")
+        elif any(row.startswith(path + ".") for row in SCHEMA):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key '{path}' must be a section")
+            _walk(value, text, path + ".")
         else:
-            merged[key] = default_value
-    for key in user:
-        if key not in defaults:
-            path = f"{prefix}{key}"
-            line = _find_line(text, path)
-            where = f" (line {line})" if line else ""
-            raise ConfigError(f"unknown config key '{path}'{where}")
-    return merged
+            raise ConfigError(f"unknown config key '{path}'{_where(text, path)}")
 
 
 def parse_config(text: str) -> AppConfig:
@@ -204,7 +155,16 @@ def parse_config(text: str) -> AppConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
 
-    resolved = _walk(data, DEFAULTS, text)
+    _walk(data, text)
+    # the user's values overlaid on the built-ins, nested like the YAML
+    resolved: dict = {}
+    for path, (builtin, _, _) in SCHEMA.items():
+        *sections, key = path.split(".")
+        node, given = resolved, data
+        for section in sections:
+            node = node.setdefault(section, {})
+            given = given.get(section, {})
+        node[key] = given.get(key, builtin)
 
     timing = SequenceTiming(
         pulse_s=resolved["timing"]["tau_bm_s"],

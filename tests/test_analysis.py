@@ -281,6 +281,16 @@ class TestMetrologicalSqueezing:
         with pytest.raises(DomainError, match="zero"):
             metrological_squeezing(replace(recs, imbalance=np.zeros(len(recs))))
 
+    def test_zero_lower_percentile_is_unbounded(self):
+        # one nonzero difference in 16 pairs: (15/16)**16 = 36 % of the
+        # resamples draw only zeros, so the 2.5th percentile is 0
+        recs = coherent_campaign(16)
+        imbalance = np.zeros(len(recs))
+        imbalance[0] = 40.0
+        est = metrological_squeezing(replace(recs, imbalance=imbalance))
+        assert est.ci_low_db == -math.inf
+        assert math.isfinite(est.db) and math.isfinite(est.ci_high_db)
+
 
 def pair_columns(shots):
     """Pair differences and the campaign-mean atom sum, as the estimator

@@ -11,7 +11,7 @@ import pytest
 import gravlab
 from gravlab import ConfigError, PhysicalConstants, read_shot_log, scale_factor
 from gravlab.cli import main
-from gravlab.config import DEFAULTS, config_hash, load_config, parse_config
+from gravlab.config import config_hash, load_config, parse_config
 
 K_EFF = 1.61057e7
 DEFAULTS_FILE = os.path.join(os.path.dirname(gravlab.__file__), "default_config.yaml")
@@ -88,6 +88,12 @@ class TestParseConfig:
     def test_seed_range(self):
         with pytest.raises(ConfigError):
             parse_config("campaign:\n  seed: -1\n")
+
+    @pytest.mark.parametrize("value", ["0.5", "0"])
+    def test_atom_number_mean_below_one_names_path_and_line(self, value):
+        # the config layer, not NoiseConfig, refuses it: with key path and line
+        with pytest.raises(ConfigError, match=r"noise\.atom_number_mean' must be atoms >= 1.*line 3"):
+            parse_config(f"noise:\n  contrast: 0.9\n  atom_number_mean: {value}\n")
 
     def test_scalar_where_section_expected(self):
         with pytest.raises(ConfigError, match="section"):
@@ -359,6 +365,34 @@ class TestSimulateAnalyze:
         assert taus == [104.0 * 2**k for k in range(len(taus))]
         assert taus[-1] <= 104.0 * (200 // 3)
 
+    def test_allan_tau0_is_the_log_pair_spacing(self, tmp_path):
+        # pair 1 holds a zero-atom shot and is skipped: the kept pairs are
+        # closed up, so the series still starts at one pair spacing
+        log = self.run_sim(tmp_path, "shots.jsonl")
+        lines = log.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        row.update(count_f1=0, count_f2=0, imbalance=0.0)
+        lines[2] = json.dumps(row) + "\n"
+        log.write_text("".join(lines))
+        code = main(["allan", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "adev.csv"])
+        assert code == 0
+        lines = (tmp_path / "adev.csv").read_text().strip().splitlines()
+        taus = [float(ln.split(",")[0]) for ln in lines[1:]]
+        assert taus == [104.0 * 2**k for k in range(len(taus))]
+
+    def test_varying_chirp_is_exit_two_naming_the_record(self, tmp_path, capsys):
+        log = self.run_sim(tmp_path, "shots.jsonl")
+        lines = log.read_text().splitlines(keepends=True)
+        row = json.loads(lines[5])
+        row["chirp_rad_per_s2"] += 1000.0
+        lines[5] = json.dumps(row) + "\n"
+        log.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "chirp varies" in err and "record 5" in err
+        assert not (tmp_path / "a.csv").exists()
+
     def test_nested_out_path_creates_directories(self, tmp_path):
         self.run_sim(tmp_path, os.path.join("deep", "nest", "shots.jsonl"))
         assert (tmp_path / "deep" / "nest" / "shots.jsonl").exists()
@@ -548,6 +582,16 @@ class TestReproduceCommand:
                 "distinct_squares": len(np.unique(diffs * diffs)),
                 "sampler": sampler,
             }
+
+    def test_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # reproduce writes fixed file names, so it takes no --out; run in
+        # tmp_path so that a stray relative output would be seen there
+        monkeypatch.chdir(tmp_path)
+        code = main(["reproduce", "--pairs", "16", "--output-dir", str(tmp_path / "out"), "--out", "x.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--out" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("pairs", ["10", "0"])
     def test_too_few_pairs_refused_before_writing(self, tmp_path, capsys, pairs):
