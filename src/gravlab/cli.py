@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -252,7 +253,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _analysis_rows(cfg: AppConfig, shots):
+def _record_line(path, k: int) -> int:
+    """The line of a shot log holding record k (0-based); blank lines hold
+    none, as read_shot_log skips them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return next(itertools.islice((n for n, line in enumerate(fh, start=1) if line.strip()), k, None))
+
+
+def _analysis_rows(cfg: AppConfig, shots, path):
     if len(shots) < 2:
         raise DataError("need at least one full pair of shots")
     t1, t2 = shots.free_evolution_s[:2].tolist()
@@ -265,7 +273,8 @@ def _analysis_rows(cfg: AppConfig, shots):
         # g takes one alpha/k_eff for the whole log
         k = int(varies.argmax())
         raise DataError(
-            f"chirp varies within the log: record {k} has {float(shots.chirp_rad_per_s2[k])}, record 0 has {alpha}"
+            f"{path}:{_record_line(path, k)}: chirp varies within the log: "
+            f"{float(shots.chirp_rad_per_s2[k])} here, {alpha} on the first record"
         )
     grav = estimate_g(deltas, cfg.noise.effective_contrast, s1, s2, alpha, cfg.constants)
     squeeze = metrological_squeezing(shots, contrast=cfg.noise.effective_contrast)
@@ -291,7 +300,7 @@ def _analysis_rows(cfg: AppConfig, shots):
 def _cmd_analyze(args) -> int:
     cfg = args.config_obj
     shots = read_shot_log(args.shots)
-    rows, grav, squeeze = _analysis_rows(cfg, shots)
+    rows, grav, squeeze = _analysis_rows(cfg, shots, args.shots)
     _write_csv(_out_path(args, args.out), ["quantity", "value"], rows)
     print(
         f"g = {grav.g_exp_m_s2:.6f} +- {grav.sigma_g_m_s2:.6f} m/s^2, "
@@ -453,7 +462,7 @@ def _cmd_reproduce(args) -> int:
         manifest.add(shots_path)
         manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
 
-        rows, grav, squeeze = _analysis_rows(arm_cfg, shots)
+        rows, grav, squeeze = _analysis_rows(arm_cfg, shots, shots_path)
         manifest.doc["bootstrap"][label] = {
             "resamples": squeeze.n_resamples,
             "distinct_squares": squeeze.n_distinct_squares,

@@ -129,14 +129,17 @@ def _where(text: str, path: str) -> str:
 def _walk(user: dict, text: str, prefix: str = "") -> None:
     """Check a mapping of user values: a key that is a SCHEMA row must pass
     its predicate, a prefix of rows must be a section, anything else is
-    unknown."""
+    unknown. A key that is not a plain name is unknown too: 'noise.contrast'
+    spelled as one key would pass the path checks, but parse_config reads
+    the nested sections and would never use its value."""
     for key, value in user.items():
         path = f"{prefix}{key}"
-        if path in SCHEMA:
+        plain = isinstance(key, str) and "." not in key
+        if plain and path in SCHEMA:
             _, predicate, req = SCHEMA[path]
             if not predicate(value):
                 raise ConfigError(f"config key '{path}' must be {req}, got {value!r}{_where(text, path)}")
-        elif any(row.startswith(path + ".") for row in SCHEMA):
+        elif plain and any(row.startswith(path + ".") for row in SCHEMA):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{path}' must be a section")
             _walk(value, text, path + ".")

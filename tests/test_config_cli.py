@@ -71,6 +71,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"noise\.bogus.*line 3"):
             parse_config("noise:\n  contrast: 0.9\n  bogus: 2\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "noise.contrast: 0.5\n",
+            'noise:\n  "squeezing.strength_r": 2\n',
+            '"noise.squeezing":\n  strength_r: 2\n',
+            "1: 2\n",
+        ],
+        ids=["dotted-top", "dotted-nested", "dotted-section", "int-key"],
+    )
+    def test_key_that_is_not_a_plain_name_is_unknown(self, text):
+        # a dotted key is never read by the nested overlay: it must not pass
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(text)
+
     def test_negative_duration_rejected(self):
         with pytest.raises(ConfigError, match=r"timing\.tau_bm_s"):
             parse_config("timing:\n  tau_bm_s: -1\n")
@@ -386,11 +401,12 @@ class TestSimulateAnalyze:
         row = json.loads(lines[5])
         row["chirp_rad_per_s2"] += 1000.0
         lines[5] = json.dumps(row) + "\n"
+        lines.insert(2, "\n")  # a blank line: record 5 now sits on line 7
         log.write_text("".join(lines))
         capsys.readouterr()
         assert main(["analyze", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
         err = capsys.readouterr().err
-        assert "chirp varies" in err and "record 5" in err
+        assert "chirp varies" in err and f"{log}:7:" in err
         assert not (tmp_path / "a.csv").exists()
 
     def test_nested_out_path_creates_directories(self, tmp_path):
