@@ -91,6 +91,8 @@ class PhaseNoiseBudget:
 # ---------------------------------------------------------------------------
 # fringe fitting
 
+FIT_MAX_ITER = 200  # damped Gauss-Newton steps before fit_fringe gives up
+
 
 def _design(x: np.ndarray, freq):
     """(1, cos fx, sin fx) columns; one (n, 3) block per frequency in `freq`."""
@@ -120,7 +122,7 @@ def _jacobian(theta, x):
     return np.column_stack([np.ones_like(x), np.cos(arg), -amp * s * x, -amp * s])
 
 
-def fit_fringe(points, constants: PhysicalConstants, max_iter: int = 200) -> FringeFit:
+def fit_fringe(points, constants: PhysicalConstants) -> FringeFit:
     """Least-squares sinusoid fit of normalized population vs chirp rate.
 
     Initialization scans a coarse frequency grid with a linear solve in
@@ -162,7 +164,7 @@ def fit_fringe(points, constants: PhysicalConstants, max_iter: int = 200) -> Fri
     lam = 0.0
     sse_prev = float(np.sum((_model(theta, x) - p) ** 2))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         r = _model(theta, x) - p
         jac = _jacobian(theta, x)
         jtj = jac.T @ jac
@@ -351,15 +353,9 @@ def estimate_g(
     scale2_s2_per_m: float,
     alpha_rad_per_s2: float,
     constants: PhysicalConstants,
-    sigma_contrast: float = 0.0,
-    sigma_scale1: float = 0.0,
-    sigma_scale2: float = 0.0,
 ) -> GravityEstimate:
-    """Gravity estimate with uncertainty from the delta-p standard error.
-
-    Contrast and scale factors are treated as exact by default; pass
-    their uncertainties to fold them into sigma_g in quadrature.
-    """
+    """Gravity estimate with uncertainty from the delta-p standard error;
+    contrast and scale factors are treated as exact."""
     vals = deltas.values
     if len(vals) < 2:
         raise DataError("need at least 2 pairs for an uncertainty")
@@ -368,15 +364,9 @@ def estimate_g(
     g = gravity_from_delta_p(
         mean, contrast, scale1_s2_per_m, scale2_s2_per_m, alpha_rad_per_s2, constants
     )
-    span = scale1_s2_per_m - scale2_s2_per_m
-    var_g = ((2.0 / contrast) * sem / abs(span)) ** 2
-    inertial = g - alpha_rad_per_s2 / constants.k_eff_per_m
-    if sigma_contrast:
-        var_g += (inertial * sigma_contrast / contrast) ** 2
-    if sigma_scale1 or sigma_scale2:
-        var_g += (inertial / span) ** 2 * (sigma_scale1**2 + sigma_scale2**2)
+    sigma_g = (2.0 / contrast) * sem / abs(scale1_s2_per_m - scale2_s2_per_m)
     return GravityEstimate(
-        g_exp_m_s2=g, sigma_g_m_s2=math.sqrt(var_g), delta_p_mean=mean, n_pairs=len(vals)
+        g_exp_m_s2=g, sigma_g_m_s2=sigma_g, delta_p_mean=mean, n_pairs=len(vals)
     )
 
 

@@ -58,6 +58,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _f17(x) -> str:
     return format(float(x), ".17g")
 
@@ -525,23 +547,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pulse", help="pulse envelope, area and sensitivity ramp; optional transfer probability")
     common(p, None)
-    p.add_argument("--tau-s", type=float, help="pulse duration in seconds")
+    p.add_argument("--tau-s", type=_finite, help="pulse duration in seconds")
     p.add_argument("--shape", choices=("blackman", "square"), default="blackman")
-    p.add_argument("--area-rad", type=float, default=math.pi)
-    p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--detuning-hz", type=float, help="emit transfer probability at this detuning")
-    p.add_argument("--detuning-sigma-hz", type=float, default=0.0)
+    p.add_argument("--area-rad", type=_finite, default=math.pi)
+    p.add_argument("--samples", type=_count, default=201)
+    p.add_argument("--detuning-hz", type=_finite, help="emit transfer probability at this detuning")
+    p.add_argument("--detuning-sigma-hz", type=_finite, default=0.0)
     p.add_argument("--model", choices=("envelope", "constant"), default="envelope")
     p.set_defaults(func=_cmd_pulse)
 
     p = sub.add_parser("scale-factor", help="scale factor, net area and breakpoints")
     common(p, None)
-    p.add_argument("--T", type=float, help="free evolution time in seconds")
+    p.add_argument("--T", type=_finite, help="free evolution time in seconds")
     p.set_defaults(func=_cmd_scale_factor)
 
     p = sub.add_parser("tomography", help="variance vs readout angle of the input-state model")
     common(p, None)
-    p.add_argument("--points", type=int, default=181)
+    p.add_argument("--points", type=_count, default=181)
     p.add_argument("--coherent", action="store_true", help="ideal coherent input instead of the configured model")
     p.set_defaults(func=_cmd_tomography)
 

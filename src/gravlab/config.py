@@ -117,48 +117,58 @@ class AppConfig:
     resolved: dict  # built-ins overlaid with the user's values, as plain data
 
 
-def _where(text: str, path: str) -> str:
-    """' (line N)' for the first line setting the path's last key, if any."""
-    token = path.split(".")[-1] + ":"
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip().startswith(token):
-            return f" (line {lineno})"
-    return ""
-
-
-def _walk(user: dict, text: str, prefix: str = "") -> None:
-    """Check a mapping of user values: a key that is a SCHEMA row must pass
-    its predicate, a prefix of rows must be a section, anything else is
-    unknown. A key that is not a plain name is unknown too: 'noise.contrast'
+def _walk(loader: yaml.SafeLoader, node: yaml.MappingNode, prefix: str = "") -> dict:
+    """Check a mapping node of user values and return it as a dict: a key
+    that is a SCHEMA row must pass its predicate, a prefix of rows must be
+    a section, anything else is unknown, and a key written twice is an
+    error. A key that is not a plain name is unknown too: 'noise.contrast'
     spelled as one key would pass the path checks, but parse_config reads
-    the nested sections and would never use its value."""
-    for key, value in user.items():
+    the nested sections and would never use its value. Errors name the
+    key's line."""
+    written = sum(key.tag != "tag:yaml.org,2002:merge" for key, _ in node.value)
+    loader.flatten_mapping(node)  # resolves '<<' merges: merged pairs first, written ones last
+    merged = len(node.value) - written
+    data: dict = {}
+    lines: dict = {}  # path -> line of each written key
+    for k, (key_node, value_node) in enumerate(node.value):
+        key = loader.construct_object(key_node, deep=True)
         path = f"{prefix}{key}"
+        line = key_node.start_mark.line + 1
+        if k >= merged:
+            if path in lines:
+                raise ConfigError(f"config key '{path}' is repeated (lines {lines[path]} and {line})")
+            lines[path] = line
         plain = isinstance(key, str) and "." not in key
         if plain and path in SCHEMA:
+            value = loader.construct_object(value_node, deep=True)
             _, predicate, req = SCHEMA[path]
             if not predicate(value):
-                raise ConfigError(f"config key '{path}' must be {req}, got {value!r}{_where(text, path)}")
+                raise ConfigError(f"config key '{path}' must be {req}, got {value!r} (line {line})")
         elif plain and any(row.startswith(path + ".") for row in SCHEMA):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{path}' must be a section")
-            _walk(value, text, path + ".")
+            if not isinstance(value_node, yaml.MappingNode):
+                raise ConfigError(f"config key '{path}' must be a section (line {line})")
+            value = _walk(loader, value_node, path + ".")
         else:
-            raise ConfigError(f"unknown config key '{path}'{_where(text, path)}")
+            raise ConfigError(f"unknown config key '{path}' (line {line})")
+        data[key] = value  # a later pair overrides a merged one, as in YAML
+    return data
 
 
 def parse_config(text: str) -> AppConfig:
     """Parse YAML text into a validated AppConfig; empty text = defaults."""
+    loader = yaml.SafeLoader(text)
     try:
-        data = yaml.safe_load(text)
+        node = loader.get_single_node()
+        if node is None or node.tag == "tag:yaml.org,2002:null":
+            data = {}
+        elif isinstance(node, yaml.MappingNode):
+            data = _walk(loader, node)
+        else:
+            raise ConfigError("config root must be a mapping")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-
-    _walk(data, text)
+    finally:
+        loader.dispose()
     # the user's values overlaid on the built-ins, nested like the YAML
     resolved: dict = {}
     for path, (builtin, _, _) in SCHEMA.items():

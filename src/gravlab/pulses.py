@@ -6,13 +6,10 @@ transfer efficiency of a physical pi pulse under detuning: the Rabi
 formula where the drive keeps a fixed direction, a two-level ODE for a
 Blackman pulse under a constant detuning.
 
-Two distinct areas live on a pulse and must not be conflated:
-
-* ``area_rad`` is the physical rotation the pulse implements (pi for the
-  Raman mirror pulses).
-* ``sensitivity_area_rad`` is the area used inside the sensitivity ramp;
-  it is pi/2 so the ramp ends exactly at 1 and the piecewise gravimeter
-  sensitivity function stays continuous.
+A pulse's ``area_rad`` is the physical rotation it implements (pi for
+the Raman mirror pulses). The sensitivity ramp always accumulates pi/2, so
+it ends exactly at 1 and the gravimeter sensitivity function stays
+continuous.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ _A0, _A1, _A2 = 0.42, 0.5, 0.08
 BLACKMAN_MEAN = _A0  # mean of the window over one pulse; integral is 0.42*tau
 
 ODE_RTOL = 1e-9  # relative tolerance of the constant-detuning DOP853 solve
+TRANSFER_NODES = 31  # Gauss-Hermite nodes of averaged_transfer
 
 
 def _window(x):
@@ -52,20 +50,19 @@ def _window_integral(x):
 
 @dataclass(frozen=True)
 class PulseShape:
-    """One Raman pulse: envelope kind, duration and the two areas."""
+    """One Raman pulse: envelope kind, duration and rotation area."""
 
     kind: str = "blackman"  # "blackman" or "square"
     duration_s: float = 60e-6
     area_rad: float = math.pi
-    sensitivity_area_rad: float = math.pi / 2
 
     def __post_init__(self):
         if self.kind not in ("blackman", "square"):
             raise ConfigError(f"unknown pulse kind {self.kind!r}")
         if self.duration_s <= 0:
             raise ConfigError("pulse duration must be > 0")
-        if self.area_rad <= 0 or self.sensitivity_area_rad <= 0:
-            raise ConfigError("pulse areas must be > 0")
+        if self.area_rad <= 0:
+            raise ConfigError("pulse area must be > 0")
 
     @property
     def peak_rabi_rad_s(self) -> float:
@@ -89,8 +86,8 @@ def envelope(shape: PulseShape, t: float) -> float:
 
 
 def accumulated_area(shape: PulseShape, t: float) -> float:
-    """Rotation area accumulated by time t, normalized to reach
-    sensitivity_area_rad exactly at the end of the pulse."""
+    """Rotation area accumulated by time t, normalized to reach pi/2
+    exactly at the end of the pulse."""
     if t < 0 or t > shape.duration_s:
         raise DomainError(
             f"t = {t} outside pulse support [0, {shape.duration_s}]"
@@ -100,20 +97,12 @@ def accumulated_area(shape: PulseShape, t: float) -> float:
         frac = x
     else:
         frac = _window_integral(x) / BLACKMAN_MEAN
-    return shape.sensitivity_area_rad * float(frac)
+    return math.pi / 2 * float(frac)
 
 
 def pulse_sensitivity(shape: PulseShape, t: float) -> float:
-    """Single-pulse sensitivity ramp sin(accumulated area).
-
-    Runs 0 -> 1 over the pulse when sensitivity_area_rad = pi/2; larger
-    sensitivity areas would overshoot and break the piecewise continuity
-    of the gravimeter sensitivity function, so they are rejected.
-    """
-    if shape.sensitivity_area_rad > math.pi / 2 + 1e-12:
-        raise ConfigError(
-            "sensitivity_area_rad must be <= pi/2 for a monotone 0 -> 1 ramp"
-        )
+    """Single-pulse sensitivity ramp sin(accumulated area): runs 0 -> 1
+    over the pulse."""
     return math.sin(accumulated_area(shape, t))
 
 
@@ -188,21 +177,18 @@ def averaged_transfer(
     detuning_mean_rad_s: float,
     detuning_sigma_rad_s: float,
     detuning_model: str = "envelope",
-    nodes: int = 31,
 ) -> tuple[float, float]:
-    """Mean and std of the transfer probability over a Gaussian detuning.
-
-    Deterministic Gauss-Hermite quadrature; nodes >= 15 keeps the
-    smooth integrand converged well below the quoted precision.
+    """Mean and std of the transfer probability over a Gaussian detuning,
+    by deterministic Gauss-Hermite quadrature on TRANSFER_NODES nodes,
+    which keeps the smooth integrand converged well below the quoted
+    precision.
     """
     if detuning_sigma_rad_s < 0:
         raise DomainError("detuning sigma must be >= 0")
     if detuning_sigma_rad_s == 0:
         return transfer_probability(shape, detuning_mean_rad_s, detuning_model), 0.0
-    if nodes < 15:
-        raise ConfigError("need at least 15 quadrature nodes")
 
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = np.polynomial.hermite.hermgauss(TRANSFER_NODES)
     w = w / math.sqrt(math.pi)
     deltas = detuning_mean_rad_s + math.sqrt(2.0) * detuning_sigma_rad_s * x
     probs = _transfer(shape, deltas, detuning_model)

@@ -34,7 +34,6 @@ SHOT_FIELDS = (
     "count_f1",
     "count_f2",
     "imbalance",
-    "stream_id",
     "wall_time_s",
 )
 
@@ -91,14 +90,11 @@ class CampaignConfig:
             raise ConfigError("cycle_time_s must be > 0")
 
 
-WHOLE_FIELDS = ("index", "stream_id")  # int64 columns; the rest are float64
-
-
 @dataclass(frozen=True, eq=False)
 class ShotTable:
     """Interferometer shots as columns: one read-only numpy array per
-    field of SHOT_FIELDS, one row per shot. A single shot is a table of
-    one row."""
+    field of SHOT_FIELDS (index int64, the rest float64), one row per
+    shot. A single shot is a table of one row."""
 
     index: np.ndarray
     free_evolution_s: np.ndarray
@@ -107,12 +103,11 @@ class ShotTable:
     count_f1: np.ndarray
     count_f2: np.ndarray
     imbalance: np.ndarray  # (count_f2 - count_f1)/2
-    stream_id: np.ndarray
     wall_time_s: np.ndarray
 
     def __post_init__(self):
         for name in SHOT_FIELDS:
-            column = np.asarray(getattr(self, name), dtype=np.int64 if name in WHOLE_FIELDS else float)
+            column = np.asarray(getattr(self, name), dtype=np.int64 if name == "index" else float)
             column = column.view()  # read-only without freezing the caller's array
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -236,16 +231,14 @@ def _simulate(
     else:
         jz = mean_jz  # exact analog mean, not quantized
 
-    index = indices.astype(np.int64)
     return ShotTable(
-        index=index,
+        index=indices.astype(np.int64),
         free_evolution_s=np.broadcast_to(free_evolution_s, indices.shape),
         chirp_rad_per_s2=np.broadcast_to(alpha, indices.shape),
         g_true_m_per_s2=np.broadcast_to(g_true, indices.shape),
         count_f1=n / 2.0 - jz,
         count_f2=n / 2.0 + jz,
         imbalance=jz,
-        stream_id=index,
         wall_time_s=indices * cycle_time_s,
     )
 
@@ -259,16 +252,10 @@ def simulate_shot(
     seed: int,
     index: int,
     cycle_time_s: float = 52.0,
-    scale_s2_per_m: float | None = None,
 ) -> ShotTable:
     """Generate one shot from its (seed, index) counters: a campaign of
-    one, returned as a one-row table.
-
-    The free-evolution time comes from `timing`; pass the precomputed
-    scale factor to avoid recomputing it.
-    """
-    if scale_s2_per_m is None:
-        scale_s2_per_m = scale_factor(timing, constants)
+    one, returned as a one-row table. The free-evolution time and the
+    scale factor come from `timing`."""
     return _simulate(
         constants,
         noise,
@@ -277,7 +264,7 @@ def simulate_shot(
         seed,
         np.array([index], dtype=np.uint64),
         timing.free_evolution_s,
-        scale_s2_per_m,
+        scale_factor(timing, constants),
         cycle_time_s,
     )
 
@@ -368,7 +355,6 @@ _NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)|NaN|-?Infinity
 # SHOT_FIELDS order
 _WRITER_LINE = re.compile("^{" + ",".join(f'"{name}":{_NUMBER}' for name in SHOT_FIELDS) + "}$", re.M)
 _COLUMN = {name: k for k, name in enumerate(SHOT_FIELDS)}
-_WHOLE = [_COLUMN[name] for name in WHOLE_FIELDS]
 
 
 def _json_row(line: str) -> tuple[str, ...]:
@@ -415,27 +401,27 @@ def _whole(text: str) -> int | None:
     return value if -(2**63) <= value < 2**63 else None
 
 
-def _whole_columns(rows, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The WHOLE_FIELDS columns of a chunk as int64, and a mask of the
-    values that are not whole numbers in the int64 range (0 in the
-    columns). Below 2^53 a value is exact as a float; any larger one is
-    read again from its text, so that no digit is lost."""
-    floats = values[:, _WHOLE]
+def _index_column(rows, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index column of a chunk as int64, and a mask of the values
+    that are not whole numbers in the int64 range (0 in the column).
+    Below 2^53 a value is exact as a float; any larger one is read again
+    from its text, so that no digit is lost."""
+    c = _COLUMN["index"]
+    floats = values[:, c]
     small = np.abs(floats) < 2.0**53  # False for NaN
     bad = small & (floats != np.floor(floats))
     ints = np.where(small & ~bad, floats, 0.0).astype(np.int64)
-    for r, c in zip(*np.nonzero(~small)):
-        value = _whole(rows[r][_WHOLE[c]])
-        bad[r, c] = value is None
-        ints[r, c] = value or 0
+    for r in np.flatnonzero(~small):
+        value = _whole(rows[r][c])
+        bad[r] = value is None
+        ints[r] = value or 0
     return ints, bad
 
 
 def _first_problem(values: np.ndarray, not_whole: np.ndarray) -> tuple[int, str] | None:
     """The first row of `values` (one shot per row, in SHOT_FIELDS
     order) that cannot be analyzed and why, or None; `not_whole` marks
-    the WHOLE_FIELDS values that are not whole numbers in the int64
-    range."""
+    the indices that are not whole numbers in the int64 range."""
     finite = np.isfinite(values)
     f1, f2, imb = (values[:, _COLUMN[name]] for name in ("count_f1", "count_f2", "imbalance"))
     with np.errstate(invalid="ignore"):
@@ -443,7 +429,7 @@ def _first_problem(values: np.ndarray, not_whole: np.ndarray) -> tuple[int, str]
         # the generator writes the counts as n/2 -+ imbalance, so the two
         # agree to the rounding of a sum of that size
         mismatch = ~(np.abs(imb - 0.5 * (f2 - f1)) <= 1e-9 * (f1 + f2))
-    bad = ~finite.all(axis=1) | not_whole.any(axis=1) | negative | mismatch
+    bad = ~finite.all(axis=1) | not_whole | negative | mismatch
     if not bad.any():
         return None
     r = int(bad.argmax())
@@ -451,9 +437,8 @@ def _first_problem(values: np.ndarray, not_whole: np.ndarray) -> tuple[int, str]
     if not finite[r].all():
         name = SHOT_FIELDS[int(finite[r].argmin())]
         return r, f"{name} is {row[name]}"
-    if not_whole[r].any():
-        name = WHOLE_FIELDS[int(not_whole[r].argmax())]
-        return r, f"{name} {row[name]} is not a whole number in the int64 range"
+    if not_whole[r]:
+        return r, f"index {row['index']} is not a whole number in the int64 range"
     if negative[r]:
         return r, f"negative count ({row['count_f1']}, {row['count_f2']})"
     expected = 0.5 * (row["count_f2"] - row["count_f1"])
@@ -469,7 +454,7 @@ def read_shot_log(path) -> ShotTable:
     The log is parsed in chunks of about LOG_READ_CHARS characters. A
     chunk whose lines all have the writer's layout is parsed by one regex
     and one float conversion; any other chunk line by line, by json.loads.
-    The index and stream_id columns read back exactly as int64.
+    The index column reads back exactly as int64.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -487,18 +472,18 @@ def read_shot_log(path) -> ShotTable:
                 if len(rows) != n_lines:
                     rows, lines, failure = _parse_lines(text, first_line)
                 values = np.array(rows, dtype=float).reshape(-1, len(SHOT_FIELDS))
-                ints, not_whole = _whole_columns(rows, values)
+                index, not_whole = _index_column(rows, values)
                 problem = _first_problem(values, not_whole)
                 if problem is not None:
                     failure = (lines[problem[0]], problem[1])
                 if failure is not None:
                     raise DataError(f"{path}: bad shot record on line {failure[0]}: {failure[1]}")
-                blocks.append((values.T, ints.T))
+                blocks.append((values.T, index))
                 first_line += n_lines
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not sum(ints.shape[1] for _, ints in blocks):
+    if not sum(len(index) for _, index in blocks):
         raise DataError(f"{path}: no shot records")
     columns = dict(zip(SHOT_FIELDS, np.concatenate([values for values, _ in blocks], axis=1)))
-    columns.update(zip(WHOLE_FIELDS, np.concatenate([ints for _, ints in blocks], axis=1)))
+    columns["index"] = np.concatenate([index for _, index in blocks])
     return ShotTable(**columns)

@@ -311,7 +311,6 @@ def calibrate_model(
     min_db: float,
     max_db: float,
     atom_number: float,
-    optimal_phase_rad: float = 1.2 * math.pi,
 ) -> SqueezingModel:
     """Solve the Gaussian model from the two tomography extremes.
 
@@ -336,18 +335,14 @@ def calibrate_model(
     return SqueezingModel(
         atom_number=atom_number,
         strength=r,
-        optimal_phase_rad=optimal_phase_rad,
         detection_noise_atoms=sigma_det,
     )
 
 
-def coherent_model(
-    atom_number: float, optimal_phase_rad: float = 1.2 * math.pi
-) -> SqueezingModel:
+def coherent_model(atom_number: float) -> SqueezingModel:
     """Ideal coherent input: projection noise only, 0 dB at every angle."""
     return SqueezingModel(
         atom_number=atom_number,
         strength=0.0,
-        optimal_phase_rad=optimal_phase_rad,
         detection_noise_atoms=0.0,
     )

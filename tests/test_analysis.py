@@ -157,27 +157,6 @@ class TestEstimateG:
             (2.0 / 0.98) * sem / abs(-1.42 + 0.767), rel=1e-14
         )
 
-    def test_calibration_uncertainties_add_in_quadrature(self):
-        vals = [2.0e-4, 3.0e-4, 2.5e-4, 2.7e-4]
-        base = estimate_g(self.series(vals), 0.98, -1.42, -0.767, ALPHA_COMP, CONST)
-        wide = estimate_g(
-            self.series(vals),
-            0.98,
-            -1.42,
-            -0.767,
-            ALPHA_COMP,
-            CONST,
-            sigma_contrast=0.02,
-            sigma_scale1=0.01,
-            sigma_scale2=0.01,
-        )
-        inertial = base.g_exp_m_s2 - ALPHA_COMP / CONST.k_eff_per_m
-        extra = (inertial * 0.02 / 0.98) ** 2 + (inertial / (-1.42 + 0.767)) ** 2 * 2e-4
-        assert wide.g_exp_m_s2 == base.g_exp_m_s2
-        assert wide.sigma_g_m_s2 == pytest.approx(
-            math.sqrt(base.sigma_g_m_s2**2 + extra), rel=1e-12
-        )
-
     def test_single_pair_rejected(self):
         with pytest.raises(DataError):
             estimate_g(self.series([1e-4]), 0.98, -1.42, -0.767, ALPHA_COMP, CONST)

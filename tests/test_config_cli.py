@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 import gravlab
 from gravlab import ConfigError, PhysicalConstants, read_shot_log, scale_factor
@@ -114,6 +115,55 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="section"):
             parse_config("timing: 3\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("campaign:\n  t1_s: 1.0e-3\nnoise:\n  t1_s: 2\n", "unknown config key 'noise.t1_s' (line 4)"),
+            ("campaign:\n  seed: 3\ntiming: 3\n", "config key 'timing' must be a section (line 3)"),
+            ("noise: {contrast: 2}\n", "config key 'noise.contrast' must be a number in (0, 1], got 2 (line 1)"),
+        ],
+        ids=["namesake-in-other-section", "section", "flow-style"],
+    )
+    def test_error_names_the_line_of_its_key(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("noise:\n  contrast: 0.9\nnoise:\n  raman_efficiency: 0.5\n", "config key 'noise' is repeated (lines 1 and 3)"),
+            ("noise:\n  contrast: 0.9\n  contrast: 0.8\n", "config key 'noise.contrast' is repeated (lines 2 and 3)"),
+        ],
+        ids=["section", "key"],
+    )
+    def test_repeated_key_names_both_lines(self, text, message):
+        # YAML keeps the last of two equal keys, which would drop a value unseen
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "noise:\n  <<: {contrast: 0.9, raman_efficiency: 0.5}\n  contrast: 0.95\n",
+            "noise:\n  <<: [{contrast: 0.9}, {contrast: 0.8, raman_efficiency: 0.5}]\n",
+            "noise:\n  squeezing:\n    <<: {strength_r: 0.5, detection_noise_atoms: 2.0}\n    strength_r: 0.25\n",
+        ],
+        ids=["written-overrides-merged", "first-merged-wins", "nested"],
+    )
+    def test_merge_keys_resolve_as_yaml_does(self, text):
+        def leaves(tree, prefix=""):
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key, value
+
+        resolved = dict(leaves(parse_config(text).resolved))
+        for path, value in leaves(yaml.safe_load(text)):
+            assert resolved[path] == value
+
     def test_non_mapping_root(self):
         with pytest.raises(ConfigError):
             parse_config("- 1\n- 2\n")
@@ -177,6 +227,25 @@ class TestCliBasics:
         path.write_text("foo: 1\n")
         assert main(["scale-factor", "--config", str(path)]) == 1
         assert "foo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pulse", "--tau-s", "nan"],
+            ["pulse", "--area-rad", "nan"],
+            ["pulse", "--detuning-hz", "nan"],
+            ["pulse", "--detuning-sigma-hz", "nan"],
+            ["scale-factor", "--T", "inf"],
+            ["pulse", "--samples", "-1"],
+            ["tomography", "--points", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_number_is_usage_error_naming_the_flag(self, argv, capsys):
+        assert main([*argv, "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: argument {argv[1]}: must be")
 
     def test_env_config_respected(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.yaml"

@@ -90,6 +90,17 @@ class TestOtherLayouts:
         path.write_bytes("\r\n".join(writer_lines(shots, tmp_path)).encode())
         assert read_shot_log(path) == shots
 
+    def test_log_with_stream_id_column_reads_back_equal(self, tmp_path, chunk_chars):
+        # logs written while the shots carried a stream_id column (always
+        # equal to index, placed before wall_time_s) take the per-line path
+        shots = campaign(30)
+        lines = writer_lines(shots, tmp_path)
+        old = [re.sub(r'("index":([0-9]+),.*),("wall_time_s":)', r'\1,"stream_id":\2,\3', ln) for ln in lines]
+        assert all(f'"stream_id":{k},' in ln for k, ln in enumerate(old))
+        path = tmp_path / "stream_id.jsonl"
+        path.write_text("\n".join(old) + "\n")
+        assert read_shot_log(path) == shots
+
     def test_blank_lines_skipped(self, tmp_path, chunk_chars):
         shots = campaign(12)
         lines = writer_lines(shots, tmp_path)
@@ -106,7 +117,7 @@ def test_patterns_compile_on_python_3_10():
 
 class TestWholeColumns:
     @pytest.mark.parametrize("value", [2**53 + 1, 2**63 - 1, -(2**63)])
-    @pytest.mark.parametrize("field", ["index", "stream_id"])
+    @pytest.mark.parametrize("field", ["index"])
     @pytest.mark.parametrize("layout", ["writer", "other"])
     def test_large_ints_read_back_exactly(self, tmp_path, chunk_chars, value, field, layout):
         shots = campaign(3)
@@ -126,12 +137,12 @@ class TestWholeColumns:
     @pytest.mark.parametrize("layout", ["writer", "other"])
     def test_outside_int64_or_fractional_refused(self, tmp_path, chunk_chars, value, layout):
         lines = writer_lines(campaign(3), tmp_path)
-        lines[3] = re.sub(r'"stream_id":[^,]*', f'"stream_id":{value}', lines[3])
+        lines[3] = re.sub(r'"index":[^,]*', f'"index":{value}', lines[3])
         if layout == "other":
             lines[3] = other_layout(lines[3])
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="line 4: stream_id .* is not a whole number in the int64 range"):
+        with pytest.raises(DataError, match="line 4: index .* is not a whole number in the int64 range"):
             read_shot_log(path)
 
     def test_whole_float_spelling_accepted(self, tmp_path):

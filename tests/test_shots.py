@@ -249,7 +249,6 @@ class TestCampaignLayout:
         camp = CampaignConfig(n_pairs=8, seed=5, cycle_time_s=52.0)
         recs = run_campaign(camp, TIMING, CONST, quiet_noise())
         assert recs.index.tolist() == list(range(16))
-        assert recs.stream_id.tolist() == list(range(16))
         assert recs.wall_time_s.tolist() == [i * 52.0 for i in range(16)]
         assert recs.free_evolution_s.tolist() == [camp.t1_s, camp.t2_s] * 8
 
@@ -385,7 +384,7 @@ class TestShotTable:
         for name in SHOT_FIELDS:
             column = getattr(shots, name)
             assert column.shape == (10,)
-            assert column.dtype == (np.int64 if name in ("index", "stream_id") else np.float64)
+            assert column.dtype == (np.int64 if name == "index" else np.float64)
 
     def test_rows_select_every_column(self):
         shots = self.shots()
@@ -399,7 +398,7 @@ class TestShotTable:
 
     def test_columns_are_read_only(self):
         counts = np.arange(4.0)
-        shots = ShotTable(np.arange(4), np.zeros(4), np.zeros(4), np.zeros(4), counts, counts, np.zeros(4), np.arange(4), np.zeros(4))
+        shots = ShotTable(np.arange(4), np.zeros(4), np.zeros(4), np.zeros(4), counts, counts, np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError):
             shots.count_f1[0] = 5.0
         counts[0] = 5.0  # the caller's array stays writable
@@ -491,7 +490,7 @@ class TestShotLogIO:
         recs = run_campaign(CampaignConfig(n_pairs=3, seed=21), TIMING, CONST, quiet_noise())
         special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, -5e-324, 2**53 + 1]
         whole = [0, -1, 2**53 + 1, 2**63 - 1]
-        edits = [(f, v) for f in SHOT_FIELDS for v in (whole if f in ("index", "stream_id") else special)]
+        edits = [(f, v) for f in SHOT_FIELDS for v in (whole if f == "index" else special)]
         recs = recs[np.arange(len(edits)) % 6]
         columns = {name: getattr(recs, name).copy() for name in SHOT_FIELDS}
         for k, (field, value) in enumerate(edits):
