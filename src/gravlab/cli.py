@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from .analysis import (
     phase_noise_budget,
 )
 from .config import AppConfig, _seed_ok, config_hash, load_config
-from .errors import ConfigError, DataError, GravlabError
+from .errors import ConfigError, DataError, DomainError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity, transfer_probability
 from .sensitivity import net_area, scale_factor
 from .shots import STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics, write_shot_log
@@ -200,6 +199,8 @@ def _cmd_scale_factor(args) -> int:
     if args.T is not None:
         timing = replace(timing, free_evolution_s=args.T)
     s = scale_factor(timing, cfg.constants)
+    if not math.isfinite(s):  # pure-Python floats overflow to inf silently
+        raise DomainError(f"scale_s2_per_m is {s}, not a finite number")
     area = net_area(timing)
     rows = [
         ["scale_s2_per_m", _f17(s)],
@@ -233,15 +234,14 @@ def _cmd_tomography(args) -> int:
     return 0
 
 
-def _apply_state_choice(cfg: AppConfig, squeezed: bool) -> AppConfig:
-    """Return cfg with the squeezing strength forced on or off."""
-    model = cfg.noise.squeezing
-    if squeezed and model.strength > 0:
-        return cfg
-    if squeezed:
-        raise ConfigError("--squeezed requested but squeezing.strength_r is 0")
-    coherent = replace(model, strength=0.0)
-    return replace(cfg, noise=replace(cfg.noise, squeezing=coherent))
+def _apply_state_choice(cfg: AppConfig, squeezed: bool, advice: str = "") -> AppConfig:
+    """Return cfg with the squeezing strength forced off for a coherent
+    campaign; a squeezed one needs strength > 0, and `advice` ends its error."""
+    if not squeezed:
+        return replace(cfg, noise=replace(cfg.noise, squeezing=replace(cfg.noise.squeezing, strength=0.0)))
+    if cfg.noise.squeezing.strength == 0:
+        raise ConfigError(f"a squeezed campaign needs noise.squeezing.strength_r > 0, got 0{advice}")
+    return cfg
 
 
 def _campaign_with(cfg: AppConfig, pairs, seed):
@@ -256,7 +256,7 @@ def _campaign_with(cfg: AppConfig, pairs, seed):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _apply_state_choice(args.config_obj, args.squeezed)
+    cfg = _apply_state_choice(args.config_obj, args.squeezed, "; pass --coherent for a coherent campaign")
     campaign = _campaign_with(cfg, args.pairs, args.seed)
     out = _out_path(args, args.out)
     if out is None:
@@ -275,29 +275,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _record_line(path, k: int) -> int:
-    """The line of a shot log holding record k (0-based); blank lines hold
-    none, as read_shot_log skips them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return next(itertools.islice((n for n, line in enumerate(fh, start=1) if line.strip()), k, None))
-
-
-def _analysis_rows(cfg: AppConfig, shots, path):
-    if len(shots) < 2:
-        raise DataError("need at least one full pair of shots")
+def _analysis_rows(cfg: AppConfig, shots):
+    deltas = delta_p(shots)  # refuses a log without one full pair
     t1, t2 = shots.free_evolution_s[:2].tolist()
     s1 = scale_factor(replace(cfg.timing, free_evolution_s=t1), cfg.constants)
     s2 = scale_factor(replace(cfg.timing, free_evolution_s=t2), cfg.constants)
-    deltas = delta_p(shots)
-    alpha = float(shots.chirp_rad_per_s2[0])
-    varies = shots.chirp_rad_per_s2 != alpha
-    if varies.any():
-        # g takes one alpha/k_eff for the whole log
-        k = int(varies.argmax())
-        raise DataError(
-            f"{path}:{_record_line(path, k)}: chirp varies within the log: "
-            f"{float(shots.chirp_rad_per_s2[k])} here, {alpha} on the first record"
-        )
+    alpha = float(shots.chirp_rad_per_s2[0])  # one for the whole log, as read_shot_log checks
     grav = estimate_g(deltas, cfg.noise.effective_contrast, s1, s2, alpha, cfg.constants)
     squeeze = metrological_squeezing(shots, contrast=cfg.noise.effective_contrast)
     rows = [
@@ -322,7 +305,7 @@ def _analysis_rows(cfg: AppConfig, shots, path):
 def _cmd_analyze(args) -> int:
     cfg = args.config_obj
     shots = read_shot_log(args.shots)
-    rows, grav, squeeze = _analysis_rows(cfg, shots, args.shots)
+    rows, grav, squeeze = _analysis_rows(cfg, shots)
     _write_csv(_out_path(args, args.out), ["quantity", "value"], rows)
     print(
         f"g = {grav.g_exp_m_s2:.6f} +- {grav.sigma_g_m_s2:.6f} m/s^2, "
@@ -440,6 +423,7 @@ def _cmd_reproduce(args) -> int:
     if not (_seed_ok(seed) and _seed_ok(seed + 1)):
         # refused before any file exists: the coherent arm runs on seed + 1
         raise ConfigError(f"reproduce needs a seed in [0, 2^64 - 1), since the coherent arm runs on seed + 1; got {seed}")
+    _apply_state_choice(cfg, True)  # refused before any file exists: the squeezed arm needs squeezing
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest = Manifest(
@@ -484,7 +468,7 @@ def _cmd_reproduce(args) -> int:
         manifest.add(shots_path)
         manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
 
-        rows, grav, squeeze = _analysis_rows(arm_cfg, shots, shots_path)
+        rows, grav, squeeze = _analysis_rows(arm_cfg, shots)
         manifest.doc["bootstrap"][label] = {
             "resamples": squeeze.n_resamples,
             "distinct_squares": squeeze.n_distinct_squares,
@@ -511,6 +495,8 @@ def _cmd_reproduce(args) -> int:
     add("coherent_metrological_db", squeeze_c.db, REF_COHERENT_DB, "dB")
     # white-noise time to reach a fixed instability scales with the
     # tau0 deviation squared
+    if not series_s.adev[0] > 0:
+        raise DataError("time_to_target_ratio is undefined: the squeezed arm's Allan deviation at tau0 is 0")
     ratio = (series_c.adev[0] / series_s.adev[0]) ** 2
     add("time_to_target_ratio", ratio, REF_TIME_RATIO, "dimensionless")
     add("g_exp", grav_s.g_exp_m_s2, REF_G_EXP, "m/s^2")
@@ -611,7 +597,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.raw_argv = list(argv)
         args.config_obj = load_config(args.config)
-        return args.func(args)
+        # a result that overflows or is undefined is an error, never a
+        # non-finite number in an output file
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -620,6 +609,9 @@ def main(argv=None) -> int:
         return 1
     except GravlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"error: numerical overflow or undefined result: {exc}", file=sys.stderr)
         return 2
 
 

@@ -30,7 +30,6 @@ SHOT_FIELDS = (
     "index",
     "free_evolution_s",
     "chirp_rad_per_s2",
-    "g_true_m_per_s2",
     "count_f1",
     "count_f2",
     "imbalance",
@@ -99,7 +98,6 @@ class ShotTable:
     index: np.ndarray
     free_evolution_s: np.ndarray
     chirp_rad_per_s2: np.ndarray
-    g_true_m_per_s2: np.ndarray
     count_f1: np.ndarray
     count_f2: np.ndarray
     imbalance: np.ndarray  # (count_f2 - count_f1)/2
@@ -235,7 +233,6 @@ def _simulate(
         index=indices.astype(np.int64),
         free_evolution_s=np.broadcast_to(free_evolution_s, indices.shape),
         chirp_rad_per_s2=np.broadcast_to(alpha, indices.shape),
-        g_true_m_per_s2=np.broadcast_to(g_true, indices.shape),
         count_f1=n / 2.0 - jz,
         count_f2=n / 2.0 + jz,
         imbalance=jz,
@@ -324,7 +321,7 @@ _LOG_LINE = "{" + ",".join(f'"{name}":%s' for name in SHOT_FIELDS) + "}\n"
 def _reprs(column: np.ndarray) -> list:
     """The values of a column, floats as their repr strings. Each distinct
     float is formatted once (by bit pattern, so -0.0 stays apart from
-    0.0): a campaign repeats its chirp, g and T on every line."""
+    0.0): a campaign repeats its chirp and T on every line."""
     if column.dtype.kind != "f":
         return column.tolist()  # %s of a Python int is its repr
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
@@ -418,18 +415,20 @@ def _index_column(rows, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ints, bad
 
 
-def _first_problem(values: np.ndarray, not_whole: np.ndarray) -> tuple[int, str] | None:
+def _first_problem(values: np.ndarray, not_whole: np.ndarray, chirp: float | None) -> tuple[int, str] | None:
     """The first row of `values` (one shot per row, in SHOT_FIELDS
     order) that cannot be analyzed and why, or None; `not_whole` marks
-    the indices that are not whole numbers in the int64 range."""
+    the indices that are not whole numbers in the int64 range, and
+    `chirp` is the first record's chirp, which every record must share."""
     finite = np.isfinite(values)
-    f1, f2, imb = (values[:, _COLUMN[name]] for name in ("count_f1", "count_f2", "imbalance"))
+    _, t, alpha, f1, f2, imb, _ = values.T  # in SHOT_FIELDS order
     with np.errstate(invalid="ignore"):
         negative = (f1 < 0) | (f2 < 0)
         # the generator writes the counts as n/2 -+ imbalance, so the two
         # agree to the rounding of a sum of that size
         mismatch = ~(np.abs(imb - 0.5 * (f2 - f1)) <= 1e-9 * (f1 + f2))
-    bad = ~finite.all(axis=1) | not_whole | negative | mismatch
+    # every record shares the first one's chirp: g takes one alpha/k_eff
+    bad = ~finite.all(axis=1) | not_whole | negative | mismatch | ~(t > 0) | (alpha != chirp)
     if not bad.any():
         return None
     r = int(bad.argmax())
@@ -441,15 +440,20 @@ def _first_problem(values: np.ndarray, not_whole: np.ndarray) -> tuple[int, str]
         return r, f"index {row['index']} is not a whole number in the int64 range"
     if negative[r]:
         return r, f"negative count ({row['count_f1']}, {row['count_f2']})"
-    expected = 0.5 * (row["count_f2"] - row["count_f1"])
-    return r, f"imbalance {row['imbalance']} is not (count_f2 - count_f1)/2 = {expected}"
+    if mismatch[r]:
+        expected = 0.5 * (row["count_f2"] - row["count_f1"])
+        return r, f"imbalance {row['imbalance']} is not (count_f2 - count_f1)/2 = {expected}"
+    if not row["free_evolution_s"] > 0:
+        return r, f"free_evolution_s {row['free_evolution_s']} is not > 0"
+    return r, f"chirp varies within the log: {row['chirp_rad_per_s2']} here, {chirp} on the first record"
 
 
 def read_shot_log(path) -> ShotTable:
     """Read a JSONL shot log, rejecting a record that is malformed, holds
-    a non-finite number, a negative count or a fractional index, or whose
-    imbalance is not (count_f2 - count_f1)/2; the error names the file
-    and line.
+    a non-finite number, a negative count or a fractional index, whose
+    imbalance is not (count_f2 - count_f1)/2, whose free evolution is not
+    > 0, or whose chirp differs from the first record's; the error names
+    the file and line.
 
     The log is parsed in chunks of about LOG_READ_CHARS characters. A
     chunk whose lines all have the writer's layout is parsed by one regex
@@ -462,6 +466,7 @@ def read_shot_log(path) -> ShotTable:
         raise DataError(f"cannot read shot log {path}: {exc}") from exc
     blocks = []
     first_line = 1
+    chirp = None
     with fh:
         try:
             while text := fh.read(LOG_READ_CHARS):
@@ -473,7 +478,9 @@ def read_shot_log(path) -> ShotTable:
                     rows, lines, failure = _parse_lines(text, first_line)
                 values = np.array(rows, dtype=float).reshape(-1, len(SHOT_FIELDS))
                 index, not_whole = _index_column(rows, values)
-                problem = _first_problem(values, not_whole)
+                if chirp is None and len(values):
+                    chirp = float(values[0, _COLUMN["chirp_rad_per_s2"]])
+                problem = _first_problem(values, not_whole, chirp)
                 if problem is not None:
                     failure = (lines[problem[0]], problem[1])
                 if failure is not None:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -464,7 +465,8 @@ class TestSimulateAnalyze:
         taus = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert taus == [104.0 * 2**k for k in range(len(taus))]
 
-    def test_varying_chirp_is_exit_two_naming_the_record(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "allan"])
+    def test_varying_chirp_is_exit_two_naming_the_record(self, tmp_path, capsys, command):
         log = self.run_sim(tmp_path, "shots.jsonl")
         lines = log.read_text().splitlines(keepends=True)
         row = json.loads(lines[5])
@@ -473,10 +475,35 @@ class TestSimulateAnalyze:
         lines.insert(2, "\n")  # a blank line: record 5 now sits on line 7
         log.write_text("".join(lines))
         capsys.readouterr()
+        assert main([command, "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
+        err = capsys.readouterr().err
+        assert f"{log}: bad shot record on line 7: chirp varies" in err
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("t_free", [0.0, -455e-6])
+    def test_analyze_t_not_positive_is_exit_two_naming_the_line(self, tmp_path, capsys, t_free):
+        log = self.run_sim(tmp_path, "shots.jsonl")
+        lines = log.read_text().splitlines(keepends=True)
+        row = json.loads(lines[8])
+        row["free_evolution_s"] = t_free
+        lines[8] = json.dumps(row) + "\n"
+        log.write_text("".join(lines))
+        capsys.readouterr()
         assert main(["analyze", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
         err = capsys.readouterr().err
-        assert "chirp varies" in err and f"{log}:7:" in err
+        assert err == f"error: {log}: bad shot record on line 9: free_evolution_s {t_free} is not > 0\n"
         assert not (tmp_path / "a.csv").exists()
+
+    def test_zero_squeezing_names_the_key_and_the_coherent_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  squeezing:\n    strength_r: 0.0\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "noise.squeezing.strength_r" in err and "--coherent" in err
+        assert not out.exists()
+        assert main(["simulate", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out), "--coherent"]) == 0
 
     def test_nested_out_path_creates_directories(self, tmp_path):
         self.run_sim(tmp_path, os.path.join("deep", "nest", "shots.jsonl"))
@@ -702,6 +729,15 @@ class TestReproduceCommand:
         assert "seed + 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_squeezing_refused_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  squeezing:\n    strength_r: 0.0\n")
+        out = tmp_path / "out"
+        code = main(["reproduce", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out)])
+        assert code == 1
+        assert "noise.squeezing.strength_r" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_few_configured_pairs_refused(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("campaign:\n  n_pairs: 15\n")
@@ -711,3 +747,58 @@ class TestReproduceCommand:
         assert code == 1
         assert "at least 16 pairs" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+NON_FINITE = re.compile(r"\b(nan|inf|NaN|Infinity)\b")
+
+
+class TestNoNonFiniteOutput:
+    """A result that overflows or is undefined ends the command with one
+    error line (exit 2), never a traceback or a non-finite number."""
+
+    def assert_one_error_line(self, capsys, *names):
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(name in err for name in names), err
+        assert not NON_FINITE.search(out), out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pulse", "--area-rad", "1e308", "--detuning-hz", "1"],
+            ["pulse", "--detuning-hz", "1e308", "--detuning-sigma-hz", "1e308"],
+        ],
+        ids=["huge-area", "huge-detuning"],
+    )
+    def test_pulse_overflow_is_exit_two(self, capsys, argv):
+        assert main([*argv, "--out", "-"]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_scale_factor_overflow_names_the_quantity(self, capsys):
+        assert main(["scale-factor", "--T", "1e308", "--out", "-"]) == 2
+        self.assert_one_error_line(capsys, "scale_s2_per_m")
+
+    def test_undefined_time_ratio_names_the_quantity(self, tmp_path, capsys):
+        # no noise at all: both arms' Allan deviations are 0, so their ratio is 0/0
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  projection_noise: false\n  sigma_ac_rad: 0.0\n  sigma_raman_phase_rad: 0.0\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out)]) == 2
+        self.assert_one_error_line(capsys, "time_to_target_ratio")
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", [["tomography", "--out", "-"], ["simulate", "--pairs", "16"], ["reproduce", "--pairs", "16"]])
+    def test_overflowing_squeezing_strength_is_exit_two(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  squeezing:\n    strength_r: 400.0\n")
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg), "--output-dir", str(out)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_overflowing_wall_time_is_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("campaign:\n  cycle_time_s: 1.0e+308\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out)]) == 2
+        self.assert_one_error_line(capsys)
+        assert not any(NON_FINITE.search(path.read_text()) for path in out.iterdir()), list(out.iterdir())

@@ -90,14 +90,20 @@ class TestOtherLayouts:
         path.write_bytes("\r\n".join(writer_lines(shots, tmp_path)).encode())
         assert read_shot_log(path) == shots
 
-    def test_log_with_stream_id_column_reads_back_equal(self, tmp_path, chunk_chars):
-        # logs written while the shots carried a stream_id column (always
-        # equal to index, placed before wall_time_s) take the per-line path
+    @pytest.mark.parametrize("layout", ["g_true", "stream_id"])
+    def test_log_in_a_former_layout_reads_back_equal(self, tmp_path, chunk_chars, layout):
+        # logs written while the shots carried a g_true_m_per_s2 column
+        # (the simulated truth, after the chirp) and, before that, also a
+        # stream_id column (always equal to index, before wall_time_s)
+        # take the per-line path
         shots = campaign(30)
         lines = writer_lines(shots, tmp_path)
-        old = [re.sub(r'("index":([0-9]+),.*),("wall_time_s":)', r'\1,"stream_id":\2,\3', ln) for ln in lines]
-        assert all(f'"stream_id":{k},' in ln for k, ln in enumerate(old))
-        path = tmp_path / "stream_id.jsonl"
+        old = [re.sub(r'("chirp_rad_per_s2":[^,]*,)', r'\1"g_true_m_per_s2":9.812637,', ln) for ln in lines]
+        if layout == "stream_id":
+            old = [re.sub(r'("index":([0-9]+),.*),("wall_time_s":)', r'\1,"stream_id":\2,\3', ln) for ln in old]
+            assert all(f'"stream_id":{k},' in ln for k, ln in enumerate(old))
+        assert all(len(json.loads(ln)) == {"g_true": 8, "stream_id": 9}[layout] for ln in old)
+        path = tmp_path / "former.jsonl"
         path.write_text("\n".join(old) + "\n")
         assert read_shot_log(path) == shots
 
@@ -156,7 +162,7 @@ class TestWholeColumns:
 
 class TestLongLog:
     def test_log_longer_than_a_read_chunk_round_trips(self, tmp_path, chunk_chars):
-        shots = campaign(1500)
+        shots = campaign(2000)
         path = tmp_path / "long.jsonl"
         write_shot_log(shots, path)
         assert path.stat().st_size > 2 * (1 << 18)  # three default chunks
@@ -172,6 +178,8 @@ def bad_line(line, problem):
         "Infinity": ("wall_time_s", "Infinity"),
         "negative count": ("count_f2", "-2.0"),
         "bad imbalance": ("imbalance", "1000.0"),
+        "T not > 0": ("free_evolution_s", "0.0"),
+        "chirp varies": ("chirp_rad_per_s2", "1.0"),
     }[problem]
     return re.sub(rf'"{field}":[^,}}]*', f'"{field}":{value}', line)
 
@@ -181,6 +189,8 @@ REASONS = {
     "Infinity": "wall_time_s is inf",
     "negative count": "negative count",
     "bad imbalance": "imbalance 1000.0 is not",
+    "T not > 0": "free_evolution_s 0.0 is not > 0",
+    "chirp varies": "chirp varies within the log: 1.0 here, 158038791.82 on the first record",
     "missing key": "count_f2",
 }
 

@@ -398,7 +398,7 @@ class TestShotTable:
 
     def test_columns_are_read_only(self):
         counts = np.arange(4.0)
-        shots = ShotTable(np.arange(4), np.zeros(4), np.zeros(4), np.zeros(4), counts, counts, np.zeros(4), np.zeros(4))
+        shots = ShotTable(np.arange(4), np.zeros(4), np.zeros(4), counts, counts, np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError):
             shots.count_f1[0] = 5.0
         counts[0] = 5.0  # the caller's array stays writable
