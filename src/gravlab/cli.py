@@ -29,12 +29,13 @@ from .analysis import (
     metrological_squeezing,
     phase_noise_budget,
 )
-from .config import AppConfig, _seed_ok, config_hash, load_config
+from .config import AppConfig, config_hash, load_config
 from .errors import ConfigError, DataError, DomainError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity, transfer_probability
 from .sensitivity import net_area, scale_factor
-from .shots import STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics, write_shot_log
-from .squeezing import SqueezingModel, coherent_model, squeezing_parameter, tomography_variance
+from .shots import STREAM_VERSION, _seed_ok, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
+from .shots import write_shot_log
+from .squeezing import coherent_model, squeezing_parameter, tomography_variance
 
 # reference values the summary table is compared against
 REF_SCALE_T1 = 1.4290      # s^2/m at T = 455 us
@@ -94,7 +95,10 @@ def _out_path(args, name):
     return path
 
 
-def _write_csv(path, header, rows):
+def _write_csv(args, name, header, rows):
+    """Write a CSV table to the output `name` (see _out_path); returns
+    the path written, or None for stdout."""
+    path = _out_path(args, name)
     text = ",".join(header) + "\n"
     for row in rows:
         text += ",".join(str(c) for c in row) + "\n"
@@ -104,6 +108,7 @@ def _write_csv(path, header, rows):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {path}")
+    return path
 
 
 def _utcnow() -> str:
@@ -113,10 +118,12 @@ def _utcnow() -> str:
 class Manifest:
     """Run manifest: enough to regenerate every output bit-exactly.
 
-    Written before the data files, finalized (with hashes, the shot
-    diagnostics of each arm, for `reproduce` how each arm's squeezing CI
-    was drawn, and the end timestamp) after; timestamps are the one part
-    that differs between otherwise identical re-runs.
+    Written after each data file, with the digest of every output so far,
+    the shot diagnostics of each arm and, for `reproduce`, how each arm's
+    squeezing CI was drawn; `finish` adds the end timestamp. A run that
+    fails before its first data file leaves no manifest, and one that
+    fails later leaves it with `finished_utc` null. Timestamps are the one
+    part that differs between otherwise identical re-runs.
     """
 
     def __init__(self, path, config: AppConfig, seed, argv):
@@ -133,7 +140,6 @@ class Manifest:
             "outputs": [],
             "diagnostics": {},
         }
-        self._write()
 
     def _write(self):
         with open(self.path, "w", encoding="utf-8") as fh:
@@ -146,6 +152,7 @@ class Manifest:
         self.doc["outputs"].append(
             {"path": os.path.basename(path), "blake2b16": digest}
         )
+        self._write()
 
     def finish(self):
         self.doc["finished_utc"] = _utcnow()
@@ -170,9 +177,7 @@ def _cmd_pulse(args) -> int:
         else:
             mean, std = transfer_probability(shape, delta, args.model), 0.0
         _write_csv(
-            _out_path(args, args.out),
-            ["detuning_rad_s", "transfer_mean", "transfer_std"],
-            [[_f17(delta), _f17(mean), _f17(std)]],
+            args, args.out, ["detuning_rad_s", "transfer_mean", "transfer_std"], [[_f17(delta), _f17(mean), _f17(std)]]
         )
         return 0
     ts = np.linspace(0.0, tau, args.samples)
@@ -185,11 +190,7 @@ def _cmd_pulse(args) -> int:
         ]
         for t in ts
     ]
-    _write_csv(
-        _out_path(args, args.out),
-        ["t_s", "envelope", "accumulated_area_rad", "sensitivity"],
-        rows,
-    )
+    _write_csv(args, args.out, ["t_s", "envelope", "accumulated_area_rad", "sensitivity"], rows)
     return 0
 
 
@@ -210,7 +211,7 @@ def _cmd_scale_factor(args) -> int:
     rows += [
         [f"breakpoint_{i}_s", _f17(t)] for i, t in enumerate(timing.breakpoints)
     ]
-    _write_csv(_out_path(args, args.out), ["quantity", "value"], rows)
+    _write_csv(args, args.out, ["quantity", "value"], rows)
     return 0
 
 
@@ -226,11 +227,7 @@ def _cmd_tomography(args) -> int:
         var = tomography_variance(model, float(phi))
         _, db = squeezing_parameter(var, model.atom_number)
         rows.append([_f17(phi), _f17(var), _f17(db)])
-    _write_csv(
-        _out_path(args, args.out),
-        ["phi_rad", "variance_atoms2", "squeezing_db"],
-        rows,
-    )
+    _write_csv(args, args.out, ["phi_rad", "variance_atoms2", "squeezing_db"], rows)
     return 0
 
 
@@ -266,16 +263,26 @@ def _cmd_simulate(args) -> int:
         print(f"wrote {len(shots)} shots to stdout", file=sys.stderr)
         return 0
     manifest = Manifest(out + ".manifest.json", cfg, campaign.seed, args.raw_argv)
-    shots = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
-    write_shot_log(shots, out)
-    print(f"wrote {out} ({len(shots)} shots)")
-    manifest.add(out)
-    manifest.doc["diagnostics"]["squeezed" if args.squeezed else "coherent"] = shot_diagnostics(shots)
+    _write_arm(cfg, campaign, "squeezed" if args.squeezed else "coherent", out, manifest)
     manifest.finish()
     return 0
 
 
-def _analysis_rows(cfg: AppConfig, shots):
+def _write_arm(cfg: AppConfig, campaign, label: str, path, manifest: Manifest):
+    """Generate one campaign, write its shot log to `path`, and record the
+    log and its shot diagnostics under `label` in the manifest."""
+    shots = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
+    write_shot_log(shots, path)
+    print(f"wrote {path} ({len(shots)} shots)")
+    manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
+    manifest.add(path)
+    return shots
+
+
+def _write_analysis(args, name, cfg: AppConfig, shots):
+    """Estimate g and the metrological squeezing of a log and write them
+    as a quantity,value table to the output `name`; returns the path
+    written (None for stdout) and both estimates."""
     deltas = delta_p(shots)  # refuses a log without one full pair
     t1, t2 = shots.free_evolution_s[:2].tolist()
     s1 = scale_factor(replace(cfg.timing, free_evolution_s=t1), cfg.constants)
@@ -299,14 +306,11 @@ def _analysis_rows(cfg: AppConfig, shots):
         ["alpha_rad_per_s2", _f17(alpha)],
         ["alpha_over_keff_m_s2", _f17(alpha / cfg.constants.k_eff_per_m)],
     ]
-    return rows, grav, squeeze
+    return _write_csv(args, name, ["quantity", "value"], rows), grav, squeeze
 
 
 def _cmd_analyze(args) -> int:
-    cfg = args.config_obj
-    shots = read_shot_log(args.shots)
-    rows, grav, squeeze = _analysis_rows(cfg, shots)
-    _write_csv(_out_path(args, args.out), ["quantity", "value"], rows)
+    _, grav, squeeze = _write_analysis(args, args.out, args.config_obj, read_shot_log(args.shots))
     print(
         f"g = {grav.g_exp_m_s2:.6f} +- {grav.sigma_g_m_s2:.6f} m/s^2, "
         f"squeezing {squeeze.db:+.2f} dB "
@@ -315,22 +319,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _allan_series(shots):
+def _write_allan(args, name, shots):
+    """The overlapping Allan deviation of a log's pair differences,
+    written as a tau_s,adev,err table to the output `name`; returns the
+    path written (None for stdout) and the series."""
     deltas = delta_p(shots)
     if len(deltas.values) < 2:
         raise DataError("need at least 2 pairs for an Allan deviation")
     # tau0 is the log's pair spacing: skipped pairs are closed up, not gaps
-    tau0 = float(shots.wall_time_s[2] - shots.wall_time_s[0])
-    return allan_deviation(deltas.values, tau0)
+    series = allan_deviation(deltas.values, float(shots.wall_time_s[2] - shots.wall_time_s[0]))
+    rows = [[_f17(t), _f17(a), _f17(e)] for t, a, e in zip(series.tau_s, series.adev, series.err)]
+    return _write_csv(args, name, ["tau_s", "adev", "err"], rows), series
 
 
 def _cmd_allan(args) -> int:
-    series = _allan_series(read_shot_log(args.shots))
-    rows = [
-        [_f17(t), _f17(a), _f17(e)]
-        for t, a, e in zip(series.tau_s, series.adev, series.err)
-    ]
-    _write_csv(_out_path(args, args.out), ["tau_s", "adev", "err"], rows)
+    _write_allan(args, args.out, read_shot_log(args.shots))
     return 0
 
 
@@ -389,7 +392,8 @@ def _cmd_fringes(args) -> int:
             ]
         )
     _write_csv(
-        _out_path(args, args.out),
+        args,
+        args.out,
         ["file", "offset", "amplitude", "contrast", "scale_s2_per_m", "phase0_rad", "residual_rms"],
         rows,
     )
@@ -424,11 +428,7 @@ def _cmd_reproduce(args) -> int:
         # refused before any file exists: the coherent arm runs on seed + 1
         raise ConfigError(f"reproduce needs a seed in [0, 2^64 - 1), since the coherent arm runs on seed + 1; got {seed}")
     _apply_state_choice(cfg, True)  # refused before any file exists: the squeezed arm needs squeezing
-    out_dir = args.output_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = Manifest(
-        os.path.join(out_dir, "manifest.json"), cfg, seed, args.raw_argv
-    )
+    manifest = Manifest(_out_path(args, "manifest.json"), cfg, seed, args.raw_argv)
     manifest.doc["bootstrap"] = {}  # how each arm's squeezing CI was drawn
 
     summary = []
@@ -462,30 +462,16 @@ def _cmd_reproduce(args) -> int:
     for label, squeezed, arm_seed in (("squeezed", True, seed), ("coherent", False, seed + 1)):
         arm_cfg = _apply_state_choice(cfg, squeezed)
         campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=n_pairs)
-        shots = run_campaign(campaign, arm_cfg.timing, arm_cfg.constants, arm_cfg.noise)
-        shots_path = os.path.join(out_dir, f"shots_{label}.jsonl")
-        write_shot_log(shots, shots_path)
-        manifest.add(shots_path)
-        manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
-
-        rows, grav, squeeze = _analysis_rows(arm_cfg, shots)
+        shots = _write_arm(arm_cfg, campaign, label, _out_path(args, f"shots_{label}.jsonl"), manifest)
+        path, grav, squeeze = _write_analysis(args, f"analysis_{label}.csv", arm_cfg, shots)
         manifest.doc["bootstrap"][label] = {
             "resamples": squeeze.n_resamples,
             "distinct_squares": squeeze.n_distinct_squares,
             "sampler": squeeze.sampler,
         }
-        analysis_path = os.path.join(out_dir, f"analysis_{label}.csv")
-        _write_csv(analysis_path, ["quantity", "value"], rows)
-        manifest.add(analysis_path)
-
-        series = _allan_series(shots)
-        allan_path = os.path.join(out_dir, f"allan_{label}.csv")
-        _write_csv(
-            allan_path,
-            ["tau_s", "adev", "err"],
-            [[_f17(t), _f17(a), _f17(e)] for t, a, e in zip(series.tau_s, series.adev, series.err)],
-        )
-        manifest.add(allan_path)
+        manifest.add(path)
+        path, series = _write_allan(args, f"allan_{label}.csv", shots)
+        manifest.add(path)
         results[label] = (grav, squeeze, series)
         del shots  # else both arms' shots are held while the next arm is generated
 
@@ -507,9 +493,7 @@ def _cmd_reproduce(args) -> int:
     add("raman_phase_imbalance_noise", budget.delta_jz_atoms, REF_BUDGET[0], "atoms")
     add("raman_phase_level_db", budget.db_vs_sql, REF_BUDGET[1], "dB")
 
-    summary_path = os.path.join(out_dir, "summary.csv")
-    _write_csv(summary_path, ["quantity", "simulated", "reference", "unit"], summary)
-    manifest.add(summary_path)
+    manifest.add(_write_csv(args, "summary.csv", ["quantity", "simulated", "reference", "unit"], summary))
     manifest.finish()
 
     print(f"squeezed: g = {grav_s.g_exp_m_s2:.6f} +- {grav_s.sigma_g_m_s2:.6f} m/s^2")

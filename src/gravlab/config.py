@@ -19,7 +19,7 @@ import yaml
 
 from .errors import ConfigError
 from .sensitivity import PhysicalConstants, SequenceTiming
-from .shots import CampaignConfig, NoiseConfig
+from .shots import CampaignConfig, NoiseConfig, _seed_ok
 from .squeezing import SqueezingModel
 
 ENV_CONFIG_PATH = "GRAVLAB_CONFIG"
@@ -51,10 +51,6 @@ def _unit_interval(v) -> bool:
 
 def _pos_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-def _seed_ok(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64
 
 
 def _nullable_finite(v) -> bool:

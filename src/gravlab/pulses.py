@@ -63,6 +63,14 @@ class PulseShape:
             raise ConfigError("pulse duration must be > 0")
         if self.area_rad <= 0:
             raise ConfigError("pulse area must be > 0")
+        try:
+            finite = math.isfinite(self.peak_rabi_rad_s)
+        except ZeroDivisionError:  # a subnormal duration times BLACKMAN_MEAN rounds to 0
+            finite = False
+        if not finite:
+            raise DomainError(
+                f"pulse area {self.area_rad} rad over {self.duration_s} s needs a peak Rabi rate beyond the float range"
+            )
 
     @property
     def peak_rabi_rad_s(self) -> float:

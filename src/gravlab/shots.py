@@ -11,6 +11,11 @@ so any subset of shots can be regenerated independently. Each draw has
 its own counter, one per channel: atom number, acceleration offset,
 light-shift phase, Raman-laser phase, imbalance. Switching a channel off
 therefore never shifts another.
+
+A CampaignConfig (seed, the two free-evolution times, chirp, g and cycle
+time) is the key of every shot: shot i runs t1_s if i is even and t2_s if
+it is odd, so simulate_shot(campaign, ..., i) is run_campaign(campaign,
+...)[i], computed alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainError
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
 from .squeezing import SqueezingModel
 
@@ -67,6 +72,16 @@ class NoiseConfig:
         return self.contrast * self.raman_efficiency**4
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _seed_ok(v) -> bool:
+    """True for an integer in [0, 2^64): one word of the Philox key, a
+    seed or a shot index."""
+    return _is_int(v) and 0 <= v < 2**64
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Alternating-T campaign layout."""
@@ -81,8 +96,10 @@ class CampaignConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ConfigError("n_pairs must be >= 1")
+        if not (_is_int(self.n_pairs) and self.n_pairs >= 1):
+            raise ConfigError(f"n_pairs must be an integer >= 1, got {self.n_pairs!r}")
+        if not _seed_ok(self.seed):
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.t1_s == self.t2_s:
             raise ConfigError("t1_s and t2_s must differ")
         if self.cycle_time_s <= 0:
@@ -190,25 +207,26 @@ def _standard_normals(seed: int, indices: np.ndarray) -> np.ndarray:
 
 
 def _simulate(
+    campaign: CampaignConfig,
+    timing: SequenceTiming,
     constants: PhysicalConstants,
     noise: NoiseConfig,
-    g_true: float,
-    alpha: float,
-    seed: int,
     indices: np.ndarray,
-    free_evolution_s: np.ndarray,
-    scale_s2_per_m: np.ndarray,
-    cycle_time_s: float,
 ) -> ShotTable:
-    """The shots at `indices`, with the free evolution and scale factor of
-    each; every shot depends only on (seed, its index)."""
-    z_atoms, z_accel, z_ac, z_raman, z_readout = _standard_normals(seed, indices)
+    """The shots of `campaign` at `indices` (uint64). Even indices run the
+    long free evolution t1_s and odd ones the short t2_s; every shot
+    depends only on (seed, its index)."""
+    parity = indices % 2
+    t_free = np.array([campaign.t1_s, campaign.t2_s])
+    scale = np.array([scale_factor(replace(timing, free_evolution_s=float(t)), constants) for t in t_free])
+    z_atoms, z_accel, z_ac, z_raman, z_readout = _standard_normals(campaign.seed, indices)
 
     n = np.maximum(1.0, np.rint(noise.atom_number_mean + noise.atom_number_sigma * z_atoms))
     n -= n % 2.0  # even split keeps integer counts; may drop to 0
 
+    g = campaign.g_true_m_per_s2 + noise.sigma_accel_m_s2 * z_accel
     phi = (
-        phase_signal(g_true + noise.sigma_accel_m_s2 * z_accel, alpha, scale_s2_per_m, constants)
+        phase_signal(g, campaign.alpha_rad_per_s2, scale[parity], constants)
         + noise.sigma_ac_rad * z_ac
         + noise.sigma_raman_phase_rad * z_raman
     )
@@ -231,39 +249,27 @@ def _simulate(
 
     return ShotTable(
         index=indices.astype(np.int64),
-        free_evolution_s=np.broadcast_to(free_evolution_s, indices.shape),
-        chirp_rad_per_s2=np.broadcast_to(alpha, indices.shape),
+        free_evolution_s=t_free[parity],
+        chirp_rad_per_s2=np.broadcast_to(campaign.alpha_rad_per_s2, indices.shape),
         count_f1=n / 2.0 - jz,
         count_f2=n / 2.0 + jz,
         imbalance=jz,
-        wall_time_s=indices * cycle_time_s,
+        wall_time_s=indices * campaign.cycle_time_s,
     )
 
 
 def simulate_shot(
+    campaign: CampaignConfig,
     timing: SequenceTiming,
     constants: PhysicalConstants,
     noise: NoiseConfig,
-    g_true: float,
-    alpha: float,
-    seed: int,
     index: int,
-    cycle_time_s: float = 52.0,
 ) -> ShotTable:
-    """Generate one shot from its (seed, index) counters: a campaign of
-    one, returned as a one-row table. The free-evolution time and the
-    scale factor come from `timing`."""
-    return _simulate(
-        constants,
-        noise,
-        g_true,
-        alpha,
-        seed,
-        np.array([index], dtype=np.uint64),
-        timing.free_evolution_s,
-        scale_factor(timing, constants),
-        cycle_time_s,
-    )
+    """Shot `index` of the campaign, regenerated from its (seed, index)
+    counters alone: run_campaign(...)[index], a campaign of one."""
+    if not _seed_ok(index):
+        raise DomainError(f"shot index must be an integer in [0, 2^64), got {index!r}")
+    return _simulate(campaign, timing, constants, noise, np.array([index], dtype=np.uint64))
 
 
 CAMPAIGN_BLOCK_SHOTS = 4096  # shots generated at once: bounds the numpy temporaries
@@ -275,23 +281,16 @@ def run_campaign(
     constants: PhysicalConstants,
     noise: NoiseConfig,
 ) -> ShotTable:
-    """2 n_pairs shots alternating the long and short free evolution.
+    """The campaign's 2 n_pairs shots, ordered by index.
 
-    Deterministic in (seed, config); the rows are ordered by index. The
-    shots are generated in blocks of CAMPAIGN_BLOCK_SHOTS indices, which
-    cannot change them, since each depends only on (seed, its index).
+    The shots are generated in blocks of CAMPAIGN_BLOCK_SHOTS indices,
+    which cannot change them, since each depends only on (seed, its index).
     """
-    t_free = np.array([campaign.t1_s, campaign.t2_s])  # of even and odd indices
-    scale = np.array([scale_factor(replace(timing, free_evolution_s=float(t)), constants) for t in t_free])
     indices = np.arange(2 * campaign.n_pairs, dtype=np.uint64)
-    blocks = []
-    for start in range(0, len(indices), CAMPAIGN_BLOCK_SHOTS):
-        block = indices[start : start + CAMPAIGN_BLOCK_SHOTS]
-        parity = block % 2
-        blocks.append(_simulate(
-            constants, noise, campaign.g_true_m_per_s2, campaign.alpha_rad_per_s2, campaign.seed,
-            block, t_free[parity], scale[parity], campaign.cycle_time_s,
-        ))
+    blocks = [
+        _simulate(campaign, timing, constants, noise, indices[start : start + CAMPAIGN_BLOCK_SHOTS])
+        for start in range(0, len(indices), CAMPAIGN_BLOCK_SHOTS)
+    ]
     return ShotTable(*(np.concatenate([getattr(b, name) for b in blocks]) for name in SHOT_FIELDS))
 
 

@@ -763,16 +763,18 @@ class TestNoNonFiniteOutput:
         assert not NON_FINITE.search(out), out
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, names",
         [
-            ["pulse", "--area-rad", "1e308", "--detuning-hz", "1"],
-            ["pulse", "--detuning-hz", "1e308", "--detuning-sigma-hz", "1e308"],
+            (["pulse", "--area-rad", "1e308", "--detuning-hz", "1"], ("area", "1e+308")),
+            (["pulse", "--detuning-hz", "1e308", "--detuning-sigma-hz", "1e308"], ()),
+            # 0.42 x 5e-324 rounds to 0: the Blackman peak rate divides by zero
+            (["pulse", "--tau-s", "5e-324", "--detuning-hz", "1"], ("area", "5e-324")),
         ],
-        ids=["huge-area", "huge-detuning"],
+        ids=["huge-area", "huge-detuning", "subnormal-duration"],
     )
-    def test_pulse_overflow_is_exit_two(self, capsys, argv):
+    def test_pulse_overflow_is_exit_two(self, capsys, argv, names):
         assert main([*argv, "--out", "-"]) == 2
-        self.assert_one_error_line(capsys)
+        self.assert_one_error_line(capsys, *names)
 
     def test_scale_factor_overflow_names_the_quantity(self, capsys):
         assert main(["scale-factor", "--T", "1e308", "--out", "-"]) == 2
@@ -786,6 +788,15 @@ class TestNoNonFiniteOutput:
         assert main(["reproduce", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out)]) == 2
         self.assert_one_error_line(capsys, "time_to_target_ratio")
         assert not (out / "summary.csv").exists()
+        # the manifest of the failed run lists, with digests, the six files it wrote
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["finished_utc"] is None
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(entry["path"] for entry in manifest["outputs"]) == written and len(written) == 6
+        for entry in manifest["outputs"]:
+            digest = hashlib.blake2b((out / entry["path"]).read_bytes(), digest_size=8).hexdigest()
+            assert entry["blake2b16"] == digest, entry
+        assert set(manifest["diagnostics"]) == set(manifest["bootstrap"]) == {"squeezed", "coherent"}
 
     @pytest.mark.parametrize("command", [["tomography", "--out", "-"], ["simulate", "--pairs", "16"], ["reproduce", "--pairs", "16"]])
     def test_overflowing_squeezing_strength_is_exit_two(self, tmp_path, capsys, command):
@@ -794,6 +805,20 @@ class TestNoNonFiniteOutput:
         out = tmp_path / "out"
         assert main([*command, "--config", str(cfg), "--output-dir", str(out)]) == 2
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", [["simulate"], ["reproduce"]])
+    @pytest.mark.parametrize(
+        "setting",
+        ["noise:\n  squeezing:\n    strength_r: 400.0\n", "campaign:\n  cycle_time_s: 1.0e+308\n"],
+        ids=["huge-squeezing", "huge-cycle-time"],
+    )
+    def test_run_failing_before_its_first_file_leaves_none(self, tmp_path, capsys, command, setting):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(setting)
+        out = tmp_path / "out"
+        assert main([*command, "--pairs", "16", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        self.assert_one_error_line(capsys)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
     def test_overflowing_wall_time_is_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

@@ -9,6 +9,7 @@ constant Hamiltonian of a square pulse.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,14 @@ class TestShapeValidation:
     def test_nonpositive_area(self):
         with pytest.raises(ConfigError):
             PulseShape(area_rad=-1.0)
+
+    @pytest.mark.parametrize(
+        "kind, area, duration",
+        [("blackman", 1e308, 60e-6), ("square", 1e308, 1e-6), ("square", 1.0, 1e-320), ("blackman", math.pi, 5e-324)],
+    )
+    def test_peak_rabi_beyond_float_range_names_area_and_duration(self, kind, area, duration):
+        with pytest.raises(DomainError, match=re.escape(f"pulse area {area} rad over {duration} s")):
+            PulseShape(kind=kind, area_rad=area, duration_s=duration)
 
     def test_peak_rabi_realizes_area(self):
         sh = PulseShape(duration_s=60e-6)

@@ -14,6 +14,7 @@ from gravlab import (
     CampaignConfig,
     ConfigError,
     DataError,
+    DomainError,
     NoiseConfig,
     PhysicalConstants,
     SequenceTiming,
@@ -69,21 +70,23 @@ class TestDeterminism:
         b = run_campaign(camp, TIMING, CONST, calibrated_noise(sigma_ac_rad=0.01))
         assert a == b
 
-    def test_single_shot_regenerates_out_of_context(self):
-        camp = CampaignConfig(n_pairs=20, seed=31)
-        noise = calibrated_noise(sigma_ac_rad=0.02, atom_number_sigma=150.0)
-        records = run_campaign(camp, TIMING, CONST, noise)
-        lone = simulate_shot(
-            replace(TIMING, free_evolution_s=camp.t2_s),
-            CONST,
-            noise,
-            camp.g_true_m_per_s2,
-            camp.alpha_rad_per_s2,
-            seed=31,
-            index=7,
-            cycle_time_s=camp.cycle_time_s,
+    def test_every_shot_regenerates_alone(self):
+        # every index of a campaign, then the edges of the generation blocks
+        noise = calibrated_noise(
+            sigma_ac_rad=0.3, sigma_raman_phase_rad=0.1, atom_number_sigma=900.0, sigma_accel_m_s2=1e-3
         )
-        assert lone == records[7]
+        camp = CampaignConfig(n_pairs=150, seed=2**64 - 3)
+        records = run_campaign(camp, TIMING, CONST, noise)
+        for i in range(len(records)):
+            lone = simulate_shot(camp, TIMING, CONST, noise, index=i)
+            assert lone == records[i], i
+            # even indices run the long T, odd ones the short T
+            assert lone.free_evolution_s[0] == (camp.t2_s if i % 2 else camp.t1_s)
+        camp = CampaignConfig(n_pairs=CAMPAIGN_BLOCK_SHOTS + 3, seed=17)
+        records = run_campaign(camp, TIMING, CONST, noise)
+        assert len(records) == 2 * camp.n_pairs > CAMPAIGN_BLOCK_SHOTS
+        for i in (0, CAMPAIGN_BLOCK_SHOTS - 1, CAMPAIGN_BLOCK_SHOTS, len(records) - 1):
+            assert simulate_shot(camp, TIMING, CONST, noise, index=i) == records[i], i
 
     def test_different_seeds_differ(self):
         noise = calibrated_noise()
@@ -96,8 +99,9 @@ class TestDeterminism:
         # the imbalance draw stays identical in both configs
         base = calibrated_noise(sigma_ac_rad=0.0)
         also = calibrated_noise(sigma_ac_rad=1e-300)
-        a = simulate_shot(TIMING, CONST, base, G_TRUE, ALPHA_COMP, seed=3, index=0)
-        b = simulate_shot(TIMING, CONST, also, G_TRUE, ALPHA_COMP, seed=3, index=0)
+        camp = CampaignConfig(g_true_m_per_s2=G_TRUE, alpha_rad_per_s2=ALPHA_COMP, seed=3)
+        a = simulate_shot(camp, TIMING, CONST, base, index=0)
+        b = simulate_shot(camp, TIMING, CONST, also, index=0)
         assert a.imbalance == b.imbalance
 
 
@@ -148,43 +152,6 @@ class TestPhiloxKernel:
         assert np.all(np.abs(z.var(axis=1) - 1.0) < 4 * math.sqrt(2.0) * se)
         corr = np.corrcoef(z)
         assert np.all(np.abs(corr - np.eye(N_CHANNELS)) < 4 * se)
-
-    def test_every_shot_equals_its_batch_of_one(self):
-        camp = CampaignConfig(n_pairs=150, seed=2**64 - 3)
-        noise = calibrated_noise(
-            sigma_ac_rad=0.3, sigma_raman_phase_rad=0.1, atom_number_sigma=900.0, sigma_accel_m_s2=1e-3
-        )
-        records = run_campaign(camp, TIMING, CONST, noise)
-        for i, t in enumerate(records.free_evolution_s.tolist()):
-            lone = simulate_shot(
-                replace(TIMING, free_evolution_s=t),
-                CONST,
-                noise,
-                camp.g_true_m_per_s2,
-                camp.alpha_rad_per_s2,
-                seed=camp.seed,
-                index=i,
-                cycle_time_s=camp.cycle_time_s,
-            )
-            assert lone == records[i]
-
-    def test_block_edges_do_not_change_shots(self):
-        camp = CampaignConfig(n_pairs=CAMPAIGN_BLOCK_SHOTS + 3, seed=17)
-        noise = calibrated_noise(sigma_ac_rad=0.3, atom_number_sigma=900.0, sigma_accel_m_s2=1e-3)
-        records = run_campaign(camp, TIMING, CONST, noise)
-        assert len(records) == 2 * camp.n_pairs > CAMPAIGN_BLOCK_SHOTS
-        for i in (0, CAMPAIGN_BLOCK_SHOTS - 1, CAMPAIGN_BLOCK_SHOTS, len(records) - 1):
-            lone = simulate_shot(
-                replace(TIMING, free_evolution_s=camp.t2_s if i % 2 else camp.t1_s),
-                CONST,
-                noise,
-                camp.g_true_m_per_s2,
-                camp.alpha_rad_per_s2,
-                seed=camp.seed,
-                index=i,
-                cycle_time_s=camp.cycle_time_s,
-            )
-            assert lone == records[i], i
 
 
 def scalar_shot(z, noise, g_true, alpha, scale):
@@ -270,7 +237,8 @@ class TestNoiseOffLimits:
         # compensating chirp, no noise channels, analog readout: a null
         # measurement with p exactly one half
         noise = quiet_noise(projection_noise=False)
-        rec = simulate_shot(TIMING, CONST, noise, G_TRUE, ALPHA_COMP, seed=1, index=0)
+        camp = CampaignConfig(g_true_m_per_s2=G_TRUE, alpha_rad_per_s2=ALPHA_COMP, seed=1)
+        rec = simulate_shot(camp, TIMING, CONST, noise, index=0)
         assert len(rec) == 1
         assert rec.imbalance[0] == 0.0
         assert rec.count_f2[0] / (rec.count_f1[0] + rec.count_f2[0]) == 0.5
@@ -281,8 +249,9 @@ class TestNoiseOffLimits:
 
         noise = quiet_noise(projection_noise=False, contrast=0.9)
         alpha = 9.8126 * CONST.k_eff_per_m
-        rec = simulate_shot(TIMING, CONST, noise, G_TRUE, alpha, seed=1, index=0)
-        s = scale_factor(TIMING, CONST)
+        camp = CampaignConfig(g_true_m_per_s2=G_TRUE, alpha_rad_per_s2=alpha, seed=1)
+        rec = simulate_shot(camp, TIMING, CONST, noise, index=0)  # even: the long T, t1_s
+        s = scale_factor(replace(TIMING, free_evolution_s=camp.t1_s), CONST)
         phi = (G_TRUE - alpha / CONST.k_eff_per_m) * s
         assert rec.imbalance[0] == pytest.approx(3000.0 * 0.9 * math.sin(phi), rel=1e-12)
 
@@ -294,12 +263,11 @@ class TestNoiseOffLimits:
         dg = 2.0e-6
         alpha = (G_TRUE - dg) * CONST.k_eff_per_m
         n_shots = 3000
-        jz = [
-            simulate_shot(TIMING, CONST, noise, G_TRUE, alpha, seed=77, index=i).imbalance[0]
-            for i in range(n_shots)
-        ]
-        s = scale_factor(TIMING, CONST)
-        expect = 3000.0 * math.sin(dg * s)
+        camp = CampaignConfig(g_true_m_per_s2=G_TRUE, alpha_rad_per_s2=alpha, seed=77)
+        jz = [simulate_shot(camp, TIMING, CONST, noise, index=i).imbalance[0] for i in range(n_shots)]
+        # each shot's own response: odd indices run the short T
+        s = [scale_factor(replace(TIMING, free_evolution_s=t), CONST) for t in (camp.t1_s, camp.t2_s)]
+        expect = np.mean([3000.0 * math.sin(dg * s[i % 2]) for i in range(n_shots)])
         sem = math.sqrt(6000.0 / 4.0) / math.sqrt(n_shots)
         assert np.mean(jz) == pytest.approx(expect, abs=3 * sem)
 
@@ -549,3 +517,26 @@ class TestValidation:
             CampaignConfig(t1_s=1e-4, t2_s=1e-4)
         with pytest.raises(ConfigError):
             CampaignConfig(cycle_time_s=0.0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True, "7", None])
+    def test_campaign_refuses_a_seed_that_is_not_a_key_word(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer in"):
+            CampaignConfig(seed=seed)
+
+    @pytest.mark.parametrize("n_pairs", [2.5, 0, -3, True, "8"])
+    def test_campaign_refuses_a_pair_count_that_is_not_a_whole_number(self, n_pairs):
+        with pytest.raises(ConfigError, match="n_pairs must be an integer >= 1"):
+            CampaignConfig(n_pairs=n_pairs)
+
+    def test_campaign_takes_numpy_integers_as_python_ints(self):
+        noise = quiet_noise()
+        a = run_campaign(CampaignConfig(n_pairs=np.int64(3), seed=np.uint64(2**64 - 1)), TIMING, CONST, noise)
+        assert a == run_campaign(CampaignConfig(n_pairs=3, seed=2**64 - 1), TIMING, CONST, noise)
+
+    @pytest.mark.parametrize("index", [1.5, -1, 2**64, True, "1", np.float64(1.0)])
+    def test_simulate_shot_refuses_an_index_that_is_not_a_key_word(self, index):
+        with pytest.raises(DomainError, match="shot index must be an integer in"):
+            simulate_shot(CampaignConfig(n_pairs=2), TIMING, CONST, quiet_noise(), index=index)
+
+    def test_simulate_shot_takes_the_last_key_word(self):
+        assert len(simulate_shot(CampaignConfig(seed=3), TIMING, CONST, quiet_noise(), index=2**64 - 1)) == 1
