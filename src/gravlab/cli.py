@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import math
 import os
@@ -147,6 +146,7 @@ class Manifest:
             fh.write("\n")
 
     def add(self, path):
+        import hashlib
         with open(path, "rb") as fh:
             digest = hashlib.blake2b(fh.read(), digest_size=8).hexdigest()
         self.doc["outputs"].append(
@@ -405,7 +405,8 @@ def _cmd_fringes(args) -> int:
         k = cfg.constants.k_eff_per_m
         mags = sorted((abs(f.scale_s2_per_m) for f in fits), reverse=True)
         half = math.pi / (mags[0] + mags[1]) * k
-        center = float(np.median(alphas))
+        ordered, mid = sorted(alphas), len(alphas) // 2  # np.median would import numpy.ma
+        center = ordered[mid] if len(alphas) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
         star = fringe_intersection(fits, cfg.constants, (center - half, center + half))
         print(f"alpha_star_rad_per_s2,{_f17(star.alpha_rad_per_s2)}")
         print(f"alpha_star_over_keff_m_s2,{_f17(star.alpha_rad_per_s2 / k)}")

@@ -9,13 +9,10 @@ and a test keeps the two equal.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass
-
-import yaml
 
 from .errors import ConfigError
 from .sensitivity import PhysicalConstants, SequenceTiming
@@ -121,6 +118,7 @@ def _walk(loader: yaml.SafeLoader, node: yaml.MappingNode, prefix: str = "") -> 
     spelled as one key would pass the path checks, but parse_config reads
     the nested sections and would never use its value. Errors name the
     key's line."""
+    import yaml
     written = sum(key.tag != "tag:yaml.org,2002:merge" for key, _ in node.value)
     loader.flatten_mapping(node)  # resolves '<<' merges: merged pairs first, written ones last
     merged = len(node.value) - written
@@ -151,20 +149,21 @@ def _walk(loader: yaml.SafeLoader, node: yaml.MappingNode, prefix: str = "") -> 
 
 
 def parse_config(text: str) -> AppConfig:
-    """Parse YAML text into a validated AppConfig; empty text = defaults."""
-    loader = yaml.SafeLoader(text)
-    try:
-        node = loader.get_single_node()
-        if node is None or node.tag == "tag:yaml.org,2002:null":
-            data = {}
-        elif isinstance(node, yaml.MappingNode):
-            data = _walk(loader, node)
-        else:
-            raise ConfigError("config root must be a mapping")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    finally:
-        loader.dispose()
+    """Parse YAML text into a validated AppConfig; blank text = defaults."""
+    data: dict = {}
+    if text.strip():
+        import yaml
+        loader = yaml.SafeLoader(text)
+        try:
+            node = loader.get_single_node()
+            if isinstance(node, yaml.MappingNode):
+                data = _walk(loader, node)
+            elif node is not None and node.tag != "tag:yaml.org,2002:null":
+                raise ConfigError("config root must be a mapping")
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        finally:
+            loader.dispose()
     # the user's values overlaid on the built-ins, nested like the YAML
     resolved: dict = {}
     for path, (builtin, _, _) in SCHEMA.items():
@@ -241,5 +240,6 @@ def load_config(path: str | None = None) -> AppConfig:
 
 def config_hash(config: AppConfig) -> str:
     """64-bit stable hash of the resolved configuration (hex)."""
+    import hashlib
     canon = json.dumps(config.resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(canon.encode("utf-8"), digest_size=8).hexdigest()

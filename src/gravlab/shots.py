@@ -267,8 +267,8 @@ def simulate_shot(
 ) -> ShotTable:
     """Shot `index` of the campaign, regenerated from its (seed, index)
     counters alone: run_campaign(...)[index], a campaign of one."""
-    if not _seed_ok(index):
-        raise DomainError(f"shot index must be an integer in [0, 2^64), got {index!r}")
+    if not (_seed_ok(index) and index < 2**63):  # ShotTable and the log hold it as int64
+        raise DomainError(f"shot index must be an integer in [0, 2^63), got {index!r}")
     return _simulate(campaign, timing, constants, noise, np.array([index], dtype=np.uint64))
 
 

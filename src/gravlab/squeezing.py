@@ -7,10 +7,10 @@ Two layers:
   terms, evolves the vacuum, and splits the result into the symmetric
   and antisymmetric modes. Every operator is a sparse CSR array. Each
   Hamiltonian conserves a number (N+ - N-, N+ + N- or parity), so its
-  propagator is block diagonal: `evolve` exponentiates each occupied
-  block by its eigendecomposition, and the beamsplitter is one more
-  call to `evolve`. scipy is imported inside the functions that use
-  it, so loading this module loads no scipy.
+  propagator is block diagonal: `evolve` finds the blocks with numpy,
+  exponentiates each occupied one by its eigendecomposition, and the
+  beamsplitter is one more call to `evolve`. scipy.sparse, the only
+  scipy it needs, is imported inside the functions that use it.
 * A four-number Gaussian model (atom number, squeezing strength,
   optimal readout phase, detection noise) that reproduces the measured
   variance-vs-angle tomography and the squeezing parameter in dB.
@@ -167,6 +167,26 @@ def vacuum_state(space: FockSpace) -> np.ndarray:
     return psi
 
 
+def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label each of range(n) by the smallest index of its component in the
+    undirected graph of edges (rows[i], cols[i]): root hooking with pointer
+    jumping (Shiloach & Vishkin, J. Algorithms 3, 57, 1982), each round
+    hooking every root onto the smallest smaller root across its edges."""
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        ends = label.take(rows), label.take(cols)
+        high, low = np.maximum(*ends), np.minimum(*ends)
+        if not (cross := high != low).any():
+            return label
+        # sorted by (root, smaller root), a root's first edge has its minimum
+        key = np.sort(high[cross] << 32 | low[cross])  # n < 2^31
+        rows, cols = key >> 32, key & 0xFFFFFFFF
+        head = np.flatnonzero(np.diff(rows, prepend=-1))
+        label[rows[head]] = cols[head]
+        while not np.array_equal(jumped := label.take(label), label):
+            label = jumped
+
+
 def evolve(
     hamiltonian: np.ndarray | sp.sparray, state: np.ndarray, duration: float
 ) -> np.ndarray:
@@ -179,32 +199,31 @@ def evolve(
     zero. No dim x dim matrix is formed.
     """
     import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
 
     h = sp.csr_array(hamiltonian)
-    # csgraph takes real weights, so the pattern comes from |H|: an
-    # imaginary H would otherwise lose every edge
-    graph = abs(h)
-    graph.eliminate_zeros()
-    if abs(h - h.conj().T).max() > 1e-12 * max(1.0, graph.max()):
+    if abs(h - h.conj().T).max() > 1e-12 * max(1.0, abs(h).max()):
         raise NumericalError("hamiltonian is not Hermitian")
-    _, sector = connected_components(graph, directed=False)
-    # sorted by sector, H is block diagonal: sector k is the slice
-    # edges[k]:edges[k + 1] of `order`
-    order = np.argsort(sector, kind="stable")
-    edges = np.concatenate(([0], np.cumsum(np.bincount(sector))))
+    h = h.tocoo()  # the entries toarray places: duplicates summed, zeros dropped
+    h.sum_duplicates()
+    h.eliminate_zeros()
+    sector = _sectors(h.shape[0], h.row, h.col)
     occupied = np.unique(sector[state != 0])
-    largest = np.diff(edges)[occupied].max(initial=0)
+    largest = np.bincount(sector)[occupied].max(initial=0)
     if largest > MAX_BLOCK_DIM:
         raise ConfigError(f"conserved sector of dimension {largest} exceeds limit {MAX_BLOCK_DIM}")
 
-    blocks = h[order][:, order]
+    # each occupied sector's indices, ascending, and its entries
+    groups = []
+    for labels in (sector, sector[h.row]):
+        picked = np.flatnonzero(np.isin(labels, occupied))
+        picked = picked[np.argsort(labels[picked], kind="stable")]
+        groups.append(np.split(picked, np.searchsorted(labels[picked], occupied))[1:])
     out = np.zeros(state.shape, dtype=complex)
-    for k in occupied:
-        lo, hi = edges[k], edges[k + 1]
-        energy, vectors = np.linalg.eigh(blocks[lo:hi, lo:hi].toarray())
-        rows = order[lo:hi]
-        out[rows] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[rows]))
+    for mine, inside in zip(*groups):
+        block = np.zeros((len(mine), len(mine)), dtype=h.dtype)
+        block[np.searchsorted(mine, h.row[inside]), np.searchsorted(mine, h.col[inside])] = h.data[inside]
+        energy, vectors = np.linalg.eigh(block)
+        out[mine] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[mine]))
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
     if drift > 1e-8:
         raise NumericalError(f"evolution norm drift {drift:.2e}")

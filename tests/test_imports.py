@@ -1,4 +1,4 @@
-"""The CLI loads scipy only where a command calls it."""
+"""Each command and layer loads only the libraries it calls."""
 
 import math
 import os
@@ -11,33 +11,30 @@ import gravlab
 SRC = os.path.dirname(os.path.dirname(gravlab.__file__))
 
 
-def stdout_lines_listing_scipy(argv):
-    """Stdout lines of a fresh interpreter that runs the CLI on `argv` and
-    then lists its scipy modules: this test session has long since
-    imported scipy."""
-    code = textwrap.dedent(
-        f"""
-        import sys
-        import gravlab.cli
-        assert gravlab.cli.main({argv!r}) == 0
-        print("scipy modules:", sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-        """
-    )
+def run_fresh(body: str) -> tuple[list[str], set[str]]:
+    """Stdout lines of a fresh interpreter that runs `body`, and the names
+    of the modules it has loaded by then: this test session has long since
+    imported scipy, PyYAML and hashlib. No GRAVLAB_CONFIG reaches it."""
+    code = textwrap.dedent(body) + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("GRAVLAB_CONFIG", None)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    lines = done.stdout.splitlines()
+    return lines[:-1], set(lines[-1].split())
 
 
-def test_reproduce_loads_no_scipy(tmp_path):
-    lines = stdout_lines_listing_scipy(["reproduce", "--pairs", "16", "--output-dir", str(tmp_path)])
-    assert lines[-1] == "scipy modules: []"
-    assert (tmp_path / "summary.csv").exists()
+def run_cli(argv) -> tuple[list[str], set[str]]:
+    return run_fresh(f"import gravlab.cli\nassert gravlab.cli.main({argv!r}) == 0")
 
 
-def test_fringes_loads_no_scipy(tmp_path):
+def scipy_modules(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
+def fringe_scans(tmp_path) -> list[str]:
     scans = []
     for scale in (-1.42, -0.767):
         path = tmp_path / f"scan{len(scans)}.csv"
@@ -45,6 +42,44 @@ def test_fringes_loads_no_scipy(tmp_path):
         rows = [f"{x * 1.61057e7!r},{0.5 + 0.49 * math.cos(scale * (x - 9.8126))!r}" for x in xs]
         path.write_text("\n".join(["alpha_rad_per_s2,p", *rows]) + "\n")
         scans.append(str(path))
-    lines = stdout_lines_listing_scipy(["fringes", *scans, "--output-dir", str(tmp_path)])
-    assert lines[-1] == "scipy modules: []"
+    return scans
+
+
+def test_reproduce_loads_no_scipy(tmp_path):
+    _, modules = run_cli(["reproduce", "--pairs", "16", "--output-dir", str(tmp_path)])
+    assert scipy_modules(modules) == []
+    assert (tmp_path / "summary.csv").exists()
+
+
+def test_fringes_loads_no_scipy(tmp_path):
+    lines, modules = run_cli(["fringes", *fringe_scans(tmp_path), "--output-dir", str(tmp_path)])
+    assert scipy_modules(modules) == []
     assert any(line.startswith("sigma_alpha_star_over_keff_m_s2,") for line in lines)
+
+
+def test_fringes_loads_no_numpy_ma(tmp_path):
+    # np.median would load it, through its NaN check
+    lines, modules = run_cli(["fringes", *fringe_scans(tmp_path), "--output-dir", str(tmp_path)])
+    assert "numpy.ma" not in modules
+    assert any(line.startswith("alpha_star_rad_per_s2,") for line in lines)
+
+
+def test_scale_factor_without_config_loads_no_yaml_or_hashlib():
+    lines, modules = run_cli(["scale-factor"])
+    assert lines
+    assert {"yaml", "hashlib"}.isdisjoint(modules)
+
+
+def test_fock_layer_loads_only_scipy_sparse():
+    # csgraph would bring scipy.sparse.linalg and scipy.linalg with it
+    _, modules = run_fresh(
+        """
+        from gravlab import squeezing as sq
+        space = sq.FockSpace(n_max=12)
+        chain = sq.build_hamiltonians(space, sq.HamiltonianParams())
+        sq.mode_transform(sq.evolve(chain.two_mode, sq.vacuum_state(space), 0.8), space)
+        """
+    )
+    assert "scipy.sparse" in modules
+    for heavy in ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"):
+        assert heavy not in modules, heavy

@@ -533,10 +533,13 @@ class TestValidation:
         a = run_campaign(CampaignConfig(n_pairs=np.int64(3), seed=np.uint64(2**64 - 1)), TIMING, CONST, noise)
         assert a == run_campaign(CampaignConfig(n_pairs=3, seed=2**64 - 1), TIMING, CONST, noise)
 
-    @pytest.mark.parametrize("index", [1.5, -1, 2**64, True, "1", np.float64(1.0)])
+    # an index at or above 2^63 would wrap in the int64 index column
+    @pytest.mark.parametrize("index", [1.5, -1, 2**63, 2**64 - 1, 2**64, True, "1", np.float64(1.0)])
     def test_simulate_shot_refuses_an_index_that_is_not_a_key_word(self, index):
-        with pytest.raises(DomainError, match="shot index must be an integer in"):
+        with pytest.raises(DomainError, match=r"shot index must be an integer in \[0, 2\^63\)"):
             simulate_shot(CampaignConfig(n_pairs=2), TIMING, CONST, quiet_noise(), index=index)
 
-    def test_simulate_shot_takes_the_last_key_word(self):
-        assert len(simulate_shot(CampaignConfig(seed=3), TIMING, CONST, quiet_noise(), index=2**64 - 1)) == 1
+    def test_simulate_shot_takes_the_last_key_word(self, tmp_path):
+        shot = simulate_shot(CampaignConfig(seed=3), TIMING, CONST, quiet_noise(), index=2**63 - 1)
+        write_shot_log(shot, tmp_path / "shot.jsonl")
+        assert shot.index.tolist() == read_shot_log(tmp_path / "shot.jsonl").index.tolist() == [2**63 - 1]

@@ -9,11 +9,14 @@ through its 1/N convergence onto the pump-replaced limit.
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
+from gravlab import squeezing
 from gravlab import (
     CalibrationError,
     ConfigError,
@@ -34,7 +37,7 @@ from gravlab import (
     tomography_variance,
     vacuum_state,
 )
-from gravlab.squeezing import _mode_ladders
+from gravlab.squeezing import _mode_ladders, _sectors
 
 # closed-form calibration from the (-5.4, +9.9) dB tomography extremes
 FROZEN_R = 1.1302698853537816
@@ -207,6 +210,125 @@ class TestSparseChainOracle:
         )
         assert full.format == "csr"
         assert np.array_equal(full.toarray(), want)
+
+
+def csgraph_sectors(hamiltonian) -> np.ndarray:
+    """Each index labelled by the smallest index of its connected component
+    in the nonzero pattern of H, undirected, from scipy's csgraph: the
+    reference for the sectors `evolve` finds with numpy."""
+    from scipy.sparse.csgraph import connected_components
+
+    graph = abs(sp.csr_array(hamiltonian))  # csgraph takes real weights
+    graph.eliminate_zeros()
+    _, component = connected_components(graph, directed=False)
+    smallest = np.full(component.max() + 1, len(component))
+    np.minimum.at(smallest, component, np.arange(len(component)))
+    return smallest[component]
+
+
+def csgraph_graph_sectors(n: int, rows, cols) -> np.ndarray:
+    """csgraph_sectors of the graph on range(n) with edges (rows[i], cols[i])."""
+    return csgraph_sectors(sp.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n)))
+
+
+def sectors_evolve_finds(hamiltonian, monkeypatch) -> np.ndarray:
+    """The sector labels `evolve` computes for H, evolving the zero state
+    so that no block is exponentiated."""
+    seen = []
+
+    def spy(*args):
+        seen.append(_sectors(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(squeezing, "_sectors", spy)
+    evolve(hamiltonian, np.zeros(hamiltonian.shape[0], dtype=complex), 1.0)
+    monkeypatch.undo()
+    return seen[0]
+
+
+class TestSectorOracle:
+    """The numpy sector search against scipy.sparse.csgraph."""
+
+    @pytest.mark.parametrize("n_max", [4, 7, 12, 40])
+    def test_chain_and_beamsplitter_sectors_equal_csgraph(self, n_max, monkeypatch):
+        h = build_hamiltonians(FockSpace(n_max=n_max), HamiltonianParams(zeeman_q_rad_s=1.3))
+        a_plus, a_minus = _mode_ladders(n_max + 1, 2)
+        generators = {
+            name: getattr(h, name)
+            for name in ("two_mode", "undepleted", "symmetric_mode", "antisymmetric_mode")
+        }
+        generators["beamsplitter"] = 1j * (a_plus.T @ a_minus - a_plus @ a_minus.T)
+        for name, hamiltonian in generators.items():
+            labels = sectors_evolve_finds(hamiltonian, monkeypatch)
+            assert np.array_equal(labels, csgraph_sectors(hamiltonian)), name
+            if name in ("two_mode", "beamsplitter"):  # N+ - N- or N+ + N-: 2 n_max + 1 values
+                assert len(np.unique(labels)) == 2 * n_max + 1, name
+
+    @pytest.mark.parametrize("n_max", [4, 12])
+    def test_full_model_sectors_equal_csgraph(self, n_max, monkeypatch):
+        params = HamiltonianParams(zeeman_q_rad_s=1.3, pump_atoms=7)
+        full = build_hamiltonians(FockSpace(n_max=n_max), params, include_full=True).full
+        assert np.array_equal(sectors_evolve_finds(full, monkeypatch), csgraph_sectors(full))
+
+    def test_permuted_path_in_well_under_a_second(self):
+        # one edge per step, in one direction only; min-label propagation
+        # alone needs a round per step of the path
+        n = 65536
+        order = np.random.default_rng(3).permutation(n)
+        start = time.process_time()
+        labels = _sectors(n, order[:-1], order[1:])
+        assert time.process_time() - start < 1.0
+        assert np.array_equal(labels, np.zeros(n))
+        assert np.array_equal(labels, csgraph_graph_sectors(n, order[:-1], order[1:]))
+
+    @pytest.mark.parametrize("center", [0, 37, 99])
+    def test_star(self, center):
+        n = 100
+        hub, leaves = np.full(n - 1, center), np.delete(np.arange(n), center)
+        for rows, cols in ((hub, leaves), (leaves, hub)):
+            labels = _sectors(n, rows, cols)
+            assert np.array_equal(labels, np.zeros(n))
+            assert np.array_equal(labels, csgraph_graph_sectors(n, rows, cols))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sparse_graphs(self, seed):
+        # self-loops, repeated edges and isolated indices included; int32
+        # indices as a sparse array stores them
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 500))
+        m = int(rng.integers(0, 2 * n))
+        rows, cols = rng.integers(0, n, m, dtype=np.int32), rng.integers(0, n, m, dtype=np.int32)
+        assert np.array_equal(_sectors(n, rows, cols), csgraph_graph_sectors(n, rows, cols))
+
+    @pytest.mark.parametrize("tiny", [(3, 0), (0, 3)])
+    def test_one_tiny_entry_joins_two_sectors(self, tiny, monkeypatch):
+        # two symmetric blocks joined by one unmirrored 1e-300 entry: H is
+        # Hermitian within the 1e-12 tolerance, and its pattern is connected
+        h = np.zeros((5, 5))
+        h[0, 1] = h[1, 0] = 1.0
+        h[2, 3] = h[3, 2] = 2.0
+        h[tiny] = 1e-300
+        labels = sectors_evolve_finds(h, monkeypatch)
+        assert labels.tolist() == [0, 0, 0, 0, 4]
+        assert np.array_equal(labels, csgraph_sectors(h))
+
+    def test_stored_zeros_join_nothing(self, monkeypatch):
+        # a diagonal H with explicitly stored zeros on both off-diagonals,
+        # and repeated entries at (0, 5) and (5, 0) that sum to zero
+        n = 6
+        diagonal, off = np.arange(n), np.arange(n - 1)
+        rows = np.r_[diagonal, off, off + 1, 0, 0, 5, 5]
+        cols = np.r_[diagonal, off + 1, off, 5, 5, 0, 0]
+        data = np.r_[diagonal + 1.0, np.zeros(2 * (n - 1)), 0.5, -0.5, 0.5, -0.5]
+        h = sp.coo_array((data, (rows, cols)), shape=(n, n))
+        csr = h.tocsr()  # repeated entries summed to a stored zero
+        assert (h.nnz, csr.nnz) == (3 * n + 2, 3 * n)
+        for stored in (h, csr):
+            labels = sectors_evolve_finds(stored, monkeypatch)
+            assert np.array_equal(labels, np.arange(n))
+            assert np.array_equal(labels, csgraph_sectors(stored))
+        psi = np.random.default_rng(2).standard_normal(n) + 0j
+        assert np.allclose(evolve(h, psi, 0.3), np.exp(-0.3j * np.arange(1.0, n + 1)) * psi, rtol=0, atol=1e-15)
 
 
 class TestEvolution:
