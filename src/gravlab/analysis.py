@@ -78,8 +78,6 @@ class AllanSeries:
     tau_s: np.ndarray
     adev: np.ndarray
     err: np.ndarray
-    n_samples: int
-    tau0_s: float
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,9 @@ class PhaseNoiseBudget:
 # fringe fitting
 
 FIT_MAX_ITER = 200  # damped Gauss-Newton steps before fit_fringe gives up
+# (trial frequency, point) pairs of the frequency scan solved at once:
+# bounds its design array and QR to ~20 MB, whatever the scan's length
+FIT_SCAN_PAIRS = 1 << 18
 
 
 def _design(x: np.ndarray, freq):
@@ -102,12 +103,18 @@ def _design(x: np.ndarray, freq):
 
 def _best_frequency(x: np.ndarray, p: np.ndarray, freqs: np.ndarray) -> float:
     """Trial frequency whose linear least-squares fit of p in the cos/sin
-    basis leaves the smallest residual, from one batched QR solve."""
-    design = _design(x, freqs)
-    q, r = np.linalg.qr(design)
-    coef = np.linalg.solve(r, np.swapaxes(q, 1, 2) @ p[:, None])
-    resid = p - (design @ coef)[..., 0]
-    return float(freqs[np.argmin(np.einsum("fn,fn->f", resid, resid))])
+    basis leaves the smallest residual, from batched QR solves over blocks
+    of FIT_SCAN_PAIRS // len(x) frequencies. Each frequency's residual is
+    computed alone, so the block size cannot change it."""
+    step = max(1, FIT_SCAN_PAIRS // len(x))
+    sse = np.empty(len(freqs))
+    for start in range(0, len(freqs), step):
+        design = _design(x, freqs[start : start + step])
+        q, r = np.linalg.qr(design)
+        coef = np.linalg.solve(r, np.swapaxes(q, 1, 2) @ p[:, None])
+        resid = p - (design @ coef)[..., 0]
+        sse[start : start + step] = np.einsum("fn,fn->f", resid, resid)
+    return float(freqs[np.argmin(sse)])
 
 
 def _model(theta, x):
@@ -508,13 +515,7 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
         adevs.append(math.sqrt(avar))
         errs.append(math.sqrt(avar) / math.sqrt(n_terms))
         m *= 2
-    return AllanSeries(
-        tau_s=np.asarray(taus),
-        adev=np.asarray(adevs),
-        err=np.asarray(errs),
-        n_samples=len(x),
-        tau0_s=tau0_s,
-    )
+    return AllanSeries(tau_s=np.asarray(taus), adev=np.asarray(adevs), err=np.asarray(errs))
 
 
 def phase_noise_budget(sigma_phi_rad: float, atoms: float) -> PhaseNoiseBudget:

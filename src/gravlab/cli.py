@@ -28,9 +28,9 @@ from .analysis import (
     metrological_squeezing,
     phase_noise_budget,
 )
-from .config import AppConfig, config_hash, load_config
+from .config import AppConfig, _finite, _non_negative, _positive, config_hash, load_config
 from .errors import ConfigError, DataError, DomainError, GravlabError
-from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity, transfer_probability
+from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity
 from .sensitivity import net_area, scale_factor
 from .shots import STREAM_VERSION, _seed_ok, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
 from .shots import write_shot_log
@@ -57,26 +57,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _number(predicate, requirement: str, kind=float):
+    """argparse type: a `kind` number that passes a config.py predicate,
+    so a flag and the key it mirrors share one rule."""
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not predicate(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
 
-def _count(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+    return parse
 
 
 def _f17(x) -> str:
@@ -147,11 +141,11 @@ class Manifest:
 
     def add(self, path):
         import hashlib
+        digest = hashlib.blake2b(digest_size=8)
         with open(path, "rb") as fh:
-            digest = hashlib.blake2b(fh.read(), digest_size=8).hexdigest()
-        self.doc["outputs"].append(
-            {"path": os.path.basename(path), "blake2b16": digest}
-        )
+            while chunk := fh.read(1 << 20):  # 1 MiB reads: memory stays bounded for any output size
+                digest.update(chunk)
+        self.doc["outputs"].append({"path": os.path.basename(path), "blake2b16": digest.hexdigest()})
         self._write()
 
     def finish(self):
@@ -170,12 +164,7 @@ def _cmd_pulse(args) -> int:
     shape = PulseShape(kind=args.shape, duration_s=tau, area_rad=args.area_rad)
     if args.detuning_hz is not None:
         delta = 2.0 * math.pi * args.detuning_hz
-        if args.detuning_sigma_hz:
-            mean, std = averaged_transfer(
-                shape, delta, 2.0 * math.pi * args.detuning_sigma_hz, args.model
-            )
-        else:
-            mean, std = transfer_probability(shape, delta, args.model), 0.0
+        mean, std = averaged_transfer(shape, delta, 2.0 * math.pi * args.detuning_sigma_hz, args.model)
         _write_csv(
             args, args.out, ["detuning_rad_s", "transfer_mean", "transfer_std"], [[_f17(delta), _f17(mean), _f17(std)]]
         )
@@ -518,23 +507,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pulse", help="pulse envelope, area and sensitivity ramp; optional transfer probability")
     common(p, None)
-    p.add_argument("--tau-s", type=_finite, help="pulse duration in seconds")
+    p.add_argument("--tau-s", type=_number(_positive, "a duration in seconds > 0"), help="pulse duration in seconds")
     p.add_argument("--shape", choices=("blackman", "square"), default="blackman")
-    p.add_argument("--area-rad", type=_finite, default=math.pi)
-    p.add_argument("--samples", type=_count, default=201)
-    p.add_argument("--detuning-hz", type=_finite, help="emit transfer probability at this detuning")
-    p.add_argument("--detuning-sigma-hz", type=_finite, default=0.0)
+    p.add_argument("--area-rad", type=_number(_positive, "radians > 0"), default=math.pi)
+    p.add_argument("--samples", type=_number(_non_negative, "an integer >= 0", int), default=201)
+    p.add_argument(
+        "--detuning-hz", type=_number(_finite, "a finite number"), help="emit transfer probability at this detuning"
+    )
+    p.add_argument("--detuning-sigma-hz", type=_number(_non_negative, "Hz >= 0"), default=0.0)
     p.add_argument("--model", choices=("envelope", "constant"), default="envelope")
     p.set_defaults(func=_cmd_pulse)
 
     p = sub.add_parser("scale-factor", help="scale factor, net area and breakpoints")
     common(p, None)
-    p.add_argument("--T", type=_finite, help="free evolution time in seconds")
+    p.add_argument("--T", type=_number(_positive, "a duration in seconds > 0"), help="free evolution time in seconds")
     p.set_defaults(func=_cmd_scale_factor)
 
     p = sub.add_parser("tomography", help="variance vs readout angle of the input-state model")
     common(p, None)
-    p.add_argument("--points", type=_count, default=181)
+    p.add_argument("--points", type=_number(_non_negative, "an integer >= 0", int), default=181)
     p.add_argument("--coherent", action="store_true", help="ideal coherent input instead of the configured model")
     p.set_defaults(func=_cmd_tomography)
 

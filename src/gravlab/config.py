@@ -26,20 +26,20 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
 def _positive(v) -> bool:
-    return _is_number(v) and v > 0
+    return _finite(v) and v > 0
 
 
 def _non_negative(v) -> bool:
-    return _is_number(v) and v >= 0
+    return _finite(v) and v >= 0
 
 
 def _at_least_one(v) -> bool:
-    return _is_number(v) and v >= 1
-
-
-def _finite(v) -> bool:
-    return _is_number(v) and math.isfinite(v)
+    return _finite(v) and v >= 1
 
 
 def _unit_interval(v) -> bool:

@@ -47,10 +47,6 @@ class SequenceTiming:
         edges = self.start_s + np.cumsum(offs)
         return tuple(float(t) for t in edges)
 
-    @property
-    def total_s(self) -> float:
-        return self.breakpoints[-1] - self.start_s
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:

@@ -62,10 +62,10 @@ class NoiseConfig:
         if not 0.0 < self.raman_efficiency <= 1.0:
             raise ConfigError("raman_efficiency must be in (0, 1]")
         for name in ("sigma_ac_rad", "sigma_raman_phase_rad", "atom_number_sigma", "sigma_accel_m_s2"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.atom_number_mean < 1:
-            raise ConfigError("atom_number_mean must be >= 1")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be a finite number >= 0")
+        if not 1 <= self.atom_number_mean < math.inf:
+            raise ConfigError("atom_number_mean must be a finite number >= 1")
 
     @property
     def effective_contrast(self) -> float:
@@ -100,10 +100,13 @@ class CampaignConfig:
             raise ConfigError(f"n_pairs must be an integer >= 1, got {self.n_pairs!r}")
         if not _seed_ok(self.seed):
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        for name in ("t1_s", "t2_s", "alpha_rad_per_s2", "g_true_m_per_s2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.t1_s == self.t2_s:
             raise ConfigError("t1_s and t2_s must differ")
-        if self.cycle_time_s <= 0:
-            raise ConfigError("cycle_time_s must be > 0")
+        if not 0 < self.cycle_time_s < math.inf:
+            raise ConfigError("cycle_time_s must be a finite number > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +241,7 @@ def _simulate(
         var = (n / 4.0) * (
             math.exp(-2.0 * model.strength) * np.cos(phi) ** 2
             + math.exp(2.0 * model.strength) * np.sin(phi) ** 2
-        ) + model.detection_noise_atoms**2
-        if not np.all(var > 0.0):
-            raise ConfigError("shot variance must be > 0 with projection noise on")
+        ) + model.detection_noise_atoms**2  # 0 only for a zero-atom shot without detection noise
         jz = mean_jz + np.sqrt(var) * z_readout
         jz = np.copysign(np.floor(np.abs(jz) + 0.5), jz)  # round half away from 0
         jz = np.clip(jz, -n / 2.0, n / 2.0)

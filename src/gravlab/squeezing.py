@@ -262,24 +262,6 @@ def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
     return evolve(1j * (a_plus.T @ a_minus - a_plus @ a_minus.T), state, math.pi / 4.0)
 
 
-def squeezed_vacuum_stats(r: float) -> dict:
-    """Analytic two-mode squeezed vacuum numbers for evolution time r.
-
-    Mean occupation sinh^2(r) per mode; the extracted symmetric mode is
-    a single-mode squeezed vacuum with quadrature variances e^{-2r}/2
-    and e^{+2r}/2 (vacuum variance 1/2 convention).
-    """
-    if r < 0:
-        raise DomainError("squeezing strength r must be >= 0")
-    s2 = math.sinh(r) ** 2
-    return {
-        "mean_atoms_per_mode": s2,
-        "mean_total": 2.0 * s2,
-        "quadrature_var_minus": 0.5 * math.exp(-2.0 * r),
-        "quadrature_var_plus": 0.5 * math.exp(2.0 * r),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Gaussian tomography model
 
@@ -294,12 +276,14 @@ class SqueezingModel:
     detection_noise_atoms: float = 0.0  # std added to the imbalance
 
     def __post_init__(self):
-        if self.atom_number <= 0:
-            raise ConfigError("atom_number must be > 0")
-        if self.strength < 0:
-            raise ConfigError("squeezing strength must be >= 0")
-        if self.detection_noise_atoms < 0:
-            raise ConfigError("detection noise must be >= 0")
+        if not 0 < self.atom_number < math.inf:  # NaN fails too
+            raise ConfigError("atom_number must be a finite number > 0")
+        if not 0 <= self.strength < math.inf:
+            raise ConfigError("squeezing strength must be a finite number >= 0")
+        if not math.isfinite(self.optimal_phase_rad):
+            raise ConfigError("optimal_phase_rad must be a finite number")
+        if not 0 <= self.detection_noise_atoms < math.inf:
+            raise ConfigError("detection noise must be a finite number >= 0")
 
 
 def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:

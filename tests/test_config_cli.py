@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import yaml
 
 import gravlab
 from gravlab import ConfigError, PhysicalConstants, read_shot_log, scale_factor
-from gravlab.cli import main
+from gravlab.cli import Manifest, main
 from gravlab.config import config_hash, load_config, parse_config
 
 K_EFF = 1.61057e7
@@ -106,11 +107,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("campaign:\n  seed: -1\n")
 
-    @pytest.mark.parametrize("value", ["0.5", "0"])
+    @pytest.mark.parametrize("value", ["0.5", "0", ".inf"])
     def test_atom_number_mean_below_one_names_path_and_line(self, value):
         # the config layer, not NoiseConfig, refuses it: with key path and line
         with pytest.raises(ConfigError, match=r"noise\.atom_number_mean' must be atoms >= 1.*line 3"):
             parse_config(f"noise:\n  contrast: 0.9\n  atom_number_mean: {value}\n")
+
+    @pytest.mark.parametrize(
+        "section, key, req",
+        [
+            ("campaign", "cycle_time_s", "seconds > 0"),
+            ("timing", "tau_bm_s", "a duration in seconds > 0"),
+            ("noise", "sigma_ac_rad", "radians >= 0"),
+        ],
+    )
+    def test_infinity_refused_naming_path_and_line(self, section, key, req):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{section}:\n  {key}: .inf\n")
+        assert str(info.value) == f"config key '{section}.{key}' must be {req}, got inf (line 2)"
 
     def test_scalar_where_section_expected(self):
         with pytest.raises(ConfigError, match="section"):
@@ -237,6 +251,10 @@ class TestCliBasics:
             ["pulse", "--detuning-hz", "nan"],
             ["pulse", "--detuning-sigma-hz", "nan"],
             ["scale-factor", "--T", "inf"],
+            ["scale-factor", "--T", "-1"],
+            ["pulse", "--tau-s", "0"],
+            ["pulse", "--area-rad", "-1"],
+            ["pulse", "--detuning-sigma-hz", "-1", "--detuning-hz", "1"],
             ["pulse", "--samples", "-1"],
             ["tomography", "--points", "-1"],
         ],
@@ -305,6 +323,14 @@ class TestPulseCommand:
         assert 0.97 < mean < 0.99
         assert 0.003 < std < 0.011
 
+    @pytest.mark.parametrize("model", ["envelope", "constant"])
+    def test_transfer_row_without_detuning_spread(self, model, capsys):
+        assert main(["pulse", "--tau-s", "64.8e-6", "--detuning-hz", "2500", "--model", model]) == 0
+        _, mean, std = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        shape = gravlab.PulseShape(kind="blackman", duration_s=64.8e-6)
+        assert float(mean) == gravlab.transfer_probability(shape, 2 * math.pi * 2500.0, model)
+        assert std == "0"
+
 
 class TestTomographyCommand:
     def test_coherent_reads_zero_db_everywhere(self, capsys):
@@ -352,6 +378,21 @@ class TestSimulateAnalyze:
         entry = manifest["outputs"][0]
         digest = hashlib.blake2b(log.read_bytes(), digest_size=8).hexdigest()
         assert entry == {"path": "shots.jsonl", "blake2b16": digest}
+
+    def test_manifest_hashes_a_large_output_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(5).bytes(20 << 20))
+        manifest = Manifest(tmp_path / "m.json", parse_config(""), 7, [])
+        tracemalloc.start()
+        try:
+            manifest.add(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1 MiB reads: the 20 MiB file is never held whole
+        assert peak < 4 << 20
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+        assert manifest.doc["outputs"] == [{"path": "big.bin", "blake2b16": digest}]
 
     def test_manifest_records_stream_version(self, tmp_path):
         self.run_sim(tmp_path, "shots.jsonl")

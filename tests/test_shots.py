@@ -19,6 +19,7 @@ from gravlab import (
     PhysicalConstants,
     SequenceTiming,
     ShotTable,
+    SqueezingModel,
     calibrate_model,
     coherent_model,
     read_shot_log,
@@ -517,6 +518,43 @@ class TestValidation:
             CampaignConfig(t1_s=1e-4, t2_s=1e-4)
         with pytest.raises(ConfigError):
             CampaignConfig(cycle_time_s=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (CampaignConfig, "t1_s"),
+            (CampaignConfig, "t2_s"),
+            (CampaignConfig, "alpha_rad_per_s2"),
+            (CampaignConfig, "g_true_m_per_s2"),
+            (CampaignConfig, "cycle_time_s"),
+            (quiet_noise, "sigma_ac_rad"),
+            (quiet_noise, "sigma_raman_phase_rad"),
+            (quiet_noise, "atom_number_mean"),
+            (quiet_noise, "atom_number_sigma"),
+            (quiet_noise, "sigma_accel_m_s2"),
+            (SqueezingModel, "atom_number"),
+            (SqueezingModel, "strength"),
+            (SqueezingModel, "optimal_phase_rad"),
+            (SqueezingModel, "detection_noise_atoms"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_non_finite_number_refused_on_construction(self, make, field, value):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            make(**{field: value})
+
+    def test_zero_atom_shots_without_detection_noise(self):
+        # an empty shot has zero readout variance; it is generated, then
+        # counted and skipped by the analysis, as with detection noise on
+        model = SqueezingModel(atom_number=1, strength=0.5, detection_noise_atoms=0)
+        noise = NoiseConfig(squeezing=model, atom_number_mean=1, atom_number_sigma=2)
+        camp = CampaignConfig(n_pairs=200)
+        shots = run_campaign(camp, TIMING, CONST, noise)
+        empty = shots.count_f1 + shots.count_f2 == 0
+        assert empty.any() and not shots.imbalance[empty].any()
+        noisy = run_campaign(camp, TIMING, CONST, replace(noise, squeezing=replace(model, detection_noise_atoms=1e-3)))
+        assert np.array_equal(noisy.count_f1 + noisy.count_f2 == 0, empty)
 
     @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True, "7", None])
     def test_campaign_refuses_a_seed_that_is_not_a_key_word(self, seed):

@@ -32,7 +32,6 @@ from gravlab import (
     mean_occupations,
     mode_transform,
     occupation_distribution,
-    squeezed_vacuum_stats,
     squeezing_parameter,
     tomography_variance,
     vacuum_state,
@@ -531,15 +530,3 @@ class TestGaussianModel:
         with pytest.raises(ConfigError):
             SqueezingModel(detection_noise_atoms=-1.0)
 
-
-class TestAnalyticStats:
-    def test_mean_and_quadratures(self):
-        stats = squeezed_vacuum_stats(0.8)
-        assert stats["mean_atoms_per_mode"] == pytest.approx(math.sinh(0.8) ** 2, rel=1e-15)
-        assert stats["mean_total"] == pytest.approx(2 * math.sinh(0.8) ** 2, rel=1e-15)
-        product = stats["quadrature_var_minus"] * stats["quadrature_var_plus"]
-        assert product == pytest.approx(0.25, rel=1e-15)
-
-    def test_negative_strength_rejected(self):
-        with pytest.raises(DomainError):
-            squeezed_vacuum_stats(-0.1)
