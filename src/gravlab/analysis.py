@@ -499,8 +499,8 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < MIN_ALLAN_SAMPLES:
         raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples")
-    if tau0_s <= 0:
-        raise DomainError("tau0 must be > 0")
+    if not 0 < tau0_s < math.inf:  # NaN fails too
+        raise DomainError("tau0 must be a finite number > 0")
     m_max = len(x) // 3
     csum = np.concatenate(([0.0], np.cumsum(x)))
 
@@ -521,8 +521,8 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
 def phase_noise_budget(sigma_phi_rad: float, atoms: float) -> PhaseNoiseBudget:
     """Small-angle conversion of interferometer phase noise to an
     imbalance std and its level relative to the projection limit."""
-    if sigma_phi_rad < 0 or atoms <= 0:
-        raise DomainError("sigma_phi must be >= 0 and atoms > 0")
+    if not (0 <= sigma_phi_rad < math.inf and 0 < atoms < math.inf):  # NaN fails too
+        raise DomainError("sigma_phi must be a finite number >= 0 and atoms a finite number > 0")
     delta_jz = 0.5 * atoms * sigma_phi_rad
     if sigma_phi_rad == 0.0:
         return PhaseNoiseBudget(delta_jz_atoms=0.0, db_vs_sql=-math.inf)

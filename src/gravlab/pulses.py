@@ -138,6 +138,8 @@ def _transfer(shape: PulseShape, deltas: np.ndarray, detuning_model: str) -> np.
     """
     if detuning_model not in ("envelope", "constant"):
         raise ConfigError(f"unknown detuning model {detuning_model!r}")
+    if not np.isfinite(deltas).all():
+        raise DomainError("detuning must be a finite number")
     om0 = shape.peak_rabi_rad_s
     if shape.kind == "square" or detuning_model == "envelope":
         big_w = np.sqrt(om0 * om0 + deltas * deltas)
@@ -191,8 +193,8 @@ def averaged_transfer(
     which keeps the smooth integrand converged well below the quoted
     precision.
     """
-    if detuning_sigma_rad_s < 0:
-        raise DomainError("detuning sigma must be >= 0")
+    if not 0 <= detuning_sigma_rad_s < math.inf:  # NaN fails too
+        raise DomainError("detuning sigma must be a finite number >= 0")
     if detuning_sigma_rad_s == 0:
         return transfer_probability(shape, detuning_mean_rad_s, detuning_model), 0.0
 

@@ -36,8 +36,9 @@ class SequenceTiming:
     start_s: float = 0.0
 
     def __post_init__(self):
-        if self.pulse_s <= 0 or self.separation_s <= 0 or self.free_evolution_s <= 0:
-            raise ConfigError("all sequence durations must be > 0")
+        durations = (self.pulse_s, self.separation_s, self.free_evolution_s)
+        if not (all(0 < t < np.inf for t in durations) and np.isfinite(self.start_s)):  # NaN fails too
+            raise ConfigError("all sequence durations must be finite numbers > 0, and start_s a finite number")
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -56,8 +57,8 @@ class PhysicalConstants:
     k_eff_per_m: float = 1.61057e7
 
     def __post_init__(self):
-        if self.k_eff_per_m <= 0:
-            raise ConfigError("k_eff_per_m must be > 0")
+        if not 0 < self.k_eff_per_m < np.inf:  # NaN fails too
+            raise ConfigError("k_eff_per_m must be a finite number > 0")
 
 
 def gravity_sensitivity(timing: SequenceTiming, t: float) -> float:

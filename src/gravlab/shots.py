@@ -20,7 +20,6 @@ it is odd, so simulate_shot(campaign, ..., i) is run_campaign(campaign,
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -348,78 +347,53 @@ LOG_READ_CHARS = 1 << 18  # text parsed at once: bounds the memory of a read
 # part is spelled (?:...|) rather than (?:...)?, which matches the same
 # text but is ~1.4x slower in CPython 3.11's re
 _NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)|NaN|-?Infinity)"
+_INTEGER = r"(-?(?:0|[1-9][0-9]*))"  # the index: the repr of a Python int
+# each key of a line with the "{" or "," before it, and its value
+_KEYS = [("," if k else "{") + f'"{name}":' for k, name in enumerate(SHOT_FIELDS)]
+_VALUES = [_INTEGER] + [_NUMBER] * (len(SHOT_FIELDS) - 1)
 # a line exactly as dump_shot_log writes it, capturing the values in
 # SHOT_FIELDS order
-_WRITER_LINE = re.compile("^{" + ",".join(f'"{name}":{_NUMBER}' for name in SHOT_FIELDS) + "}$", re.M)
-_COLUMN = {name: k for k, name in enumerate(SHOT_FIELDS)}
+_WRITER_LINE = re.compile("^" + "".join(map(str.__add__, _KEYS, _VALUES)) + "}$", re.M)
 
 
-def _json_row(line: str) -> tuple[str, ...]:
-    """The SHOT_FIELDS values of a line in any JSON layout, as number
-    texts; ValueError says why the line is not a shot record."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    for name in SHOT_FIELDS:
-        if name not in obj:
-            raise ValueError(f"missing key {name!r}")
-        if type(obj[name]) not in (int, float):
-            raise ValueError(f"{name} is {obj[name]!r}, not a number")
-    # str of an int keeps every digit, str of a float is its repr
-    return tuple(str(obj[name]) for name in SHOT_FIELDS)
-
-
-def _parse_lines(text: str, first_line: int):
-    """Rows and line numbers of a chunk that is not all in the writer's
-    layout, each line through json.loads. Parsing stops at the first line
-    that is not a shot record; the third item is (line, why) for it, or
-    None."""
-    rows, lines = [], []
-    for line_no, line in enumerate(text.split("\n"), start=first_line):
-        if not line.strip():
-            continue
-        try:
-            rows.append(_json_row(line))
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-            return rows, lines, (line_no, str(exc))
-        lines.append(line_no)
-    return rows, lines, None
-
-
-def _whole(text: str) -> int | None:
-    """The number a text spells, if it is whole and in the int64 range."""
-    try:
-        value = int(text)
-    except ValueError:  # a float spelling, NaN or Infinity
-        number = float(text)
-        if not number.is_integer():
-            return None
-        value = int(number)
-    return value if -(2**63) <= value < 2**63 else None
+def _layout_problem(line: str) -> str:
+    """Why a line is not in the writer's layout: the first field that is
+    missing, out of place or not a number there."""
+    if not line.strip():
+        return "blank line"
+    pos = 0
+    for name, key, value in zip(SHOT_FIELDS, _KEYS, _VALUES):
+        if not line.startswith(key, pos):
+            return f"key {name!r} out of place" if key[1:] in line else f"missing key {name!r}"
+        pos += len(key)
+        match = re.match(value + "(?=[,}]|$)", line[pos:])  # a "," or "}" ends a value
+        if match is None:
+            what = "an integer" if name == "index" else "a number"
+            return f"{name} is {re.match('[^,}]*', line[pos:])[0]!r}, not {what}"
+        pos += match.end()
+    return f"{line[pos:]!r} after {name}, not '}}'"
 
 
 def _index_column(rows, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index column of a chunk as int64, and a mask of the values
-    that are not whole numbers in the int64 range (0 in the column).
-    Below 2^53 a value is exact as a float; any larger one is read again
-    from its text, so that no digit is lost."""
-    c = _COLUMN["index"]
-    floats = values[:, c]
-    small = np.abs(floats) < 2.0**53  # False for NaN
-    bad = small & (floats != np.floor(floats))
-    ints = np.where(small & ~bad, floats, 0.0).astype(np.int64)
-    for r in np.flatnonzero(~small):
-        value = _whole(rows[r][c])
-        bad[r] = value is None
-        ints[r] = value or 0
-    return ints, bad
+    """The index column (the first) of a chunk as int64, and a mask of
+    the values outside the int64 range (0 in the column). Below 2^53 a
+    value is exact as a float; any larger finite one is read again from
+    its digits, so that none is lost."""
+    small = np.abs(values[:, 0]) < 2.0**53
+    ints = np.where(small, values[:, 0], 0.0).astype(np.int64)
+    out_of_range = np.zeros(len(ints), dtype=bool)
+    for r in np.flatnonzero(~small & np.isfinite(values[:, 0])):  # too many digits for a float: inf
+        value = int(rows[r][0])
+        out_of_range[r] = not -(2**63) <= value < 2**63
+        ints[r] = 0 if out_of_range[r] else value
+    return ints, out_of_range
 
 
-def _first_problem(values: np.ndarray, not_whole: np.ndarray, chirp: float | None) -> tuple[int, str] | None:
+def _first_problem(values: np.ndarray, out_of_range: np.ndarray, chirp: float | None) -> tuple[int, str] | None:
     """The first row of `values` (one shot per row, in SHOT_FIELDS
-    order) that cannot be analyzed and why, or None; `not_whole` marks
-    the indices that are not whole numbers in the int64 range, and
-    `chirp` is the first record's chirp, which every record must share."""
+    order) that cannot be analyzed and why, or None; `out_of_range`
+    marks the indices outside the int64 range, and `chirp` is the first
+    record's chirp, which every record must share."""
     finite = np.isfinite(values)
     _, t, alpha, f1, f2, imb, _ = values.T  # in SHOT_FIELDS order
     with np.errstate(invalid="ignore"):
@@ -428,7 +402,7 @@ def _first_problem(values: np.ndarray, not_whole: np.ndarray, chirp: float | Non
         # agree to the rounding of a sum of that size
         mismatch = ~(np.abs(imb - 0.5 * (f2 - f1)) <= 1e-9 * (f1 + f2))
     # every record shares the first one's chirp: g takes one alpha/k_eff
-    bad = ~finite.all(axis=1) | not_whole | negative | mismatch | ~(t > 0) | (alpha != chirp)
+    bad = ~finite.all(axis=1) | out_of_range | negative | mismatch | ~(t > 0) | (alpha != chirp)
     if not bad.any():
         return None
     r = int(bad.argmax())
@@ -436,7 +410,7 @@ def _first_problem(values: np.ndarray, not_whole: np.ndarray, chirp: float | Non
     if not finite[r].all():
         name = SHOT_FIELDS[int(finite[r].argmin())]
         return r, f"{name} is {row[name]}"
-    if not_whole[r]:
+    if out_of_range[r]:
         return r, f"index {row['index']} is not a whole number in the int64 range"
     if negative[r]:
         return r, f"negative count ({row['count_f1']}, {row['count_f2']})"
@@ -449,16 +423,13 @@ def _first_problem(values: np.ndarray, not_whole: np.ndarray, chirp: float | Non
 
 
 def read_shot_log(path) -> ShotTable:
-    """Read a JSONL shot log, rejecting a record that is malformed, holds
-    a non-finite number, a negative count or a fractional index, whose
-    imbalance is not (count_f2 - count_f1)/2, whose free evolution is not
-    > 0, or whose chirp differs from the first record's; the error names
-    the file and line.
-
-    The log is parsed in chunks of about LOG_READ_CHARS characters. A
-    chunk whose lines all have the writer's layout is parsed by one regex
-    and one float conversion; any other chunk line by line, by json.loads.
-    The index column reads back exactly as int64.
+    """Read a shot log in dump_shot_log's layout. A line in any other
+    layout is refused, and so is a record with a non-finite number, a
+    negative count, an index outside int64, an imbalance that is not
+    (count_f2 - count_f1)/2, a free evolution not > 0 or a chirp unlike
+    the first record's; the error names the file, the line and the field.
+    Each chunk of about LOG_READ_CHARS characters is parsed by one regex
+    and one float conversion; the index reads back exactly as int64.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -473,23 +444,23 @@ def read_shot_log(path) -> ShotTable:
                 text += fh.readline()  # end the chunk at a line end
                 n_lines = text.count("\n") + (not text.endswith("\n"))
                 rows = _WRITER_LINE.findall(text)
-                lines, failure = range(first_line, first_line + n_lines), None
-                if len(rows) != n_lines:
-                    rows, lines, failure = _parse_lines(text, first_line)
+                failure = None
+                if len(rows) != n_lines:  # keep the rows above the first line out of layout
+                    lines = text.split("\n")
+                    bad = next(k for k, line in enumerate(lines) if not _WRITER_LINE.fullmatch(line))
+                    rows, failure = rows[:bad], (bad, _layout_problem(lines[bad]))
                 values = np.array(rows, dtype=float).reshape(-1, len(SHOT_FIELDS))
-                index, not_whole = _index_column(rows, values)
+                index, out_of_range = _index_column(rows, values)
                 if chirp is None and len(values):
-                    chirp = float(values[0, _COLUMN["chirp_rad_per_s2"]])
-                problem = _first_problem(values, not_whole, chirp)
-                if problem is not None:
-                    failure = (lines[problem[0]], problem[1])
+                    chirp = float(values[0, SHOT_FIELDS.index("chirp_rad_per_s2")])
+                failure = _first_problem(values, out_of_range, chirp) or failure
                 if failure is not None:
-                    raise DataError(f"{path}: bad shot record on line {failure[0]}: {failure[1]}")
+                    raise DataError(f"{path}: bad shot record on line {first_line + failure[0]}: {failure[1]}")
                 blocks.append((values.T, index))
                 first_line += n_lines
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not sum(len(index) for _, index in blocks):
+    if not blocks:
         raise DataError(f"{path}: no shot records")
     columns = dict(zip(SHOT_FIELDS, np.concatenate([values for values, _ in blocks], axis=1)))
     columns["index"] = np.concatenate([index for _, index in blocks])

@@ -45,8 +45,8 @@ class FockSpace:
     n_max: int = 40
 
     def __post_init__(self):
-        if self.n_max < 4:
-            raise ConfigError("n_max must be >= 4")
+        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 4):
+            raise ConfigError(f"n_max must be an integer >= 4, got {self.n_max!r}")
         if self.dim > MAX_MATRIX_DIM:
             raise ConfigError(
                 f"two-mode dimension {self.dim} exceeds limit {MAX_MATRIX_DIM}"

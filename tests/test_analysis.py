@@ -27,6 +27,7 @@ from gravlab import (
     fringe_intersection,
     gravity_from_delta_p,
     metrological_squeezing,
+    parse_config,
     phase_noise_budget,
     run_campaign,
     scale_factor,
@@ -408,6 +409,24 @@ class TestBootstrapCoverage:
         # the band of the index-path test: P(covered <= 179) = 0.12% and
         # P(covered = 200) = 3.5e-5 for a true 95% rate
         assert 180 <= covered <= 199, covered
+
+
+class TestGravityCoverage:
+    def test_sigma_g_interval_covers_g_true(self):
+        # the built-in config at 500 pairs: g +- 1.96 sigma_g against the
+        # simulated truth, which the default chirp does not compensate
+        cfg = parse_config("")
+        c = cfg.constants
+        t1, t2 = cfg.campaign.t1_s, cfg.campaign.t2_s
+        s1, s2 = (scale_factor(replace(cfg.timing, free_evolution_s=t), c) for t in (t1, t2))
+        covered = 0
+        for seed in range(400):
+            camp = replace(cfg.campaign, n_pairs=500, seed=seed)
+            deltas = delta_p(run_campaign(camp, cfg.timing, c, cfg.noise))
+            grav = estimate_g(deltas, cfg.noise.effective_contrast, s1, s2, camp.alpha_rad_per_s2, c)
+            covered += abs(grav.g_exp_m_s2 - camp.g_true_m_per_s2) <= 1.96 * grav.sigma_g_m_s2
+        # for a true 95% rate, P(covered < 367 or covered > 393) = 0.23%
+        assert 367 <= covered <= 393, covered
 
 
 def synth_fringe(offset, amp, scale, phase0, n=60, x0=9.8126, periods=1.4, noise=0.0, seed=0):

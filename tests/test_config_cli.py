@@ -470,11 +470,11 @@ class TestSimulateAnalyze:
         lines = log.read_text().splitlines(keepends=True)
         row = json.loads(lines[6])
         row["count_f2"] = float("nan")
-        lines[6] = json.dumps(row) + "\n"
+        lines[6] = json.dumps(row, separators=(",", ":")) + "\n"
         log.write_text("".join(lines))
         capsys.readouterr()
         assert main(["analyze", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
-        assert "line 7" in capsys.readouterr().err
+        assert f"{log}: bad shot record on line 7: count_f2 is nan" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
     def test_allan_output(self, tmp_path, capsys):
@@ -498,7 +498,7 @@ class TestSimulateAnalyze:
         lines = log.read_text().splitlines(keepends=True)
         row = json.loads(lines[2])
         row.update(count_f1=0, count_f2=0, imbalance=0.0)
-        lines[2] = json.dumps(row) + "\n"
+        lines[2] = json.dumps(row, separators=(",", ":")) + "\n"
         log.write_text("".join(lines))
         code = main(["allan", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "adev.csv"])
         assert code == 0
@@ -512,13 +512,12 @@ class TestSimulateAnalyze:
         lines = log.read_text().splitlines(keepends=True)
         row = json.loads(lines[5])
         row["chirp_rad_per_s2"] += 1000.0
-        lines[5] = json.dumps(row) + "\n"
-        lines.insert(2, "\n")  # a blank line: record 5 now sits on line 7
+        lines[5] = json.dumps(row, separators=(",", ":")) + "\n"
         log.write_text("".join(lines))
         capsys.readouterr()
         assert main([command, "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
         err = capsys.readouterr().err
-        assert f"{log}: bad shot record on line 7: chirp varies" in err
+        assert f"{log}: bad shot record on line 6: chirp varies" in err
         assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("t_free", [0.0, -455e-6])
@@ -527,7 +526,7 @@ class TestSimulateAnalyze:
         lines = log.read_text().splitlines(keepends=True)
         row = json.loads(lines[8])
         row["free_evolution_s"] = t_free
-        lines[8] = json.dumps(row) + "\n"
+        lines[8] = json.dumps(row, separators=(",", ":")) + "\n"
         log.write_text("".join(lines))
         capsys.readouterr()
         assert main(["analyze", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2

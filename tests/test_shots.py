@@ -476,21 +476,29 @@ class TestShotLogIO:
         with pytest.raises(DataError, match="not UTF-8"):
             read_shot_log(path)
 
-    @pytest.mark.parametrize("value", ["1.5", "-1e300"])
-    def test_fractional_or_huge_index_rejected(self, tmp_path, value):
+    @pytest.mark.parametrize(
+        "value, why",
+        [
+            (1.5, "index is '1.5', not an integer"),
+            (-1e300, "index is '-1e+300', not an integer"),
+            (2**63, "index 9.223372036854776e+18 is not a whole number in the int64 range"),
+        ],
+    )
+    def test_fractional_or_huge_index_rejected(self, tmp_path, value, why):
         recs = run_campaign(CampaignConfig(n_pairs=2, seed=13), TIMING, CONST, quiet_noise())
+        lines = self.json_lines(recs).splitlines()
+        row = json.loads(lines[1])
+        row["index"] = value
+        lines[1] = json.dumps(row, separators=(",", ":"))
         path = tmp_path / "bad.jsonl"
-        write_shot_log(recs, path)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"index":1,', f'"index":{value},')
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=re.escape(f"line 2: index {float(value)} is not a whole number")):
+        with pytest.raises(DataError, match=re.escape(f"line 2: {why}")):
             read_shot_log(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "short.jsonl"
-        path.write_text(json.dumps({"index": 0}) + "\n")
-        with pytest.raises(DataError):
+        path.write_text(json.dumps({"index": 0}, separators=(",", ":")) + "\n")
+        with pytest.raises(DataError, match="line 1: missing key 'free_evolution_s'"):
             read_shot_log(path)
 
 
