@@ -28,11 +28,12 @@ from .analysis import (
     metrological_squeezing,
     phase_noise_budget,
 )
-from .config import AppConfig, _finite, _non_negative, _positive, config_hash, load_config
+from .config import AppConfig, config_hash, load_config
+from .errors import COUNT, DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE
 from .errors import ConfigError, DataError, DomainError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity
 from .sensitivity import net_area, scale_factor
-from .shots import STREAM_VERSION, _seed_ok, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
+from .shots import STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
 from .shots import write_shot_log
 from .squeezing import coherent_model, squeezing_parameter, tomography_variance
 
@@ -57,17 +58,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _number(predicate, requirement: str, kind=float):
-    """argparse type: a `kind` number that passes a config.py predicate,
-    so a flag and the key it mirrors share one rule."""
+def _number(rule, kind=float):
+    """argparse type: a `kind` number that passes `rule`, the errors.Rule
+    of the config key and settings field the flag mirrors."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not predicate(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        if not rule.test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule.words}, got {text!r}")
         return value
 
     return parse
@@ -230,20 +231,13 @@ def _apply_state_choice(cfg: AppConfig, squeezed: bool, advice: str = "") -> App
     return cfg
 
 
-def _campaign_with(cfg: AppConfig, pairs, seed):
-    campaign = cfg.campaign
-    if pairs is not None:
-        campaign = replace(campaign, n_pairs=pairs)
-    if seed is not None:
-        if not _seed_ok(seed):
-            raise ConfigError(f"--seed must be an integer in [0, 2^64), got {seed}")
-        campaign = replace(campaign, seed=seed)
-    return campaign
-
-
 def _cmd_simulate(args) -> int:
     cfg = _apply_state_choice(args.config_obj, args.squeezed, "; pass --coherent for a coherent campaign")
-    campaign = _campaign_with(cfg, args.pairs, args.seed)
+    campaign = replace(
+        cfg.campaign,
+        n_pairs=cfg.campaign.n_pairs if args.pairs is None else args.pairs,
+        seed=cfg.campaign.seed if args.seed is None else args.seed,
+    )
     out = _out_path(args, args.out)
     if out is None:
         # `--out -`: the log goes to stdout, and no manifest is written
@@ -414,7 +408,7 @@ def _cmd_reproduce(args) -> int:
             f"reproduce needs at least {MIN_ALLAN_SAMPLES} pairs per arm, got {n_pairs}"
         )
     seed = args.seed if args.seed is not None else cfg.campaign.seed
-    if not (_seed_ok(seed) and _seed_ok(seed + 1)):
+    if seed + 1 >= 2**64:
         # refused before any file exists: the coherent arm runs on seed + 1
         raise ConfigError(f"reproduce needs a seed in [0, 2^64 - 1), since the coherent arm runs on seed + 1; got {seed}")
     _apply_state_choice(cfg, True)  # refused before any file exists: the squeezed arm needs squeezing
@@ -507,32 +501,30 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pulse", help="pulse envelope, area and sensitivity ramp; optional transfer probability")
     common(p, None)
-    p.add_argument("--tau-s", type=_number(_positive, "a duration in seconds > 0"), help="pulse duration in seconds")
+    p.add_argument("--tau-s", type=_number(DURATION), help="pulse duration in seconds")
     p.add_argument("--shape", choices=("blackman", "square"), default="blackman")
-    p.add_argument("--area-rad", type=_number(_positive, "radians > 0"), default=math.pi)
-    p.add_argument("--samples", type=_number(_non_negative, "an integer >= 0", int), default=201)
-    p.add_argument(
-        "--detuning-hz", type=_number(_finite, "a finite number"), help="emit transfer probability at this detuning"
-    )
-    p.add_argument("--detuning-sigma-hz", type=_number(_non_negative, "Hz >= 0"), default=0.0)
+    p.add_argument("--area-rad", type=_number(POSITIVE), default=math.pi)
+    p.add_argument("--samples", type=_number(SIZE, int), default=201)
+    p.add_argument("--detuning-hz", type=_number(NUMBER), help="emit transfer probability at this detuning")
+    p.add_argument("--detuning-sigma-hz", type=_number(NON_NEGATIVE), default=0.0)
     p.add_argument("--model", choices=("envelope", "constant"), default="envelope")
     p.set_defaults(func=_cmd_pulse)
 
     p = sub.add_parser("scale-factor", help="scale factor, net area and breakpoints")
     common(p, None)
-    p.add_argument("--T", type=_number(_positive, "a duration in seconds > 0"), help="free evolution time in seconds")
+    p.add_argument("--T", type=_number(DURATION), help="free evolution time in seconds")
     p.set_defaults(func=_cmd_scale_factor)
 
     p = sub.add_parser("tomography", help="variance vs readout angle of the input-state model")
     common(p, None)
-    p.add_argument("--points", type=_number(_non_negative, "an integer >= 0", int), default=181)
+    p.add_argument("--points", type=_number(SIZE, int), default=181)
     p.add_argument("--coherent", action="store_true", help="ideal coherent input instead of the configured model")
     p.set_defaults(func=_cmd_tomography)
 
     p = sub.add_parser("simulate", help="run one campaign and write a JSONL shot log")
     common(p, "shots.jsonl")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--pairs", type=_number(COUNT, int))
+    p.add_argument("--seed", type=_number(SEED, int))
     state = p.add_mutually_exclusive_group()
     state.add_argument("--squeezed", action="store_true", default=True)
     state.add_argument("--coherent", dest="squeezed", action="store_false")
@@ -558,8 +550,8 @@ def build_parser() -> _Parser:
         "reproduce", help="simulate + analyze + allan for both input states, with a summary table", allow_abbrev=False
     )
     common(p, out=False)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--pairs", type=_number(COUNT, int))
+    p.add_argument("--seed", type=_number(SEED, int))
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -1,10 +1,14 @@
 """Strict YAML configuration: schema, defaults, validation, hashing.
 
 Every key the toolkit understands is one row of ``SCHEMA``: its built-in
-value, its check and the requirement text an error quotes. Anything else
-is rejected with the offending key path and, when it can be found, the
-line in the file. The shipped ``default_config.yaml`` mirrors the table
-and a test keeps the two equal.
+value and the shared errors.Rule it must pass, the one the settings
+dataclass field it fills and the CLI flag that mirrors it also use.
+Anything else is rejected with the offending key path and, when it can
+be found, the line in the file. The shipped ``default_config.yaml``
+mirrors the table and a test keeps the two equal. Exponent floats
+without a dot or a signed exponent (``6e-05``, ``1.5e8``) are numbers,
+as in YAML 1.2 and JSON, so the resolved config a manifest records loads
+back as a config file.
 """
 
 from __future__ import annotations
@@ -14,87 +18,48 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, NUMBER_OR_NULL
+from .errors import PATH, POSITIVE, SEED, ConfigError
 from .sensitivity import PhysicalConstants, SequenceTiming
-from .shots import CampaignConfig, NoiseConfig, _seed_ok
+from .shots import CampaignConfig, NoiseConfig
 from .squeezing import SqueezingModel
 
 ENV_CONFIG_PATH = "GRAVLAB_CONFIG"
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _finite(v) -> bool:
-    return _is_number(v) and math.isfinite(v)
-
-
-def _positive(v) -> bool:
-    return _finite(v) and v > 0
-
-
-def _non_negative(v) -> bool:
-    return _finite(v) and v >= 0
-
-
-def _at_least_one(v) -> bool:
-    return _finite(v) and v >= 1
-
-
-def _unit_interval(v) -> bool:
-    return _is_number(v) and 0 < v <= 1
-
-
-def _pos_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-def _nullable_finite(v) -> bool:
-    return v is None or _finite(v)
-
-
-def _bool(v) -> bool:
-    return isinstance(v, bool)
-
-
-def _string(v) -> bool:
-    return isinstance(v, str) and len(v) > 0
-
-
-# key path -> (built-in value, predicate, requirement text)
+# key path -> (built-in value, rule)
 SCHEMA: dict[str, tuple] = {
-    "timing.tau_bm_s": (60.0e-6, _positive, "a duration in seconds > 0"),  # Raman pulse, main sequence
-    "timing.t_sep_s": (77.0e-6, _positive, "a duration in seconds > 0"),  # separation inside a pulse pair
-    "timing.big_t_s": (455.0e-6, _positive, "a duration in seconds > 0"),  # single-T commands
-    "timing.t0_s": (0.0, _finite, "a finite time in seconds"),
+    "timing.tau_bm_s": (60.0e-6, DURATION),  # Raman pulse, main sequence
+    "timing.t_sep_s": (77.0e-6, DURATION),  # separation inside a pulse pair
+    "timing.big_t_s": (455.0e-6, DURATION),  # single-T commands
+    "timing.t0_s": (0.0, NUMBER),
     # 4*pi / 780.241 nm, counter-propagating
-    "constants.k_eff_per_m": (1.61057e7, _positive, "a wavevector in 1/m > 0"),
-    "noise.contrast": (0.98, _unit_interval, "a number in (0, 1]"),
-    "noise.raman_efficiency": (1.0, _unit_interval, "a number in (0, 1]"),
+    "constants.k_eff_per_m": (1.61057e7, POSITIVE),
+    "noise.contrast": (0.98, FRACTION),
+    "noise.raman_efficiency": (1.0, FRACTION),
     # light-shift phase noise solved so the default squeezed campaign sits at
     # -1.7 dB metrological squeezing (coherent input then lands near +2.1 dB)
-    "noise.sigma_ac_rad": (0.007816159981487004, _non_negative, "radians >= 0"),
-    "noise.sigma_raman_phase_rad": (1.2e-3, _non_negative, "radians >= 0"),
-    "noise.atom_number_mean": (6000.0, _at_least_one, "atoms >= 1"),
-    "noise.atom_number_sigma": (0.0, _non_negative, "atoms >= 0"),
-    "noise.sigma_accel_m_s2": (0.0, _non_negative, "m/s^2 >= 0"),
-    "noise.projection_noise": (True, _bool, "true or false"),
+    "noise.sigma_ac_rad": (0.007816159981487004, NON_NEGATIVE),
+    "noise.sigma_raman_phase_rad": (1.2e-3, NON_NEGATIVE),
+    "noise.atom_number_mean": (6000.0, AT_LEAST_ONE),
+    "noise.atom_number_sigma": (0.0, NON_NEGATIVE),
+    "noise.sigma_accel_m_s2": (0.0, NON_NEGATIVE),
+    "noise.projection_noise": (True, FLAG),
     # squeezing strength and detection noise solved from the (-5.4, +9.9) dB
     # tomography extremes at 6000 atoms (closed form, see calibrate_model)
-    "noise.squeezing.strength_r": (1.1302698853537816, _non_negative, "dimensionless >= 0"),
-    "noise.squeezing.optimal_phase_rad": (1.2 * math.pi, _finite, "radians"),
-    "noise.squeezing.detection_noise_atoms": (16.61816667208982, _non_negative, "atoms >= 0"),
-    "campaign.t1_s": (455.0e-6, _positive, "a duration in seconds > 0"),
-    "campaign.t2_s": (155.0e-6, _positive, "a duration in seconds > 0"),
+    "noise.squeezing.strength_r": (1.1302698853537816, NON_NEGATIVE),
+    "noise.squeezing.optimal_phase_rad": (1.2 * math.pi, NUMBER),
+    "noise.squeezing.detection_noise_atoms": (16.61816667208982, NON_NEGATIVE),
+    "campaign.t1_s": (455.0e-6, DURATION),
+    "campaign.t2_s": (155.0e-6, DURATION),
     # alpha/k_eff when alpha is null
-    "campaign.chirp_target_m_per_s2": (9.8126, _finite, "m/s^2"),
-    "campaign.alpha_rad_per_s2": (None, _nullable_finite, "rad/s^2 or null"),
-    "campaign.g_true_m_per_s2": (9.812637, _finite, "m/s^2"),
-    "campaign.n_pairs": (5000, _pos_int, "an integer >= 1"),
-    "campaign.cycle_time_s": (52.0, _positive, "seconds > 0"),
-    "campaign.seed": (7, _seed_ok, "an integer in [0, 2^64)"),
-    "output_dir": ("runs", _string, "a non-empty path"),
+    "campaign.chirp_target_m_per_s2": (9.8126, NUMBER),
+    "campaign.alpha_rad_per_s2": (None, NUMBER_OR_NULL),
+    "campaign.g_true_m_per_s2": (9.812637, NUMBER),
+    "campaign.n_pairs": (5000, COUNT),
+    "campaign.cycle_time_s": (52.0, DURATION),
+    "campaign.seed": (7, SEED),
+    "output_dir": ("runs", PATH),
 }
 
 
@@ -112,7 +77,7 @@ class AppConfig:
 
 def _walk(loader: yaml.SafeLoader, node: yaml.MappingNode, prefix: str = "") -> dict:
     """Check a mapping node of user values and return it as a dict: a key
-    that is a SCHEMA row must pass its predicate, a prefix of rows must be
+    that is a SCHEMA row must pass its rule, a prefix of rows must be
     a section, anything else is unknown, and a key written twice is an
     error. A key that is not a plain name is unknown too: 'noise.contrast'
     spelled as one key would pass the path checks, but parse_config reads
@@ -135,9 +100,9 @@ def _walk(loader: yaml.SafeLoader, node: yaml.MappingNode, prefix: str = "") -> 
         plain = isinstance(key, str) and "." not in key
         if plain and path in SCHEMA:
             value = loader.construct_object(value_node, deep=True)
-            _, predicate, req = SCHEMA[path]
-            if not predicate(value):
-                raise ConfigError(f"config key '{path}' must be {req}, got {value!r} (line {line})")
+            rule = SCHEMA[path][1]
+            if not rule.test(value):
+                raise ConfigError(f"config key '{path}' must be {rule.words}, got {value!r} (line {line})")
         elif plain and any(row.startswith(path + ".") for row in SCHEMA):
             if not isinstance(value_node, yaml.MappingNode):
                 raise ConfigError(f"config key '{path}' must be a section (line {line})")
@@ -148,12 +113,26 @@ def _walk(loader: yaml.SafeLoader, node: yaml.MappingNode, prefix: str = "") -> 
     return data
 
 
+def _loader(text: str) -> yaml.SafeLoader:
+    """A SafeLoader for `text` that also resolves YAML 1.2's exponent
+    floats, which YAML 1.1 reads as strings: 6e-05 (as repr and json.dump
+    write 60e-6) and 1.5e8. The resolver goes on a subclass, so PyYAML's
+    own loaders stay as they are."""
+    import re
+    import yaml
+
+    Loader = type("Loader", (yaml.SafeLoader,), {})
+    exponent_float = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent_float, list("-+.0123456789"))
+    return Loader(text)
+
+
 def parse_config(text: str) -> AppConfig:
     """Parse YAML text into a validated AppConfig; blank text = defaults."""
     data: dict = {}
     if text.strip():
         import yaml
-        loader = yaml.SafeLoader(text)
+        loader = _loader(text)
         try:
             node = loader.get_single_node()
             if isinstance(node, yaml.MappingNode):
@@ -166,7 +145,7 @@ def parse_config(text: str) -> AppConfig:
             loader.dispose()
     # the user's values overlaid on the built-ins, nested like the YAML
     resolved: dict = {}
-    for path, (builtin, _, _) in SCHEMA.items():
+    for path, (builtin, _) in SCHEMA.items():
         *sections, key = path.split(".")
         node, given = resolved, data
         for section in sections:

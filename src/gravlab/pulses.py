@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import DURATION, POSITIVE, ConfigError, DomainError, NumericalError, Rule, check_fields
 
 # Blackman window coefficients; a0 - a1 + a2 = 0 gives exact endpoint zeros
 # and a0 + a1 + a2 = 1 gives a peak of exactly 1 at the pulse center.
@@ -48,6 +48,9 @@ def _window_integral(x):
     )
 
 
+_KIND = Rule(lambda v: v in ("blackman", "square"), "'blackman' or 'square'")
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """One Raman pulse: envelope kind, duration and rotation area."""
@@ -57,12 +60,7 @@ class PulseShape:
     area_rad: float = math.pi
 
     def __post_init__(self):
-        if self.kind not in ("blackman", "square"):
-            raise ConfigError(f"unknown pulse kind {self.kind!r}")
-        if self.duration_s <= 0:
-            raise ConfigError("pulse duration must be > 0")
-        if self.area_rad <= 0:
-            raise ConfigError("pulse area must be > 0")
+        check_fields(self, kind=_KIND, duration_s=DURATION, area_rad=POSITIVE)
         try:
             finite = math.isfinite(self.peak_rabi_rad_s)
         except ZeroDivisionError:  # a subnormal duration times BLACKMAN_MEAN rounds to 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import DURATION, NUMBER, POSITIVE, check_fields
 from .pulses import PulseShape, pulse_sensitivity
 
 
@@ -36,9 +36,7 @@ class SequenceTiming:
     start_s: float = 0.0
 
     def __post_init__(self):
-        durations = (self.pulse_s, self.separation_s, self.free_evolution_s)
-        if not (all(0 < t < np.inf for t in durations) and np.isfinite(self.start_s)):  # NaN fails too
-            raise ConfigError("all sequence durations must be finite numbers > 0, and start_s a finite number")
+        check_fields(self, pulse_s=DURATION, separation_s=DURATION, free_evolution_s=DURATION, start_s=NUMBER)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -57,8 +55,7 @@ class PhysicalConstants:
     k_eff_per_m: float = 1.61057e7
 
     def __post_init__(self):
-        if not 0 < self.k_eff_per_m < np.inf:  # NaN fails too
-            raise ConfigError("k_eff_per_m must be a finite number > 0")
+        check_fields(self, k_eff_per_m=POSITIVE)
 
 
 def gravity_sensitivity(timing: SequenceTiming, t: float) -> float:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, SEED
+from .errors import ConfigError, DataError, DomainError, check_fields
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
 from .squeezing import SqueezingModel
 
@@ -56,29 +57,15 @@ class NoiseConfig:
     projection_noise: bool = True   # False: deterministic mean readout
 
     def __post_init__(self):
-        if not 0.0 < self.contrast <= 1.0:
-            raise ConfigError("contrast must be in (0, 1]")
-        if not 0.0 < self.raman_efficiency <= 1.0:
-            raise ConfigError("raman_efficiency must be in (0, 1]")
-        for name in ("sigma_ac_rad", "sigma_raman_phase_rad", "atom_number_sigma", "sigma_accel_m_s2"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ConfigError(f"{name} must be a finite number >= 0")
-        if not 1 <= self.atom_number_mean < math.inf:
-            raise ConfigError("atom_number_mean must be a finite number >= 1")
+        check_fields(
+            self, contrast=FRACTION, raman_efficiency=FRACTION, sigma_ac_rad=NON_NEGATIVE,
+            sigma_raman_phase_rad=NON_NEGATIVE, atom_number_mean=AT_LEAST_ONE, atom_number_sigma=NON_NEGATIVE,
+            sigma_accel_m_s2=NON_NEGATIVE, projection_noise=FLAG,
+        )
 
     @property
     def effective_contrast(self) -> float:
         return self.contrast * self.raman_efficiency**4
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _seed_ok(v) -> bool:
-    """True for an integer in [0, 2^64): one word of the Philox key, a
-    seed or a shot index."""
-    return _is_int(v) and 0 <= v < 2**64
 
 
 @dataclass(frozen=True)
@@ -95,17 +82,12 @@ class CampaignConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if not (_is_int(self.n_pairs) and self.n_pairs >= 1):
-            raise ConfigError(f"n_pairs must be an integer >= 1, got {self.n_pairs!r}")
-        if not _seed_ok(self.seed):
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        for name in ("t1_s", "t2_s", "alpha_rad_per_s2", "g_true_m_per_s2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        check_fields(
+            self, t1_s=DURATION, t2_s=DURATION, alpha_rad_per_s2=NUMBER, g_true_m_per_s2=NUMBER, n_pairs=COUNT,
+            cycle_time_s=DURATION, seed=SEED,
+        )
         if self.t1_s == self.t2_s:
             raise ConfigError("t1_s and t2_s must differ")
-        if not 0 < self.cycle_time_s < math.inf:
-            raise ConfigError("cycle_time_s must be a finite number > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +249,7 @@ def simulate_shot(
 ) -> ShotTable:
     """Shot `index` of the campaign, regenerated from its (seed, index)
     counters alone: run_campaign(...)[index], a campaign of one."""
-    if not (_seed_ok(index) and index < 2**63):  # ShotTable and the log hold it as int64
+    if not (SEED.test(index) and index < 2**63):  # ShotTable and the log hold it as int64
         raise DomainError(f"shot index must be an integer in [0, 2^63), got {index!r}")
     return _simulate(campaign, timing, constants, noise, np.array([index], dtype=np.uint64))
 

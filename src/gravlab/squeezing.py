@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, check_fields
 from .errors import CalibrationError, ConfigError, DomainError, NumericalError
 
 # Bounds the state vector (1 MB complex at the limit) of the two-mode
@@ -70,8 +71,7 @@ class HamiltonianParams:
     pump_atoms: int = 100
 
     def __post_init__(self):
-        if self.pump_atoms < 1:
-            raise ConfigError("pump_atoms must be >= 1")
+        check_fields(self, zeeman_q_rad_s=NUMBER, interaction_rad_s=NUMBER, pump_atoms=COUNT)
 
 
 def _mode_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
@@ -276,14 +276,10 @@ class SqueezingModel:
     detection_noise_atoms: float = 0.0  # std added to the imbalance
 
     def __post_init__(self):
-        if not 0 < self.atom_number < math.inf:  # NaN fails too
-            raise ConfigError("atom_number must be a finite number > 0")
-        if not 0 <= self.strength < math.inf:
-            raise ConfigError("squeezing strength must be a finite number >= 0")
-        if not math.isfinite(self.optimal_phase_rad):
-            raise ConfigError("optimal_phase_rad must be a finite number")
-        if not 0 <= self.detection_noise_atoms < math.inf:
-            raise ConfigError("detection noise must be a finite number >= 0")
+        check_fields(
+            self, atom_number=POSITIVE, strength=NON_NEGATIVE, optimal_phase_rad=NUMBER,
+            detection_noise_atoms=NON_NEGATIVE,
+        )
 
 
 def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:

@@ -12,7 +12,18 @@ import pytest
 import yaml
 
 import gravlab
-from gravlab import ConfigError, PhysicalConstants, read_shot_log, scale_factor
+from gravlab import (
+    CampaignConfig,
+    ConfigError,
+    HamiltonianParams,
+    NoiseConfig,
+    PhysicalConstants,
+    PulseShape,
+    SequenceTiming,
+    SqueezingModel,
+    read_shot_log,
+    scale_factor,
+)
 from gravlab.cli import Manifest, main
 from gravlab.config import config_hash, load_config, parse_config
 
@@ -56,9 +67,18 @@ class TestParseConfig:
         assert cfg.campaign.alpha_rad_per_s2 == 9.8126 * K_EFF
 
     def test_explicit_alpha_wins(self):
-        # note the signed exponent: YAML 1.1 reads bare "1.5e8" as a string
         cfg = parse_config("campaign:\n  alpha_rad_per_s2: 1.5e+8\n")
         assert cfg.campaign.alpha_rad_per_s2 == 1.5e8
+
+    @pytest.mark.parametrize("text, value", [("6e-05", 6e-05), ("1.5e8", 1.5e8), ("-2E+3", -2e3), (".5e1", 5.0)])
+    def test_exponent_float_without_dot_or_sign_is_a_number(self, text, value):
+        # YAML 1.2 and JSON read these as floats; YAML 1.1 as strings
+        assert parse_config(f"campaign:\n  g_true_m_per_s2: {text}\n").campaign.g_true_m_per_s2 == value
+        assert yaml.safe_load(f"a: {text}") == {"a": text}  # PyYAML's own loader is left as it was
+
+    def test_quoted_exponent_float_stays_a_string(self):
+        with pytest.raises(ConfigError, match="tau_bm_s' must be a duration in seconds > 0, got '6e-05'"):
+            parse_config("timing:\n  tau_bm_s: '6e-05'\n")
 
     def test_partial_override_keeps_other_defaults(self):
         cfg = parse_config("noise:\n  contrast: 0.5\n")
@@ -110,21 +130,27 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", ["0.5", "0", ".inf"])
     def test_atom_number_mean_below_one_names_path_and_line(self, value):
         # the config layer, not NoiseConfig, refuses it: with key path and line
-        with pytest.raises(ConfigError, match=r"noise\.atom_number_mean' must be atoms >= 1.*line 3"):
+        with pytest.raises(ConfigError, match=r"noise\.atom_number_mean' must be a finite number >= 1.*line 3"):
             parse_config(f"noise:\n  contrast: 0.9\n  atom_number_mean: {value}\n")
 
     @pytest.mark.parametrize(
         "section, key, req",
         [
-            ("campaign", "cycle_time_s", "seconds > 0"),
+            ("campaign", "cycle_time_s", "a duration in seconds > 0"),
             ("timing", "tau_bm_s", "a duration in seconds > 0"),
-            ("noise", "sigma_ac_rad", "radians >= 0"),
+            ("noise", "sigma_ac_rad", "a finite number >= 0"),
         ],
     )
     def test_infinity_refused_naming_path_and_line(self, section, key, req):
         with pytest.raises(ConfigError) as info:
             parse_config(f"{section}:\n  {key}: .inf\n")
         assert str(info.value) == f"config key '{section}.{key}' must be {req}, got inf (line 2)"
+
+    def test_whole_number_beyond_the_float_range_refused_naming_path_and_line(self):
+        # a float conversion would overflow later, in the scale factor
+        why = r"config key 'timing\.tau_bm_s' must be a duration in seconds > 0, got 1000.*\(line 3\)"
+        with pytest.raises(ConfigError, match=why):
+            parse_config("timing:\n  t_sep_s: 7.7e-05\n  tau_bm_s: 1" + "0" * 400 + "\n")
 
     def test_scalar_where_section_expected(self):
         with pytest.raises(ConfigError, match="section"):
@@ -223,6 +249,57 @@ class TestConfigHash:
         )
 
 
+# each numeric or flag field of the settings dataclasses, with values
+# outside its range; every field also refuses a string, a bool (a number
+# for a flag), NaN and +-inf
+SETTINGS = {
+    SequenceTiming: {"pulse_s": [0.0, -6e-5, 10**400], "separation_s": [0], "free_evolution_s": [-1e-3], "start_s": []},
+    PhysicalConstants: {"k_eff_per_m": [0.0, -1.61057e7]},
+    NoiseConfig: {
+        "contrast": [0.0, 1.5],
+        "raman_efficiency": [0, 1.01],
+        "sigma_ac_rad": [-1e-3],
+        "sigma_raman_phase_rad": [-1e-3],
+        "atom_number_mean": [0.5, 0],
+        "atom_number_sigma": [-1.0],
+        "sigma_accel_m_s2": [-1e-9],
+        "projection_noise": [],
+    },
+    CampaignConfig: {
+        "t1_s": [0.0, -1e-3],
+        "t2_s": [0, -155e-6],
+        "alpha_rad_per_s2": [],
+        "g_true_m_per_s2": [-(10**400)],
+        "n_pairs": [0, 2.5, np.float64(3.0)],
+        "cycle_time_s": [0.0, -52.0],
+        "seed": [-1, 2**64, 7.0],
+    },
+    SqueezingModel: {
+        "atom_number": [0.0, -1.0],
+        "strength": [-0.1],
+        "optimal_phase_rad": [],
+        "detection_noise_atoms": [-1],
+    },
+    HamiltonianParams: {"zeeman_q_rad_s": [], "interaction_rad_s": [], "pump_atoms": [0, 2.5]},
+    PulseShape: {"duration_s": [0.0, -6e-5], "area_rad": [0.0, -math.pi]},
+}
+
+
+def refusal_cases():
+    for cls, fields in SETTINGS.items():
+        for field, out_of_range in fields.items():
+            wrong_type = ["no", 1] if field == "projection_noise" else ["1", True]
+            for value in [*wrong_type, math.nan, math.inf, -math.inf, *out_of_range]:
+                yield pytest.param(cls, field, value, id=f"{cls.__name__}.{field}={value!r:.24}")
+
+
+@pytest.mark.parametrize("cls, field, value", refusal_cases())
+def test_settings_refuse_a_value_outside_the_rule_naming_the_field(cls, field, value):
+    given = {"squeezing": SqueezingModel()} if cls is NoiseConfig else {}
+    with pytest.raises(ConfigError, match=re.escape(f"{cls.__name__}.{field} must be ")):
+        cls(**given, **{field: value})
+
+
 class TestCliBasics:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -257,6 +334,10 @@ class TestCliBasics:
             ["pulse", "--detuning-sigma-hz", "-1", "--detuning-hz", "1"],
             ["pulse", "--samples", "-1"],
             ["tomography", "--points", "-1"],
+            ["simulate", "--pairs", "0"],
+            ["simulate", "--pairs", "2.5"],
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--seed", str(2**64)],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -420,7 +501,7 @@ class TestSimulateAnalyze:
         out = tmp_path / "out"
         code = main(["simulate", "--pairs", "16", "--seed", seed, "--output-dir", str(out), "--out", "deep/shots.jsonl"])
         assert code == 1
-        assert "--seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        assert "argument --seed: must be an integer in [0, 2^64)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_largest_seed_accepted(self, tmp_path):
@@ -669,6 +750,24 @@ class TestReproduceCommand:
         assert code == 0
         return out_dir
 
+    def test_manifest_config_regenerates_every_output(self, tmp_path):
+        # the manifest's config, dumped as JSON (6e-05 and all), is a config
+        # file: its command re-run on it reproduces every output bit for bit
+        user = tmp_path / "user.yaml"
+        user.write_text("timing:\n  tau_bm_s: 5.0e-5\nnoise:\n  contrast: 0.95\n  atom_number_sigma: 150.0\n")
+        argv = ["reproduce", "--pairs", "300", "--seed", "5", "--config", str(user)]
+        assert main([*argv, "--output-dir", str(tmp_path / "first")]) == 0
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        with open(tmp_path / "config.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest["config"], fh)
+        assert manifest["command"][0] == "gravlab"
+        rerun = [*manifest["command"][1:], "--config", str(tmp_path / "config.json")]
+        assert main([*rerun, "--output-dir", str(tmp_path / "again")]) == 0
+        again = json.loads((tmp_path / "again" / "manifest.json").read_text())
+        assert again["config_hash"] == manifest["config_hash"]
+        assert len(manifest["outputs"]) == 7
+        assert again["outputs"] == manifest["outputs"]
+
     def test_artifacts_and_summary(self, tmp_path):
         out = self.run_repro(tmp_path)
         names = {p.name for p in out.iterdir()}
@@ -745,11 +844,13 @@ class TestReproduceCommand:
         assert "usage error" in err and "--out" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("pairs", ["10", "0"])
-    def test_too_few_pairs_refused_before_writing(self, tmp_path, capsys, pairs):
+    @pytest.mark.parametrize(
+        "pairs, why", [("10", "at least 16 pairs"), ("0", "argument --pairs: must be an integer >= 1")], ids=["10", "0"]
+    )
+    def test_too_few_pairs_refused_before_writing(self, tmp_path, capsys, pairs, why):
         code = main(["reproduce", "--pairs", pairs, "--output-dir", str(tmp_path / "out")])
         assert code == 1
-        assert "at least 16 pairs" in capsys.readouterr().err
+        assert why in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64 - 1), str(2**64)])

@@ -65,5 +65,5 @@ SERIES = np.zeros(30)
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_public_guard_refuses_nan_and_infinity(call, error):
-    with pytest.raises(error, match="finite number|integer"):
+    with pytest.raises(error, match="finite number|integer|a duration in seconds > 0"):
         eval(call, globals() | {"nan": math.nan, "inf": math.inf})
