@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule, require
 from .errors import DataError, DomainError, FitError
 from .sensitivity import PhysicalConstants
 from .shots import ShotTable
@@ -326,11 +327,6 @@ def delta_p(shots: ShotTable) -> DeltaPSeries:
     )
 
 
-def _check_contrast(contrast: float) -> None:
-    if not 0.0 < contrast <= 1.0:  # NaN fails too
-        raise DomainError(f"contrast must be in (0, 1], got {contrast!r}")
-
-
 def gravity_from_delta_p(
     delta_p_mean: float,
     contrast: float,
@@ -344,9 +340,13 @@ def gravity_from_delta_p(
     g = (2/C) * delta_p / (S1 - S2) + alpha/k_eff; invariant under
     flipping the signs of (S1, S2, delta_p) together.
     """
+    require(NUMBER, "delta_p_mean", delta_p_mean)
+    require(FRACTION, "contrast", contrast)
+    require(NUMBER, "scale1_s2_per_m", scale1_s2_per_m)
+    require(NUMBER, "scale2_s2_per_m", scale2_s2_per_m)
+    require(NUMBER, "alpha_rad_per_s2", alpha_rad_per_s2)
     if scale1_s2_per_m == scale2_s2_per_m:
         raise DomainError("scale factors must differ")
-    _check_contrast(contrast)
     return (
         (2.0 / contrast) * delta_p_mean / (scale1_s2_per_m - scale2_s2_per_m)
         + alpha_rad_per_s2 / constants.k_eff_per_m
@@ -368,9 +368,7 @@ def estimate_g(
         raise DataError("need at least 2 pairs for an uncertainty")
     mean = float(np.mean(vals))
     sem = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    g = gravity_from_delta_p(
-        mean, contrast, scale1_s2_per_m, scale2_s2_per_m, alpha_rad_per_s2, constants
-    )
+    g = gravity_from_delta_p(mean, contrast, scale1_s2_per_m, scale2_s2_per_m, alpha_rad_per_s2, constants)
     sigma_g = (2.0 / contrast) * sem / abs(scale1_s2_per_m - scale2_s2_per_m)
     return GravityEstimate(
         g_exp_m_s2=g, sigma_g_m_s2=sigma_g, delta_p_mean=mean, n_pairs=len(vals)
@@ -389,9 +387,8 @@ def squeezing_from_pairs(
     diffs = np.asarray(imbalance_diff, dtype=float)
     if len(diffs) < 2:
         raise DataError("need at least 2 pairs")
-    if mean_atoms_sum <= 0:
-        raise DomainError("atom number sum must be > 0")
-    _check_contrast(contrast)
+    require(POSITIVE, "mean_atoms_sum", mean_atoms_sum)
+    require(FRACTION, "contrast", contrast)
     if not diffs.any():
         raise DomainError("every pair difference is zero: no noise to compare with the projection limit")
     return float(_squeezing(np.mean(diffs * diffs), mean_atoms_sum, contrast))
@@ -406,6 +403,7 @@ def _squeezing(mean_square, mean_atoms_sum: float, contrast: float):
     return (4.0 / contrast**2) * mean_square / mean_atoms_sum
 
 
+RESAMPLES = Rule(lambda v: SIZE.test(v) and v >= 2, "an integer >= 2")  # what n_bootstrap must be
 BOOTSTRAP_CHUNK = 16  # resamples drawn at once: bounds the draw arrays
 # Resample counts of the K distinct squared differences when there are at
 # least this many pairs per distinct value, else resample pair indices.
@@ -440,9 +438,8 @@ def metrological_squeezing(
     one generator call, which yields the same draws as one call per
     resample.
     """
-    _check_contrast(contrast)
-    if n_bootstrap < 2:
-        raise DomainError(f"n_bootstrap must be >= 2, got {n_bootstrap}")
+    require(RESAMPLES, "n_bootstrap", n_bootstrap)
+    require(SEED, "bootstrap_seed", bootstrap_seed)
     first, second, _, _ = _pairs(shots)
     atoms_sum = float(np.mean(first.count_f1 + first.count_f2) + np.mean(second.count_f1 + second.count_f2))
     samples = first.imbalance - second.imbalance
@@ -499,8 +496,7 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < MIN_ALLAN_SAMPLES:
         raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples")
-    if not 0 < tau0_s < math.inf:  # NaN fails too
-        raise DomainError("tau0 must be a finite number > 0")
+    require(POSITIVE, "tau0_s", tau0_s)
     m_max = len(x) // 3
     csum = np.concatenate(([0.0], np.cumsum(x)))
 
@@ -521,12 +517,8 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
 def phase_noise_budget(sigma_phi_rad: float, atoms: float) -> PhaseNoiseBudget:
     """Small-angle conversion of interferometer phase noise to an
     imbalance std and its level relative to the projection limit."""
-    if not (0 <= sigma_phi_rad < math.inf and 0 < atoms < math.inf):  # NaN fails too
-        raise DomainError("sigma_phi must be a finite number >= 0 and atoms a finite number > 0")
-    delta_jz = 0.5 * atoms * sigma_phi_rad
-    if sigma_phi_rad == 0.0:
-        return PhaseNoiseBudget(delta_jz_atoms=0.0, db_vs_sql=-math.inf)
-    return PhaseNoiseBudget(
-        delta_jz_atoms=delta_jz,
-        db_vs_sql=10.0 * math.log10(atoms * sigma_phi_rad**2),
-    )
+    require(NON_NEGATIVE, "sigma_phi_rad", sigma_phi_rad)
+    require(POSITIVE, "atoms", atoms)
+    power = atoms * sigma_phi_rad**2  # 0 when sigma_phi_rad is 0 or its square underflows: negligible
+    db = 10.0 * math.log10(power) if power > 0 else -math.inf
+    return PhaseNoiseBudget(delta_jz_atoms=0.5 * atoms * sigma_phi_rad, db_vs_sql=db)

@@ -321,25 +321,22 @@ def _cmd_allan(args) -> int:
 
 
 def _read_fringe_file(path):
-    rows = []
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of line 1
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read fringe file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if lineno == 1 and not _is_float(parts[0]):
-                continue  # header
-            if len(parts) < 2 or not (_is_float(parts[0]) and _is_float(parts[1])):
-                raise DataError(f"{path}:{lineno}: expected 'alpha,p'")
-            alpha, p = float(parts[0]), float(parts[1])
-            if not (math.isfinite(alpha) and math.isfinite(p)):
-                raise DataError(f"{path}:{lineno}: non-finite alpha or p")
-            rows.append((alpha, p))
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.strip().split(",")
+        if parts == [""] or lineno == 1 and not _is_float(parts[0]):
+            continue  # a blank line or the header
+        if len(parts) < 2 or not (_is_float(parts[0]) and _is_float(parts[1])):
+            raise DataError(f"{path}:{lineno}: expected 'alpha,p'")
+        alpha, p = float(parts[0]), float(parts[1])
+        if not (math.isfinite(alpha) and math.isfinite(p)):
+            raise DataError(f"{path}:{lineno}: non-finite alpha or p")
+        rows.append((alpha, p))
     if not rows:
         raise DataError(f"{path}: no fringe points")
     return rows

@@ -213,7 +213,7 @@ def load_config(path: str | None = None) -> AppConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

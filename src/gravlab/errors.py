@@ -1,11 +1,13 @@
-"""Exception hierarchy shared by all gravlab modules, and one Rule per kind of setting.
+"""Exception hierarchy shared by all gravlab modules, and one Rule per kind of value.
 
 The CLI maps ConfigError to exit code 1 (user/usage problem) and every
 other GravlabError to exit code 2 (numerical or data problem). A config
 key, the CLI flag that mirrors it and the settings-dataclass field it
-fills check one Rule, so they refuse the same values in the same words.
-A number is an int or float (numpy's too) in the float range: never a
-bool, NaN or +-inf.
+fills check one Rule, so they refuse the same values in the same words;
+a public function's scalar arguments check the same Rules through
+`require`, which raises DomainError. A number is an int or float
+(numpy's too) in the float range: never a bool, string, NaN or +-inf.
+Array arguments are not checked element by element.
 """
 
 import sys
@@ -70,8 +72,13 @@ FLAG = Rule(lambda v: isinstance(v, bool), "true or false")
 PATH = Rule(lambda v: isinstance(v, str) and v != "", "a non-empty path")
 
 
+def require(rule: Rule, name: str, value, error: type[GravlabError] = DomainError) -> None:
+    """Raise `error` saying what `name` must be and what it got, unless `value` passes `rule`."""
+    if not rule.test(value):
+        raise error(f"{name} must be {rule.words}, got {value!r}")
+
+
 def check_fields(owner, **rules: Rule) -> None:
     """Raise ConfigError naming the first field of `owner` that breaks its rule, with its value."""
     for name, rule in rules.items():
-        if not rule.test(value := getattr(owner, name)):
-            raise ConfigError(f"{type(owner).__name__}.{name} must be {rule.words}, got {value!r}")
+        require(rule, f"{type(owner).__name__}.{name}", getattr(owner, name), ConfigError)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DURATION, POSITIVE, ConfigError, DomainError, NumericalError, Rule, check_fields
+from .errors import DURATION, NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, DomainError, NumericalError, Rule
+from .errors import check_fields, require
 
 # Blackman window coefficients; a0 - a1 + a2 = 0 gives exact endpoint zeros
 # and a0 + a1 + a2 = 1 gives a peak of exactly 1 at the pulse center.
@@ -49,6 +50,7 @@ def _window_integral(x):
 
 
 _KIND = Rule(lambda v: v in ("blackman", "square"), "'blackman' or 'square'")
+_MODEL = Rule(lambda v: v in ("envelope", "constant"), "'envelope' or 'constant'")
 
 
 @dataclass(frozen=True)
@@ -78,27 +80,27 @@ class PulseShape:
         return self.area_rad / (BLACKMAN_MEAN * self.duration_s)
 
 
+def _fraction(shape: PulseShape, t) -> float:
+    """Time t as a fraction of the pulse; a t outside its support [0, duration_s] is refused."""
+    support = Rule(lambda v: NUMBER.test(v) and 0 <= v <= shape.duration_s, f"a time in [0, {shape.duration_s!r}] s")
+    require(support, "t", t)
+    return t / shape.duration_s
+
+
 def envelope(shape: PulseShape, t: float) -> float:
     """Normalized drive envelope at time t into the pulse, in [0, 1]."""
-    if t < 0 or t > shape.duration_s:
-        raise DomainError(
-            f"t = {t} outside pulse support [0, {shape.duration_s}]"
-        )
+    x = _fraction(shape, t)
     if shape.kind == "square":
         return 1.0
-    if t == 0.0 or t == shape.duration_s:
+    if x == 0.0 or x == 1.0:  # t == 0 or t == duration_s
         return 0.0  # sin(pi*1.0) is ~1e-16, not 0; the zeros are exact by definition
-    return float(_window(t / shape.duration_s))
+    return float(_window(x))
 
 
 def accumulated_area(shape: PulseShape, t: float) -> float:
     """Rotation area accumulated by time t, normalized to reach pi/2
     exactly at the end of the pulse."""
-    if t < 0 or t > shape.duration_s:
-        raise DomainError(
-            f"t = {t} outside pulse support [0, {shape.duration_s}]"
-        )
-    x = t / shape.duration_s
+    x = _fraction(shape, t)
     if shape.kind == "square":
         frac = x
     else:
@@ -134,8 +136,7 @@ def _transfer(shape: PulseShape, deltas: np.ndarray, detuning_model: str) -> np.
     W * area_rad / Omega0 with W = sqrt(Omega0^2 + delta^2). Only a
     Blackman pulse under a constant detuning needs the ODE.
     """
-    if detuning_model not in ("envelope", "constant"):
-        raise ConfigError(f"unknown detuning model {detuning_model!r}")
+    require(_MODEL, "detuning_model", detuning_model, ConfigError)
     if not np.isfinite(deltas).all():
         raise DomainError("detuning must be a finite number")
     om0 = shape.peak_rabi_rad_s
@@ -177,6 +178,7 @@ def transfer_probability(
     envelope (a light shift is proportional to intensity); "constant"
     holds it fixed across the pulse.
     """
+    require(NUMBER, "detuning_rad_s", detuning_rad_s)
     return float(_transfer(shape, np.array([float(detuning_rad_s)]), detuning_model)[0])
 
 
@@ -191,8 +193,8 @@ def averaged_transfer(
     which keeps the smooth integrand converged well below the quoted
     precision.
     """
-    if not 0 <= detuning_sigma_rad_s < math.inf:  # NaN fails too
-        raise DomainError("detuning sigma must be a finite number >= 0")
+    require(NUMBER, "detuning_mean_rad_s", detuning_mean_rad_s)
+    require(NON_NEGATIVE, "detuning_sigma_rad_s", detuning_sigma_rad_s)
     if detuning_sigma_rad_s == 0:
         return transfer_probability(shape, detuning_mean_rad_s, detuning_model), 0.0
 

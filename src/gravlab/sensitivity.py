@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DURATION, NUMBER, POSITIVE, check_fields
+from .errors import DURATION, NUMBER, POSITIVE, check_fields, require
 from .pulses import PulseShape, pulse_sensitivity
 
 
@@ -60,6 +60,7 @@ class PhysicalConstants:
 
 def gravity_sensitivity(timing: SequenceTiming, t: float) -> float:
     """Piecewise sequence sensitivity g(t); zero outside the sequence."""
+    require(NUMBER, "t", t)
     b = timing.breakpoints
     if t < b[0] or t > b[7]:
         return 0.0

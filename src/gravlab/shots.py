@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, SEED
-from .errors import ConfigError, DataError, DomainError, check_fields
+from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, SEED, SIZE
+from .errors import ConfigError, DataError, Rule, check_fields, require
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
 from .squeezing import SqueezingModel
 
@@ -145,6 +145,8 @@ _SHIFT_11 = np.uint64(11)
 # key (seed, i), in the draw order of the module docstring
 N_CHANNELS = 5
 STREAM_VERSION = 2
+# the Philox key word of a shot, held as int64 by ShotTable and the log
+SHOT_INDEX = Rule(lambda v: SIZE.test(v) and v < 2**63, "an integer in [0, 2^63)")
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,8 +251,7 @@ def simulate_shot(
 ) -> ShotTable:
     """Shot `index` of the campaign, regenerated from its (seed, index)
     counters alone: run_campaign(...)[index], a campaign of one."""
-    if not (SEED.test(index) and index < 2**63):  # ShotTable and the log hold it as int64
-        raise DomainError(f"shot index must be an integer in [0, 2^63), got {index!r}")
+    require(SHOT_INDEX, "shot index", index)
     return _simulate(campaign, timing, constants, noise, np.array([index], dtype=np.uint64))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, check_fields
+from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, require
 from .errors import CalibrationError, ConfigError, DomainError, NumericalError
 
 # Bounds the state vector (1 MB complex at the limit) of the two-mode
@@ -196,16 +196,16 @@ def evolve(
     pattern, the sectors of whatever it conserves. Each sector the state
     occupies is exponentiated exactly through the eigendecomposition
     (numpy eigh) of its dense block; sectors where the state is zero stay
-    zero. No dim x dim matrix is formed.
+    zero. No dim x dim matrix is formed. H must be Hermitian on each
+    occupied sector, which holds every entry the state can reach.
     """
     import scipy.sparse as sp
 
-    h = sp.csr_array(hamiltonian)
-    if abs(h - h.conj().T).max() > 1e-12 * max(1.0, abs(h).max()):
-        raise NumericalError("hamiltonian is not Hermitian")
-    h = h.tocoo()  # the entries toarray places: duplicates summed, zeros dropped
+    require(NUMBER, "duration", duration)
+    h = sp.csr_array(hamiltonian).tocoo()  # the entries toarray places: duplicates summed, zeros dropped
     h.sum_duplicates()
     h.eliminate_zeros()
+    tolerance = 1e-12 * max(1.0, np.abs(h.data).max(initial=0.0))
     sector = _sectors(h.shape[0], h.row, h.col)
     occupied = np.unique(sector[state != 0])
     largest = np.bincount(sector)[occupied].max(initial=0)
@@ -220,8 +220,11 @@ def evolve(
         groups.append(np.split(picked, np.searchsorted(labels[picked], occupied))[1:])
     out = np.zeros(state.shape, dtype=complex)
     for mine, inside in zip(*groups):
+        at = np.searchsorted(mine, h.row[inside]), np.searchsorted(mine, h.col[inside])
         block = np.zeros((len(mine), len(mine)), dtype=h.dtype)
-        block[np.searchsorted(mine, h.row[inside]), np.searchsorted(mine, h.col[inside])] = h.data[inside]
+        block[at] = h.data[inside]
+        if np.abs(h.data[inside] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
+            raise NumericalError("hamiltonian is not Hermitian")
         energy, vectors = np.linalg.eigh(block)
         out[mine] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[mine]))
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
@@ -238,6 +241,7 @@ def mean_occupations(state: np.ndarray, space: FockSpace) -> tuple[float, float]
 
 def occupation_distribution(state: np.ndarray, space: FockSpace, mode: int = 0) -> np.ndarray:
     """Marginal occupation distribution of one mode (0 = first)."""
+    require(Rule(lambda v: SIZE.test(v) and v <= 1, "0 or 1"), "mode", mode)
     psi = state.reshape(space.dim_single, space.dim_single)
     prob = np.abs(psi) ** 2
     return prob.sum(axis=1) if mode == 0 else prob.sum(axis=0)
@@ -284,6 +288,7 @@ class SqueezingModel:
 
 def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:
     """Imbalance variance at tomography angle phi (atoms^2), period pi."""
+    require(NUMBER, "phi_rad", phi_rad)
     n, r = model.atom_number, model.strength
     if r == 0.0:
         # isotropic: exactly the projection limit at every angle
@@ -298,10 +303,8 @@ def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:
 def squeezing_parameter(variance_atoms2: float, atom_number: float) -> tuple[float, float]:
     """Number-squeezing parameter (linear, dB): 4 Var / N vs the
     quantum projection limit N/4."""
-    if variance_atoms2 <= 0:
-        raise DomainError("variance must be > 0")
-    if atom_number <= 0:
-        raise DomainError("atom number must be > 0")
+    require(POSITIVE, "variance_atoms2", variance_atoms2)
+    require(POSITIVE, "atom_number", atom_number)
     linear = 4.0 * variance_atoms2 / atom_number
     return linear, 10.0 * math.log10(linear)
 
@@ -319,6 +322,9 @@ def calibrate_model(
     d < 0, i.e. when the extremes are closer than a pure minimum-
     uncertainty state allows.
     """
+    require(NUMBER, "min_db", min_db)
+    require(NUMBER, "max_db", max_db)
+    require(POSITIVE, "atom_number", atom_number)
     if min_db > max_db:
         raise DomainError("min_db must be <= max_db")
     lo = 10.0 ** (min_db / 10.0)
@@ -331,17 +337,10 @@ def calibrate_model(
             f"residual detection variance would be negative (d = {d:.3e})"
         )
     sigma_det = math.sqrt(max(d, 0.0) * atom_number / 4.0)
-    return SqueezingModel(
-        atom_number=atom_number,
-        strength=r,
-        detection_noise_atoms=sigma_det,
-    )
+    return SqueezingModel(atom_number=atom_number, strength=r, detection_noise_atoms=sigma_det)
 
 
 def coherent_model(atom_number: float) -> SqueezingModel:
     """Ideal coherent input: projection noise only, 0 dB at every angle."""
-    return SqueezingModel(
-        atom_number=atom_number,
-        strength=0.0,
-        detection_noise_atoms=0.0,
-    )
+    require(POSITIVE, "atom_number", atom_number)
+    return SqueezingModel(atom_number=atom_number, strength=0.0, detection_noise_atoms=0.0)

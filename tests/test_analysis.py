@@ -678,6 +678,11 @@ class TestPhaseNoiseBudget:
         assert out.delta_jz_atoms == 0.0
         assert out.db_vs_sql == -math.inf
 
+    def test_noise_whose_square_underflows_is_negligible(self):
+        out = phase_noise_budget(1e-200, 6000.0)  # 6000 * 1e-400 rounds to 0
+        assert out.delta_jz_atoms == pytest.approx(3e-197, rel=1e-15)
+        assert out.db_vs_sql == -math.inf
+
     def test_quadrupling_sigma_adds_twelve_db(self):
         lo = phase_noise_budget(5e-4, 3000.0)
         hi = phase_noise_budget(2e-3, 3000.0)

@@ -320,6 +320,14 @@ class TestCliBasics:
         assert main(["scale-factor", "--config", str(path)]) == 1
         assert "foo" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_is_exit_one_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("noise:\n  contrast: 0.7  # r\u00e9glage\n".encode("latin-1"))
+        assert main(["scale-factor", "--config", str(path), "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec can't decode byte 0xe9")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -707,6 +715,28 @@ class TestFringesCommand:
 
     def test_missing_file_is_exit_two(self, tmp_path):
         assert main(["fringes", str(tmp_path / "none.csv")]) == 2
+
+    def test_file_that_is_not_utf8_is_exit_two_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("alpha_rad_per_s2,p # \u00b5\n1.5e8,0.5\n".encode("latin-1"))
+        assert main(["fringes", str(bad), "--out", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read fringe file {bad}: 'utf-8' codec can't decode byte 0xb5")
+
+    def test_byte_order_mark_does_not_turn_the_first_point_into_a_header(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_fringe_csv(plain, -1.42, 9.8126 * K_EFF)
+        points = plain.read_text().split("\n", 1)[1]  # a headerless scan
+        plain.write_text(points, encoding="utf-8")
+        marked.write_text(points, encoding="utf-8-sig")  # starts with a byte-order mark
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        fits = []
+        for path in (plain, marked):
+            assert main(["fringes", str(path), "--out", "-"]) == 0
+            _, row = capsys.readouterr().out.splitlines()  # the header, then one fit
+            fits.append(row.split(",", 1)[1])  # all but the file name
+        assert fits[0] == fits[1]
 
     def test_malformed_row_is_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

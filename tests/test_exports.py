@@ -1,23 +1,43 @@
 """The package's export list, and the guards of its public entry points
-against NaN and infinity."""
+against NaN, infinity and other values outside their rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import gravlab
 from gravlab import (
+    CampaignConfig,
     ConfigError,
     DomainError,
     FockSpace,
+    NoiseConfig,
     PhysicalConstants,
     PulseShape,
     SequenceTiming,
+    SqueezingModel,
+    accumulated_area,
     allan_deviation,
     averaged_transfer,
+    calibrate_model,
+    coherent_model,
+    envelope,
+    evolve,
+    gravity_from_delta_p,
+    gravity_sensitivity,
+    metrological_squeezing,
+    occupation_distribution,
     phase_noise_budget,
+    pulse_sensitivity,
+    run_campaign,
+    simulate_shot,
+    squeezing_from_pairs,
+    squeezing_parameter,
+    tomography_variance,
     transfer_probability,
+    vacuum_state,
 )
 
 
@@ -67,3 +87,63 @@ SERIES = np.zeros(30)
 def test_public_guard_refuses_nan_and_infinity(call, error):
     with pytest.raises(error, match="finite number|integer|a duration in seconds > 0"):
         eval(call, globals() | {"nan": math.nan, "inf": math.inf})
+
+
+TIMING, CONST = SequenceTiming(), PhysicalConstants()
+NOISE = NoiseConfig(squeezing=SqueezingModel())
+SHOTS = run_campaign(CampaignConfig(n_pairs=20), TIMING, CONST, NOISE)
+MODEL = SqueezingModel(strength=1.1)
+SPACE = FockSpace(n_max=4)
+H, PSI = np.diag([1.0, 2.0]), np.array([1.0, 0.0])
+HUGE = 10**400  # an int beyond the float range
+
+# (call with "x" in the argument's place, the argument's name, values
+# outside its rule besides NaN, +-inf, a bool and a string)
+ARGUMENTS = [
+    ("gravity_from_delta_p(x, 0.98, -1.42, -0.767, 1.58e8, CONST)", "delta_p_mean", [HUGE]),
+    ("gravity_from_delta_p(1e-4, x, -1.42, -0.767, 1.58e8, CONST)", "contrast", [0.0, 1.5]),
+    ("gravity_from_delta_p(1e-4, 0.98, x, -0.767, 1.58e8, CONST)", "scale1_s2_per_m", [HUGE]),
+    ("gravity_from_delta_p(1e-4, 0.98, -1.42, x, 1.58e8, CONST)", "scale2_s2_per_m", [HUGE]),
+    ("gravity_from_delta_p(1e-4, 0.98, -1.42, -0.767, x, CONST)", "alpha_rad_per_s2", [HUGE]),
+    ("squeezing_from_pairs(SERIES + 1.0, x, 1.0)", "mean_atoms_sum", [0.0, -1.0]),
+    ("squeezing_from_pairs(SERIES + 1.0, 100.0, x)", "contrast", [0.0, 1.5]),
+    ("metrological_squeezing(SHOTS, contrast=x)", "contrast", [0.0, 1.5]),
+    ("metrological_squeezing(SHOTS, n_bootstrap=x)", "n_bootstrap", [1, 2.5]),
+    ("metrological_squeezing(SHOTS, bootstrap_seed=x)", "bootstrap_seed", [-1, 2**64]),
+    ("allan_deviation(SERIES, x)", "tau0_s", [0.0, -1.0]),
+    ("phase_noise_budget(x, 6000.0)", "sigma_phi_rad", [-1e-3]),
+    ("phase_noise_budget(1e-3, x)", "atoms", [0.0]),
+    ("envelope(SHAPE, x)", "t", [-1e-9, SHAPE.duration_s + 1e-9]),
+    ("accumulated_area(SHAPE, x)", "t", [-1e-9, SHAPE.duration_s + 1e-9]),
+    ("pulse_sensitivity(SHAPE, x)", "t", [-1e-9, SHAPE.duration_s + 1e-9]),
+    ("transfer_probability(SHAPE, x)", "detuning_rad_s", [HUGE]),
+    ("transfer_probability(SHAPE, 0.0, x)", "detuning_model", ["quadratic"]),
+    ("averaged_transfer(SHAPE, x, 1.0)", "detuning_mean_rad_s", [HUGE]),
+    ("averaged_transfer(SHAPE, 0.0, x)", "detuning_sigma_rad_s", [-1.0]),
+    ("averaged_transfer(SHAPE, 0.0, 1.0, x)", "detuning_model", ["quadratic"]),
+    ("gravity_sensitivity(TIMING, x)", "t", [HUGE]),
+    ("simulate_shot(CampaignConfig(n_pairs=2), TIMING, CONST, NOISE, x)", "shot index", [-1, 2**63]),
+    ("tomography_variance(MODEL, x)", "phi_rad", [HUGE]),
+    ("squeezing_parameter(x, 6000.0)", "variance_atoms2", [0.0]),
+    ("squeezing_parameter(1500.0, x)", "atom_number", [0.0]),
+    ("calibrate_model(x, 9.9, 6000.0)", "min_db", [HUGE]),
+    ("calibrate_model(-5.4, x, 6000.0)", "max_db", [HUGE]),
+    ("calibrate_model(-5.4, 9.9, x)", "atom_number", [0.0]),
+    ("coherent_model(x)", "atom_number", [0.0]),
+    ("evolve(H, PSI, x)", "duration", [HUGE]),
+    ("occupation_distribution(vacuum_state(SPACE), SPACE, x)", "mode", [2, -1]),
+]
+
+
+def refusal_cases():
+    for call, name, outside in ARGUMENTS:
+        for value in [math.nan, math.inf, -math.inf, True, "1", *outside]:
+            label = "10**400" if value is HUGE else repr(value)
+            yield pytest.param(call, name, value, id=f"{call.split('(')[0]}-{name}-{label}")
+
+
+@pytest.mark.parametrize("call, name, value", refusal_cases())
+def test_public_function_refuses_a_bad_scalar_naming_it(call, name, value):
+    error = ConfigError if name == "detuning_model" else DomainError
+    with pytest.raises(error, match=f"^{re.escape(name)} must be .+, got {re.escape(repr(value))}$"):
+        eval(call, globals() | {"x": value})
