@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule, require
-from .errors import DataError, DomainError, FitError
+from .errors import DataError, DomainError, FitError, in_float_range, require_finite
 from .sensitivity import PhysicalConstants
 from .shots import ShotTable
 
@@ -249,6 +249,8 @@ def fringe_intersection(
     if mags.max() - mags.min() < 1e-12 * mags.max():
         raise DomainError("fringes are parallel (equal |scale|); no crossing")
     lo, hi = alpha_window
+    require(NUMBER, "alpha_window[0]", lo)
+    require(NUMBER, "alpha_window[1]", hi)
     if hi <= lo:
         raise DomainError("empty alpha window")
 
@@ -366,6 +368,7 @@ def estimate_g(
     vals = deltas.values
     if len(vals) < 2:
         raise DataError("need at least 2 pairs for an uncertainty")
+    require_finite("deltas.values", vals)
     mean = float(np.mean(vals))
     sem = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     g = gravity_from_delta_p(mean, contrast, scale1_s2_per_m, scale2_s2_per_m, alpha_rad_per_s2, constants)
@@ -387,6 +390,7 @@ def squeezing_from_pairs(
     diffs = np.asarray(imbalance_diff, dtype=float)
     if len(diffs) < 2:
         raise DataError("need at least 2 pairs")
+    require_finite("imbalance_diff", diffs)
     require(POSITIVE, "mean_atoms_sum", mean_atoms_sum)
     require(FRACTION, "contrast", contrast)
     if not diffs.any():
@@ -496,6 +500,7 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < MIN_ALLAN_SAMPLES:
         raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples")
+    require_finite("series", x)
     require(POSITIVE, "tau0_s", tau0_s)
     m_max = len(x) // 3
     csum = np.concatenate(([0.0], np.cumsum(x)))
@@ -519,6 +524,8 @@ def phase_noise_budget(sigma_phi_rad: float, atoms: float) -> PhaseNoiseBudget:
     imbalance std and its level relative to the projection limit."""
     require(NON_NEGATIVE, "sigma_phi_rad", sigma_phi_rad)
     require(POSITIVE, "atoms", atoms)
-    power = atoms * sigma_phi_rad**2  # 0 when sigma_phi_rad is 0 or its square underflows: negligible
+    power = in_float_range(  # 0 when sigma_phi_rad is 0 or its square underflows: negligible
+        "atoms * sigma_phi_rad^2", lambda: atoms * sigma_phi_rad**2, sigma_phi_rad=sigma_phi_rad, atoms=atoms
+    )
     db = 10.0 * math.log10(power) if power > 0 else -math.inf
     return PhaseNoiseBudget(delta_jz_atoms=0.5 * atoms * sigma_phi_rad, db_vs_sql=db)

@@ -7,12 +7,17 @@ fills check one Rule, so they refuse the same values in the same words;
 a public function's scalar arguments check the same Rules through
 `require`, which raises DomainError. A number is an int or float
 (numpy's too) in the float range: never a bool, string, NaN or +-inf.
-Array arguments are not checked element by element.
+`require_finite` checks an array argument element by element, and
+`in_float_range` refuses a result of finite arguments that overflows.
 """
 
+import math
 import sys
+from contextlib import suppress
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class GravlabError(Exception):
@@ -76,6 +81,21 @@ def require(rule: Rule, name: str, value, error: type[GravlabError] = DomainErro
     """Raise `error` saying what `name` must be and what it got, unless `value` passes `rule`."""
     if not rule.test(value):
         raise error(f"{name} must be {rule.words}, got {value!r}")
+
+
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Raise DomainError naming `name` and its first element that is NaN or +-inf, if any."""
+    if (bad := np.flatnonzero(~np.isfinite(values))).size:
+        raise DomainError(f"{name} must hold finite numbers, got {values.flat[bad[0]]} at index {bad[0]}")
+
+
+def in_float_range(what: str, compute: Callable[[], float], **arguments) -> float:
+    """compute(), or DomainError naming `arguments` if `what` overflows: OverflowError, +-inf or NaN."""
+    with suppress(OverflowError):
+        if math.isfinite(value := compute()):
+            return value
+    shown = ", ".join(f"{k}={v!r}" for k, v in arguments.items())
+    raise DomainError(f"{what} leaves the float range at {shown}")
 
 
 def check_fields(owner, **rules: Rule) -> None:

@@ -5,11 +5,14 @@ Two layers:
 * A truncated two-mode Fock space that validates the operator chain
   from spin-changing collisions down to a pair of single-mode squeezing
   terms, evolves the vacuum, and splits the result into the symmetric
-  and antisymmetric modes. Every operator is a sparse CSR array. Each
-  Hamiltonian conserves a number (N+ - N-, N+ + N- or parity), so its
-  propagator is block diagonal: `evolve` finds the blocks with numpy,
-  exponentiates each occupied one by its eigendecomposition, and the
-  beamsplitter is one more call to `evolve`. scipy.sparse, the only
+  and antisymmetric modes. Every operator is a sparse CSR array of a few
+  bands whose entries are products of the sqrt(n) read off each index
+  i = n+ (n_max + 1) + n-: no Kronecker or matrix products, except in the
+  three-mode `full` model. Each Hamiltonian conserves a number (N+ - N-,
+  N+ + N- or parity), so its propagator is block diagonal: `evolve` finds
+  the blocks with numpy and exponentiates each occupied one by its
+  eigendecomposition. The beamsplitter is one more call to `evolve`, in
+  the gauge diag(i^n+) where its generator is real. scipy.sparse, the only
   scipy it needs, is imported inside the functions that use it.
 * A four-number Gaussian model (atom number, squeezing strength,
   optimal readout phase, detection noise) that reproduces the measured
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, require
+from .errors import COUNT, FLAG, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, in_float_range, require
 from .errors import CalibrationError, ConfigError, DomainError, NumericalError
 
 # Bounds the state vector (1 MB complex at the limit) of the two-mode
@@ -76,19 +79,24 @@ class HamiltonianParams:
 
 def _mode_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
     """Sparse annihilation operator of each mode on the product space of
-    `modes` modes, each truncated at dim_single levels (mode 0 is the
-    most significant Kronecker factor)."""
+    `modes` modes, each truncated at dim_single levels: sqrt(n_k) at
+    (i - stride_k, i), mode 0 the most significant digit of the index i."""
     import scipy.sparse as sp
 
-    a = sp.diags_array(np.sqrt(np.arange(1.0, dim_single)), offsets=1, format="csr")
-    eye = sp.eye_array(dim_single, format="csr")
-    ladders = []
-    for k in range(modes):
-        op = a if k == 0 else eye
-        for j in range(1, modes):
-            op = sp.kron(op, a if j == k else eye, format="csr")
-        ladders.append(op)
-    return ladders
+    dim, strides = dim_single**modes, [dim_single**k for k in reversed(range(modes))]
+    return [
+        sp.diags_array(np.sqrt(np.arange(s, dim) // s % dim_single), offsets=s, shape=(dim, dim), format="csr")
+        for s in strides
+    ]
+
+
+def _symmetric_bands(dim: int, bands: dict[int, np.ndarray]) -> sp.csr_array:
+    """Real symmetric CSR array with bands[k] on diagonals +k and -k,
+    entry i of each at row i of the upper one; zeros are not stored."""
+    import scipy.sparse as sp
+
+    both = {**bands, **{-k: v for k, v in bands.items()}}
+    return sp.diags_array(list(both.values()), offsets=list(both), shape=(dim, dim), format="csr")
 
 
 @dataclass(frozen=True)
@@ -119,29 +127,27 @@ def build_hamiltonians(
 
     Every piece is sparse (CSR) with O(dim) nonzeros.
     """
-    a_plus, a_minus = _mode_ladders(space.dim_single, 2)
-    om = params.interaction_rad_s
-    q = params.zeeman_q_rad_s
-
-    pair = a_plus @ a_minus
-    two_mode = -om * (pair + pair.T)
-    number = a_plus.T @ a_plus + a_minus.T @ a_minus
-    undepleted = (q - om) * number + two_mode
-
-    a_s = (a_plus + a_minus) / math.sqrt(2.0)
-    a_a = (a_plus - a_minus) / math.sqrt(2.0)
-    h_s = -0.5 * om * (a_s @ a_s + a_s.T @ a_s.T)
-    h_a = -0.5 * om * (a_a @ a_a + a_a.T @ a_a.T)
+    require(FLAG, "include_full", include_full)
+    d, om, q = space.dim_single, params.interaction_rad_s, params.zeeman_q_rad_s
+    n_plus, n_minus = np.sqrt(np.divmod(np.arange(space.dim), d))  # of each index n+ * d + n-
+    pair = -om * (n_plus * n_minus)[d + 1:]  # a+ a- at (i, i + d + 1)
+    two_mode = _symmetric_bands(space.dim, {d + 1: pair})
+    undepleted = _symmetric_bands(space.dim, {0: (q - om) * (n_plus**2 + n_minus**2), d + 1: pair})
+    # (a+ +- a-)/sqrt(2) as scipy's sparse "/ sqrt(2)" makes them, squared: the
+    # a+ a+ and a- a- bands are shared, the cross band sums two equal products
+    u, w = n_plus * (1.0 / math.sqrt(2.0)), n_minus * (1.0 / math.sqrt(2.0))
+    same, cross = {2 * d: u[d:-d] * u[2 * d:], 2: w[1:-1] * w[2:]}, (u * w)[d + 1:]
+    h_s, h_a = (
+        _symmetric_bands(space.dim, {k: -0.5 * om * v for k, v in {**same, d + 1: c + c}.items()})
+        for c in (cross, -cross)
+    )
 
     full = None
     if include_full:
         import scipy.sparse as sp
 
-        d = space.dim_single
         if d**3 > MAX_MATRIX_DIM:
-            raise ConfigError(
-                f"three-mode dimension {d**3} exceeds limit {MAX_MATRIX_DIM}"
-            )
+            raise ConfigError(f"three-mode dimension {d**3} exceeds limit {MAX_MATRIX_DIM}")
         a0, ap, am = _mode_ladders(d, 3)
         n0 = a0.T @ a0
         nboth = ap.T @ ap + am.T @ am
@@ -151,14 +157,7 @@ def build_hamiltonians(
             q * nboth
             - (om / n) * ((n0 - 0.5 * sp.eye_array(d**3)) @ nboth + pump_pair + pump_pair.T)
         ).tocsr()
-
-    return Hamiltonians(
-        two_mode=two_mode,
-        undepleted=undepleted,
-        symmetric_mode=h_s,
-        antisymmetric_mode=h_a,
-        full=full,
-    )
+    return Hamiltonians(two_mode, undepleted, h_s, h_a, full)
 
 
 def vacuum_state(space: FockSpace) -> np.ndarray:
@@ -174,17 +173,14 @@ def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     hooking every root onto the smallest smaller root across its edges."""
     label = np.arange(n, dtype=np.int64)
     while True:
-        ends = label.take(rows), label.take(cols)
-        high, low = np.maximum(*ends), np.minimum(*ends)
+        high, low = np.maximum(rows, cols), np.minimum(rows, cols)
         if not (cross := high != low).any():
             return label
-        # sorted by (root, smaller root), a root's first edge has its minimum
-        key = np.sort(high[cross] << 32 | low[cross])  # n < 2^31
-        rows, cols = key >> 32, key & 0xFFFFFFFF
-        head = np.flatnonzero(np.diff(rows, prepend=-1))
-        label[rows[head]] = cols[head]
+        high, low = high[cross], low[cross]
+        np.minimum.at(label, high, low)  # every end is a root, labelled by itself
         while not np.array_equal(jumped := label.take(label), label):
             label = jumped
+        rows, cols = label.take(high), label.take(low)
 
 
 def evolve(
@@ -202,31 +198,38 @@ def evolve(
     import scipy.sparse as sp
 
     require(NUMBER, "duration", duration)
-    h = sp.csr_array(hamiltonian).tocoo()  # the entries toarray places: duplicates summed, zeros dropped
-    h.sum_duplicates()
-    h.eliminate_zeros()
+    h = sp.csr_array(hamiltonian)  # a CSR input's own arrays: read, never written
+    if not (h.has_canonical_format and h.data.all()):  # the entries toarray places
+        h = h.copy()
+        h.sum_duplicates()
+        h.eliminate_zeros()
+    n, per_row = h.shape[0], np.diff(h.indptr)
+    rows = np.repeat(np.arange(n), per_row)
     tolerance = 1e-12 * max(1.0, np.abs(h.data).max(initial=0.0))
-    sector = _sectors(h.shape[0], h.row, h.col)
+    sector = _sectors(n, rows, h.indices)
     occupied = np.unique(sector[state != 0])
-    largest = np.bincount(sector)[occupied].max(initial=0)
-    if largest > MAX_BLOCK_DIM:
-        raise ConfigError(f"conserved sector of dimension {largest} exceeds limit {MAX_BLOCK_DIM}")
+    sizes = np.bincount(sector)[occupied]
+    if sizes.max(initial=0) > MAX_BLOCK_DIM:
+        raise ConfigError(f"conserved sector of dimension {sizes.max()} exceeds limit {MAX_BLOCK_DIM}")
 
-    # each occupied sector's indices, ascending, and its entries
-    groups = []
-    for labels in (sector, sector[h.row]):
-        picked = np.flatnonzero(np.isin(labels, occupied))
-        picked = picked[np.argsort(labels[picked], kind="stable")]
-        groups.append(np.split(picked, np.searchsorted(labels[picked], occupied))[1:])
+    # the occupied sectors' indices, grouped by sector and ascending in each,
+    # each with its place in its block; then their rows' entries in that order
+    mine = np.flatnonzero(np.isin(sector, occupied))
+    mine = mine[np.argsort(sector[mine], kind="stable")]
+    ends = np.cumsum(sizes)
+    place = np.empty(n, dtype=np.intp)
+    place[mine] = np.arange(len(mine)) - np.repeat(ends - sizes, sizes)
+    count = per_row[mine]
+    entries = np.repeat(h.indptr[mine] - np.cumsum(count) + count, count) + np.arange(count.sum())
     out = np.zeros(state.shape, dtype=complex)
-    for mine, inside in zip(*groups):
-        at = np.searchsorted(mine, h.row[inside]), np.searchsorted(mine, h.col[inside])
-        block = np.zeros((len(mine), len(mine)), dtype=h.dtype)
-        block[at] = h.data[inside]
-        if np.abs(h.data[inside] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
+    for inside, within in zip(np.split(mine, ends)[:-1], np.split(entries, np.cumsum(count)[ends - 1])):
+        at = place[rows[within]], place[h.indices[within]]
+        block = np.zeros((len(inside), len(inside)), dtype=h.dtype)
+        block[at] = h.data[within]
+        if np.abs(h.data[within] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
             raise NumericalError("hamiltonian is not Hermitian")
         energy, vectors = np.linalg.eigh(block)
-        out[mine] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[mine]))
+        out[inside] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[inside]))
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
     if drift > 1e-8:
         raise NumericalError(f"evolution norm drift {drift:.2e}")
@@ -258,12 +261,16 @@ def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
 
     The beamsplitter exp(theta G), G = a+^ a- - a+ a-^, at theta = pi/4
     is evolve under the Hermitian H = iG for t = pi/4. It conserves
-    N+ + N-, so it acts block by block on fixed total number.
+    N+ + N-, so it acts block by block on fixed total number. With D =
+    diag(i^n+), D^ H D = a+^ a- + a+ a-^ is real: it is D evolve(D^ H D, D^ state, pi/4).
     """
     if state.shape != (space.dim,):
         raise DomainError(f"state must have shape ({space.dim},)")
-    a_plus, a_minus = _mode_ladders(space.dim_single, 2)
-    return evolve(1j * (a_plus.T @ a_minus - a_plus @ a_minus.T), state, math.pi / 4.0)
+    d = space.dim_single
+    n_plus, n_minus = np.sqrt(np.divmod(np.arange(space.dim), d))
+    real = _symmetric_bands(space.dim, {d - 1: n_plus[d - 1:] * n_minus[: 1 - d]})  # a+ a-^ at (i, i + d - 1)
+    gauge = np.resize([1, 1j, -1, -1j], d).repeat(d)  # D = diag(i^n+)
+    return gauge * evolve(real, gauge.conj() * state, math.pi / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +296,13 @@ class SqueezingModel:
 def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:
     """Imbalance variance at tomography angle phi (atoms^2), period pi."""
     require(NUMBER, "phi_rad", phi_rad)
-    n, r = model.atom_number, model.strength
-    if r == 0.0:
-        # isotropic: exactly the projection limit at every angle
-        return n / 4.0 + model.detection_noise_atoms**2
-    d = phi_rad - model.optimal_phase_rad
-    quantum = (n / 4.0) * (
-        math.exp(-2.0 * r) * math.cos(d) ** 2 + math.exp(2.0 * r) * math.sin(d) ** 2
-    )
-    return quantum + model.detection_noise_atoms**2
+    n, r, d = model.atom_number, model.strength, phi_rad - model.optimal_phase_rad
+
+    def variance():  # r = 0 is isotropic: exactly the projection limit at every angle
+        shape = 1.0 if r == 0.0 else math.exp(-2.0 * r) * math.cos(d) ** 2 + math.exp(2.0 * r) * math.sin(d) ** 2
+        return (n / 4.0) * shape + model.detection_noise_atoms**2
+
+    return in_float_range("the imbalance variance", variance, model=model, phi_rad=phi_rad)
 
 
 def squeezing_parameter(variance_atoms2: float, atom_number: float) -> tuple[float, float]:
@@ -305,7 +310,9 @@ def squeezing_parameter(variance_atoms2: float, atom_number: float) -> tuple[flo
     quantum projection limit N/4."""
     require(POSITIVE, "variance_atoms2", variance_atoms2)
     require(POSITIVE, "atom_number", atom_number)
-    linear = 4.0 * variance_atoms2 / atom_number
+    linear = in_float_range(
+        "4 Var / N", lambda: 4.0 * variance_atoms2 / atom_number, variance_atoms2=variance_atoms2, atom_number=atom_number
+    )
     return linear, 10.0 * math.log10(linear)
 
 
@@ -327,8 +334,8 @@ def calibrate_model(
     require(POSITIVE, "atom_number", atom_number)
     if min_db > max_db:
         raise DomainError("min_db must be <= max_db")
-    lo = 10.0 ** (min_db / 10.0)
-    hi = 10.0 ** (max_db / 10.0)
+    hi = in_float_range("10^(max_db/10)", lambda: 10.0 ** (max_db / 10.0), min_db=min_db, max_db=max_db)
+    lo = 10.0 ** (min_db / 10.0)  # <= hi
     r = 0.5 * math.asinh((hi - lo) / 2.0)
     d = lo - math.exp(-2.0 * r)
     if d < -1e-12:

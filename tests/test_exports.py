@@ -13,6 +13,8 @@ from gravlab import (
     ConfigError,
     DomainError,
     FockSpace,
+    FringeFit,
+    HamiltonianParams,
     NoiseConfig,
     PhysicalConstants,
     PulseShape,
@@ -21,10 +23,13 @@ from gravlab import (
     accumulated_area,
     allan_deviation,
     averaged_transfer,
+    build_hamiltonians,
     calibrate_model,
     coherent_model,
     envelope,
+    estimate_g,
     evolve,
+    fringe_intersection,
     gravity_from_delta_p,
     gravity_sensitivity,
     metrological_squeezing,
@@ -39,6 +44,7 @@ from gravlab import (
     transfer_probability,
     vacuum_state,
 )
+from gravlab.analysis import DeltaPSeries
 
 
 def test_every_exported_name_resolves():
@@ -96,6 +102,7 @@ MODEL = SqueezingModel(strength=1.1)
 SPACE = FockSpace(n_max=4)
 H, PSI = np.diag([1.0, 2.0]), np.array([1.0, 0.0])
 HUGE = 10**400  # an int beyond the float range
+FITS = [FringeFit(0.5, 0.49, scale, 0.3, 0.0, np.zeros((4, 4))) for scale in (-1.42, -0.767)]
 
 # (call with "x" in the argument's place, the argument's name, values
 # outside its rule besides NaN, +-inf, a bool and a string)
@@ -132,6 +139,8 @@ ARGUMENTS = [
     ("coherent_model(x)", "atom_number", [0.0]),
     ("evolve(H, PSI, x)", "duration", [HUGE]),
     ("occupation_distribution(vacuum_state(SPACE), SPACE, x)", "mode", [2, -1]),
+    ("fringe_intersection(FITS, CONST, (x, 1.6e8))", "alpha_window[0]", [HUGE]),
+    ("fringe_intersection(FITS, CONST, (1.5e8, x))", "alpha_window[1]", [HUGE]),
 ]
 
 
@@ -147,3 +156,51 @@ def test_public_function_refuses_a_bad_scalar_naming_it(call, name, value):
     error = ConfigError if name == "detuning_model" else DomainError
     with pytest.raises(error, match=f"^{re.escape(name)} must be .+, got {re.escape(repr(value))}$"):
         eval(call, globals() | {"x": value})
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 1, 0, None, math.nan])
+def test_include_full_must_be_true_or_false(value):
+    # a truthy string or number used to build the three-mode model
+    with pytest.raises(DomainError, match=f"^include_full must be true or false, got {re.escape(repr(value))}$"):
+        build_hamiltonians(SPACE, HamiltonianParams(), include_full=value)
+
+
+# finite arguments whose result leaves the float range: (call, the result
+# named, the arguments as the error lists them)
+OVERFLOWS = [
+    (
+        "tomography_variance(SqueezingModel(strength=400.0), 1.0)",
+        "the imbalance variance",
+        f"model={SqueezingModel(strength=400.0)!r}, phi_rad=1.0",
+    ),
+    ("calibrate_model(1e6, 1e6, 6000.0)", "10^(max_db/10)", "min_db=1000000.0, max_db=1000000.0"),
+    ("phase_noise_budget(1e200, 6000.0)", "atoms * sigma_phi_rad^2", "sigma_phi_rad=1e+200, atoms=6000.0"),
+    ("squeezing_parameter(1e300, 1e-300)", "4 Var / N", "variance_atoms2=1e+300, atom_number=1e-300"),
+]
+
+
+@pytest.mark.parametrize("call, result, arguments", OVERFLOWS, ids=[c.split("(")[0] for c, _, _ in OVERFLOWS])
+def test_a_result_beyond_the_float_range_is_a_domain_error_naming_the_arguments(call, result, arguments):
+    with pytest.raises(DomainError, match=f"^{re.escape(result)} leaves the float range at {re.escape(arguments)}$"):
+        eval(call)
+
+
+DELTAS = DeltaPSeries(
+    times_s=np.arange(5.0), values=np.array([1e-3, 2e-3, 0.0, math.nan, 1e-3]), n_dropped=0, n_skipped=0
+)
+
+
+@pytest.mark.parametrize(
+    "call, name, element, index",
+    [
+        ("allan_deviation(np.r_[math.nan, np.zeros(40)], 1.0)", "series", "nan", 0),
+        ("allan_deviation(np.r_[np.zeros(20), -math.inf, np.zeros(20)], 1.0)", "series", "-inf", 20),
+        ("squeezing_from_pairs(np.array([1.0, math.nan, 2.0]), 100.0, 1.0)", "imbalance_diff", "nan", 1),
+        ("squeezing_from_pairs(np.array([1.0, 2.0, math.inf]), 100.0, 1.0)", "imbalance_diff", "inf", 2),
+        ("estimate_g(DELTAS, 0.98, -1.42, -0.767, 1.58e8, CONST)", "deltas.values", "nan", 3),
+    ],
+    ids=lambda v: v.split("(")[0] if isinstance(v, str) and "(" in v else None,
+)
+def test_an_array_argument_is_checked_element_by_element(call, name, element, index):
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must hold finite numbers, got {element} at index {index}$"):
+        eval(call)

@@ -211,6 +211,109 @@ class TestSparseChainOracle:
         assert np.array_equal(full.toarray(), want)
 
 
+def kron_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
+    """Annihilation operator of each mode from sparse Kronecker products,
+    mode 0 the most significant factor."""
+    a = sp.diags_array(np.sqrt(np.arange(1.0, dim_single)), offsets=1, format="csr")
+    eye = sp.eye_array(dim_single, format="csr")
+    return [
+        functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), [a if j == k else eye for j in range(modes)])
+        for k in range(modes)
+    ]
+
+
+def kron_chain(n_max: int, params: HamiltonianParams) -> dict:
+    """The two-mode chain from sparse Kronecker ladders and sparse
+    products: the construction the banded build must reproduce bit for bit."""
+    a_plus, a_minus = kron_ladders(n_max + 1, 2)
+    om, q = params.interaction_rad_s, params.zeeman_q_rad_s
+    pair = a_plus @ a_minus
+    two_mode = -om * (pair + pair.T)
+    a_s = (a_plus + a_minus) / math.sqrt(2.0)
+    a_a = (a_plus - a_minus) / math.sqrt(2.0)
+    return {
+        "two_mode": two_mode,
+        "undepleted": (q - om) * (a_plus.T @ a_plus + a_minus.T @ a_minus) + two_mode,
+        "symmetric_mode": -0.5 * om * (a_s @ a_s + a_s.T @ a_s.T),
+        "antisymmetric_mode": -0.5 * om * (a_a @ a_a + a_a.T @ a_a.T),
+    }
+
+
+class TestBandedOperators:
+    """The operators built from Fock-index arithmetic against the sparse
+    Kronecker construction, at the benchmark's cutoffs."""
+
+    @pytest.mark.parametrize(
+        "params", [HamiltonianParams(), HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=0.7)]
+    )
+    def test_chain_at_n_max_100_equals_kronecker_products_bit_for_bit(self, params):
+        h = build_hamiltonians(FockSpace(n_max=100), params)
+        for name, want in kron_chain(100, params).items():
+            got = getattr(h, name)
+            want = sp.csr_array(want)
+            want.eliminate_zeros()
+            want.sort_indices()
+            assert got.format == "csr" and got.has_canonical_format, name
+            assert np.all(got.data != 0), name  # no stored zeros
+            assert np.array_equal(got.indptr, want.indptr), name
+            assert np.array_equal(got.indices, want.indices), name
+            assert np.array_equal(got.data, want.data), name
+
+    @pytest.mark.parametrize("dim_single, modes", [(5, 2), (41, 2), (5, 3), (8, 3)])
+    def test_ladders_equal_kronecker_products(self, dim_single, modes):
+        for got, want in zip(_mode_ladders(dim_single, modes), kron_ladders(dim_single, modes), strict=True):
+            assert got.has_canonical_format and np.all(got.data != 0)
+            assert (got != want).nnz == 0 and np.array_equal(got.data, want.data)
+
+    def test_mode_transform_at_n_max_40_equals_the_complex_generator(self):
+        space = FockSpace(n_max=40)
+        a_plus, a_minus = kron_ladders(space.dim_single, 2)
+        rng = np.random.default_rng(40)
+        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        psi /= np.linalg.norm(psi)
+        want = evolve(1j * (a_plus.T @ a_minus - a_plus @ a_minus.T), psi, math.pi / 4.0)
+        assert np.max(np.abs(mode_transform(psi, space) - want)) < 1e-12
+
+
+class TestEvolveLeavesItsInputAlone:
+    """evolve reads H's arrays and never writes them, whatever their format."""
+
+    @staticmethod
+    def check(h, psi):
+        if isinstance(h, np.ndarray):
+            arrays = [h]
+        else:
+            arrays = [h.data, *((h.indices, h.indptr) if h.format == "csr" else h.coords)]
+        before = [a.copy() for a in arrays]
+        evolve(h, psi, 0.7)
+        for was, now in zip(before, arrays, strict=True):
+            assert was.dtype == now.dtype and np.array_equal(was, now)
+
+    def test_canonical_csr(self):
+        space = FockSpace(n_max=100)
+        self.check(build_hamiltonians(space, HamiltonianParams()).two_mode, vacuum_state(space))
+
+    def test_csr_with_duplicates_unsorted_indices_and_a_stored_zero(self):
+        indptr = np.array([0, 2, 3, 4, 6, 7, 7])
+        indices = np.array([1, 1, 0, 2, 4, 3, 3])
+        data = np.array([0.5, 0.25, 0.75, 0.0, 0.2, 1.0, 0.2])
+        h = sp.csr_array((data, indices, indptr), shape=(6, 6))
+        assert not h.has_canonical_format
+        self.check(h, np.ones(6, dtype=complex))
+
+    def test_coo_with_duplicates_and_explicit_zeros(self):
+        # (0, 1) and (1, 0) stored twice, a stored zero at (2, 3) and (3, 2)
+        rows, cols = np.array([0, 1, 0, 1, 2, 3, 4, 5]), np.array([1, 0, 1, 0, 3, 2, 4, 5])
+        data = np.array([0.5, 0.5, 0.25, 0.25, 0.0, 0.0, 1.0, -1.0])
+        h = sp.coo_array((data, (rows, cols)), shape=(6, 6))
+        self.check(h, np.ones(6, dtype=complex))
+        assert not h.has_canonical_format
+
+    def test_dense(self):
+        h = np.diag(np.arange(1.0, 7.0)) + np.diag([0.5] * 5, 1) + np.diag([0.5] * 5, -1)
+        self.check(h, np.ones(6, dtype=complex))
+
+
 def csgraph_sectors(hamiltonian) -> np.ndarray:
     """Each index labelled by the smallest index of its connected component
     in the nonzero pattern of H, undirected, from scipy's csgraph: the
