@@ -8,7 +8,8 @@ a public function's scalar arguments check the same Rules through
 `require`, which raises DomainError. A number is an int or float
 (numpy's too) in the float range: never a bool, string, NaN or +-inf.
 `require_finite` checks an array argument element by element, and
-`in_float_range` refuses a result of finite arguments that overflows.
+`in_float_range` refuses a result of finite arguments that leaves the
+float range.
 """
 
 import math
@@ -90,8 +91,9 @@ def require_finite(name: str, values: np.ndarray) -> None:
 
 
 def in_float_range(what: str, compute: Callable[[], float], **arguments) -> float:
-    """compute(), or DomainError naming `arguments` if `what` overflows: OverflowError, +-inf or NaN."""
-    with suppress(OverflowError):
+    """compute(), or DomainError naming `arguments` if `what` leaves the float range: OverflowError,
+    +-inf, NaN, or a math domain error on a value that left it (log10 of an underflowed 0, cos of inf)."""
+    with suppress(OverflowError, ValueError):
         if math.isfinite(value := compute()):
             return value
     shown = ", ".join(f"{k}={v!r}" for k, v in arguments.items())

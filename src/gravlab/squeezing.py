@@ -7,13 +7,16 @@ Two layers:
   terms, evolves the vacuum, and splits the result into the symmetric
   and antisymmetric modes. Every operator is a sparse CSR array of a few
   bands whose entries are products of the sqrt(n) read off each index
-  i = n+ (n_max + 1) + n-: no Kronecker or matrix products, except in the
-  three-mode `full` model. Each Hamiltonian conserves a number (N+ - N-,
-  N+ + N- or parity), so its propagator is block diagonal: `evolve` finds
-  the blocks with numpy and exponentiates each occupied one by its
-  eigendecomposition. The beamsplitter is one more call to `evolve`, in
-  the gauge diag(i^n+) where its generator is real. scipy.sparse, the only
-  scipy it needs, is imported inside the functions that use it.
+  i = n+ (n_max + 1) + n-: no Kronecker or matrix products. Each
+  Hamiltonian conserves a number (N+ - N-, N+ + N- or parity), so its
+  propagator is block diagonal: `evolve` finds the blocks with numpy and
+  exponentiates each occupied one by its eigendecomposition. The
+  beamsplitter is one more call to `evolve`, in the gauge diag(i^n+) where
+  its generator is real. The pump-explicit model, which the chain
+  approximates by an undepleted pump, is built on the only block it
+  reaches from the pump vacuum, |N - 2k, k, k>: tridiagonal in k, whatever
+  the pump's atom number N. scipy.sparse, the only scipy it needs, is
+  imported inside the functions that use it.
 * A four-number Gaussian model (atom number, squeezing strength,
   optimal readout phase, detection noise) that reproduces the measured
   variance-vs-angle tomography and the squeezing parameter in dB.
@@ -30,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import COUNT, FLAG, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, in_float_range, require
+from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, in_float_range, require
 from .errors import CalibrationError, ConfigError, DomainError, NumericalError
 
 # Bounds the state vector (1 MB complex at the limit) of the two-mode
-# space and of the three-mode full model; their sparse operators hold a
-# few nonzeros per row.
+# space, whose sparse operators hold a few nonzeros per row.
 MAX_MATRIX_DIM = 65536
 # Bounds one conserved sector that evolve exponentiates as a dense
 # block: 67 MB complex at the limit.
@@ -77,19 +79,6 @@ class HamiltonianParams:
         check_fields(self, zeeman_q_rad_s=NUMBER, interaction_rad_s=NUMBER, pump_atoms=COUNT)
 
 
-def _mode_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
-    """Sparse annihilation operator of each mode on the product space of
-    `modes` modes, each truncated at dim_single levels: sqrt(n_k) at
-    (i - stride_k, i), mode 0 the most significant digit of the index i."""
-    import scipy.sparse as sp
-
-    dim, strides = dim_single**modes, [dim_single**k for k in reversed(range(modes))]
-    return [
-        sp.diags_array(np.sqrt(np.arange(s, dim) // s % dim_single), offsets=s, shape=(dim, dim), format="csr")
-        for s in strides
-    ]
-
-
 def _symmetric_bands(dim: int, bands: dict[int, np.ndarray]) -> sp.csr_array:
     """Real symmetric CSR array with bands[k] on diagonals +k and -k,
     entry i of each at row i of the upper one; zeros are not stored."""
@@ -101,33 +90,24 @@ def _symmetric_bands(dim: int, bands: dict[int, np.ndarray]) -> sp.csr_array:
 
 @dataclass(frozen=True)
 class Hamiltonians:
-    """The operator chain on the two-mode space (and optionally the
-    three-mode original with an explicit pump mode)."""
+    """The operator chain on the two-mode space, pump replaced by a number."""
 
     two_mode: sp.csr_array
     undepleted: sp.csr_array
     symmetric_mode: sp.csr_array
     antisymmetric_mode: sp.csr_array
-    full: sp.csr_array | None = None
 
 
-def build_hamiltonians(
-    space: FockSpace,
-    params: HamiltonianParams,
-    include_full: bool = False,
-) -> Hamiltonians:
+def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltonians:
     """Build the squeezing Hamiltonian chain.
 
     undepleted      = (q - Omega)(N+ + N-) - Omega (a+ a- + a+^ a-^)
     two_mode        = undepleted at q = Omega
     symmetric_mode  = -(Omega/2)(as as + as^ as^)   with as = (a+ + a-)/sqrt(2)
     antisymmetric_mode analogously; two_mode = symmetric - antisymmetric
-    full            = pump-explicit collision Hamiltonian on a three-mode
-                      space (only for small cutoffs; validation use)
 
     Every piece is sparse (CSR) with O(dim) nonzeros.
     """
-    require(FLAG, "include_full", include_full)
     d, om, q = space.dim_single, params.interaction_rad_s, params.zeeman_q_rad_s
     n_plus, n_minus = np.sqrt(np.divmod(np.arange(space.dim), d))  # of each index n+ * d + n-
     pair = -om * (n_plus * n_minus)[d + 1:]  # a+ a- at (i, i + d + 1)
@@ -141,23 +121,26 @@ def build_hamiltonians(
         _symmetric_bands(space.dim, {k: -0.5 * om * v for k, v in {**same, d + 1: c + c}.items()})
         for c in (cross, -cross)
     )
+    return Hamiltonians(two_mode, undepleted, h_s, h_a)
 
-    full = None
-    if include_full:
-        import scipy.sparse as sp
 
-        if d**3 > MAX_MATRIX_DIM:
-            raise ConfigError(f"three-mode dimension {d**3} exceeds limit {MAX_MATRIX_DIM}")
-        a0, ap, am = _mode_ladders(d, 3)
-        n0 = a0.T @ a0
-        nboth = ap.T @ ap + am.T @ am
-        pump_pair = a0.T @ a0.T @ ap @ am
-        n = params.pump_atoms
-        full = (
-            q * nboth
-            - (om / n) * ((n0 - 0.5 * sp.eye_array(d**3)) @ nboth + pump_pair + pump_pair.T)
-        ).tocsr()
-    return Hamiltonians(two_mode, undepleted, h_s, h_a, full)
+def pump_block(space: FockSpace, params: HamiltonianParams) -> sp.csr_array:
+    """The pump-explicit collision Hamiltonian of a pump of N atoms,
+
+        q (N+ + N-) - (Omega/N) [(N0 - 1/2)(N+ + N-) + a0^ a0^ a+ a- + a0 a0 a+^ a-^],
+
+    on the levels |N - 2k, k, k> (pump, +, -), k = 0 ... min(n_max, N // 2),
+    that it reaches from the pump vacuum |N, 0, 0> (index 0): it conserves
+    N0 + N+ + N- and N+ - N-. Real symmetric tridiagonal CSR: the pair
+    cutoff n_max caps the block, never the pump.
+    """
+    n, om = params.pump_atoms, params.interaction_rad_s
+    k = np.arange(min(space.n_max, n // 2) + 1.0)
+    pump = n - 2.0 * k  # N0 at level k
+    return _symmetric_bands(len(k), {
+        0: 2.0 * k * (params.zeeman_q_rad_s - (om / n) * (pump - 0.5)),
+        1: -(om / n) * k[1:] * np.sqrt((pump[1:] + 1.0) * (pump[1:] + 2.0)),  # <k-1|H|k>
+    })
 
 
 def vacuum_state(space: FockSpace) -> np.ndarray:
@@ -310,10 +293,9 @@ def squeezing_parameter(variance_atoms2: float, atom_number: float) -> tuple[flo
     quantum projection limit N/4."""
     require(POSITIVE, "variance_atoms2", variance_atoms2)
     require(POSITIVE, "atom_number", atom_number)
-    linear = in_float_range(
-        "4 Var / N", lambda: 4.0 * variance_atoms2 / atom_number, variance_atoms2=variance_atoms2, atom_number=atom_number
-    )
-    return linear, 10.0 * math.log10(linear)
+    arguments = {"variance_atoms2": variance_atoms2, "atom_number": atom_number}
+    linear = in_float_range("4 Var / N", lambda: 4.0 * variance_atoms2 / atom_number, **arguments)
+    return linear, in_float_range("4 Var / N", lambda: 10.0 * math.log10(linear), **arguments)  # 0 if it underflowed
 
 
 def calibrate_model(
@@ -343,7 +325,10 @@ def calibrate_model(
             f"targets ({min_db}, {max_db}) dB violate e^(-2r)+e^(2r) >= 2: "
             f"residual detection variance would be negative (d = {d:.3e})"
         )
-    sigma_det = math.sqrt(max(d, 0.0) * atom_number / 4.0)
+    sigma_det = in_float_range(
+        "sigma_det", lambda: math.sqrt(max(d, 0.0) * atom_number / 4.0),
+        min_db=min_db, max_db=max_db, atom_number=atom_number,
+    )
     return SqueezingModel(atom_number=atom_number, strength=r, detection_noise_atoms=sigma_det)
 
 

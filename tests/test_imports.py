@@ -74,10 +74,13 @@ def test_fock_layer_loads_only_scipy_sparse():
     # csgraph would bring scipy.sparse.linalg and scipy.linalg with it
     _, modules = run_fresh(
         """
+        import numpy as np
         from gravlab import squeezing as sq
         space = sq.FockSpace(n_max=12)
         chain = sq.build_hamiltonians(space, sq.HamiltonianParams())
         sq.mode_transform(sq.evolve(chain.two_mode, sq.vacuum_state(space), 0.8), space)
+        block = sq.pump_block(space, sq.HamiltonianParams(pump_atoms=6000))
+        sq.evolve(block, np.eye(block.shape[0])[0], 0.8)
         """
     )
     assert "scipy.sparse" in modules

@@ -3,8 +3,10 @@
 Evolution results are checked against analytic pair-production
 statistics (mean occupation, joint and marginal distributions, extracted
 single-mode distribution) rather than against the solver itself. The
-pump-explicit three-mode model is validated against dense `expm` and
-through its 1/N convergence onto the pump-replaced limit.
+pump-explicit model lives on its block |N - 2k, k, k>: it is checked
+against the three-mode product-space construction restricted to that
+block, and its pair number against the undepleted-pump limit sinh^2 r,
+whose error must fall as 1/N from N = 60 to the paper's 6000 atoms.
 """
 
 import functools
@@ -32,11 +34,12 @@ from gravlab import (
     mean_occupations,
     mode_transform,
     occupation_distribution,
+    pump_block,
     squeezing_parameter,
     tomography_variance,
     vacuum_state,
 )
-from gravlab.squeezing import _mode_ladders, _sectors
+from gravlab.squeezing import _sectors
 
 # closed-form calibration from the (-5.4, +9.9) dB tomography extremes
 FROZEN_R = 1.1302698853537816
@@ -67,7 +70,7 @@ def extracted_distribution(r: float, n_max: int) -> np.ndarray:
 class TestOperators:
     def test_canonical_commutator_below_cutoff(self):
         space = FockSpace(n_max=8)
-        a_plus = _mode_ladders(space.dim_single, 2)[0].toarray()
+        a_plus = dense_ladders(space.n_max, 2)[0]
         comm = a_plus @ a_plus.T - a_plus.T @ a_plus
         # exact identity except on states touching the top Fock level
         d = space.dim_single
@@ -75,12 +78,12 @@ class TestOperators:
         assert np.allclose(comm[np.ix_(keep, keep)], np.eye(space.dim)[np.ix_(keep, keep)])
 
     def test_modes_commute(self):
-        a_plus, a_minus = (a.toarray() for a in _mode_ladders(FockSpace(n_max=6).dim_single, 2))
+        a_plus, a_minus = dense_ladders(6, 2)
         assert np.max(np.abs(a_plus @ a_minus - a_minus @ a_plus)) == 0.0
 
     def test_number_operator_spectrum(self):
         space = FockSpace(n_max=5)
-        a_plus = _mode_ladders(space.dim_single, 2)[0].toarray()
+        a_plus = dense_ladders(space.n_max, 2)[0]
         diag = np.diag(a_plus.T @ a_plus)
         assert set(np.round(diag).astype(int)) == set(range(space.dim_single))
 
@@ -115,10 +118,6 @@ class TestHamiltonianChain:
         h = build_hamiltonians(FockSpace(n_max=8), HamiltonianParams())
         for m in (h.two_mode, h.undepleted, h.symmetric_mode, h.antisymmetric_mode):
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
-
-    def test_full_model_requested_on_oversized_space(self):
-        with pytest.raises(ConfigError):
-            build_hamiltonians(FockSpace(n_max=40), HamiltonianParams(), include_full=True)
 
 
 def dense_ladders(n_max: int, modes: int) -> list[np.ndarray]:
@@ -186,29 +185,14 @@ class TestSparseChainOracle:
         assert np.max(np.abs(mode_transform(psi, space) - want)) < 1e-12
 
     def test_full_evolve_matches_dense_expm(self):
-        params = HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=1.0, pump_atoms=7)
-        full = build_hamiltonians(FockSpace(n_max=4), params, include_full=True).full
+        # an H that conserves two numbers at once, N0 + N+ + N- and N+ - N-
+        full = dense_full(4, HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=1.0, pump_atoms=7))
         rng = np.random.default_rng(4)
         psi = rng.standard_normal(full.shape[0]) + 1j * rng.standard_normal(full.shape[0])
         psi /= np.linalg.norm(psi)
         for t in (0.5, 1.0, 1.5):
-            want = expm(-1j * full.toarray() * t) @ psi
+            want = expm(-1j * full * t) @ psi
             assert np.max(np.abs(evolve(full, psi, t) - want)) < 1e-12, t
-
-    @pytest.mark.parametrize("n_max", [4, 5, 6])
-    def test_sparse_full_equals_dense_kronecker_construction(self, n_max):
-        params = HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=1.0, pump_atoms=7)
-        full = build_hamiltonians(FockSpace(n_max=n_max), params, include_full=True).full
-        a0, ap, am = dense_ladders(n_max, 3)
-        n0 = a0.T @ a0
-        nboth = ap.T @ ap + am.T @ am
-        pump_pair = a0.T @ a0.T @ ap @ am
-        q, om, n = params.zeeman_q_rad_s, params.interaction_rad_s, params.pump_atoms
-        want = q * nboth - (om / n) * (
-            (n0 - 0.5 * np.eye((n_max + 1) ** 3)) @ nboth + pump_pair + pump_pair.T
-        )
-        assert full.format == "csr"
-        assert np.array_equal(full.toarray(), want)
 
 
 def kron_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
@@ -220,6 +204,19 @@ def kron_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
         functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), [a if j == k else eye for j in range(modes)])
         for k in range(modes)
     ]
+
+
+def dense_full(n_max: int, params: HamiltonianParams) -> np.ndarray:
+    """The pump-explicit collision Hamiltonian on the three-mode product
+    space (pump, +, -), each mode truncated at n_max, from the Kronecker
+    ladders: the oracle of `pump_block`, dense."""
+    a0, ap, am = kron_ladders(n_max + 1, 3)
+    n0 = a0.T @ a0
+    nboth = ap.T @ ap + am.T @ am
+    pump_pair = a0.T @ a0.T @ ap @ am
+    q, om, n = params.zeeman_q_rad_s, params.interaction_rad_s, params.pump_atoms
+    eye = sp.eye_array((n_max + 1) ** 3)
+    return (q * nboth - (om / n) * ((n0 - 0.5 * eye) @ nboth + pump_pair + pump_pair.T)).toarray()
 
 
 def kron_chain(n_max: int, params: HamiltonianParams) -> dict:
@@ -258,12 +255,6 @@ class TestBandedOperators:
             assert np.array_equal(got.indptr, want.indptr), name
             assert np.array_equal(got.indices, want.indices), name
             assert np.array_equal(got.data, want.data), name
-
-    @pytest.mark.parametrize("dim_single, modes", [(5, 2), (41, 2), (5, 3), (8, 3)])
-    def test_ladders_equal_kronecker_products(self, dim_single, modes):
-        for got, want in zip(_mode_ladders(dim_single, modes), kron_ladders(dim_single, modes), strict=True):
-            assert got.has_canonical_format and np.all(got.data != 0)
-            assert (got != want).nnz == 0 and np.array_equal(got.data, want.data)
 
     def test_mode_transform_at_n_max_40_equals_the_complex_generator(self):
         space = FockSpace(n_max=40)
@@ -354,7 +345,7 @@ class TestSectorOracle:
     @pytest.mark.parametrize("n_max", [4, 7, 12, 40])
     def test_chain_and_beamsplitter_sectors_equal_csgraph(self, n_max, monkeypatch):
         h = build_hamiltonians(FockSpace(n_max=n_max), HamiltonianParams(zeeman_q_rad_s=1.3))
-        a_plus, a_minus = _mode_ladders(n_max + 1, 2)
+        a_plus, a_minus = kron_ladders(n_max + 1, 2)
         generators = {
             name: getattr(h, name)
             for name in ("two_mode", "undepleted", "symmetric_mode", "antisymmetric_mode")
@@ -368,8 +359,7 @@ class TestSectorOracle:
 
     @pytest.mark.parametrize("n_max", [4, 12])
     def test_full_model_sectors_equal_csgraph(self, n_max, monkeypatch):
-        params = HamiltonianParams(zeeman_q_rad_s=1.3, pump_atoms=7)
-        full = build_hamiltonians(FockSpace(n_max=n_max), params, include_full=True).full
+        full = dense_full(n_max, HamiltonianParams(zeeman_q_rad_s=1.3, pump_atoms=7))
         assert np.array_equal(sectors_evolve_finds(full, monkeypatch), csgraph_sectors(full))
 
     def test_permuted_path_in_well_under_a_second(self):
@@ -518,12 +508,12 @@ class TestModeTransform:
         rotated = mode_transform(evolve(h.two_mode, vacuum_state(space), r), space)
         d = space.dim_single
         a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-        eye = np.eye(d)
+        amplitudes = rotated.reshape(d, d)  # x on the first mode is x @ amplitudes
         for theta, want in ((-math.pi / 4, 0.5 * math.exp(-2 * r)), (math.pi / 4, 0.5 * math.exp(2 * r))):
             x = (a * np.exp(-1j * theta) + a.conj().T * np.exp(1j * theta)) / math.sqrt(2)
-            x_full = np.kron(x, eye)
-            mean = np.real(np.conj(rotated) @ (x_full @ rotated))
-            second = np.real(np.conj(rotated) @ (x_full @ x_full @ rotated))
+            moved = x @ amplitudes
+            mean = np.real(np.vdot(amplitudes, moved))
+            second = np.linalg.norm(moved) ** 2  # <x^2> = |x psi|^2, x Hermitian
             assert second - mean**2 == pytest.approx(want, rel=1e-6)
 
     def test_transform_is_norm_preserving(self):
@@ -539,31 +529,53 @@ class TestModeTransform:
             mode_transform(np.zeros(7), FockSpace(n_max=6))
 
 
-class TestFullThreeModeModel:
-    @staticmethod
-    def _mean_pairs(n_max: int, pump: int, t: float) -> float:
-        space = FockSpace(n_max=n_max)
-        params = HamiltonianParams(pump_atoms=pump)
-        h = build_hamiltonians(space, params, include_full=True)
-        d = n_max + 1
-        psi = np.zeros(d**3, dtype=complex)
-        psi[pump * d * d] = 1.0  # all atoms in the pump mode
-        out = evolve(h.full, psi, t)
-        a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-        eye = np.eye(d)
-        n_plus = np.kron(np.kron(eye, a.conj().T @ a), eye)
-        return float(np.real(np.conj(out) @ (n_plus @ out)))
+def pair_number_error(pump: int, n_max: int, r: float = 1.13) -> float:
+    """Relative error of <N+> after the pump-explicit evolution from the pump
+    vacuum against the undepleted-pump sinh^2 r, at q = Omega = 1 (t = r)."""
+    block = pump_block(FockSpace(n_max=n_max), HamiltonianParams(pump_atoms=pump))
+    psi = np.zeros(block.shape[0], dtype=complex)
+    psi[0] = 1.0  # |N, 0, 0>
+    pairs = np.abs(evolve(block, psi, r)) ** 2 @ np.arange(block.shape[0])  # N+ = k
+    return float(pairs / math.sinh(r) ** 2 - 1.0)
 
-    def test_converges_onto_pump_replaced_limit(self):
-        t = 0.05
-        exact = math.sinh(t) ** 2
-        err5 = self._mean_pairs(10, 5, t) - exact
-        err10 = self._mean_pairs(10, 10, t) - exact
-        # leading correction is O(1/N): halving 1/N halves the error ...
-        assert abs(err10) < 0.6 * abs(err5)
-        # ... and extrapolating it away lands on the analytic value
-        extrapolated = 2 * self._mean_pairs(10, 10, t) - self._mean_pairs(10, 5, t)
-        assert extrapolated == pytest.approx(exact, rel=5e-3)
+
+class TestPumpBlock:
+    @pytest.mark.parametrize("n_max, pump", [(10, 5), (10, 7), (12, 9), (12, 10)])
+    def test_equals_the_product_space_model_on_its_block(self, n_max, pump):
+        params = HamiltonianParams(zeeman_q_rad_s=1.3, interaction_rad_s=0.7, pump_atoms=pump)
+        block = pump_block(FockSpace(n_max=n_max), params)
+        d = n_max + 1
+        levels = np.arange(pump // 2 + 1)
+        inside = (pump - 2 * levels) * d * d + levels * d + levels  # |N - 2k, k, k>
+        rows = dense_full(n_max, params)[inside]
+        want = rows[:, inside]
+        assert block.format == "csr" and block.shape == (len(levels),) * 2
+        assert np.max(np.abs(block.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
+        assert not np.delete(rows, inside, axis=1).any()  # no coupling out of the block
+
+    @pytest.mark.parametrize(
+        "n_max, pump, size", [(4, 1, 1), (4, 2, 2), (4, 3, 2), (4, 11, 5), (40, 6000, 41), (255, 6000, 256)]
+    )
+    def test_levels_up_to_the_pair_cutoff_or_the_pump(self, n_max, pump, size):
+        block = pump_block(FockSpace(n_max=n_max), HamiltonianParams(pump_atoms=pump))
+        assert block.shape == (size, size) and block[0, 0] == 0.0  # the pump vacuum has no pairs
+        psi = np.zeros(size, dtype=complex)
+        psi[0] = 1.0
+        assert np.linalg.norm(evolve(block, psi, 0.7)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_undepleted_pump_error_falls_as_one_over_n(self):
+        # a 1/N law divides the error by ~10 per decade of N, a 1/sqrt(N)
+        # law by ~3.2; N err at the paper's 6000 atoms is the README's -7.5
+        low, high = 8.0, 11.0  # the band of each ratio
+        err = {n: pair_number_error(n, n_max=100) for n in (60, 600, 6000)}
+        assert all(e < 0.0 for e in err.values())  # the pump depletes: fewer pairs
+        assert low <= err[60] / err[600] <= high
+        assert low <= err[600] / err[6000] <= high
+        assert 6000 * err[6000] == pytest.approx(-7.5, abs=0.01)
+
+    def test_largest_cutoff_at_6000_atoms(self):
+        # n_max = 255, the largest FockSpace: 256 levels, far past the pair tail
+        assert pair_number_error(6000, n_max=255) == pytest.approx(pair_number_error(6000, n_max=100), abs=1e-12)
 
 
 class TestGaussianModel:
