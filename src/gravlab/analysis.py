@@ -419,6 +419,25 @@ BOOTSTRAP_CHUNK = 16  # resamples drawn at once: bounds the draw arrays
 MULTINOMIAL_PAIRS_PER_VALUE = 20
 
 
+def _percentiles(values: np.ndarray, q: list[float]) -> np.ndarray:
+    """np.percentile(values, q) by its default linear method, bit for bit
+    but for the sign of a zero (its partition may put -0.0 and 0.0 in
+    another order than a sort), from one sort: the first np.percentile
+    call in a process imports numpy.ma (~24 ms of CPU) through np.unique's
+    masked-array check."""
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):  # NaN sorts last and makes every percentile NaN
+        return np.full(len(q), np.nan)
+    at = (len(ordered) - 1) * np.true_divide(q, 100)
+    below = np.floor(at)
+    t = at - below
+    low = ordered[below.astype(np.intp)]
+    high = ordered[np.minimum(below + 1, len(ordered) - 1).astype(np.intp)]
+    step = high - low
+    # numpy's lerp: from the nearer end, so that t = 1 gives high exactly
+    return np.where(t >= 0.5, high - step * (1 - t), low + step * t)
+
+
 def metrological_squeezing(
     shots: ShotTable,
     contrast: float = 1.0,
@@ -468,7 +487,7 @@ def metrological_squeezing(
             # block would add a full pass over every block
             mean_square = np.mean(squares[rng.integers(0, n, (rows, n))], axis=-1)
         mean_squares[start : start + rows] = mean_square
-    lo, hi = np.percentile(_squeezing(mean_squares, atoms_sum, contrast), [2.5, 97.5])
+    lo, hi = _percentiles(_squeezing(mean_squares, atoms_sum, contrast), [2.5, 97.5])
 
     return SqueezingEstimate(
         linear=linear,

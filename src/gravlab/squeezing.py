@@ -10,7 +10,11 @@ Two layers:
   i = n+ (n_max + 1) + n-: no Kronecker or matrix products. Each
   Hamiltonian conserves a number (N+ - N-, N+ + N- or parity), so its
   propagator is block diagonal: `evolve` finds the blocks with numpy and
-  exponentiates each occupied one by its eigendecomposition. The
+  exponentiates each occupied one by its eigendecomposition. It keeps
+  the last H it was given (compared by copies of its CSR arrays) with
+  the decompositions of its occupied sectors, up to MAX_BLOCK_DIM**2
+  eigenvector entries, so a sweep of durations on one H decomposes each
+  sector once and pays only the phases after that. The
   beamsplitter is one more call to `evolve`, in the gauge diag(i^n+) where
   its generator is real. The pump-explicit model, which the chain
   approximates by an undepleted pump, is built on the only block it
@@ -29,6 +33,7 @@ down the algebra at small cutoffs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +140,8 @@ def pump_block(space: FockSpace, params: HamiltonianParams) -> sp.csr_array:
     cutoff n_max caps the block, never the pump.
     """
     n, om = params.pump_atoms, params.interaction_rad_s
+    # the largest product under a square root; 10**400 is no float at all
+    in_float_range("(N + 1)(N + 2)", lambda: (n + 1.0) * (n + 2.0), pump_atoms=n)
     k = np.arange(min(space.n_max, n // 2) + 1.0)
     pump = n - 2.0 * k  # N0 at level k
     return _symmetric_bands(len(k), {
@@ -166,6 +173,57 @@ def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         rows, cols = label.take(high), label.take(low)
 
 
+class _Decomposition:
+    """A Hamiltonian evolve has decomposed: copies of its canonical CSR
+    arrays, shape and dtype, the sector of each index, and
+    {sector: (indices, energies, eigenvectors)} for the sectors states have
+    occupied, holding at most MAX_BLOCK_DIM**2 eigenvector entries."""
+
+    def __init__(self, h: sp.csr_array, sector: np.ndarray):
+        self.arrays = h.indptr.copy(), h.indices.copy(), h.data.copy()
+        self.shape, self.dtype = h.shape, h.dtype
+        self.sector, self.sizes = sector, np.bincount(sector)
+        self.blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.held = 0  # eigenvector entries in blocks
+
+    def holds(self, h: sp.csr_array) -> bool:
+        return (self.shape, self.dtype) == (h.shape, h.dtype) and all(
+            np.array_equal(kept, now) for kept, now in zip(self.arrays, (h.indptr, h.indices, h.data))
+        )
+
+
+_last: _Decomposition | None = None  # the one Hamiltonian evolve remembers
+_keeping = threading.Lock()  # one thread at a time adds a sector to it
+
+
+def _decompositions(h: sp.csr_array, sector: np.ndarray, sizes: np.ndarray, labels: list[int]):
+    """(label, indices, energies, eigenvectors) of each listed sector of a
+    canonical CSR H, one dense block at a time; NumericalError for a block
+    that is not Hermitian."""
+    if not labels:
+        return
+    # the sectors' indices, grouped by sector and ascending in each, each
+    # with its place in its block; then their rows' entries in that order
+    mine = np.flatnonzero(np.isin(sector, labels))
+    mine = mine[np.argsort(sector[mine], kind="stable")]
+    sizes = sizes[labels]
+    ends = np.cumsum(sizes)
+    place = np.empty(h.shape[0], dtype=np.intp)
+    place[mine] = np.arange(len(mine)) - np.repeat(ends - sizes, sizes)
+    count = np.diff(h.indptr)[mine]
+    entries = np.repeat(h.indptr[mine] - np.cumsum(count) + count, count) + np.arange(count.sum())
+    cuts = np.cumsum(count)[ends - 1]
+    tolerance = 1e-12 * max(1.0, np.abs(h.data).max(initial=0.0))
+    split = zip(labels, np.split(mine, ends)[:-1], np.split(np.repeat(mine, count), cuts), np.split(entries, cuts))
+    for label, inside, rows, within in split:
+        at = place[rows], place[h.indices[within]]
+        block = np.zeros((len(inside), len(inside)), dtype=h.dtype)
+        block[at] = h.data[within]
+        if np.abs(h.data[within] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
+            raise NumericalError("hamiltonian is not Hermitian")
+        yield label, inside, *np.linalg.eigh(block)
+
+
 def evolve(
     hamiltonian: np.ndarray | sp.sparray, state: np.ndarray, duration: float
 ) -> np.ndarray:
@@ -177,42 +235,51 @@ def evolve(
     (numpy eigh) of its dense block; sectors where the state is zero stay
     zero. No dim x dim matrix is formed. H must be Hermitian on each
     occupied sector, which holds every entry the state can reach.
+
+    exp(-i H t) has the same eigenvectors at every t, so evolve keeps the
+    last H it was given: copies of its canonical CSR arrays, its sectors
+    and the decomposition of each sector a state has occupied, while those
+    hold at most MAX_BLOCK_DIM**2 eigenvector entries (past that, a
+    sector is decomposed for the call and dropped). A call whose canonical
+    H equals the kept one in shape, dtype and all three arrays decomposes
+    only sectors not yet kept; any other H replaces it. A kept sector
+    gives the same bits as a fresh one: both go through one expression.
+    The Hermitian check runs whenever a sector is decomposed; the
+    MAX_BLOCK_DIM refusal and the norm guard run on every call.
     """
     import scipy.sparse as sp
 
+    global _last
     require(NUMBER, "duration", duration)
     h = sp.csr_array(hamiltonian)  # a CSR input's own arrays: read, never written
     if not (h.has_canonical_format and h.data.all()):  # the entries toarray places
         h = h.copy()
         h.sum_duplicates()
         h.eliminate_zeros()
-    n, per_row = h.shape[0], np.diff(h.indptr)
-    rows = np.repeat(np.arange(n), per_row)
-    tolerance = 1e-12 * max(1.0, np.abs(h.data).max(initial=0.0))
-    sector = _sectors(n, rows, h.indices)
-    occupied = np.unique(sector[state != 0])
-    sizes = np.bincount(sector)[occupied]
-    if sizes.max(initial=0) > MAX_BLOCK_DIM:
-        raise ConfigError(f"conserved sector of dimension {sizes.max()} exceeds limit {MAX_BLOCK_DIM}")
-
-    # the occupied sectors' indices, grouped by sector and ascending in each,
-    # each with its place in its block; then their rows' entries in that order
-    mine = np.flatnonzero(np.isin(sector, occupied))
-    mine = mine[np.argsort(sector[mine], kind="stable")]
-    ends = np.cumsum(sizes)
-    place = np.empty(n, dtype=np.intp)
-    place[mine] = np.arange(len(mine)) - np.repeat(ends - sizes, sizes)
-    count = per_row[mine]
-    entries = np.repeat(h.indptr[mine] - np.cumsum(count) + count, count) + np.arange(count.sum())
+    known = _last  # read once: another thread may replace it
+    if known is None or not known.holds(h):
+        rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+        known = _last = _Decomposition(h, _sectors(h.shape[0], rows, h.indices))
+    occupied = np.unique(known.sector[state != 0])
+    if (largest := known.sizes[occupied].max(initial=0)) > MAX_BLOCK_DIM:
+        raise ConfigError(f"conserved sector of dimension {largest} exceeds limit {MAX_BLOCK_DIM}")
     out = np.zeros(state.shape, dtype=complex)
-    for inside, within in zip(np.split(mine, ends)[:-1], np.split(entries, np.cumsum(count)[ends - 1])):
-        at = place[rows[within]], place[h.indices[within]]
-        block = np.zeros((len(inside), len(inside)), dtype=h.dtype)
-        block[at] = h.data[within]
-        if np.abs(h.data[within] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
-            raise NumericalError("hamiltonian is not Hermitian")
-        energy, vectors = np.linalg.eigh(block)
+
+    def apply(inside, energy, vectors):
         out[inside] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[inside]))
+
+    fresh = []
+    for label in occupied.tolist():
+        if (kept := known.blocks.get(label)) is None:
+            fresh.append(label)
+        else:
+            apply(*kept)
+    for label, inside, energy, vectors in _decompositions(h, known.sector, known.sizes, fresh):
+        apply(inside, energy, vectors)
+        with _keeping:
+            if label not in known.blocks and known.held + vectors.size <= MAX_BLOCK_DIM**2:
+                known.blocks[label] = inside, energy, vectors
+                known.held += vectors.size
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
     if drift > 1e-8:
         raise NumericalError(f"evolution norm drift {drift:.2e}")

@@ -273,6 +273,18 @@ class TestMetrologicalSqueezing:
         assert math.isfinite(est.db) and math.isfinite(est.ci_high_db)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 40, 999, 1000, 1001])
+def test_percentiles_equal_numpys_bit_for_bit(n):
+    # non-negative as the bootstrap's values are, continuous and with ties;
+    # a sort may order -0.0 and 0.0 otherwise than numpy's partition
+    rng = np.random.default_rng(n)
+    for values in (rng.exponential(size=n), rng.integers(0, 4, n) * 0.1):
+        for q in ([2.5, 97.5], [0.0, 50.0, 100.0], [0.1, 33.3, 99.9]):
+            assert analysis._percentiles(values, q).tobytes() == np.percentile(values, q).tobytes(), (q, values)
+    with_nan = np.r_[rng.exponential(size=n), math.nan]
+    assert np.isnan(analysis._percentiles(with_nan, [2.5, 97.5])).all()
+
+
 def pair_columns(shots):
     """Pair differences and the campaign-mean atom sum, as the estimator
     forms them from a strictly alternating table with no empty shots."""

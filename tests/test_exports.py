@@ -14,6 +14,7 @@ from gravlab import (
     DomainError,
     FockSpace,
     FringeFit,
+    HamiltonianParams,
     NoiseConfig,
     PhysicalConstants,
     PulseShape,
@@ -34,6 +35,7 @@ from gravlab import (
     occupation_distribution,
     phase_noise_budget,
     pulse_sensitivity,
+    pump_block,
     run_campaign,
     simulate_shot,
     squeezing_from_pairs,
@@ -177,6 +179,9 @@ OVERFLOWS = [
     ),
     # d N / 4 overflows before its square root
     ("calibrate_model(3000.0, 3000.0, 1e10)", "sigma_det", "min_db=3000.0, max_db=3000.0, atom_number=10000000000.0"),
+    # N is no float; then (N + 1)(N + 2) under the block's square root overflows
+    ("pump_block(SPACE, HamiltonianParams(pump_atoms=HUGE))", "(N + 1)(N + 2)", f"pump_atoms={HUGE!r}"),
+    ("pump_block(SPACE, HamiltonianParams(pump_atoms=10**200))", "(N + 1)(N + 2)", f"pump_atoms={10**200!r}"),
 ]
 
 

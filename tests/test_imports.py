@@ -64,6 +64,16 @@ def test_fringes_loads_no_numpy_ma(tmp_path):
     assert any(line.startswith("alpha_star_rad_per_s2,") for line in lines)
 
 
+def test_analyze_and_reproduce_load_no_numpy_ma(tmp_path):
+    # np.percentile would load it, through np.unique's masked-array check
+    _, modules = run_cli(["reproduce", "--pairs", "16", "--output-dir", str(tmp_path)])
+    assert "numpy.ma" not in modules
+    log = tmp_path / "shots_squeezed.jsonl"
+    _, modules = run_cli(["analyze", "--shots", str(log), "--output-dir", str(tmp_path), "--out", "a.csv"])
+    assert "numpy.ma" not in modules
+    assert (tmp_path / "a.csv").exists()
+
+
 def test_scale_factor_without_config_loads_no_yaml_or_hashlib():
     lines, modules = run_cli(["scale-factor"])
     assert lines

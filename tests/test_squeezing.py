@@ -11,6 +11,8 @@ whose error must fall as 1/N from N = 60 to the paper's 6000 atoms.
 
 import functools
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -326,13 +328,15 @@ def csgraph_graph_sectors(n: int, rows, cols) -> np.ndarray:
 
 def sectors_evolve_finds(hamiltonian, monkeypatch) -> np.ndarray:
     """The sector labels `evolve` computes for H, evolving the zero state
-    so that no block is exponentiated."""
+    so that no block is exponentiated; from no remembered H, so that it
+    computes them."""
     seen = []
 
     def spy(*args):
         seen.append(_sectors(*args))
         return seen[-1]
 
+    monkeypatch.setattr(squeezing, "_last", None)
     monkeypatch.setattr(squeezing, "_sectors", spy)
     evolve(hamiltonian, np.zeros(hamiltonian.shape[0], dtype=complex), 1.0)
     monkeypatch.undo()
@@ -421,6 +425,127 @@ class TestSectorOracle:
             assert np.array_equal(labels, csgraph_sectors(stored))
         psi = np.random.default_rng(2).standard_normal(n) + 0j
         assert np.allclose(evolve(h, psi, 0.3), np.exp(-0.3j * np.arange(1.0, n + 1)) * psi, rtol=0, atol=1e-15)
+
+
+def count_eigh(monkeypatch) -> list:
+    """Patch np.linalg.eigh to record the size of each block it is given."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def spy(block):
+        sizes.append(len(block))
+        return eigh(block)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def spread_state(dim: int, seed: int = 4) -> np.ndarray:
+    """A normalised complex state with every index occupied."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
+class TestRememberedDecomposition:
+    """evolve keeps the last H's sector eigendecompositions across durations."""
+
+    @pytest.fixture(autouse=True)
+    def forget(self, monkeypatch):
+        monkeypatch.setattr(squeezing, "_last", None)
+
+    def test_a_sweep_of_durations_decomposes_each_occupied_sector_once(self, monkeypatch):
+        space = FockSpace(n_max=12)
+        h = build_hamiltonians(space, HamiltonianParams()).two_mode
+        psi, sizes = spread_state(space.dim), count_eigh(monkeypatch)
+        for r in (0.5, 1.0, 1.13, 1.5):
+            evolve(h, psi, r)
+        assert len(sizes) == 2 * 12 + 1  # N+ - N- from -12 to 12
+        assert sorted(sizes) == sorted([13, *2 * list(range(1, 13))])
+
+    def test_a_repeat_call_gives_the_bytes_of_a_first_call(self, monkeypatch):
+        space = FockSpace(n_max=20)
+        chain = build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.3))
+        for h, psi in ((chain.two_mode, vacuum_state(space)), (chain.undepleted, spread_state(space.dim))):
+            evolve(h, psi, 0.3)
+            again = evolve(h, psi, 0.9)
+            monkeypatch.setattr(squeezing, "_last", None)
+            assert again.tobytes() == evolve(h, psi, 0.9).tobytes()
+
+    def test_an_edit_of_h_in_place_is_a_new_h(self, monkeypatch):
+        space = FockSpace(n_max=12)
+        h = build_hamiltonians(space, HamiltonianParams()).undepleted
+        psi = spread_state(space.dim)
+        before = evolve(h, psi, 0.7)
+        h.data *= 1.5
+        after = evolve(h, psi, 0.7)
+        monkeypatch.setattr(squeezing, "_last", None)
+        assert after.tobytes() == evolve(h.copy(), psi, 0.7).tobytes()
+        assert not np.allclose(after, before)
+
+    def test_a_new_non_hermitian_sector_is_still_refused(self):
+        h = np.zeros((4, 4))
+        h[0, 1] = h[1, 0] = 1.0
+        h[2, 3], h[3, 2] = 1.0, 2.0
+        first = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        evolve(h, first, 0.5)
+        with pytest.raises(NumericalError, match="not Hermitian"):
+            evolve(h, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex), 0.5)
+        evolve(h, first, 0.8)  # the Hermitian sector still evolves
+
+    def test_a_new_oversized_sector_is_still_refused(self, monkeypatch):
+        monkeypatch.setattr(squeezing, "MAX_BLOCK_DIM", 3)
+        h = np.diag(np.arange(6.0)) + np.diag([1.0, 0.0, 1.0, 1.0, 1.0], 1) + np.diag([1.0, 0.0, 1.0, 1.0, 1.0], -1)
+        evolve(h, np.eye(6)[0].astype(complex), 0.5)  # sector {0, 1}
+        with pytest.raises(ConfigError, match="dimension 4 exceeds limit 3"):
+            evolve(h, np.eye(6)[3].astype(complex), 0.5)  # sector {2, 3, 4, 5}
+
+    def test_kept_eigenvectors_stay_within_max_block_dim_squared(self, monkeypatch):
+        # n_max = 4: sectors of 5, 4, 4, 3, 3, 2, 2, 1, 1 levels, 85 eigenvector
+        # entries in all, against room for 64
+        monkeypatch.setattr(squeezing, "MAX_BLOCK_DIM", 8)
+        space = FockSpace(n_max=4)
+        h, psi = build_hamiltonians(space, HamiltonianParams()).two_mode, spread_state(space.dim)
+        sizes = count_eigh(monkeypatch)
+        first = evolve(h, psi, 0.6)
+        assert len(sizes) == 9
+        kept = squeezing._last
+        assert kept.held == sum(vectors.size for _, _, vectors in kept.blocks.values()) <= 8**2
+        assert 0 < len(kept.blocks) < 9
+        again = evolve(h, psi, 0.6)
+        assert len(sizes) == 9 + 9 - len(kept.blocks)  # only the dropped sectors again
+        assert again.tobytes() == first.tobytes()
+
+    def test_threads_sharing_it_keep_the_bound_and_the_bits(self, monkeypatch):
+        # more threads than cores, switching often, on two Hamiltonians that
+        # replace each other; n_max = 4 holds 85 entries against room for 64
+        monkeypatch.setattr(squeezing, "MAX_BLOCK_DIM", 8)
+        space = FockSpace(n_max=4)
+        chain = build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.3))
+        psi = spread_state(space.dim)
+        cases = [(h, t) for h in (chain.two_mode, chain.undepleted) for t in (0.4, 0.9)]
+        want = [evolve(h, psi, t).tobytes() for h, t in cases]
+        wrong = []
+
+        def work(first):
+            for k in range(first, first + 40):
+                h, t = cases[k % 4]
+                if evolve(h, psi, t).tobytes() != want[k % 4]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        kept = squeezing._last
+        assert kept.held == sum(vectors.size for _, _, vectors in kept.blocks.values()) <= 8**2
 
 
 class TestEvolution:
