@@ -48,6 +48,8 @@ SCHEMA: dict[str, tuple] = {
     # squeezing strength and detection noise solved from the (-5.4, +9.9) dB
     # tomography extremes at 6000 atoms (closed form, see calibrate_model)
     "noise.squeezing.strength_r": (1.1302698853537816, NON_NEGATIVE),
+    # the tomography angle of the squeezed quadrature; shots read that
+    # quadrature at mid-fringe, so it sets the tomography and no shot
     "noise.squeezing.optimal_phase_rad": (1.2 * math.pi, NUMBER),
     "noise.squeezing.detection_noise_atoms": (16.61816667208982, NON_NEGATIVE),
     "campaign.t1_s": (455.0e-6, DURATION),

@@ -2,9 +2,10 @@
 
 Each shot is one interferometer cycle: draw the technical noise for the
 cycle, accumulate the phase through the sequence scale factor, then draw
-the atomic imbalance from the Gaussian readout model. A campaign is one
-array computation over all shot indices, and a single shot is a batch of
-one.
+the atomic imbalance from the Gaussian readout model (squeezing's
+SqueezingModel), which reads the squeezed quadrature at mid-fringe. A
+campaign is one array computation over all shot indices, and a single
+shot is a batch of one.
 
 The draws are counter-based (Philox4x64-10 keyed by (seed, shot index)),
 so any subset of shots can be regenerated independently. Each draw has
@@ -20,7 +21,6 @@ it is odd, so simulate_shot(campaign, ..., i) is run_campaign(campaign,
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, SEED, SIZE
 from .errors import ConfigError, DataError, Rule, check_fields, require
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
-from .squeezing import SqueezingModel
+from .squeezing import SqueezingModel, readout_variance
 
 SHOT_FIELDS = (
     "index",
@@ -218,13 +218,9 @@ def _simulate(
     )
     mean_jz = 0.5 * n * noise.effective_contrast * np.sin(phi)
 
-    model = noise.squeezing
     if noise.projection_noise:
-        # readout quadrature rotates with the accumulated phase
-        var = (n / 4.0) * (
-            math.exp(-2.0 * model.strength) * np.cos(phi) ** 2
-            + math.exp(2.0 * model.strength) * np.sin(phi) ** 2
-        ) + model.detection_noise_atoms**2  # 0 only for a zero-atom shot without detection noise
+        # the readout quadrature rotates with the accumulated phase: mid-fringe reads the squeezed one
+        var = readout_variance(noise.squeezing, n, phi)  # 0 only for a zero-atom shot without detection noise
         jz = mean_jz + np.sqrt(var) * z_readout
         jz = np.copysign(np.floor(np.abs(jz) + 0.5), jz)  # round half away from 0
         jz = np.clip(jz, -n / 2.0, n / 2.0)

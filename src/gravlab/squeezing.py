@@ -22,8 +22,9 @@ Two layers:
   the pump's atom number N. scipy.sparse, the only scipy it needs, is
   imported inside the functions that use it.
 * A four-number Gaussian model (atom number, squeezing strength,
-  optimal readout phase, detection noise) that reproduces the measured
-  variance-vs-angle tomography and the squeezing parameter in dB.
+  tomography angle of the squeezed quadrature, detection noise) whose one
+  readout_variance gives the shots' readout noise and the measured
+  variance-vs-angle tomography, and the squeezing parameter in dB.
 
 The full many-body state is never sampled at realistic atom numbers;
 the Gaussian model carries those regimes and the Fock machinery pins
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, in_float_range, require
-from .errors import CalibrationError, ConfigError, DomainError, NumericalError
+from .errors import CalibrationError, ConfigError, DomainError, NumericalError, require_finite
 
 # Bounds the state vector (1 MB complex at the limit) of the two-mode
 # space, whose sparse operators hold a few nonzeros per row.
@@ -56,8 +57,7 @@ class FockSpace:
     n_max: int = 40
 
     def __post_init__(self):
-        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 4):
-            raise ConfigError(f"n_max must be an integer >= 4, got {self.n_max!r}")
+        check_fields(self, n_max=Rule(lambda v: SIZE.test(v) and v >= 4, "an integer >= 4"))
         if self.dim > MAX_MATRIX_DIM:
             raise ConfigError(
                 f"two-mode dimension {self.dim} exceeds limit {MAX_MATRIX_DIM}"
@@ -245,13 +245,21 @@ def evolve(
     only sectors not yet kept; any other H replaces it. A kept sector
     gives the same bits as a fresh one: both go through one expression.
     The Hermitian check runs whenever a sector is decomposed; the
-    MAX_BLOCK_DIM refusal and the norm guard run on every call.
+    MAX_BLOCK_DIM refusal and the norm guard run on every call, and so do
+    the refusals (DomainError) of a non-square H, a state not of shape
+    (d,) and a NaN or +-inf in the state or among H's stored entries.
     """
     import scipy.sparse as sp
 
     global _last
     require(NUMBER, "duration", duration)
     h = sp.csr_array(hamiltonian)  # a CSR input's own arrays: read, never written
+    if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
+        raise DomainError(f"hamiltonian must be square, got shape {h.shape}")
+    if state.shape != (h.shape[0],):
+        raise DomainError(f"state must have shape ({h.shape[0]},)")
+    require_finite("state", state)
+    require_finite("hamiltonian", h.data)  # its stored entries
     if not (h.has_canonical_format and h.data.all()):  # the entries toarray places
         h = h.copy()
         h.sum_duplicates()
@@ -281,7 +289,7 @@ def evolve(
                 known.blocks[label] = inside, energy, vectors
                 known.held += vectors.size
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
-    if drift > 1e-8:
+    if not drift <= 1e-8:  # NaN fails too
         raise NumericalError(f"evolution norm drift {drift:.2e}")
     return out
 
@@ -329,11 +337,11 @@ def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SqueezingModel:
-    """Gaussian readout model of the interferometer input state."""
+    """Gaussian readout model of the interferometer input state (see readout_variance)."""
 
     atom_number: float = 6000.0
     strength: float = 0.0           # r; 0 = coherent input
-    optimal_phase_rad: float = 1.2 * math.pi
+    optimal_phase_rad: float = 1.2 * math.pi  # tomography angle of the squeezed quadrature, which shots read at phi = 0
     detection_noise_atoms: float = 0.0  # std added to the imbalance
 
     def __post_init__(self):
@@ -343,14 +351,21 @@ class SqueezingModel:
         )
 
 
-def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:
-    """Imbalance variance at tomography angle phi (atoms^2), period pi."""
-    require(NUMBER, "phi_rad", phi_rad)
-    n, r, d = model.atom_number, model.strength, phi_rad - model.optimal_phase_rad
+def readout_variance(model: SqueezingModel, atoms: float | np.ndarray, angle_rad: float | np.ndarray):
+    """(atoms/4)(e^(-2r) cos^2 + e^(2r) sin^2) + sigma_det^2: the imbalance variance (atoms^2) of
+    `atoms` read at `angle_rad` from the squeezed quadrature; numbers or arrays of one shape."""
+    r = model.strength  # r = 0 is isotropic: exactly the projection limit at every angle
+    shape = 1.0 if r == 0.0 else math.exp(-2.0 * r) * np.cos(angle_rad) ** 2 + math.exp(2.0 * r) * np.sin(angle_rad) ** 2
+    return (atoms / 4.0) * shape + model.detection_noise_atoms**2
 
-    def variance():  # r = 0 is isotropic: exactly the projection limit at every angle
-        shape = 1.0 if r == 0.0 else math.exp(-2.0 * r) * math.cos(d) ** 2 + math.exp(2.0 * r) * math.sin(d) ** 2
-        return (n / 4.0) * shape + model.detection_noise_atoms**2
+
+def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:
+    """Imbalance variance at tomography angle phi (atoms^2), period pi: readout at phi - optimal_phase_rad."""
+    require(NUMBER, "phi_rad", phi_rad)
+
+    def variance():
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or cos(inf) = NaN: refused below
+            return float(readout_variance(model, model.atom_number, phi_rad - model.optimal_phase_rad))
 
     return in_float_range("the imbalance variance", variance, model=model, phi_rad=phi_rad)
 

@@ -15,6 +15,7 @@ import gravlab
 from gravlab import (
     CampaignConfig,
     ConfigError,
+    FockSpace,
     HamiltonianParams,
     NoiseConfig,
     PhysicalConstants,
@@ -281,6 +282,7 @@ SETTINGS = {
         "detection_noise_atoms": [-1],
     },
     HamiltonianParams: {"zeeman_q_rad_s": [], "interaction_rad_s": [], "pump_atoms": [0, 2.5]},
+    FockSpace: {"n_max": [3, -1, 4.5, np.float64(40.0)]},
     PulseShape: {"duration_s": [0.0, -6e-5], "area_rad": [0.0, -math.pi]},
 }
 
@@ -434,6 +436,22 @@ class TestTomographyCommand:
         db = np.array([float(ln.split(",")[2]) for ln in lines])
         assert db.min() == pytest.approx(-5.4, abs=1e-3)
         assert db.max() == pytest.approx(9.9, abs=1e-3)
+
+
+    def test_optimal_phase_turns_the_tomography_and_no_shot(self, tmp_path, capsys):
+        # the sequence reads the squeezed quadrature at mid-fringe, whatever
+        # tomography angle optimal_phase_rad gives it
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  squeezing:\n    optimal_phase_rad: 0.3\n")
+        out = {}
+        for config in ((), ("--config", str(cfg))):
+            assert main(["tomography", "--points", "16", *config]) == 0
+            tomography = capsys.readouterr().out
+            assert main(["simulate", "--pairs", "200", "--output-dir", str(tmp_path), "--out", "s.jsonl", *config]) == 0
+            out[config] = tomography, (tmp_path / "s.jsonl").read_bytes()
+        default, turned = out.values()
+        assert turned[0] != default[0]
+        assert turned[1] == default[1]
 
 
 class TestSimulateAnalyze:

@@ -171,7 +171,7 @@ OVERFLOWS = [
     ("squeezing_parameter(1e300, 1e-300)", "4 Var / N", "variance_atoms2=1e+300, atom_number=1e-300"),
     # 4 Var / N underflows to 0, whose log10 is a math domain error
     ("squeezing_parameter(1e-300, 1e300)", "4 Var / N", "variance_atoms2=1e-300, atom_number=1e+300"),
-    # phi_rad - optimal_phase_rad overflows, and cos(inf) is a math domain error
+    # phi_rad - optimal_phase_rad overflows, and cos(inf) is NaN
     (
         "tomography_variance(SqueezingModel(strength=1.0, optimal_phase_rad=-1.7e308), 1.7e308)",
         "the imbalance variance",
@@ -182,6 +182,12 @@ OVERFLOWS = [
     # N is no float; then (N + 1)(N + 2) under the block's square root overflows
     ("pump_block(SPACE, HamiltonianParams(pump_atoms=HUGE))", "(N + 1)(N + 2)", f"pump_atoms={HUGE!r}"),
     ("pump_block(SPACE, HamiltonianParams(pump_atoms=10**200))", "(N + 1)(N + 2)", f"pump_atoms={10**200!r}"),
+    # e^(2r) is a float, its product with N/4 and sin^2 is not
+    (
+        "tomography_variance(SqueezingModel(strength=354.0), 1.0)",
+        "the imbalance variance",
+        f"model={SqueezingModel(strength=354.0)!r}, phi_rad=1.0",
+    ),
 ]
 
 
@@ -208,9 +214,31 @@ DELTAS = DeltaPSeries(
         ("squeezing_from_pairs(np.array([1.0, math.nan, 2.0]), 100.0, 1.0)", "imbalance_diff", "nan", 1),
         ("squeezing_from_pairs(np.array([1.0, 2.0, math.inf]), 100.0, 1.0)", "imbalance_diff", "inf", 2),
         ("estimate_g(DELTAS, 0.98, -1.42, -0.767, 1.58e8, CONST)", "deltas.values", "nan", 3),
+        ("evolve(H, np.array([math.nan, 0.0]), 1.0)", "state", "nan", 0),
+        ("evolve(H, np.array([1.0, -math.inf]), 1.0)", "state", "-inf", 1),
+        # the entries H stores: the diagonal of np.diag, the upper entry first
+        ("evolve(np.diag([1.0, math.nan]), PSI, 1.0)", "hamiltonian", "nan", 1),
+        ("evolve(np.array([[1.0, math.inf], [math.inf, 2.0]]), PSI, 1.0)", "hamiltonian", "inf", 1),
+        ("evolve(np.diag([-math.inf, 1.0]), PSI, 1.0)", "hamiltonian", "-inf", 0),
     ],
     ids=lambda v: v.split("(")[0] if isinstance(v, str) and "(" in v else None,
 )
 def test_an_array_argument_is_checked_element_by_element(call, name, element, index):
     with pytest.raises(DomainError, match=f"^{re.escape(name)} must hold finite numbers, got {element} at index {index}$"):
+        eval(call)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("evolve(H, np.array([1.0]), 1.0)", "state must have shape (2,)"),
+        ("evolve(H, np.zeros((2, 1)), 1.0)", "state must have shape (2,)"),
+        ("evolve(H, np.zeros(3), 1.0)", "state must have shape (2,)"),
+        ("evolve(np.zeros((2, 3)), PSI, 1.0)", "hamiltonian must be square, got shape (2, 3)"),
+        ("evolve(np.zeros((3, 2)), np.zeros(3), 1.0)", "hamiltonian must be square, got shape (3, 2)"),
+    ],
+    ids=["state-of-1", "column-state", "state-of-3", "hamiltonian-2x3", "hamiltonian-3x2"],
+)
+def test_an_argument_of_the_wrong_shape_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         eval(call)

@@ -41,7 +41,7 @@ from gravlab import (
     tomography_variance,
     vacuum_state,
 )
-from gravlab.squeezing import _sectors
+from gravlab.squeezing import _sectors, readout_variance
 
 # closed-form calibration from the (-5.4, +9.9) dB tomography extremes
 FROZEN_R = 1.1302698853537816
@@ -755,6 +755,32 @@ class TestGaussianModel:
             linear, db = squeezing_parameter(tomography_variance(model, float(phi)), 6000.0)
             assert linear == 1.0
             assert db == 0.0
+
+    @pytest.mark.parametrize("r", [1e-3, 0.4, FROZEN_R, 3.0])
+    def test_readout_variance_equals_the_simulators_expression_bit_for_bit(self, r):
+        model = SqueezingModel(strength=r, detection_noise_atoms=FROZEN_SIGMA_DET)
+        rng = np.random.default_rng(24)
+        n = np.rint(rng.uniform(0.0, 12000.0, 5000))
+        phi = np.r_[rng.normal(0.0, 0.01, 2500), rng.uniform(-10.0, 10.0, 2500)]
+        # the shot variance as the simulator wrote it before it called readout_variance
+        oracle = (n / 4.0) * (
+            math.exp(-2.0 * model.strength) * np.cos(phi) ** 2
+            + math.exp(2.0 * model.strength) * np.sin(phi) ** 2
+        ) + model.detection_noise_atoms**2
+        assert readout_variance(model, n, phi).tobytes() == oracle.tobytes()
+
+    def test_readout_variance_at_r_zero_is_exactly_the_projection_limit(self):
+        model = SqueezingModel(strength=0.0, detection_noise_atoms=FROZEN_SIGMA_DET)
+        rng = np.random.default_rng(25)
+        n, phi = np.rint(rng.uniform(0.0, 12000.0, 5000)), rng.uniform(-10.0, 10.0, 5000)
+        assert readout_variance(model, n, phi).tobytes() == (n / 4.0 + FROZEN_SIGMA_DET**2).tobytes()
+
+    def test_tomography_is_the_readout_at_the_angle_from_the_optimal_phase(self):
+        model = calibrate_model(-5.4, 9.9, 6000.0)
+        for phi in np.linspace(-4.0, 9.0, 27).tolist():
+            want = readout_variance(model, 6000.0, phi - model.optimal_phase_rad)
+            assert type(tomography_variance(model, phi)) is float
+            assert tomography_variance(model, phi) == want
 
     def test_squeezing_parameter_guards(self):
         with pytest.raises(DomainError):
