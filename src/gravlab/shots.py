@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, SEED, SIZE
-from .errors import ConfigError, DataError, Rule, check_fields, require
+from .errors import ConfigError, DataError, DomainError, Rule, check_fields, require
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
 from .squeezing import SqueezingModel, readout_variance
 
@@ -220,7 +220,10 @@ def _simulate(
 
     if noise.projection_noise:
         # the readout quadrature rotates with the accumulated phase: mid-fringe reads the squeezed one
-        var = readout_variance(noise.squeezing, n, phi)  # 0 only for a zero-atom shot without detection noise
+        try:
+            var = readout_variance(noise.squeezing, n, phi)  # 0 only for a zero-atom shot without detection noise
+        except OverflowError:  # e^(2r) is no float: the refusal of tomography_variance, in its words
+            raise DomainError(f"the imbalance variance leaves the float range at model={noise.squeezing!r}") from None
         jz = mean_jz + np.sqrt(var) * z_readout
         jz = np.copysign(np.floor(np.abs(jz) + 0.5), jz)  # round half away from 0
         jz = np.clip(jz, -n / 2.0, n / 2.0)

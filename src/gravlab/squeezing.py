@@ -5,22 +5,23 @@ Two layers:
 * A truncated two-mode Fock space that validates the operator chain
   from spin-changing collisions down to a pair of single-mode squeezing
   terms, evolves the vacuum, and splits the result into the symmetric
-  and antisymmetric modes. Every operator is a sparse CSR array of a few
-  bands whose entries are products of the sqrt(n) read off each index
-  i = n+ (n_max + 1) + n-: no Kronecker or matrix products. Each
-  Hamiltonian conserves a number (N+ - N-, N+ + N- or parity), so its
-  propagator is block diagonal: `evolve` finds the blocks with numpy and
-  exponentiates each occupied one by its eigendecomposition. It keeps
-  the last H it was given (compared by copies of its CSR arrays) with
-  the decompositions of its occupied sectors, up to MAX_BLOCK_DIM**2
-  eigenvector entries, so a sweep of durations on one H decomposes each
-  sector once and pays only the phases after that. The
-  beamsplitter is one more call to `evolve`, in the gauge diag(i^n+) where
-  its generator is real. The pump-explicit model, which the chain
-  approximates by an undepleted pump, is built on the only block it
-  reaches from the pump vacuum, |N - 2k, k, k>: tridiagonal in k, whatever
-  the pump's atom number N. scipy.sparse, the only scipy it needs, is
-  imported inside the functions that use it.
+  and antisymmetric modes. Every operator is a SparseOperator, numpy
+  coordinate arrays of a few bands whose entries are products of the
+  sqrt(n) read off each index i = n+ (n_max + 1) + n-: no Kronecker or
+  matrix products. Each Hamiltonian conserves a number (N+ - N-, N+ + N-
+  or parity), so its propagator is block diagonal: `evolve` finds the
+  blocks with numpy and exponentiates each occupied one by its
+  eigendecomposition. It keeps the last H it was given (compared by
+  copies of its coordinate arrays) with the decompositions of its
+  occupied sectors, up to MAX_BLOCK_DIM**2 eigenvector entries, so a
+  sweep of durations on one H decomposes each sector once and pays only
+  the phases after that. The beamsplitter is one more call to `evolve`,
+  in the gauge diag(i^n+) where its generator is real. The pump-explicit
+  model, which the chain approximates by an undepleted pump, is built on
+  the only block it reaches from the pump vacuum, |N - 2k, k, k>:
+  tridiagonal in k, whatever the pump's atom number N. The layer needs
+  numpy only; `evolve` also takes a scipy.sparse H, read through the
+  array's own methods.
 * A four-number Gaussian model (atom number, squeezing strength,
   tomography angle of the squeezed quadrature, detection noise) whose one
   readout_variance gives the shots' readout noise and the measured
@@ -84,23 +85,56 @@ class HamiltonianParams:
         check_fields(self, zeeman_q_rad_s=NUMBER, interaction_rad_s=NUMBER, pump_atoms=COUNT)
 
 
-def _symmetric_bands(dim: int, bands: dict[int, np.ndarray]) -> sp.csr_array:
-    """Real symmetric CSR array with bands[k] on diagonals +k and -k,
-    entry i of each at row i of the upper one; zeros are not stored."""
-    import scipy.sparse as sp
+@dataclass(frozen=True, eq=False)
+class SparseOperator:
+    """A sparse operator as numpy coordinate arrays: data[i] at (rows[i],
+    cols[i]), in no order, each place at most once and no zero stored; the
+    three arrays are read-only."""
 
-    both = {**bands, **{-k: v for k, v in bands.items()}}
-    return sp.diags_array(list(both.values()), offsets=list(both), shape=(dim, dim), format="csr")
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        for name in ("rows", "cols", "data"):
+            array = np.asarray(getattr(self, name)).view()  # read-only without freezing the caller's array
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries; `size` too, as scipy.sparse defines both."""
+        return len(self.data)
+
+    size = nnz
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        dense[self.rows, self.cols] = self.data
+        return dense
+
+
+def _symmetric_bands(dim: int, bands: dict[int, np.ndarray]) -> SparseOperator:
+    """Real symmetric operator with bands[k] (k >= 0) on diagonals +k and
+    -k, entry i of each at row i of the upper one; zeros are not stored."""
+    rows, cols, data = [], [], []
+    for k, values in bands.items():
+        at = np.flatnonzero(values)
+        rows += [at, at + k] if k else [at]
+        cols += [at + k, at] if k else [at]
+        data += [values[at]] * (2 if k else 1)
+    return SparseOperator((dim, dim), *map(np.concatenate, (rows, cols, data)))
 
 
 @dataclass(frozen=True)
 class Hamiltonians:
     """The operator chain on the two-mode space, pump replaced by a number."""
 
-    two_mode: sp.csr_array
-    undepleted: sp.csr_array
-    symmetric_mode: sp.csr_array
-    antisymmetric_mode: sp.csr_array
+    two_mode: SparseOperator
+    undepleted: SparseOperator
+    symmetric_mode: SparseOperator
+    antisymmetric_mode: SparseOperator
 
 
 def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltonians:
@@ -111,15 +145,15 @@ def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltoni
     symmetric_mode  = -(Omega/2)(as as + as^ as^)   with as = (a+ + a-)/sqrt(2)
     antisymmetric_mode analogously; two_mode = symmetric - antisymmetric
 
-    Every piece is sparse (CSR) with O(dim) nonzeros.
+    Every piece is a SparseOperator with O(dim) nonzeros.
     """
     d, om, q = space.dim_single, params.interaction_rad_s, params.zeeman_q_rad_s
     n_plus, n_minus = np.sqrt(np.divmod(np.arange(space.dim), d))  # of each index n+ * d + n-
     pair = -om * (n_plus * n_minus)[d + 1:]  # a+ a- at (i, i + d + 1)
     two_mode = _symmetric_bands(space.dim, {d + 1: pair})
     undepleted = _symmetric_bands(space.dim, {0: (q - om) * (n_plus**2 + n_minus**2), d + 1: pair})
-    # (a+ +- a-)/sqrt(2) as scipy's sparse "/ sqrt(2)" makes them, squared: the
-    # a+ a+ and a- a- bands are shared, the cross band sums two equal products
+    # (a+ +- a-)/sqrt(2) as a product with 1/sqrt(2), as scipy.sparse divides, squared:
+    # the a+ a+ and a- a- bands are shared, the cross band sums two equal products
     u, w = n_plus * (1.0 / math.sqrt(2.0)), n_minus * (1.0 / math.sqrt(2.0))
     same, cross = {2 * d: u[d:-d] * u[2 * d:], 2: w[1:-1] * w[2:]}, (u * w)[d + 1:]
     h_s, h_a = (
@@ -129,14 +163,14 @@ def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltoni
     return Hamiltonians(two_mode, undepleted, h_s, h_a)
 
 
-def pump_block(space: FockSpace, params: HamiltonianParams) -> sp.csr_array:
+def pump_block(space: FockSpace, params: HamiltonianParams) -> SparseOperator:
     """The pump-explicit collision Hamiltonian of a pump of N atoms,
 
         q (N+ + N-) - (Omega/N) [(N0 - 1/2)(N+ + N-) + a0^ a0^ a+ a- + a0 a0 a+^ a-^],
 
     on the levels |N - 2k, k, k> (pump, +, -), k = 0 ... min(n_max, N // 2),
     that it reaches from the pump vacuum |N, 0, 0> (index 0): it conserves
-    N0 + N+ + N- and N+ - N-. Real symmetric tridiagonal CSR: the pair
+    N0 + N+ + N- and N+ - N-. Real symmetric tridiagonal: the pair
     cutoff n_max caps the block, never the pump.
     """
     n, om = params.pump_atoms, params.interaction_rad_s
@@ -174,21 +208,21 @@ def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 class _Decomposition:
-    """A Hamiltonian evolve has decomposed: copies of its canonical CSR
-    arrays, shape and dtype, the sector of each index, and
-    {sector: (indices, energies, eigenvectors)} for the sectors states have
-    occupied, holding at most MAX_BLOCK_DIM**2 eigenvector entries."""
+    """A Hamiltonian evolve has decomposed: copies of its coordinate arrays,
+    its shape and dtype, the sector of each index, and {sector: (indices,
+    energies, eigenvectors)} for the sectors states have occupied, holding
+    at most MAX_BLOCK_DIM**2 eigenvector entries."""
 
-    def __init__(self, h: sp.csr_array, sector: np.ndarray):
-        self.arrays = h.indptr.copy(), h.indices.copy(), h.data.copy()
-        self.shape, self.dtype = h.shape, h.dtype
+    def __init__(self, h: SparseOperator, sector: np.ndarray):
+        self.arrays = h.rows.copy(), h.cols.copy(), h.data.copy()
+        self.shape, self.dtype = h.shape, h.data.dtype
         self.sector, self.sizes = sector, np.bincount(sector)
         self.blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.held = 0  # eigenvector entries in blocks
 
-    def holds(self, h: sp.csr_array) -> bool:
-        return (self.shape, self.dtype) == (h.shape, h.dtype) and all(
-            np.array_equal(kept, now) for kept, now in zip(self.arrays, (h.indptr, h.indices, h.data))
+    def holds(self, h: SparseOperator) -> bool:
+        return (self.shape, self.dtype) == (h.shape, h.data.dtype) and all(
+            np.array_equal(kept, now) for kept, now in zip(self.arrays, (h.rows, h.cols, h.data))
         )
 
 
@@ -196,38 +230,75 @@ _last: _Decomposition | None = None  # the one Hamiltonian evolve remembers
 _keeping = threading.Lock()  # one thread at a time adds a sector to it
 
 
-def _decompositions(h: sp.csr_array, sector: np.ndarray, sizes: np.ndarray, labels: list[int]):
-    """(label, indices, energies, eigenvectors) of each listed sector of a
-    canonical CSR H, one dense block at a time; NumericalError for a block
+def _decompositions(h: SparseOperator, sector: np.ndarray, sizes: np.ndarray, labels: list[int]):
+    """(label, indices, energies, eigenvectors) of each listed sector
+    (ascending) of H, one dense block at a time; NumericalError for a block
     that is not Hermitian."""
     if not labels:
         return
     # the sectors' indices, grouped by sector and ascending in each, each
-    # with its place in its block; then their rows' entries in that order
-    mine = np.flatnonzero(np.isin(sector, labels))
+    # with its place in its block; then the entries of their rows, grouped alike
+    listed = np.zeros(h.shape[0], dtype=bool)
+    listed[labels] = True
+    mine = np.flatnonzero(listed[sector])
     mine = mine[np.argsort(sector[mine], kind="stable")]
     sizes = sizes[labels]
     ends = np.cumsum(sizes)
     place = np.empty(h.shape[0], dtype=np.intp)
     place[mine] = np.arange(len(mine)) - np.repeat(ends - sizes, sizes)
-    count = np.diff(h.indptr)[mine]
-    entries = np.repeat(h.indptr[mine] - np.cumsum(count) + count, count) + np.arange(count.sum())
-    cuts = np.cumsum(count)[ends - 1]
+    of_entry = sector[h.rows]
+    entries = np.flatnonzero(listed[of_entry])
+    entries = entries[np.argsort(of_entry[entries], kind="stable")]
+    cuts = np.searchsorted(of_entry[entries], labels, side="right")[:-1]
     tolerance = 1e-12 * max(1.0, np.abs(h.data).max(initial=0.0))
-    split = zip(labels, np.split(mine, ends)[:-1], np.split(np.repeat(mine, count), cuts), np.split(entries, cuts))
-    for label, inside, rows, within in split:
-        at = place[rows], place[h.indices[within]]
-        block = np.zeros((len(inside), len(inside)), dtype=h.dtype)
+    for label, inside, within in zip(labels, np.split(mine, ends)[:-1], np.split(entries, cuts)):
+        at = place[h.rows[within]], place[h.cols[within]]
+        block = np.zeros((len(inside), len(inside)), dtype=h.data.dtype)
         block[at] = h.data[within]
         if np.abs(h.data[within] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
             raise NumericalError("hamiltonian is not Hermitian")
         yield label, inside, *np.linalg.eigh(block)
 
 
-def evolve(
-    hamiltonian: np.ndarray | sp.sparray, state: np.ndarray, duration: float
-) -> np.ndarray:
-    """exp(-i H t) |state> for a Hermitian H, dense or sparse.
+def _stored_entries(hamiltonian) -> SparseOperator:
+    """H as the entries toarray places, each place once and no zero: a
+    scipy.sparse H through its own COO copy (scipy is never imported
+    here), a dense one through np.nonzero. DomainError for an H that is
+    not square."""
+    h = hamiltonian
+    if hasattr(h, "tocoo"):
+        h = h.tocoo(copy=True)  # the input's own arrays: read, never written
+        h.sum_duplicates()
+    elif not isinstance(h, SparseOperator):
+        h = np.asarray(h)
+    if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
+        raise DomainError(f"hamiltonian must be square, got shape {h.shape}")
+    if isinstance(h, np.ndarray):
+        return SparseOperator(h.shape, *(at := np.nonzero(h)), h[at])
+    if isinstance(h, SparseOperator) and h.data.all():
+        return h
+    keep = h.data != 0
+    rows, cols = (h.rows, h.cols) if isinstance(h, SparseOperator) else (h.row, h.col)
+    return SparseOperator(h.shape, rows[keep], cols[keep], h.data[keep])
+
+
+def _state(state, dim: int) -> np.ndarray:
+    """`state` as a numpy array of shape (dim,); DomainError for any other
+    shape, or for a ragged or non-numeric state."""
+    try:
+        state = np.asarray(state)
+    except ValueError:  # a ragged sequence
+        raise DomainError("state must be an array of numbers, got a ragged sequence") from None
+    if not np.issubdtype(state.dtype, np.number):
+        raise DomainError(f"state must be an array of numbers, got dtype {state.dtype}")
+    if state.shape != (dim,):
+        raise DomainError(f"state must have shape ({dim},)")
+    return state
+
+
+def evolve(hamiltonian, state, duration: float) -> np.ndarray:
+    """exp(-i H t) |state> for a Hermitian H: a SparseOperator, a
+    scipy.sparse array or anything numpy reads as a matrix.
 
     H is block diagonal over the connected components of its nonzero
     pattern, the sectors of whatever it conserves. Each sector the state
@@ -237,37 +308,29 @@ def evolve(
     occupied sector, which holds every entry the state can reach.
 
     exp(-i H t) has the same eigenvectors at every t, so evolve keeps the
-    last H it was given: copies of its canonical CSR arrays, its sectors
-    and the decomposition of each sector a state has occupied, while those
-    hold at most MAX_BLOCK_DIM**2 eigenvector entries (past that, a
-    sector is decomposed for the call and dropped). A call whose canonical
-    H equals the kept one in shape, dtype and all three arrays decomposes
-    only sectors not yet kept; any other H replaces it. A kept sector
-    gives the same bits as a fresh one: both go through one expression.
-    The Hermitian check runs whenever a sector is decomposed; the
-    MAX_BLOCK_DIM refusal and the norm guard run on every call, and so do
-    the refusals (DomainError) of a non-square H, a state not of shape
-    (d,) and a NaN or +-inf in the state or among H's stored entries.
+    last H it was given: copies of its coordinate arrays (each place once,
+    no zero), its sectors and the decomposition of each sector a state has
+    occupied, while those hold at most MAX_BLOCK_DIM**2 eigenvector entries
+    (past that, a sector is decomposed for the call and dropped). A call
+    whose H equals the kept one in shape, dtype and all three arrays
+    decomposes only sectors not yet kept; any other H replaces it. A kept
+    sector gives the same bits as a fresh one: both go through one
+    expression. The Hermitian check runs whenever a sector is decomposed;
+    the MAX_BLOCK_DIM refusal and the norm guard run on every call, and so
+    do the refusals (DomainError) of a non-square H, a ragged or
+    non-numeric state or one not of shape (d,), and a NaN or +-inf in the
+    state or among H's stored entries. A scipy.sparse H is read through
+    its own tocoo and sum_duplicates; gravlab never imports scipy here.
     """
-    import scipy.sparse as sp
-
     global _last
     require(NUMBER, "duration", duration)
-    h = sp.csr_array(hamiltonian)  # a CSR input's own arrays: read, never written
-    if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError(f"hamiltonian must be square, got shape {h.shape}")
-    if state.shape != (h.shape[0],):
-        raise DomainError(f"state must have shape ({h.shape[0]},)")
+    h = _stored_entries(hamiltonian)
+    state = _state(state, h.shape[0])
     require_finite("state", state)
     require_finite("hamiltonian", h.data)  # its stored entries
-    if not (h.has_canonical_format and h.data.all()):  # the entries toarray places
-        h = h.copy()
-        h.sum_duplicates()
-        h.eliminate_zeros()
     known = _last  # read once: another thread may replace it
     if known is None or not known.holds(h):
-        rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-        known = _last = _Decomposition(h, _sectors(h.shape[0], rows, h.indices))
+        known = _last = _Decomposition(h, _sectors(h.shape[0], h.rows, h.cols))
     occupied = np.unique(known.sector[state != 0])
     if (largest := known.sizes[occupied].max(initial=0)) > MAX_BLOCK_DIM:
         raise ConfigError(f"conserved sector of dimension {largest} exceeds limit {MAX_BLOCK_DIM}")
@@ -308,7 +371,7 @@ def occupation_distribution(state: np.ndarray, space: FockSpace, mode: int = 0) 
     return prob.sum(axis=1) if mode == 0 else prob.sum(axis=0)
 
 
-def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
+def mode_transform(state, space: FockSpace) -> np.ndarray:
     """Rotate a two-mode state into the symmetric/antisymmetric basis.
 
     The first output mode is the symmetric superposition; applying this
@@ -322,8 +385,7 @@ def mode_transform(state: np.ndarray, space: FockSpace) -> np.ndarray:
     N+ + N-, so it acts block by block on fixed total number. With D =
     diag(i^n+), D^ H D = a+^ a- + a+ a-^ is real: it is D evolve(D^ H D, D^ state, pi/4).
     """
-    if state.shape != (space.dim,):
-        raise DomainError(f"state must have shape ({space.dim},)")
+    state = _state(state, space.dim)
     d = space.dim_single
     n_plus, n_minus = np.sqrt(np.divmod(np.arange(space.dim), d))
     real = _symmetric_bands(space.dim, {d - 1: n_plus[d - 1:] * n_minus[: 1 - d]})  # a+ a-^ at (i, i + d - 1)

@@ -652,6 +652,18 @@ class TestSimulateAnalyze:
         assert not out.exists()
         assert main(["simulate", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out), "--coherent"]) == 0
 
+    def test_squeezing_beyond_the_float_range_names_the_model(self, tmp_path, capsys):
+        # e^(2r) at r = 400 is no float; tomography refuses the same model in the same words
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  squeezing:\n    strength_r: 400.0\n")
+        model = load_config(str(cfg)).noise.squeezing
+        want = f"error: the imbalance variance leaves the float range at model={model!r}"
+        code = main(["simulate", "--config", str(cfg), "--pairs", "16", "--out", "-"])
+        assert code == 2
+        assert capsys.readouterr().err == want + "\n"
+        assert main(["tomography", "--config", str(cfg), "--points", "8", "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(want + ", phi_rad=")
+
     def test_nested_out_path_creates_directories(self, tmp_path):
         self.run_sim(tmp_path, os.path.join("deep", "nest", "shots.jsonl"))
         assert (tmp_path / "deep" / "nest" / "shots.jsonl").exists()

@@ -32,6 +32,7 @@ from gravlab import (
     gravity_from_delta_p,
     gravity_sensitivity,
     metrological_squeezing,
+    mode_transform,
     occupation_distribution,
     phase_noise_budget,
     pulse_sensitivity,
@@ -236,9 +237,31 @@ def test_an_array_argument_is_checked_element_by_element(call, name, element, in
         ("evolve(H, np.zeros(3), 1.0)", "state must have shape (2,)"),
         ("evolve(np.zeros((2, 3)), PSI, 1.0)", "hamiltonian must be square, got shape (2, 3)"),
         ("evolve(np.zeros((3, 2)), np.zeros(3), 1.0)", "hamiltonian must be square, got shape (3, 2)"),
+        # a state numpy reads as no array of numbers
+        ("evolve(H, [[1.0], [0.0, 1.0]], 1.0)", "state must be an array of numbers, got a ragged sequence"),
+        ("evolve(H, [1.0, [0.0]], 1.0)", "state must be an array of numbers, got a ragged sequence"),
+        ("evolve(H, ['1.0', '0.0'], 1.0)", "state must be an array of numbers, got dtype <U3"),
+        ("evolve(H, [None, 0.0], 1.0)", "state must be an array of numbers, got dtype object"),
+        ("evolve(H, [True, False], 1.0)", "state must be an array of numbers, got dtype bool"),
+        ("mode_transform([[1.0], [0.0, 1.0]], SPACE)", "state must be an array of numbers, got a ragged sequence"),
+        ("mode_transform(['a'] * SPACE.dim, SPACE)", "state must be an array of numbers, got dtype <U1"),
     ],
-    ids=["state-of-1", "column-state", "state-of-3", "hamiltonian-2x3", "hamiltonian-3x2"],
+    ids=[
+        "state-of-1", "column-state", "state-of-3", "hamiltonian-2x3", "hamiltonian-3x2",
+        "ragged-state", "ragged-nested-state", "string-state", "none-state", "bool-state",
+        "transform-ragged-state", "transform-string-state",
+    ],
 )
 def test_an_argument_of_the_wrong_shape_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         eval(call)
+
+
+def test_a_state_is_read_as_an_array():
+    # a list, a tuple or an int array is the numpy array it reads as
+    want = evolve(H, PSI, 1.0)
+    for state in ([1.0, 0.0], (1.0, 0.0), np.array([1, 0])):
+        assert evolve(H, state, 1.0).tobytes() == want.tobytes()
+    psi = np.arange(SPACE.dim) / np.linalg.norm(np.arange(SPACE.dim))
+    assert mode_transform(psi.tolist(), SPACE).tobytes() == mode_transform(psi, SPACE).tobytes()
+

@@ -41,7 +41,18 @@ from gravlab import (
     tomography_variance,
     vacuum_state,
 )
-from gravlab.squeezing import _sectors, readout_variance
+from gravlab.squeezing import SparseOperator, _sectors, readout_variance
+
+
+def as_csr(op: SparseOperator) -> sp.csr_array:
+    """A SparseOperator as a canonical scipy CSR array, for the scipy
+    oracles: the conversion must sum no two entries (each place is stored
+    once) and find no zero stored."""
+    csr = sp.csr_array((op.data, (op.rows, op.cols)), shape=op.shape)
+    assert csr.has_canonical_format and csr.nnz == op.nnz
+    assert np.all(csr.data != 0)
+    return csr
+
 
 # closed-form calibration from the (-5.4, +9.9) dB tomography extremes
 FROZEN_R = 1.1302698853537816
@@ -108,17 +119,19 @@ class TestHamiltonianChain:
     def test_pair_terms_cancel_number_terms_at_matched_zeeman(self):
         space = FockSpace(n_max=10)
         h = build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.0, interaction_rad_s=1.0))
-        assert np.max(np.abs(h.undepleted - h.two_mode)) == 0.0
+        assert np.max(np.abs(h.undepleted.toarray() - h.two_mode.toarray())) == 0.0
 
     def test_mode_split_reassembles_exactly(self):
         # acceptance-level identity at n_max = 12
         space = FockSpace(n_max=12)
         h = build_hamiltonians(space, HamiltonianParams())
-        assert np.max(np.abs(h.two_mode - (h.symmetric_mode - h.antisymmetric_mode))) < 1e-10
+        two_mode, h_s, h_a = (m.toarray() for m in (h.two_mode, h.symmetric_mode, h.antisymmetric_mode))
+        assert np.max(np.abs(two_mode - (h_s - h_a))) < 1e-10
 
     def test_all_pieces_hermitian(self):
         h = build_hamiltonians(FockSpace(n_max=8), HamiltonianParams())
         for m in (h.two_mode, h.undepleted, h.symmetric_mode, h.antisymmetric_mode):
+            m = m.toarray()
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
 
@@ -248,12 +261,10 @@ class TestBandedOperators:
     def test_chain_at_n_max_100_equals_kronecker_products_bit_for_bit(self, params):
         h = build_hamiltonians(FockSpace(n_max=100), params)
         for name, want in kron_chain(100, params).items():
-            got = getattr(h, name)
+            got = as_csr(getattr(h, name))  # each place stored once, no stored zeros
             want = sp.csr_array(want)
             want.eliminate_zeros()
             want.sort_indices()
-            assert got.format == "csr" and got.has_canonical_format, name
-            assert np.all(got.data != 0), name  # no stored zeros
             assert np.array_equal(got.indptr, want.indptr), name
             assert np.array_equal(got.indices, want.indices), name
             assert np.array_equal(got.data, want.data), name
@@ -266,6 +277,41 @@ class TestBandedOperators:
         psi /= np.linalg.norm(psi)
         want = evolve(1j * (a_plus.T @ a_minus - a_plus @ a_minus.T), psi, math.pi / 4.0)
         assert np.max(np.abs(mode_transform(psi, space) - want)) < 1e-12
+
+
+class TestSparseOperator:
+    """The operators' own type: numpy coordinate arrays with scipy's nnz,
+    size and toarray, read-only, and one H to evolve in whatever form."""
+
+    CHAIN = ("two_mode", "undepleted", "symmetric_mode", "antisymmetric_mode")
+
+    def test_members_agree_with_scipy(self):
+        h = build_hamiltonians(FockSpace(n_max=12), HamiltonianParams(zeeman_q_rad_s=1.3))
+        for name in self.CHAIN:
+            op = getattr(h, name)
+            csr = as_csr(op)
+            assert op.nnz == op.size == csr.nnz == csr.size == len(op.rows) == len(op.cols), name
+            dense = op.toarray()
+            assert dense.dtype == csr.dtype and np.array_equal(dense, csr.toarray()), name
+
+    def test_arrays_are_read_only_views(self):
+        rows, cols, data = np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5])
+        op = SparseOperator((2, 2), rows, cols, data)
+        for mine, given in zip((op.rows, op.cols, op.data), (rows, cols, data)):
+            assert not mine.flags.writeable and given.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mine[0] = 1
+
+    @pytest.mark.parametrize("name", CHAIN)
+    def test_every_form_of_h_evolves_to_the_same_bytes(self, name, monkeypatch):
+        space = FockSpace(n_max=12)
+        op = getattr(build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.3)), name)
+        psi = spread_state(space.dim)
+        got = []
+        for h in (op, as_csr(op), as_csr(op).tocoo(), op.toarray()):
+            monkeypatch.setattr(squeezing, "_last", None)
+            got.append(evolve(h, psi, 0.7).tobytes())
+        assert got == got[:1] * 4
 
 
 class TestEvolveLeavesItsInputAlone:
@@ -284,7 +330,7 @@ class TestEvolveLeavesItsInputAlone:
 
     def test_canonical_csr(self):
         space = FockSpace(n_max=100)
-        self.check(build_hamiltonians(space, HamiltonianParams()).two_mode, vacuum_state(space))
+        self.check(as_csr(build_hamiltonians(space, HamiltonianParams()).two_mode), vacuum_state(space))
 
     def test_csr_with_duplicates_unsorted_indices_and_a_stored_zero(self):
         indptr = np.array([0, 2, 3, 4, 6, 7, 7])
@@ -313,6 +359,8 @@ def csgraph_sectors(hamiltonian) -> np.ndarray:
     reference for the sectors `evolve` finds with numpy."""
     from scipy.sparse.csgraph import connected_components
 
+    if isinstance(hamiltonian, SparseOperator):
+        hamiltonian = as_csr(hamiltonian)
     graph = abs(sp.csr_array(hamiltonian))  # csgraph takes real weights
     graph.eliminate_zeros()
     _, component = connected_components(graph, directed=False)
@@ -473,7 +521,10 @@ class TestRememberedDecomposition:
 
     def test_an_edit_of_h_in_place_is_a_new_h(self, monkeypatch):
         space = FockSpace(n_max=12)
-        h = build_hamiltonians(space, HamiltonianParams()).undepleted
+        op = build_hamiltonians(space, HamiltonianParams()).undepleted
+        with pytest.raises(ValueError, match="read-only"):
+            op.data[0] = 1.5  # the operator's own arrays refuse writes
+        h = as_csr(op)  # a copy whose arrays take the edit
         psi = spread_state(space.dim)
         before = evolve(h, psi, 0.7)
         h.data *= 1.5
@@ -674,7 +725,7 @@ class TestPumpBlock:
         inside = (pump - 2 * levels) * d * d + levels * d + levels  # |N - 2k, k, k>
         rows = dense_full(n_max, params)[inside]
         want = rows[:, inside]
-        assert block.format == "csr" and block.shape == (len(levels),) * 2
+        assert as_csr(block).shape == (len(levels),) * 2
         assert np.max(np.abs(block.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
         assert not np.delete(rows, inside, axis=1).any()  # no coupling out of the block
 
@@ -683,7 +734,7 @@ class TestPumpBlock:
     )
     def test_levels_up_to_the_pair_cutoff_or_the_pump(self, n_max, pump, size):
         block = pump_block(FockSpace(n_max=n_max), HamiltonianParams(pump_atoms=pump))
-        assert block.shape == (size, size) and block[0, 0] == 0.0  # the pump vacuum has no pairs
+        assert block.shape == (size, size) and block.toarray()[0, 0] == 0.0  # the pump vacuum has no pairs
         psi = np.zeros(size, dtype=complex)
         psi[0] = 1.0
         assert np.linalg.norm(evolve(block, psi, 0.7)) == pytest.approx(1.0, abs=1e-12)
