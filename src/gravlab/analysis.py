@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule, require
-from .errors import DataError, DomainError, FitError, in_float_range, require_finite
+from .errors import DataError, DomainError, FitError, as_numbers, in_float_range, require_finite
 from .sensitivity import PhysicalConstants
 from .shots import ShotTable
 
@@ -139,7 +139,7 @@ def fit_fringe(points, constants: PhysicalConstants) -> FringeFit:
     phase0) sign degeneracy of the cosine is resolved by canonicalizing
     phase0 into [0, pi).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = as_numbers("points", points).astype(float, copy=False)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 8:
         raise DomainError("need at least 8 (alpha, p) points")
     x = pts[:, 0] / constants.k_eff_per_m
@@ -387,7 +387,7 @@ def squeezing_from_pairs(
 ) -> float:
     """Linear metrological squeezing: pair-difference variance over the
     two-measurement projection limit (N1 + N2)/4, contrast-corrected."""
-    diffs = np.asarray(imbalance_diff, dtype=float)
+    diffs = as_numbers("imbalance_diff", imbalance_diff).astype(float, copy=False)
     if len(diffs) < 2:
         raise DataError("need at least 2 pairs")
     require_finite("imbalance_diff", diffs)
@@ -516,7 +516,7 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
         sum_j (sum_{i=j+m}^{j+2m-1} x_i - sum_{i=j}^{j+m-1} x_i)^2
     for m = 1, 2, 4, ... up to M/3, with naive 1/sqrt(dof) error bars.
     """
-    x = np.asarray(series, dtype=float)
+    x = as_numbers("series", series).astype(float, copy=False)
     if x.ndim != 1 or len(x) < MIN_ALLAN_SAMPLES:
         raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples")
     require_finite("series", x)

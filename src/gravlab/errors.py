@@ -7,9 +7,9 @@ fills check one Rule, so they refuse the same values in the same words;
 a public function's scalar arguments check the same Rules through
 `require`, which raises DomainError. A number is an int or float
 (numpy's too) in the float range: never a bool, string, NaN or +-inf.
-`require_finite` checks an array argument element by element, and
-`in_float_range` refuses a result of finite arguments that leaves the
-float range.
+`as_numbers` reads an array argument, `require_finite` checks it element
+by element, and `in_float_range` refuses a result of finite arguments
+that leaves the float range.
 """
 
 import math
@@ -82,6 +82,21 @@ def require(rule: Rule, name: str, value, error: type[GravlabError] = DomainErro
     """Raise `error` saying what `name` must be and what it got, unless `value` passes `rule`."""
     if not rule.test(value):
         raise error(f"{name} must be {rule.words}, got {value!r}")
+
+
+def as_numbers(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """`value` as the numpy array it reads as, of `shape` if one is given; DomainError naming
+    `name` for a ragged sequence, an array whose dtype is no number (bool, str, object), or
+    another shape."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        raise DomainError(f"{name} must be an array of numbers, got a ragged sequence") from None
+    if array.dtype.kind not in "iufc":  # integers, floats and complex numbers
+        raise DomainError(f"{name} must be an array of numbers, got dtype {array.dtype}")
+    if shape is not None and array.shape != shape:
+        raise DomainError(f"{name} must have shape {shape}")
+    return array
 
 
 def require_finite(name: str, values: np.ndarray) -> None:

@@ -8,20 +8,17 @@ Two layers:
   and antisymmetric modes. Every operator is a SparseOperator, numpy
   coordinate arrays of a few bands whose entries are products of the
   sqrt(n) read off each index i = n+ (n_max + 1) + n-: no Kronecker or
-  matrix products. Each Hamiltonian conserves a number (N+ - N-, N+ + N-
-  or parity), so its propagator is block diagonal: `evolve` finds the
-  blocks with numpy and exponentiates each occupied one by its
-  eigendecomposition. It keeps the last H it was given (compared by
-  copies of its coordinate arrays) with the decompositions of its
-  occupied sectors, up to MAX_BLOCK_DIM**2 eigenvector entries, so a
-  sweep of durations on one H decomposes each sector once and pays only
-  the phases after that. The beamsplitter is one more call to `evolve`,
-  in the gauge diag(i^n+) where its generator is real. The pump-explicit
+  matrix products. Each builder labels every index with the number its
+  operator conserves (N+ - N-, N+ + N- or the parity of N+ + N-), over
+  which the propagator is block diagonal: `evolve` exponentiates each
+  occupied block by its eigendecomposition, which the operator keeps as
+  long as it lives, so a sweep of durations on one H decomposes each
+  block once. The beamsplitter is one more call to `evolve`, in
+  the gauge diag(i^n+) where its generator is real. The pump-explicit
   model, which the chain approximates by an undepleted pump, is built on
   the only block it reaches from the pump vacuum, |N - 2k, k, k>:
   tridiagonal in k, whatever the pump's atom number N. The layer needs
-  numpy only; `evolve` also takes a scipy.sparse H, read through the
-  array's own methods.
+  numpy only.
 * A four-number Gaussian model (atom number, squeezing strength,
   tomography angle of the squeezed quadrature, detection noise) whose one
   readout_variance gives the shots' readout noise and the measured
@@ -35,19 +32,19 @@ down the algebra at small cutoffs.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, in_float_range, require
-from .errors import CalibrationError, ConfigError, DomainError, NumericalError, require_finite
+from .errors import CalibrationError, ConfigError, DomainError, NumericalError, as_numbers, require_finite
 
 # Bounds the state vector (1 MB complex at the limit) of the two-mode
 # space, whose sparse operators hold a few nonzeros per row.
 MAX_MATRIX_DIM = 65536
 # Bounds one conserved sector that evolve exponentiates as a dense
-# block: 67 MB complex at the limit.
+# block (67 MB complex at the limit), and the eigenvector entries an
+# operator keeps: MAX_BLOCK_DIM**2.
 MAX_BLOCK_DIM = 2048
 
 
@@ -87,20 +84,44 @@ class HamiltonianParams:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """A sparse operator as numpy coordinate arrays: data[i] at (rows[i],
-    cols[i]), in no order, each place at most once and no zero stored; the
-    three arrays are read-only."""
+    """A sparse operator as numpy coordinate arrays, data[i] at (rows[i], cols[i]) in no order
+    and each place at most once, with sector[j], an integer label of index j by a number the
+    operator conserves: no entry joins two labels, so it is block diagonal over them.
+
+    Construction copies the four arrays, rows and cols as int32 while the shape allows (as
+    scipy.sparse does), and makes them read-only. It raises DomainError for a shape that is not
+    square, index arrays that are not one integer in range per entry of data (or per index, for
+    sector), a NaN or +-inf entry, or an entry whose row and column have different labels.
+    `evolve` keeps on the operator the eigendecomposition of each block it decomposes, up to
+    MAX_BLOCK_DIM**2 eigenvector entries, for as long as the operator lives."""
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     data: np.ndarray
+    sector: np.ndarray
+    # {label: (indices, energies, eigenvectors)} of the blocks evolve has decomposed
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("rows", "cols", "data"):
-            array = np.asarray(getattr(self, name)).view()  # read-only without freezing the caller's array
+        if len(self.shape) != 2 or self.shape[0] != self.shape[1] or not SIZE.test(self.shape[0]):
+            raise DomainError(f"SparseOperator.shape must be square, got {self.shape}")
+        n = self.shape[0]
+        for name in ("rows", "cols", "data", "sector"):
+            shape = None if name == "rows" else (n,) if name == "sector" else self.rows.shape
+            array = as_numbers(f"SparseOperator.{name}", getattr(self, name), shape)
+            if name != "data" and (array.ndim != 1 or array.size and array.dtype.kind not in "iu"):
+                raise DomainError(f"SparseOperator.{name} must be 1-d integers, got {array.dtype} {array.shape}")
+            if index := name in ("rows", "cols"):  # checked before the copy to int32, which would wrap them
+                if array.size and not 0 <= array.min() <= array.max() < n:
+                    raise DomainError(f"SparseOperator.{name} must hold indices in [0, {n})")
+            array = array.astype((np.int32 if n <= 2**31 else np.intp) if index else array.dtype)  # its own copy
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        require_finite("SparseOperator.data", self.data)
+        if (across := self.sector.take(self.rows) != self.sector.take(self.cols)).any():
+            row, col = self.rows[across.argmax()], self.cols[across.argmax()]
+            raise DomainError(f"SparseOperator entry at ({row}, {col}) joins sectors {self.sector[row]} and {self.sector[col]}")
 
     @property
     def nnz(self) -> int:
@@ -115,16 +136,17 @@ class SparseOperator:
         return dense
 
 
-def _symmetric_bands(dim: int, bands: dict[int, np.ndarray]) -> SparseOperator:
-    """Real symmetric operator with bands[k] (k >= 0) on diagonals +k and
-    -k, entry i of each at row i of the upper one; zeros are not stored."""
+def _symmetric_bands(dim: int, bands: dict[int, np.ndarray], sector: np.ndarray) -> SparseOperator:
+    """Real symmetric operator labelled `sector`, with bands[k] (k >= 0) on diagonals
+    +k and -k, entry i of each at row i of the upper one; zeros are not stored."""
     rows, cols, data = [], [], []
     for k, values in bands.items():
         at = np.flatnonzero(values)
         rows += [at, at + k] if k else [at]
         cols += [at + k, at] if k else [at]
         data += [values[at]] * (2 if k else 1)
-    return SparseOperator((dim, dim), *map(np.concatenate, (rows, cols, data)))
+    rows, cols, data = map(np.concatenate, (rows, cols, data))  # the pieces go before the operator copies these
+    return SparseOperator((dim, dim), rows, cols, data, sector)
 
 
 @dataclass(frozen=True)
@@ -145,19 +167,23 @@ def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltoni
     symmetric_mode  = -(Omega/2)(as as + as^ as^)   with as = (a+ + a-)/sqrt(2)
     antisymmetric_mode analogously; two_mode = symmetric - antisymmetric
 
-    Every piece is a SparseOperator with O(dim) nonzeros.
+    Every piece is a SparseOperator with O(dim) nonzeros, labelled by
+    N+ - N- (two_mode, undepleted) or the parity of N+ + N- (the halves).
     """
     d, om, q = space.dim_single, params.interaction_rad_s, params.zeeman_q_rad_s
-    n_plus, n_minus = np.sqrt(np.divmod(np.arange(space.dim), d))  # of each index n+ * d + n-
+    plus, minus = np.divmod(np.arange(space.dim, dtype=np.int32), d)  # the occupations of each index n+ * d + n-
+    n_plus, n_minus = np.sqrt(plus), np.sqrt(minus)
+    # labels in 2 bytes: the operator's checks gather two per entry
+    difference, parity = (plus - minus).astype(np.int16), (plus + minus).astype(np.int16) % 2
     pair = -om * (n_plus * n_minus)[d + 1:]  # a+ a- at (i, i + d + 1)
-    two_mode = _symmetric_bands(space.dim, {d + 1: pair})
-    undepleted = _symmetric_bands(space.dim, {0: (q - om) * (n_plus**2 + n_minus**2), d + 1: pair})
+    two_mode = _symmetric_bands(space.dim, {d + 1: pair}, difference)
+    undepleted = _symmetric_bands(space.dim, {0: (q - om) * (n_plus**2 + n_minus**2), d + 1: pair}, difference)
     # (a+ +- a-)/sqrt(2) as a product with 1/sqrt(2), as scipy.sparse divides, squared:
     # the a+ a+ and a- a- bands are shared, the cross band sums two equal products
     u, w = n_plus * (1.0 / math.sqrt(2.0)), n_minus * (1.0 / math.sqrt(2.0))
     same, cross = {2 * d: u[d:-d] * u[2 * d:], 2: w[1:-1] * w[2:]}, (u * w)[d + 1:]
     h_s, h_a = (
-        _symmetric_bands(space.dim, {k: -0.5 * om * v for k, v in {**same, d + 1: c + c}.items()})
+        _symmetric_bands(space.dim, {k: -0.5 * om * v for k, v in {**same, d + 1: c + c}.items()}, parity)
         for c in (cross, -cross)
     )
     return Hamiltonians(two_mode, undepleted, h_s, h_a)
@@ -181,7 +207,7 @@ def pump_block(space: FockSpace, params: HamiltonianParams) -> SparseOperator:
     return _symmetric_bands(len(k), {
         0: 2.0 * k * (params.zeeman_q_rad_s - (om / n) * (pump - 0.5)),
         1: -(om / n) * k[1:] * np.sqrt((pump[1:] + 1.0) * (pump[1:] + 2.0)),  # <k-1|H|k>
-    })
+    }, np.zeros(len(k), dtype=np.int16))
 
 
 def vacuum_state(space: FockSpace) -> np.ndarray:
@@ -190,167 +216,57 @@ def vacuum_state(space: FockSpace) -> np.ndarray:
     return psi
 
 
-def _sectors(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Label each of range(n) by the smallest index of its component in the
-    undirected graph of edges (rows[i], cols[i]): root hooking with pointer
-    jumping (Shiloach & Vishkin, J. Algorithms 3, 57, 1982), each round
-    hooking every root onto the smallest smaller root across its edges."""
-    label = np.arange(n, dtype=np.int64)
-    while True:
-        high, low = np.maximum(rows, cols), np.minimum(rows, cols)
-        if not (cross := high != low).any():
-            return label
-        high, low = high[cross], low[cross]
-        np.minimum.at(label, high, low)  # every end is a root, labelled by itself
-        while not np.array_equal(jumped := label.take(label), label):
-            label = jumped
-        rows, cols = label.take(high), label.take(low)
+def evolve(hamiltonian: SparseOperator, state, duration: float) -> np.ndarray:
+    """exp(-i H t) |state> for a Hermitian SparseOperator H.
 
+    H is block diagonal over its sector labels. Each block the state occupies
+    is exponentiated exactly through the eigendecomposition (numpy eigh) of
+    its dense block, indices ascending, and must be Hermitian; blocks where
+    the state is zero stay zero. No dim x dim matrix is formed.
 
-class _Decomposition:
-    """A Hamiltonian evolve has decomposed: copies of its coordinate arrays,
-    its shape and dtype, the sector of each index, and {sector: (indices,
-    energies, eigenvectors)} for the sectors states have occupied, holding
-    at most MAX_BLOCK_DIM**2 eigenvector entries."""
-
-    def __init__(self, h: SparseOperator, sector: np.ndarray):
-        self.arrays = h.rows.copy(), h.cols.copy(), h.data.copy()
-        self.shape, self.dtype = h.shape, h.data.dtype
-        self.sector, self.sizes = sector, np.bincount(sector)
-        self.blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.held = 0  # eigenvector entries in blocks
-
-    def holds(self, h: SparseOperator) -> bool:
-        return (self.shape, self.dtype) == (h.shape, h.data.dtype) and all(
-            np.array_equal(kept, now) for kept, now in zip(self.arrays, (h.rows, h.cols, h.data))
-        )
-
-
-_last: _Decomposition | None = None  # the one Hamiltonian evolve remembers
-_keeping = threading.Lock()  # one thread at a time adds a sector to it
-
-
-def _decompositions(h: SparseOperator, sector: np.ndarray, sizes: np.ndarray, labels: list[int]):
-    """(label, indices, energies, eigenvectors) of each listed sector
-    (ascending) of H, one dense block at a time; NumericalError for a block
-    that is not Hermitian."""
-    if not labels:
-        return
-    # the sectors' indices, grouped by sector and ascending in each, each
-    # with its place in its block; then the entries of their rows, grouped alike
-    listed = np.zeros(h.shape[0], dtype=bool)
-    listed[labels] = True
-    mine = np.flatnonzero(listed[sector])
-    mine = mine[np.argsort(sector[mine], kind="stable")]
-    sizes = sizes[labels]
-    ends = np.cumsum(sizes)
-    place = np.empty(h.shape[0], dtype=np.intp)
-    place[mine] = np.arange(len(mine)) - np.repeat(ends - sizes, sizes)
-    of_entry = sector[h.rows]
-    entries = np.flatnonzero(listed[of_entry])
-    entries = entries[np.argsort(of_entry[entries], kind="stable")]
-    cuts = np.searchsorted(of_entry[entries], labels, side="right")[:-1]
-    tolerance = 1e-12 * max(1.0, np.abs(h.data).max(initial=0.0))
-    for label, inside, within in zip(labels, np.split(mine, ends)[:-1], np.split(entries, cuts)):
-        at = place[h.rows[within]], place[h.cols[within]]
+    exp(-i H t) has the same eigenvectors at every t, so H keeps the
+    decomposition of each block a state has occupied while those hold at
+    most MAX_BLOCK_DIM**2 eigenvector entries (past that, a block is
+    decomposed for the call and dropped): a sweep of durations on one H
+    decomposes each block once, and a kept block gives the same bits as
+    a fresh one. The Hermitian check (NumericalError) runs whenever a
+    block is decomposed; the MAX_BLOCK_DIM refusal (ConfigError) and the
+    norm guard run on every call, and so do the refusals (DomainError) of
+    an H that is no SparseOperator and of a state that is ragged, not
+    numbers, not of shape (d,) or not finite.
+    """
+    require(NUMBER, "duration", duration)
+    if not isinstance(h := hamiltonian, SparseOperator):
+        raise DomainError(f"hamiltonian must be a SparseOperator, got {type(h).__name__}")
+    state = as_numbers("state", state, (h.shape[0],))
+    require_finite("state", state)
+    kept = h._blocks.copy()  # a snapshot: another thread may add to the operator's own
+    occupied = np.unique(h.sector[state != 0]).tolist()
+    fresh = {label: np.flatnonzero(h.sector == label) for label in occupied if label not in kept}
+    sizes = [len(kept[label][0]) if label in kept else len(fresh[label]) for label in occupied]
+    if (largest := max(sizes, default=0)) > MAX_BLOCK_DIM:
+        raise ConfigError(f"conserved sector of dimension {largest} exceeds limit {MAX_BLOCK_DIM}")
+    if fresh:
+        of_entry = h.sector.take(h.rows)
+        tolerance = 1e-12 * max(1.0, np.abs(h.data).max(initial=0.0))
+    for label, inside in fresh.items():
+        within = np.flatnonzero(of_entry == label)
+        at = np.searchsorted(inside, h.rows[within]), np.searchsorted(inside, h.cols[within])
         block = np.zeros((len(inside), len(inside)), dtype=h.data.dtype)
         block[at] = h.data[within]
         if np.abs(h.data[within] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
             raise NumericalError("hamiltonian is not Hermitian")
-        yield label, inside, *np.linalg.eigh(block)
-
-
-def _stored_entries(hamiltonian) -> SparseOperator:
-    """H as the entries toarray places, each place once and no zero: a
-    scipy.sparse H through its own COO copy (scipy is never imported
-    here), a dense one through np.nonzero. DomainError for an H that is
-    not square."""
-    h = hamiltonian
-    if hasattr(h, "tocoo"):
-        h = h.tocoo(copy=True)  # the input's own arrays: read, never written
-        h.sum_duplicates()
-    elif not isinstance(h, SparseOperator):
-        h = np.asarray(h)
-    if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError(f"hamiltonian must be square, got shape {h.shape}")
-    if isinstance(h, np.ndarray):
-        return SparseOperator(h.shape, *(at := np.nonzero(h)), h[at])
-    if isinstance(h, SparseOperator) and h.data.all():
-        return h
-    keep = h.data != 0
-    rows, cols = (h.rows, h.cols) if isinstance(h, SparseOperator) else (h.row, h.col)
-    return SparseOperator(h.shape, rows[keep], cols[keep], h.data[keep])
-
-
-def _state(state, dim: int) -> np.ndarray:
-    """`state` as a numpy array of shape (dim,); DomainError for any other
-    shape, or for a ragged or non-numeric state."""
-    try:
-        state = np.asarray(state)
-    except ValueError:  # a ragged sequence
-        raise DomainError("state must be an array of numbers, got a ragged sequence") from None
-    if not np.issubdtype(state.dtype, np.number):
-        raise DomainError(f"state must be an array of numbers, got dtype {state.dtype}")
-    if state.shape != (dim,):
-        raise DomainError(f"state must have shape ({dim},)")
-    return state
-
-
-def evolve(hamiltonian, state, duration: float) -> np.ndarray:
-    """exp(-i H t) |state> for a Hermitian H: a SparseOperator, a
-    scipy.sparse array or anything numpy reads as a matrix.
-
-    H is block diagonal over the connected components of its nonzero
-    pattern, the sectors of whatever it conserves. Each sector the state
-    occupies is exponentiated exactly through the eigendecomposition
-    (numpy eigh) of its dense block; sectors where the state is zero stay
-    zero. No dim x dim matrix is formed. H must be Hermitian on each
-    occupied sector, which holds every entry the state can reach.
-
-    exp(-i H t) has the same eigenvectors at every t, so evolve keeps the
-    last H it was given: copies of its coordinate arrays (each place once,
-    no zero), its sectors and the decomposition of each sector a state has
-    occupied, while those hold at most MAX_BLOCK_DIM**2 eigenvector entries
-    (past that, a sector is decomposed for the call and dropped). A call
-    whose H equals the kept one in shape, dtype and all three arrays
-    decomposes only sectors not yet kept; any other H replaces it. A kept
-    sector gives the same bits as a fresh one: both go through one
-    expression. The Hermitian check runs whenever a sector is decomposed;
-    the MAX_BLOCK_DIM refusal and the norm guard run on every call, and so
-    do the refusals (DomainError) of a non-square H, a ragged or
-    non-numeric state or one not of shape (d,), and a NaN or +-inf in the
-    state or among H's stored entries. A scipy.sparse H is read through
-    its own tocoo and sum_duplicates; gravlab never imports scipy here.
-    """
-    global _last
-    require(NUMBER, "duration", duration)
-    h = _stored_entries(hamiltonian)
-    state = _state(state, h.shape[0])
-    require_finite("state", state)
-    require_finite("hamiltonian", h.data)  # its stored entries
-    known = _last  # read once: another thread may replace it
-    if known is None or not known.holds(h):
-        known = _last = _Decomposition(h, _sectors(h.shape[0], h.rows, h.cols))
-    occupied = np.unique(known.sector[state != 0])
-    if (largest := known.sizes[occupied].max(initial=0)) > MAX_BLOCK_DIM:
-        raise ConfigError(f"conserved sector of dimension {largest} exceeds limit {MAX_BLOCK_DIM}")
+        kept[label] = (inside, *np.linalg.eigh(block))
+    # kept on H while it holds at most MAX_BLOCK_DIM**2 eigenvector entries, counting what
+    # other threads have added by now; past that, this call's last blocks go first
+    mine = [label for label in fresh if h._blocks.setdefault(label, kept[label]) is kept[label]]
+    held = sum(vectors.size for _, _, vectors in h._blocks.copy().values())
+    while mine and held > MAX_BLOCK_DIM**2:
+        held -= h._blocks.pop(mine.pop())[2].size
     out = np.zeros(state.shape, dtype=complex)
-
-    def apply(inside, energy, vectors):
+    for label in occupied:
+        inside, energy, vectors = kept[label]
         out[inside] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[inside]))
-
-    fresh = []
-    for label in occupied.tolist():
-        if (kept := known.blocks.get(label)) is None:
-            fresh.append(label)
-        else:
-            apply(*kept)
-    for label, inside, energy, vectors in _decompositions(h, known.sector, known.sizes, fresh):
-        apply(inside, energy, vectors)
-        with _keeping:
-            if label not in known.blocks and known.held + vectors.size <= MAX_BLOCK_DIM**2:
-                known.blocks[label] = inside, energy, vectors
-                known.held += vectors.size
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
     if not drift <= 1e-8:  # NaN fails too
         raise NumericalError(f"evolution norm drift {drift:.2e}")
@@ -366,7 +282,7 @@ def mean_occupations(state: np.ndarray, space: FockSpace) -> tuple[float, float]
 def occupation_distribution(state: np.ndarray, space: FockSpace, mode: int = 0) -> np.ndarray:
     """Marginal occupation distribution of one mode (0 = first)."""
     require(Rule(lambda v: SIZE.test(v) and v <= 1, "0 or 1"), "mode", mode)
-    psi = state.reshape(space.dim_single, space.dim_single)
+    psi = as_numbers("state", state, (space.dim,)).reshape(space.dim_single, space.dim_single)
     prob = np.abs(psi) ** 2
     return prob.sum(axis=1) if mode == 0 else prob.sum(axis=0)
 
@@ -385,10 +301,12 @@ def mode_transform(state, space: FockSpace) -> np.ndarray:
     N+ + N-, so it acts block by block on fixed total number. With D =
     diag(i^n+), D^ H D = a+^ a- + a+ a-^ is real: it is D evolve(D^ H D, D^ state, pi/4).
     """
-    state = _state(state, space.dim)
+    state = as_numbers("state", state, (space.dim,))
     d = space.dim_single
-    n_plus, n_minus = np.sqrt(np.divmod(np.arange(space.dim), d))
-    real = _symmetric_bands(space.dim, {d - 1: n_plus[d - 1:] * n_minus[: 1 - d]})  # a+ a-^ at (i, i + d - 1)
+    plus, minus = np.divmod(np.arange(space.dim, dtype=np.int32), d)
+    n_plus, n_minus = np.sqrt(plus), np.sqrt(minus)
+    bands = {d - 1: n_plus[d - 1:] * n_minus[: 1 - d]}  # a+ a-^ at (i, i + d - 1)
+    real = _symmetric_bands(space.dim, bands, (plus + minus).astype(np.int16))
     gauge = np.resize([1, 1j, -1, -1j], d).repeat(d)  # D = diag(i^n+)
     return gauge * evolve(real, gauge.conj() * state, math.pi / 4.0)
 

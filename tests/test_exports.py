@@ -19,6 +19,7 @@ from gravlab import (
     PhysicalConstants,
     PulseShape,
     SequenceTiming,
+    SparseOperator,
     SqueezingModel,
     accumulated_area,
     allan_deviation,
@@ -28,9 +29,11 @@ from gravlab import (
     envelope,
     estimate_g,
     evolve,
+    fit_fringe,
     fringe_intersection,
     gravity_from_delta_p,
     gravity_sensitivity,
+    mean_occupations,
     metrological_squeezing,
     mode_transform,
     occupation_distribution,
@@ -46,6 +49,7 @@ from gravlab import (
     vacuum_state,
 )
 from gravlab.analysis import DeltaPSeries
+from sector_oracle import as_operator
 
 
 def test_every_exported_name_resolves():
@@ -101,7 +105,7 @@ NOISE = NoiseConfig(squeezing=SqueezingModel())
 SHOTS = run_campaign(CampaignConfig(n_pairs=20), TIMING, CONST, NOISE)
 MODEL = SqueezingModel(strength=1.1)
 SPACE = FockSpace(n_max=4)
-H, PSI = np.diag([1.0, 2.0]), np.array([1.0, 0.0])
+H, PSI = as_operator(np.diag([1.0, 2.0])), np.array([1.0, 0.0])
 HUGE = 10**400  # an int beyond the float range
 FITS = [FringeFit(0.5, 0.49, scale, 0.3, 0.0, np.zeros((4, 4))) for scale in (-1.42, -0.767)]
 
@@ -217,10 +221,10 @@ DELTAS = DeltaPSeries(
         ("estimate_g(DELTAS, 0.98, -1.42, -0.767, 1.58e8, CONST)", "deltas.values", "nan", 3),
         ("evolve(H, np.array([math.nan, 0.0]), 1.0)", "state", "nan", 0),
         ("evolve(H, np.array([1.0, -math.inf]), 1.0)", "state", "-inf", 1),
-        # the entries H stores: the diagonal of np.diag, the upper entry first
-        ("evolve(np.diag([1.0, math.nan]), PSI, 1.0)", "hamiltonian", "nan", 1),
-        ("evolve(np.array([[1.0, math.inf], [math.inf, 2.0]]), PSI, 1.0)", "hamiltonian", "inf", 1),
-        ("evolve(np.diag([-math.inf, 1.0]), PSI, 1.0)", "hamiltonian", "-inf", 0),
+        # the entries H stores, in row order: the diagonal of np.diag, the upper entry first
+        ("as_operator(np.diag([1.0, math.nan]))", "SparseOperator.data", "nan", 1),
+        ("as_operator(np.array([[1.0, math.inf], [math.inf, 2.0]]))", "SparseOperator.data", "inf", 1),
+        ("as_operator(np.diag([-math.inf, 1.0]))", "SparseOperator.data", "-inf", 0),
     ],
     ids=lambda v: v.split("(")[0] if isinstance(v, str) and "(" in v else None,
 )
@@ -235,8 +239,20 @@ def test_an_array_argument_is_checked_element_by_element(call, name, element, in
         ("evolve(H, np.array([1.0]), 1.0)", "state must have shape (2,)"),
         ("evolve(H, np.zeros((2, 1)), 1.0)", "state must have shape (2,)"),
         ("evolve(H, np.zeros(3), 1.0)", "state must have shape (2,)"),
-        ("evolve(np.zeros((2, 3)), PSI, 1.0)", "hamiltonian must be square, got shape (2, 3)"),
-        ("evolve(np.zeros((3, 2)), np.zeros(3), 1.0)", "hamiltonian must be square, got shape (3, 2)"),
+        ("SparseOperator((2, 3), [], [], [], [0, 0])", "SparseOperator.shape must be square, got (2, 3)"),
+        ("SparseOperator((3, 2), [], [], [], [0, 0, 0])", "SparseOperator.shape must be square, got (3, 2)"),
+        # coordinate arrays that are no indices of H, or labels that are not one per index
+        ("SparseOperator((2, 2), [0, 2], [0, 1], [1.0, 1.0], [0, 0])", "SparseOperator.rows must hold indices in [0, 2)"),
+        ("SparseOperator((2, 2), [0, 1], [0, -1], [1.0, 1.0], [0, 0])", "SparseOperator.cols must hold indices in [0, 2)"),
+        # read before the copy to int32, where 2**32 would wrap to index 0
+        ("SparseOperator((2, 2), [0, 2**32], [0, 1], [1.0, 1.0], [0, 0])", "SparseOperator.rows must hold indices in [0, 2)"),
+        ("SparseOperator((2, 2), [0, 1], [0], [1.0, 1.0], [0, 0])", "SparseOperator.cols must have shape (2,)"),
+        ("SparseOperator((2, 2), [0, 1], [0, 1], [1.0], [0, 0])", "SparseOperator.data must have shape (2,)"),
+        ("SparseOperator((2, 2), [0, 1], [0, 1], [1.0, 1.0], [0])", "SparseOperator.sector must have shape (2,)"),
+        ("SparseOperator((2, 2), [0.0, 1.0], [0, 1], [1.0, 1.0], [0, 0])", "SparseOperator.rows must be 1-d integers, got float64 (2,)"),
+        ("SparseOperator((2, 2), [0, 1], [0, 1], [1.0, 1.0], [0.5, 0.5])", "SparseOperator.sector must be 1-d integers, got float64 (2,)"),
+        ("SparseOperator((2, 2), [0, 1], [0, 1], [1.0, [2.0]], [0, 0])", "SparseOperator.data must be an array of numbers, got a ragged sequence"),
+        ("SparseOperator((2, 2), [0, 1], [1, 0], [1.0, 1.0], [0, 1])", "SparseOperator entry at (0, 1) joins sectors 0 and 1"),
         # a state numpy reads as no array of numbers
         ("evolve(H, [[1.0], [0.0, 1.0]], 1.0)", "state must be an array of numbers, got a ragged sequence"),
         ("evolve(H, [1.0, [0.0]], 1.0)", "state must be an array of numbers, got a ragged sequence"),
@@ -245,11 +261,24 @@ def test_an_array_argument_is_checked_element_by_element(call, name, element, in
         ("evolve(H, [True, False], 1.0)", "state must be an array of numbers, got dtype bool"),
         ("mode_transform([[1.0], [0.0, 1.0]], SPACE)", "state must be an array of numbers, got a ragged sequence"),
         ("mode_transform(['a'] * SPACE.dim, SPACE)", "state must be an array of numbers, got dtype <U1"),
+        ("occupation_distribution(np.zeros(5), FockSpace(n_max=4))", "state must have shape (25,)"),
+        ("mean_occupations(np.zeros((5, 5)), SPACE)", "state must have shape (25,)"),
+        # the array arguments of the analysis, read by the same helper
+        ("allan_deviation([[1.0], [2.0, 3.0]] * 20, 1.0)", "series must be an array of numbers, got a ragged sequence"),
+        ("allan_deviation(['a'] * 40, 1.0)", "series must be an array of numbers, got dtype <U1"),
+        ("fit_fringe([[1.0, 0.5], [2.0]] * 8, CONST)", "points must be an array of numbers, got a ragged sequence"),
+        ("fit_fringe([['1.0', '0.5']] * 8, CONST)", "points must be an array of numbers, got dtype <U3"),
+        ("squeezing_from_pairs([[1.0], [2.0, 3.0]], 100.0, 1.0)", "imbalance_diff must be an array of numbers, got a ragged sequence"),
+        ("squeezing_from_pairs([True, False], 100.0, 1.0)", "imbalance_diff must be an array of numbers, got dtype bool"),
     ],
     ids=[
         "state-of-1", "column-state", "state-of-3", "hamiltonian-2x3", "hamiltonian-3x2",
+        "row-past-the-end", "negative-col", "row-beyond-int32", "short-cols", "short-data", "short-sector", "float-rows",
+        "float-sector", "ragged-data", "entry-across-sectors",
         "ragged-state", "ragged-nested-state", "string-state", "none-state", "bool-state",
-        "transform-ragged-state", "transform-string-state",
+        "transform-ragged-state", "transform-string-state", "distribution-state-of-5", "occupations-square-state",
+        "allan-ragged-series", "allan-string-series", "fringe-ragged-points", "fringe-string-points",
+        "pairs-ragged-diffs", "pairs-bool-diffs",
     ],
 )
 def test_an_argument_of_the_wrong_shape_is_a_domain_error(call, message):

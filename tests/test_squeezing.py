@@ -13,7 +13,6 @@ import functools
 import math
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -41,7 +40,8 @@ from gravlab import (
     tomography_variance,
     vacuum_state,
 )
-from gravlab.squeezing import SparseOperator, _sectors, readout_variance
+from gravlab.squeezing import SparseOperator, readout_variance
+from sector_oracle import as_operator, csgraph_sectors, smallest_of_each
 
 
 def as_csr(op: SparseOperator) -> sp.csr_array:
@@ -184,7 +184,7 @@ class TestSparseChainOracle:
         for name, dense in dense_chain(space.n_max, self.PARAMS).items():
             for r in (0.5, 1.0, 1.5):
                 want = expm(-1j * dense * r) @ psi
-                for hamiltonian in (getattr(h, name), dense):
+                for hamiltonian in (getattr(h, name), as_operator(dense)):
                     got = evolve(hamiltonian, psi, r)
                     assert np.max(np.abs(got - want)) < 1e-12, (name, r)
 
@@ -207,7 +207,7 @@ class TestSparseChainOracle:
         psi /= np.linalg.norm(psi)
         for t in (0.5, 1.0, 1.5):
             want = expm(-1j * full * t) @ psi
-            assert np.max(np.abs(evolve(full, psi, t) - want)) < 1e-12, t
+            assert np.max(np.abs(evolve(as_operator(full), psi, t) - want)) < 1e-12, t
 
 
 def kron_ladders(dim_single: int, modes: int) -> list[sp.csr_array]:
@@ -275,13 +275,13 @@ class TestBandedOperators:
         rng = np.random.default_rng(40)
         psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         psi /= np.linalg.norm(psi)
-        want = evolve(1j * (a_plus.T @ a_minus - a_plus @ a_minus.T), psi, math.pi / 4.0)
+        want = evolve(as_operator(1j * (a_plus.T @ a_minus - a_plus @ a_minus.T)), psi, math.pi / 4.0)
         assert np.max(np.abs(mode_transform(psi, space) - want)) < 1e-12
 
 
 class TestSparseOperator:
     """The operators' own type: numpy coordinate arrays with scipy's nnz,
-    size and toarray, read-only, and one H to evolve in whatever form."""
+    size and toarray, and a sector label per index, copied and read-only."""
 
     CHAIN = ("two_mode", "undepleted", "symmetric_mode", "antisymmetric_mode")
 
@@ -294,183 +294,96 @@ class TestSparseOperator:
             dense = op.toarray()
             assert dense.dtype == csr.dtype and np.array_equal(dense, csr.toarray()), name
 
-    def test_arrays_are_read_only_views(self):
-        rows, cols, data = np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5])
-        op = SparseOperator((2, 2), rows, cols, data)
-        for mine, given in zip((op.rows, op.cols, op.data), (rows, cols, data)):
-            assert not mine.flags.writeable and given.flags.writeable
+    def test_arrays_are_read_only_copies(self):
+        given = [np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]), np.array([3, 3])]
+        op = SparseOperator((2, 2), *given)
+        psi = np.array([1.0, 0.0])
+        before = evolve(op, psi, 0.7)
+        for array in given:  # the caller's arrays stay theirs: an edit does not reach the operator
+            assert array.flags.writeable
+            array[:] = array[::-1] + 1
+        assert op.toarray().tolist() == [[0.0, 0.5], [0.5, 0.0]] and op.sector.tolist() == [3, 3]
+        assert evolve(op, psi, 0.7).tobytes() == before.tobytes()
+        for mine in (op.rows, op.cols, op.data, op.sector):
             with pytest.raises(ValueError, match="read-only"):
                 mine[0] = 1
 
     @pytest.mark.parametrize("name", CHAIN)
-    def test_every_form_of_h_evolves_to_the_same_bytes(self, name, monkeypatch):
+    def test_every_form_of_h_evolves_to_the_same_bytes(self, name):
+        # the builder's labels and csgraph's components split H into the same blocks
         space = FockSpace(n_max=12)
         op = getattr(build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.3)), name)
         psi = spread_state(space.dim)
-        got = []
-        for h in (op, as_csr(op), as_csr(op).tocoo(), op.toarray()):
-            monkeypatch.setattr(squeezing, "_last", None)
-            got.append(evolve(h, psi, 0.7).tobytes())
-        assert got == got[:1] * 4
+        forms = (op, as_csr(op), as_csr(op).tocoo(), op.toarray(), op.toarray().tolist())
+        got = [evolve(h if h is op else as_operator(h), psi, 0.7).tobytes() for h in forms]
+        assert got == got[:1] * len(forms)
+
+    @pytest.mark.parametrize(
+        "h", [np.diag([1.0, 2.0]), [[1.0, 0.0], [0.0, 2.0]], sp.csr_array(np.diag([1.0, 2.0])), None],
+        ids=["ndarray", "list", "csr_array", "NoneType"],
+    )
+    def test_any_other_h_is_refused_naming_its_type(self, h):
+        with pytest.raises(DomainError, match=f"^hamiltonian must be a SparseOperator, got {type(h).__name__}$"):
+            evolve(h, np.array([1.0, 0.0]), 0.5)
 
 
-class TestEvolveLeavesItsInputAlone:
-    """evolve reads H's arrays and never writes them, whatever their format."""
-
-    @staticmethod
-    def check(h, psi):
-        if isinstance(h, np.ndarray):
-            arrays = [h]
-        else:
-            arrays = [h.data, *((h.indices, h.indptr) if h.format == "csr" else h.coords)]
-        before = [a.copy() for a in arrays]
-        evolve(h, psi, 0.7)
-        for was, now in zip(before, arrays, strict=True):
-            assert was.dtype == now.dtype and np.array_equal(was, now)
-
-    def test_canonical_csr(self):
-        space = FockSpace(n_max=100)
-        self.check(as_csr(build_hamiltonians(space, HamiltonianParams()).two_mode), vacuum_state(space))
-
-    def test_csr_with_duplicates_unsorted_indices_and_a_stored_zero(self):
-        indptr = np.array([0, 2, 3, 4, 6, 7, 7])
-        indices = np.array([1, 1, 0, 2, 4, 3, 3])
-        data = np.array([0.5, 0.25, 0.75, 0.0, 0.2, 1.0, 0.2])
-        h = sp.csr_array((data, indices, indptr), shape=(6, 6))
-        assert not h.has_canonical_format
-        self.check(h, np.ones(6, dtype=complex))
-
-    def test_coo_with_duplicates_and_explicit_zeros(self):
-        # (0, 1) and (1, 0) stored twice, a stored zero at (2, 3) and (3, 2)
-        rows, cols = np.array([0, 1, 0, 1, 2, 3, 4, 5]), np.array([1, 0, 1, 0, 3, 2, 4, 5])
-        data = np.array([0.5, 0.5, 0.25, 0.25, 0.0, 0.0, 1.0, -1.0])
-        h = sp.coo_array((data, (rows, cols)), shape=(6, 6))
-        self.check(h, np.ones(6, dtype=complex))
-        assert not h.has_canonical_format
-
-    def test_dense(self):
-        h = np.diag(np.arange(1.0, 7.0)) + np.diag([0.5] * 5, 1) + np.diag([0.5] * 5, -1)
-        self.check(h, np.ones(6, dtype=complex))
-
-
-def csgraph_sectors(hamiltonian) -> np.ndarray:
-    """Each index labelled by the smallest index of its connected component
-    in the nonzero pattern of H, undirected, from scipy's csgraph: the
-    reference for the sectors `evolve` finds with numpy."""
-    from scipy.sparse.csgraph import connected_components
-
-    if isinstance(hamiltonian, SparseOperator):
-        hamiltonian = as_csr(hamiltonian)
-    graph = abs(sp.csr_array(hamiltonian))  # csgraph takes real weights
-    graph.eliminate_zeros()
-    _, component = connected_components(graph, directed=False)
-    smallest = np.full(component.max() + 1, len(component))
-    np.minimum.at(smallest, component, np.arange(len(component)))
-    return smallest[component]
-
-
-def csgraph_graph_sectors(n: int, rows, cols) -> np.ndarray:
-    """csgraph_sectors of the graph on range(n) with edges (rows[i], cols[i])."""
-    return csgraph_sectors(sp.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n)))
-
-
-def sectors_evolve_finds(hamiltonian, monkeypatch) -> np.ndarray:
-    """The sector labels `evolve` computes for H, evolving the zero state
-    so that no block is exponentiated; from no remembered H, so that it
-    computes them."""
+def beamsplitter(space: FockSpace) -> SparseOperator:
+    """The real generator that mode_transform builds and evolves."""
     seen = []
 
-    def spy(*args):
-        seen.append(_sectors(*args))
-        return seen[-1]
+    def spy(h, state, duration):
+        seen.append(h)
+        return np.zeros(len(state), dtype=complex)
 
-    monkeypatch.setattr(squeezing, "_last", None)
-    monkeypatch.setattr(squeezing, "_sectors", spy)
-    evolve(hamiltonian, np.zeros(hamiltonian.shape[0], dtype=complex), 1.0)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(squeezing, "evolve", spy)
+        mode_transform(vacuum_state(space), space)
     return seen[0]
 
 
+Q = HamiltonianParams(zeeman_q_rad_s=1.3)  # q != Omega: undepleted carries its number terms
+
+
 class TestSectorOracle:
-    """The numpy sector search against scipy.sparse.csgraph."""
+    """The labels each builder sets against the connected components of the
+    operator's nonzero pattern that scipy.sparse.csgraph finds."""
 
-    @pytest.mark.parametrize("n_max", [4, 7, 12, 40])
-    def test_chain_and_beamsplitter_sectors_equal_csgraph(self, n_max, monkeypatch):
-        h = build_hamiltonians(FockSpace(n_max=n_max), HamiltonianParams(zeeman_q_rad_s=1.3))
-        a_plus, a_minus = kron_ladders(n_max + 1, 2)
-        generators = {
-            name: getattr(h, name)
-            for name in ("two_mode", "undepleted", "symmetric_mode", "antisymmetric_mode")
-        }
-        generators["beamsplitter"] = 1j * (a_plus.T @ a_minus - a_plus @ a_minus.T)
-        for name, hamiltonian in generators.items():
-            labels = sectors_evolve_finds(hamiltonian, monkeypatch)
-            assert np.array_equal(labels, csgraph_sectors(hamiltonian)), name
-            if name in ("two_mode", "beamsplitter"):  # N+ - N- or N+ + N-: 2 n_max + 1 values
-                assert len(np.unique(labels)) == 2 * n_max + 1, name
+    # N+ - N- or N+ + N-: 2 n_max + 1 labels; the parity of N+ + N-: 2; the pump's levels: 1
+    BUILT = {
+        "two_mode": (lambda space: build_hamiltonians(space, Q).two_mode, lambda n_max: 2 * n_max + 1),
+        "undepleted": (lambda space: build_hamiltonians(space, Q).undepleted, lambda n_max: 2 * n_max + 1),
+        "symmetric_mode": (lambda space: build_hamiltonians(space, Q).symmetric_mode, lambda n_max: 2),
+        "antisymmetric_mode": (lambda space: build_hamiltonians(space, Q).antisymmetric_mode, lambda n_max: 2),
+        "beamsplitter": (beamsplitter, lambda n_max: 2 * n_max + 1),
+        "pump_block": (lambda space: pump_block(space, HamiltonianParams(pump_atoms=6000)), lambda n_max: 1),
+    }
 
-    @pytest.mark.parametrize("n_max", [4, 12])
-    def test_full_model_sectors_equal_csgraph(self, n_max, monkeypatch):
-        full = dense_full(n_max, HamiltonianParams(zeeman_q_rad_s=1.3, pump_atoms=7))
-        assert np.array_equal(sectors_evolve_finds(full, monkeypatch), csgraph_sectors(full))
+    @pytest.mark.parametrize(
+        "name, n_max", [(name, n) for name in BUILT for n in (12, 40)] + [("two_mode", 100), ("beamsplitter", 100)]
+    )
+    def test_labels_split_the_indices_as_csgraph_does(self, name, n_max):
+        build, count = self.BUILT[name]
+        op = build(FockSpace(n_max=n_max))
+        assert np.array_equal(smallest_of_each(op.sector), csgraph_sectors(as_csr(op)))
+        assert len(np.unique(op.sector)) == count(n_max)
 
-    def test_permuted_path_in_well_under_a_second(self):
-        # one edge per step, in one direction only; min-label propagation
-        # alone needs a round per step of the path
-        n = 65536
-        order = np.random.default_rng(3).permutation(n)
-        start = time.process_time()
-        labels = _sectors(n, order[:-1], order[1:])
-        assert time.process_time() - start < 1.0
-        assert np.array_equal(labels, np.zeros(n))
-        assert np.array_equal(labels, csgraph_graph_sectors(n, order[:-1], order[1:]))
+    @pytest.mark.parametrize("tiny", [(1, 2), (2, 1)])
+    def test_construction_refuses_an_entry_joining_two_labels(self, tiny):
+        # two symmetric blocks, and one unmirrored 1e-300 entry between them:
+        # Hermitian within evolve's 1e-12 tolerance, yet across two labels
+        rows, cols, data = [0, 1, 2, 3, tiny[0]], [1, 0, 3, 2, tiny[1]], [1.0, 1.0, 2.0, 2.0, 1e-300]
+        labels = [0, 0, 2, 2, 4]
+        SparseOperator((5, 5), rows[:4], cols[:4], data[:4], labels)
+        joined = f"{labels[tiny[0]]} and {labels[tiny[1]]}"
+        with pytest.raises(DomainError, match=rf"^SparseOperator entry at \({tiny[0]}, {tiny[1]}\) joins sectors {joined}$"):
+            SparseOperator((5, 5), rows, cols, data, labels)
 
-    @pytest.mark.parametrize("center", [0, 37, 99])
-    def test_star(self, center):
-        n = 100
-        hub, leaves = np.full(n - 1, center), np.delete(np.arange(n), center)
-        for rows, cols in ((hub, leaves), (leaves, hub)):
-            labels = _sectors(n, rows, cols)
-            assert np.array_equal(labels, np.zeros(n))
-            assert np.array_equal(labels, csgraph_graph_sectors(n, rows, cols))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_sparse_graphs(self, seed):
-        # self-loops, repeated edges and isolated indices included; int32
-        # indices as a sparse array stores them
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 500))
-        m = int(rng.integers(0, 2 * n))
-        rows, cols = rng.integers(0, n, m, dtype=np.int32), rng.integers(0, n, m, dtype=np.int32)
-        assert np.array_equal(_sectors(n, rows, cols), csgraph_graph_sectors(n, rows, cols))
-
-    @pytest.mark.parametrize("tiny", [(3, 0), (0, 3)])
-    def test_one_tiny_entry_joins_two_sectors(self, tiny, monkeypatch):
-        # two symmetric blocks joined by one unmirrored 1e-300 entry: H is
-        # Hermitian within the 1e-12 tolerance, and its pattern is connected
-        h = np.zeros((5, 5))
-        h[0, 1] = h[1, 0] = 1.0
-        h[2, 3] = h[3, 2] = 2.0
-        h[tiny] = 1e-300
-        labels = sectors_evolve_finds(h, monkeypatch)
-        assert labels.tolist() == [0, 0, 0, 0, 4]
-        assert np.array_equal(labels, csgraph_sectors(h))
-
-    def test_stored_zeros_join_nothing(self, monkeypatch):
-        # a diagonal H with explicitly stored zeros on both off-diagonals,
-        # and repeated entries at (0, 5) and (5, 0) that sum to zero
+    def test_stored_zeros_change_nothing(self):
+        # a diagonal H labelled as one block, with zeros stored on both off-diagonals
         n = 6
         diagonal, off = np.arange(n), np.arange(n - 1)
-        rows = np.r_[diagonal, off, off + 1, 0, 0, 5, 5]
-        cols = np.r_[diagonal, off + 1, off, 5, 5, 0, 0]
-        data = np.r_[diagonal + 1.0, np.zeros(2 * (n - 1)), 0.5, -0.5, 0.5, -0.5]
-        h = sp.coo_array((data, (rows, cols)), shape=(n, n))
-        csr = h.tocsr()  # repeated entries summed to a stored zero
-        assert (h.nnz, csr.nnz) == (3 * n + 2, 3 * n)
-        for stored in (h, csr):
-            labels = sectors_evolve_finds(stored, monkeypatch)
-            assert np.array_equal(labels, np.arange(n))
-            assert np.array_equal(labels, csgraph_sectors(stored))
+        rows, cols = np.r_[diagonal, off, off + 1], np.r_[diagonal, off + 1, off]
+        h = SparseOperator((n, n), rows, cols, np.r_[diagonal + 1.0, np.zeros(2 * (n - 1))], np.zeros(n, dtype=int))
         psi = np.random.default_rng(2).standard_normal(n) + 0j
         assert np.allclose(evolve(h, psi, 0.3), np.exp(-0.3j * np.arange(1.0, n + 1)) * psi, rtol=0, atol=1e-15)
 
@@ -494,12 +407,13 @@ def spread_state(dim: int, seed: int = 4) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-class TestRememberedDecomposition:
-    """evolve keeps the last H's sector eigendecompositions across durations."""
+def held(op: SparseOperator) -> int:
+    """The eigenvector entries an operator keeps."""
+    return sum(vectors.size for _, _, vectors in op._blocks.values())
 
-    @pytest.fixture(autouse=True)
-    def forget(self, monkeypatch):
-        monkeypatch.setattr(squeezing, "_last", None)
+
+class TestOperatorMemo:
+    """An operator keeps the eigendecomposition of each block evolve decomposes."""
 
     def test_a_sweep_of_durations_decomposes_each_occupied_sector_once(self, monkeypatch):
         space = FockSpace(n_max=12)
@@ -509,43 +423,33 @@ class TestRememberedDecomposition:
             evolve(h, psi, r)
         assert len(sizes) == 2 * 12 + 1  # N+ - N- from -12 to 12
         assert sorted(sizes) == sorted([13, *2 * list(range(1, 13))])
+        # a decomposition lives as long as its operator: an equal one decomposes afresh
+        evolve(build_hamiltonians(space, HamiltonianParams()).two_mode, psi, 0.5)
+        assert len(sizes) == 2 * (2 * 12 + 1)
 
-    def test_a_repeat_call_gives_the_bytes_of_a_first_call(self, monkeypatch):
+    def test_a_repeat_call_gives_the_bytes_of_a_first_call(self):
         space = FockSpace(n_max=20)
-        chain = build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.3))
-        for h, psi in ((chain.two_mode, vacuum_state(space)), (chain.undepleted, spread_state(space.dim))):
+        params = HamiltonianParams(zeeman_q_rad_s=1.3)
+        chain = build_hamiltonians(space, params)
+        for name, psi in (("two_mode", vacuum_state(space)), ("undepleted", spread_state(space.dim))):
+            h = getattr(chain, name)
             evolve(h, psi, 0.3)
             again = evolve(h, psi, 0.9)
-            monkeypatch.setattr(squeezing, "_last", None)
-            assert again.tobytes() == evolve(h, psi, 0.9).tobytes()
-
-    def test_an_edit_of_h_in_place_is_a_new_h(self, monkeypatch):
-        space = FockSpace(n_max=12)
-        op = build_hamiltonians(space, HamiltonianParams()).undepleted
-        with pytest.raises(ValueError, match="read-only"):
-            op.data[0] = 1.5  # the operator's own arrays refuse writes
-        h = as_csr(op)  # a copy whose arrays take the edit
-        psi = spread_state(space.dim)
-        before = evolve(h, psi, 0.7)
-        h.data *= 1.5
-        after = evolve(h, psi, 0.7)
-        monkeypatch.setattr(squeezing, "_last", None)
-        assert after.tobytes() == evolve(h.copy(), psi, 0.7).tobytes()
-        assert not np.allclose(after, before)
+            assert again.tobytes() == evolve(getattr(build_hamiltonians(space, params), name), psi, 0.9).tobytes()
 
     def test_a_new_non_hermitian_sector_is_still_refused(self):
-        h = np.zeros((4, 4))
-        h[0, 1] = h[1, 0] = 1.0
-        h[2, 3], h[3, 2] = 1.0, 2.0
+        h = SparseOperator((4, 4), [0, 1, 2, 3], [1, 0, 3, 2], [1.0, 1.0, 1.0, 2.0], [0, 0, 1, 1])
         first = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         evolve(h, first, 0.5)
         with pytest.raises(NumericalError, match="not Hermitian"):
             evolve(h, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex), 0.5)
         evolve(h, first, 0.8)  # the Hermitian sector still evolves
+        assert list(h._blocks) == [0]
 
     def test_a_new_oversized_sector_is_still_refused(self, monkeypatch):
         monkeypatch.setattr(squeezing, "MAX_BLOCK_DIM", 3)
         h = np.diag(np.arange(6.0)) + np.diag([1.0, 0.0, 1.0, 1.0, 1.0], 1) + np.diag([1.0, 0.0, 1.0, 1.0, 1.0], -1)
+        h = as_operator(h)
         evolve(h, np.eye(6)[0].astype(complex), 0.5)  # sector {0, 1}
         with pytest.raises(ConfigError, match="dimension 4 exceeds limit 3"):
             evolve(h, np.eye(6)[3].astype(complex), 0.5)  # sector {2, 3, 4, 5}
@@ -559,28 +463,27 @@ class TestRememberedDecomposition:
         sizes = count_eigh(monkeypatch)
         first = evolve(h, psi, 0.6)
         assert len(sizes) == 9
-        kept = squeezing._last
-        assert kept.held == sum(vectors.size for _, _, vectors in kept.blocks.values()) <= 8**2
-        assert 0 < len(kept.blocks) < 9
+        assert held(h) <= 8**2 and 0 < len(h._blocks) < 9
+        kept = len(h._blocks)
         again = evolve(h, psi, 0.6)
-        assert len(sizes) == 9 + 9 - len(kept.blocks)  # only the dropped sectors again
+        assert len(sizes) == 9 + 9 - kept  # only the dropped sectors again
         assert again.tobytes() == first.tobytes()
 
-    def test_threads_sharing_it_keep_the_bound_and_the_bits(self, monkeypatch):
-        # more threads than cores, switching often, on two Hamiltonians that
-        # replace each other; n_max = 4 holds 85 entries against room for 64
+    def test_threads_sharing_one_operator_keep_the_bound_and_the_bits(self, monkeypatch):
+        # more threads than cores, switching often, all decomposing the blocks of
+        # one fresh operator; n_max = 4 holds 85 entries against room for 64
         monkeypatch.setattr(squeezing, "MAX_BLOCK_DIM", 8)
         space = FockSpace(n_max=4)
-        chain = build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.3))
+        params = HamiltonianParams(zeeman_q_rad_s=1.3)
         psi = spread_state(space.dim)
-        cases = [(h, t) for h in (chain.two_mode, chain.undepleted) for t in (0.4, 0.9)]
-        want = [evolve(h, psi, t).tobytes() for h, t in cases]
+        durations = (0.4, 0.9)
+        want = [evolve(build_hamiltonians(space, params).undepleted, psi, t).tobytes() for t in durations]
+        h = build_hamiltonians(space, params).undepleted
         wrong = []
 
         def work(first):
             for k in range(first, first + 40):
-                h, t = cases[k % 4]
-                if evolve(h, psi, t).tobytes() != want[k % 4]:
+                if evolve(h, psi, durations[k % 2]).tobytes() != want[k % 2]:
                     wrong.append(k)
 
         interval = sys.getswitchinterval()
@@ -595,8 +498,7 @@ class TestRememberedDecomposition:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        kept = squeezing._last
-        assert kept.held == sum(vectors.size for _, _, vectors in kept.blocks.values()) <= 8**2
+        assert 0 < held(h) <= 8**2
 
 
 class TestEvolution:
@@ -646,7 +548,20 @@ class TestEvolution:
         real_nonsymmetric = np.triu(np.ones((space.dim, space.dim)))
         for bad in (anti_hermitian, real_nonsymmetric):
             with pytest.raises(NumericalError):
-                evolve(bad, vacuum_state(space), 1.0)
+                evolve(as_operator(bad), vacuum_state(space), 1.0)
+
+    def test_norm_guard_refuses_a_result_that_is_not_unitary(self, monkeypatch):
+        # eigenvectors 0.1 % too long pass the Hermitian check, then move the norm
+        eigh = np.linalg.eigh
+
+        def stretched(block):
+            energies, vectors = eigh(block)
+            return energies, 1.001 * vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        space = FockSpace(n_max=6)
+        with pytest.raises(NumericalError, match="^evolution norm drift 2.00e-03$"):
+            evolve(build_hamiltonians(space, HamiltonianParams()).two_mode, vacuum_state(space), 0.5)
 
     def test_vacuum_state_is_normalized_empty(self):
         space = FockSpace(n_max=12)
