@@ -13,8 +13,9 @@ Two layers:
   which the propagator is block diagonal: `evolve` exponentiates each
   occupied block by its eigendecomposition, which the operator keeps as
   long as it lives, so a sweep of durations on one H decomposes each
-  block once. The beamsplitter is one more call to `evolve`, in
-  the gauge diag(i^n+) where its generator is real. The pump-explicit
+  block once. The beamsplitter, which its FockSpace builds once and keeps,
+  is one more call to `evolve`, in the gauge diag(i^n+) where its generator
+  is real. The pump-explicit
   model, which the chain approximates by an undepleted pump, is built on
   the only block it reaches from the pump vacuum, |N - 2k, k, k>:
   tridiagonal in k, whatever the pump's atom number N. The layer needs
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +52,7 @@ MAX_BLOCK_DIM = 2048
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Two bosonic modes, each truncated at occupation n_max."""
+    """Two bosonic modes, each truncated at occupation n_max; keeps mode_transform's beamsplitter."""
 
     n_max: int = 40
 
@@ -69,6 +71,14 @@ class FockSpace:
     def dim(self) -> int:
         return self.dim_single**2
 
+    @cached_property
+    def _beamsplitter(self) -> SparseOperator:
+        """The real-gauge generator a+ a-^ + a+^ a- of mode_transform, labelled by N+ + N-."""
+        d = self.dim_single
+        plus, minus = np.divmod(np.arange(self.dim, dtype=np.int32), d)
+        bands = {d - 1: np.sqrt(plus)[d - 1:] * np.sqrt(minus)[: 1 - d]}  # a+ a-^ at (i, i + d - 1)
+        return _symmetric_bands(self.dim, bands, (plus + minus).astype(np.int16))
+
 
 @dataclass(frozen=True)
 class HamiltonianParams:
@@ -84,9 +94,9 @@ class HamiltonianParams:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """A sparse operator as numpy coordinate arrays, data[i] at (rows[i], cols[i]) in no order
-    and each place at most once, with sector[j], an integer label of index j by a number the
-    operator conserves: no entry joins two labels, so it is block diagonal over them.
+    """A sparse operator as numpy coordinate arrays, data[i] at (rows[i], cols[i]) in no order,
+    entries at one place summing as in scipy.sparse, with sector[j], an integer label of index j
+    by a number the operator conserves: no entry joins two labels, so it is block diagonal over them.
 
     Construction copies the four arrays, rows and cols as int32 while the shape allows (as
     scipy.sparse does), and makes them read-only. It raises DomainError for a shape that is not
@@ -132,7 +142,7 @@ class SparseOperator:
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=self.data.dtype)
-        dense[self.rows, self.cols] = self.data
+        np.add.at(dense, (self.rows, self.cols), self.data)
         return dense
 
 
@@ -253,8 +263,8 @@ def evolve(hamiltonian: SparseOperator, state, duration: float) -> np.ndarray:
         within = np.flatnonzero(of_entry == label)
         at = np.searchsorted(inside, h.rows[within]), np.searchsorted(inside, h.cols[within])
         block = np.zeros((len(inside), len(inside)), dtype=h.data.dtype)
-        block[at] = h.data[within]
-        if np.abs(h.data[within] - block[at[::-1]].conj()).max(initial=0.0) > tolerance:
+        np.add.at(block, at, h.data[within])
+        if np.abs(block - block.conj().T).max(initial=0.0) > tolerance:
             raise NumericalError("hamiltonian is not Hermitian")
         kept[label] = (inside, *np.linalg.eigh(block))
     # kept on H while it holds at most MAX_BLOCK_DIM**2 eigenvector entries, counting what
@@ -267,8 +277,8 @@ def evolve(hamiltonian: SparseOperator, state, duration: float) -> np.ndarray:
     for label in occupied:
         inside, energy, vectors = kept[label]
         out[inside] = vectors @ (np.exp(-1j * duration * energy) * (vectors.conj().T @ state[inside]))
-    drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
-    if not drift <= 1e-8:  # NaN fails too
+    norm = float(np.linalg.norm(state))  # the guard is relative to it: a zero state evolves to zero
+    if not (drift := abs(float(np.linalg.norm(out)) - norm)) <= 1e-8 * norm:  # NaN fails too
         raise NumericalError(f"evolution norm drift {drift:.2e}")
     return out
 
@@ -297,18 +307,13 @@ def mode_transform(state, space: FockSpace) -> np.ndarray:
     marginal.
 
     The beamsplitter exp(theta G), G = a+^ a- - a+ a-^, at theta = pi/4
-    is evolve under the Hermitian H = iG for t = pi/4. It conserves
-    N+ + N-, so it acts block by block on fixed total number. With D =
-    diag(i^n+), D^ H D = a+^ a- + a+ a-^ is real: it is D evolve(D^ H D, D^ state, pi/4).
+    is evolve under the Hermitian H = iG for t = pi/4. It conserves N+ + N-, so it acts
+    block by block on fixed total number. With D = diag(i^n+), D^ H D = a+^ a- + a+ a-^ is
+    real: it is D evolve(D^ H D, D^ state, pi/4), D^ H D built once and kept by `space`.
     """
     state = as_numbers("state", state, (space.dim,))
-    d = space.dim_single
-    plus, minus = np.divmod(np.arange(space.dim, dtype=np.int32), d)
-    n_plus, n_minus = np.sqrt(plus), np.sqrt(minus)
-    bands = {d - 1: n_plus[d - 1:] * n_minus[: 1 - d]}  # a+ a-^ at (i, i + d - 1)
-    real = _symmetric_bands(space.dim, bands, (plus + minus).astype(np.int16))
-    gauge = np.resize([1, 1j, -1, -1j], d).repeat(d)  # D = diag(i^n+)
-    return gauge * evolve(real, gauge.conj() * state, math.pi / 4.0)
+    gauge = np.resize([1, 1j, -1, -1j], space.dim_single).repeat(space.dim_single)  # D = diag(i^n+)
+    return gauge * evolve(space._beamsplitter, gauge.conj() * state, math.pi / 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ from sector_oracle import as_operator, csgraph_sectors, smallest_of_each
 
 def as_csr(op: SparseOperator) -> sp.csr_array:
     """A SparseOperator as a canonical scipy CSR array, for the scipy
-    oracles: the conversion must sum no two entries (each place is stored
-    once) and find no zero stored."""
+    oracles: the conversion must sum no two entries (the builders store
+    each place once) and find no zero stored."""
     csr = sp.csr_array((op.data, (op.rows, op.cols)), shape=op.shape)
     assert csr.has_canonical_format and csr.nnz == op.nnz
     assert np.all(csr.data != 0)
@@ -327,18 +327,43 @@ class TestSparseOperator:
             evolve(h, np.array([1.0, 0.0]), 0.5)
 
 
-def beamsplitter(space: FockSpace) -> SparseOperator:
-    """The real generator that mode_transform builds and evolves."""
-    seen = []
+class TestRepeatedPlaces:
+    """Entries stored at one place sum, in toarray and in evolve, as scipy.sparse sums them."""
 
-    def spy(h, state, duration):
-        seen.append(h)
-        return np.zeros(len(state), dtype=complex)
+    def test_equal_repeats_sum(self):
+        op = SparseOperator((2, 2), [0, 0, 1], [0, 0, 1], [1.0, 1.0, 5.0], [0, 1])
+        assert op.toarray()[0, 0] == 2.0
+        assert np.allclose(evolve(op, [1.0, 0.0], 1.0), [np.exp(-2j), 0.0], rtol=0, atol=1e-15)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(squeezing, "evolve", spy)
-        mode_transform(vacuum_state(space), space)
-    return seen[0]
+    def test_repeats_whose_sum_is_hermitian_evolve(self):
+        # 0.3 + 0.7 at (0, 1) mirrors 1.0 at (1, 0); neither repeat alone does
+        op = SparseOperator((2, 2), [0, 0, 1, 0], [1, 1, 0, 0], [0.3, 0.7, 1.0, 2.0], [0, 0])
+        dense = np.array([[2.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(op.toarray(), dense)
+        psi = np.array([0.6, 0.8j])
+        assert np.max(np.abs(evolve(op, psi, 0.9) - expm(-0.9j * dense) @ psi)) < 1e-14
+
+    def test_random_repeats_match_scipy_and_expm(self):
+        # a random Hermitian H on two blocks, each entry split into up to three stored pieces
+        rng = np.random.default_rng(27)
+        labels = np.array([0, 0, 0, 0, 1, 1, 1])
+        n = len(labels)
+        dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dense = (dense + dense.conj().T) * (labels[:, None] == labels[None, :])
+        rows, cols = np.nonzero(dense)
+        pieces = rng.integers(1, 4, len(rows))
+        weights = rng.random(pieces.sum())
+        share = weights / np.add.reduceat(weights, np.r_[0, np.cumsum(pieces)[:-1]]).repeat(pieces)
+        rows, cols = rows.repeat(pieces), cols.repeat(pieces)
+        order = rng.permutation(len(rows))
+        rows, cols, data = rows[order], cols[order], (dense[rows, cols] * share)[order]
+        op = SparseOperator((n, n), rows, cols, data, labels)
+        assert op.nnz == pieces.sum() > np.count_nonzero(dense)
+        assert np.array_equal(op.toarray(), sp.coo_array((data, (rows, cols)), shape=(n, n)).toarray())
+        assert np.max(np.abs(op.toarray() - dense)) < 1e-14
+        psi = spread_state(n)
+        for t in (0.4, 1.3):
+            assert np.max(np.abs(evolve(op, psi, t) - expm(-1j * t * dense) @ psi)) < 1e-13, t
 
 
 Q = HamiltonianParams(zeeman_q_rad_s=1.3)  # q != Omega: undepleted carries its number terms
@@ -354,7 +379,7 @@ class TestSectorOracle:
         "undepleted": (lambda space: build_hamiltonians(space, Q).undepleted, lambda n_max: 2 * n_max + 1),
         "symmetric_mode": (lambda space: build_hamiltonians(space, Q).symmetric_mode, lambda n_max: 2),
         "antisymmetric_mode": (lambda space: build_hamiltonians(space, Q).antisymmetric_mode, lambda n_max: 2),
-        "beamsplitter": (beamsplitter, lambda n_max: 2 * n_max + 1),
+        "beamsplitter": (lambda space: space._beamsplitter, lambda n_max: 2 * n_max + 1),
         "pump_block": (lambda space: pump_block(space, HamiltonianParams(pump_atoms=6000)), lambda n_max: 1),
     }
 
@@ -410,6 +435,21 @@ def spread_state(dim: int, seed: int = 4) -> np.ndarray:
 def held(op: SparseOperator) -> int:
     """The eigenvector entries an operator keeps."""
     return sum(vectors.size for _, _, vectors in op._blocks.values())
+
+
+def in_threads(work, count: int = 6) -> None:
+    """Run work(0), work(1), ... on `count` threads at once, switching often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestOperatorMemo:
@@ -486,17 +526,7 @@ class TestOperatorMemo:
                 if evolve(h, psi, durations[k % 2]).tobytes() != want[k % 2]:
                     wrong.append(k)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        in_threads(work)
         assert wrong == []
         assert 0 < held(h) <= 8**2
 
@@ -563,6 +593,13 @@ class TestEvolution:
         with pytest.raises(NumericalError, match="^evolution norm drift 2.00e-03$"):
             evolve(build_hamiltonians(space, HamiltonianParams()).two_mode, vacuum_state(space), 0.5)
 
+    @pytest.mark.parametrize("scale", [1e8, 1e10, 0.0])
+    def test_norm_guard_is_relative_to_the_state(self, scale):
+        space = FockSpace(n_max=40)
+        h = build_hamiltonians(space, HamiltonianParams()).two_mode
+        out = evolve(h, scale * vacuum_state(space), 1.0)
+        assert np.max(np.abs(out - scale * evolve(h, vacuum_state(space), 1.0))) <= 1e-13 * scale
+
     def test_vacuum_state_is_normalized_empty(self):
         space = FockSpace(n_max=12)
         psi = vacuum_state(space)
@@ -618,6 +655,57 @@ class TestModeTransform:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
             mode_transform(np.zeros(7), FockSpace(n_max=6))
+
+
+def squeezed(space: FockSpace, r: float = 1.13) -> np.ndarray:
+    """The two-mode squeezed vacuum: N+ + N- = 2n for n = 0 ... n_max, n_max + 1 blocks of the beamsplitter."""
+    return evolve(build_hamiltonians(space, HamiltonianParams()).two_mode, vacuum_state(space), r)
+
+
+class TestKeptBeamsplitter:
+    """A FockSpace builds the beamsplitter of mode_transform once and keeps it, with its decompositions."""
+
+    def test_a_repeated_call_on_one_space_decomposes_nothing(self, monkeypatch):
+        space = FockSpace(n_max=40)
+        psi, sizes = squeezed(space), count_eigh(monkeypatch)
+        mode_transform(psi, space)
+        assert len(sizes) == 41
+        mode_transform(psi, space)
+        assert len(sizes) == 41
+        # the decompositions live as long as the space: an equal one decomposes afresh
+        mode_transform(psi, FockSpace(n_max=40))
+        assert len(sizes) == 2 * 41
+
+    def test_a_repeated_call_gives_the_bytes_of_a_first_call(self):
+        space = FockSpace(n_max=40)
+        for psi in (squeezed(space), spread_state(space.dim)):
+            first = mode_transform(psi, space)
+            assert mode_transform(psi, space).tobytes() == first.tobytes()
+            assert mode_transform(psi, FockSpace(n_max=40)).tobytes() == first.tobytes()
+
+    def test_equality_hash_and_repr_ignore_the_kept_operator(self):
+        used, fresh = FockSpace(n_max=40), FockSpace(n_max=40)
+        mode_transform(vacuum_state(used), used)
+        assert "_beamsplitter" in vars(used) and "_beamsplitter" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh) == "FockSpace(n_max=40)"
+        assert used != FockSpace(n_max=41)
+
+    def test_threads_sharing_one_space_keep_the_bound_and_the_bits(self, monkeypatch):
+        # n_max = 4: beamsplitter blocks of 1, 2, 3, 4, 5, 4, 3, 2, 1 levels,
+        # 85 eigenvector entries in all, against room for 64
+        monkeypatch.setattr(squeezing, "MAX_BLOCK_DIM", 8)
+        states = [spread_state(FockSpace(n_max=4).dim, seed) for seed in (1, 2)]
+        want = [mode_transform(psi, FockSpace(n_max=4)).tobytes() for psi in states]
+        space, wrong = FockSpace(n_max=4), []
+
+        def work(first):
+            for k in range(first, first + 40):
+                if mode_transform(states[k % 2], space).tobytes() != want[k % 2]:
+                    wrong.append(k)
+
+        in_threads(work)
+        assert wrong == []
+        assert 0 < held(space._beamsplitter) <= 8**2
 
 
 def pair_number_error(pump: int, n_max: int, r: float = 1.13) -> float:
