@@ -386,7 +386,8 @@ def squeezing_from_pairs(
     imbalance_diff: np.ndarray, mean_atoms_sum: float, contrast: float
 ) -> float:
     """Linear metrological squeezing: pair-difference variance over the
-    two-measurement projection limit (N1 + N2)/4, contrast-corrected."""
+    two-measurement projection limit (N1 + N2)/4, contrast-corrected;
+    DomainError if it overflows, or underflows to 0 from nonzero differences."""
     diffs = as_numbers("imbalance_diff", imbalance_diff).astype(float, copy=False)
     if len(diffs) < 2:
         raise DataError("need at least 2 pairs")
@@ -395,7 +396,10 @@ def squeezing_from_pairs(
     require(FRACTION, "contrast", contrast)
     if not diffs.any():
         raise DomainError("every pair difference is zero: no noise to compare with the projection limit")
-    return float(_squeezing(np.mean(diffs * diffs), mean_atoms_sum, contrast))
+    with np.errstate(over="ignore"):  # an infinite square gives an infinite value, refused here
+        linear = float(_squeezing(np.mean(diffs * diffs), mean_atoms_sum, contrast))
+    arguments = {"max_abs_imbalance_diff": float(np.abs(diffs).max()), "mean_atoms_sum": mean_atoms_sum}
+    return in_float_range("the squeezing", lambda: linear if linear > 0 else math.nan, **arguments, contrast=contrast)
 
 
 def _squeezing(mean_square, mean_atoms_sum: float, contrast: float):
@@ -475,27 +479,29 @@ def metrological_squeezing(
     multinomial = MULTINOMIAL_PAIRS_PER_VALUE * len(values) <= n
     pvals = multiplicity / n
     mean_squares = np.empty(n_bootstrap)
-    for start in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
-        rows = min(BOOTSTRAP_CHUNK, n_bootstrap - start)
-        if multinomial:
-            counts = rng.multinomial(n, pvals, size=rows)
-            # a row-wise sum, not a matrix product: each row sums exactly
-            # as one resample's counts would on their own
-            mean_square = np.sum(counts * values, axis=-1) / n
-        else:
-            # the differences are squared once: squaring each resample
-            # block would add a full pass over every block
-            mean_square = np.mean(squares[rng.integers(0, n, (rows, n))], axis=-1)
-        mean_squares[start : start + rows] = mean_square
-    lo, hi = _percentiles(_squeezing(mean_squares, atoms_sum, contrast), [2.5, 97.5])
+    with np.errstate(over="ignore", invalid="ignore"):  # a resample sum that overflows is refused below
+        for start in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
+            rows = min(BOOTSTRAP_CHUNK, n_bootstrap - start)
+            if multinomial:
+                counts = rng.multinomial(n, pvals, size=rows)
+                # a row-wise sum, not a matrix product: each row sums exactly
+                # as one resample's counts would on their own
+                mean_square = np.sum(counts * values, axis=-1) / n
+            else:
+                # the differences are squared once: squaring each resample
+                # block would add a full pass over every block
+                mean_square = np.mean(squares[rng.integers(0, n, (rows, n))], axis=-1)
+            mean_squares[start : start + rows] = mean_square
+        ends = _percentiles(_squeezing(mean_squares, atoms_sum, contrast), [2.5, 97.5]).tolist()
 
+    # a percentile of 0 (resamples of zero differences only) is an unbounded end; inf or NaN is refused
+    lo, hi = (in_float_range("a squeezing CI end", lambda: 10.0 * math.log10(p), percentile=p) if p else -math.inf
+              for p in ends)
     return SqueezingEstimate(
         linear=linear,
         db=10.0 * math.log10(linear),
-        # a percentile of zero (resamples of zero differences only) is an
-        # unbounded end, not a finite number of dB
-        ci_low_db=10.0 * math.log10(lo) if lo > 0 else -math.inf,
-        ci_high_db=10.0 * math.log10(hi) if hi > 0 else -math.inf,
+        ci_low_db=lo,
+        ci_high_db=hi,
         n_pairs=n,
         n_resamples=n_bootstrap,
         n_distinct_squares=len(values),
@@ -515,6 +521,7 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     sigma(m tau0)^2 = (1 / (2 m^2 (M - 2m + 1))) *
         sum_j (sum_{i=j+m}^{j+2m-1} x_i - sum_{i=j}^{j+m-1} x_i)^2
     for m = 1, 2, 4, ... up to M/3, with naive 1/sqrt(dof) error bars.
+    DomainError if an averaging time or a deviation leaves the float range.
     """
     x = as_numbers("series", series).astype(float, copy=False)
     if x.ndim != 1 or len(x) < MIN_ALLAN_SAMPLES:
@@ -522,19 +529,21 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     require_finite("series", x)
     require(POSITIVE, "tau0_s", tau0_s)
     m_max = len(x) // 3
-    csum = np.concatenate(([0.0], np.cumsum(x)))
+    peak = float(np.abs(x).max())
 
     taus, adevs, errs = [], [], []
     m = 1
-    while m <= m_max:
-        block = csum[m:] - csum[:-m]  # running sums of length m
-        d = block[m:] - block[:-m]    # second difference, M - 2m + 1 terms
-        n_terms = len(d)
-        avar = float(np.sum(d * d)) / (2.0 * m * m * n_terms)
-        taus.append(m * tau0_s)
-        adevs.append(math.sqrt(avar))
-        errs.append(math.sqrt(avar) / math.sqrt(n_terms))
-        m *= 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused by in_float_range
+        csum = np.concatenate(([0.0], np.cumsum(x)))
+        while m <= m_max:
+            block = csum[m:] - csum[:-m]  # running sums of length m
+            d = block[m:] - block[:-m]    # second difference, M - 2m + 1 terms
+            n_terms = len(d)
+            avar = float(np.sum(d * d)) / (2.0 * m * m * n_terms)
+            taus.append(in_float_range("tau_s", lambda: m * tau0_s, m=m, tau0_s=tau0_s))
+            adevs.append(in_float_range("the Allan deviation", lambda: math.sqrt(avar), m=m, max_abs_series=peak))
+            errs.append(adevs[-1] / math.sqrt(n_terms))
+            m *= 2
     return AllanSeries(tau_s=np.asarray(taus), adev=np.asarray(adevs), err=np.asarray(errs))
 
 

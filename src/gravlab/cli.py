@@ -208,7 +208,7 @@ def _cmd_scale_factor(args) -> int:
 def _cmd_tomography(args) -> int:
     cfg = args.config_obj
     if args.coherent:
-        model = coherent_model(cfg.noise.atom_number_mean)
+        model = coherent_model(cfg.noise.squeezing.atom_number)
     else:
         model = cfg.noise.squeezing
     phis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
@@ -470,7 +470,7 @@ def _cmd_reproduce(args) -> int:
     add("sigma_g", grav_s.sigma_g_m_s2, "", "m/s^2")
     add("g_true", cfg.campaign.g_true_m_per_s2, cfg.campaign.g_true_m_per_s2, "m/s^2")
 
-    budget = phase_noise_budget(cfg.noise.sigma_raman_phase_rad, cfg.noise.atom_number_mean)
+    budget = phase_noise_budget(cfg.noise.sigma_raman_phase_rad, cfg.noise.squeezing.atom_number)
     add("raman_phase_imbalance_noise", budget.delta_jz_atoms, REF_BUDGET[0], "atoms")
     add("raman_phase_level_db", budget.db_vs_sql, REF_BUDGET[1], "dB")
 

@@ -1,8 +1,9 @@
 """Strict YAML configuration: schema, defaults, validation, hashing.
 
 Every key the toolkit understands is one row of ``SCHEMA``: its built-in
-value and the shared errors.Rule it must pass, the one the settings
-dataclass field it fills and the CLI flag that mirrors it also use.
+value, the shared errors.Rule it must pass (the one the CLI flag that
+mirrors it also uses) and the settings-dataclass field it fills, which
+checks the same Rule; parse_config builds the settings from the table.
 Anything else is rejected with the offending key path and, when it can
 be found, the line in the file. The shipped ``default_config.yaml``
 mirrors the table and a test keeps the two equal. Exponent floats
@@ -18,8 +19,8 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, NUMBER_OR_NULL
-from .errors import PATH, POSITIVE, SEED, ConfigError
+from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, PATH, POSITIVE, SEED
+from .errors import ConfigError
 from .sensitivity import PhysicalConstants, SequenceTiming
 from .shots import CampaignConfig, NoiseConfig
 from .squeezing import SqueezingModel
@@ -27,41 +28,40 @@ from .squeezing import SqueezingModel
 ENV_CONFIG_PATH = "GRAVLAB_CONFIG"
 
 
-# key path -> (built-in value, rule)
+# key path -> (built-in value, rule, the field it fills in its section's settings
+# dataclass); None for the rows parse_config reads by name: they fill no such field
 SCHEMA: dict[str, tuple] = {
-    "timing.tau_bm_s": (60.0e-6, DURATION),  # Raman pulse, main sequence
-    "timing.t_sep_s": (77.0e-6, DURATION),  # separation inside a pulse pair
-    "timing.big_t_s": (455.0e-6, DURATION),  # single-T commands
-    "timing.t0_s": (0.0, NUMBER),
+    "timing.tau_bm_s": (60.0e-6, DURATION, "pulse_s"),  # Raman pulse, main sequence
+    "timing.t_sep_s": (77.0e-6, DURATION, "separation_s"),  # separation inside a pulse pair
+    "timing.big_t_s": (455.0e-6, DURATION, "free_evolution_s"),  # single-T commands
+    "timing.t0_s": (0.0, NUMBER, "start_s"),
     # 4*pi / 780.241 nm, counter-propagating
-    "constants.k_eff_per_m": (1.61057e7, POSITIVE),
-    "noise.contrast": (0.98, FRACTION),
-    "noise.raman_efficiency": (1.0, FRACTION),
+    "constants.k_eff_per_m": (1.61057e7, POSITIVE, "k_eff_per_m"),
+    "noise.contrast": (0.98, FRACTION, "contrast"),
+    "noise.raman_efficiency": (1.0, FRACTION, "raman_efficiency"),
     # light-shift phase noise solved so the default squeezed campaign sits at
     # -1.7 dB metrological squeezing (coherent input then lands near +2.1 dB)
-    "noise.sigma_ac_rad": (0.007816159981487004, NON_NEGATIVE),
-    "noise.sigma_raman_phase_rad": (1.2e-3, NON_NEGATIVE),
-    "noise.atom_number_mean": (6000.0, AT_LEAST_ONE),
-    "noise.atom_number_sigma": (0.0, NON_NEGATIVE),
-    "noise.sigma_accel_m_s2": (0.0, NON_NEGATIVE),
-    "noise.projection_noise": (True, FLAG),
+    "noise.sigma_ac_rad": (0.007816159981487004, NON_NEGATIVE, "sigma_ac_rad"),
+    "noise.sigma_raman_phase_rad": (1.2e-3, NON_NEGATIVE, "sigma_raman_phase_rad"),
+    "noise.atom_number_mean": (6000.0, AT_LEAST_ONE, None),  # fills noise.squeezing.atom_number
+    "noise.atom_number_sigma": (0.0, NON_NEGATIVE, "atom_number_sigma"),
+    "noise.sigma_accel_m_s2": (0.0, NON_NEGATIVE, "sigma_accel_m_s2"),
+    "noise.projection_noise": (True, FLAG, "projection_noise"),
     # squeezing strength and detection noise solved from the (-5.4, +9.9) dB
     # tomography extremes at 6000 atoms (closed form, see calibrate_model)
-    "noise.squeezing.strength_r": (1.1302698853537816, NON_NEGATIVE),
+    "noise.squeezing.strength_r": (1.1302698853537816, NON_NEGATIVE, "strength"),
     # the tomography angle of the squeezed quadrature; shots read that
     # quadrature at mid-fringe, so it sets the tomography and no shot
-    "noise.squeezing.optimal_phase_rad": (1.2 * math.pi, NUMBER),
-    "noise.squeezing.detection_noise_atoms": (16.61816667208982, NON_NEGATIVE),
-    "campaign.t1_s": (455.0e-6, DURATION),
-    "campaign.t2_s": (155.0e-6, DURATION),
-    # alpha/k_eff when alpha is null
-    "campaign.chirp_target_m_per_s2": (9.8126, NUMBER),
-    "campaign.alpha_rad_per_s2": (None, NUMBER_OR_NULL),
-    "campaign.g_true_m_per_s2": (9.812637, NUMBER),
-    "campaign.n_pairs": (5000, COUNT),
-    "campaign.cycle_time_s": (52.0, DURATION),
-    "campaign.seed": (7, SEED),
-    "output_dir": ("runs", PATH),
+    "noise.squeezing.optimal_phase_rad": (1.2 * math.pi, NUMBER, "optimal_phase_rad"),
+    "noise.squeezing.detection_noise_atoms": (16.61816667208982, NON_NEGATIVE, "detection_noise_atoms"),
+    "campaign.t1_s": (455.0e-6, DURATION, "t1_s"),
+    "campaign.t2_s": (155.0e-6, DURATION, "t2_s"),
+    "campaign.chirp_target_m_per_s2": (9.8126, NUMBER, None),  # alpha / k_eff
+    "campaign.g_true_m_per_s2": (9.812637, NUMBER, "g_true_m_per_s2"),
+    "campaign.n_pairs": (5000, COUNT, "n_pairs"),
+    "campaign.cycle_time_s": (52.0, DURATION, "cycle_time_s"),
+    "campaign.seed": (7, SEED, "seed"),
+    "output_dir": ("runs", PATH, None),
 }
 
 
@@ -145,62 +145,27 @@ def parse_config(text: str) -> AppConfig:
             raise ConfigError(f"config is not valid YAML: {exc}") from exc
         finally:
             loader.dispose()
-    # the user's values overlaid on the built-ins, nested like the YAML
+    # the user's values overlaid on the built-ins, nested like the YAML, and each section's fields
     resolved: dict = {}
-    for path, (builtin, _) in SCHEMA.items():
+    fields: dict = {}
+    for path, (builtin, _, field) in SCHEMA.items():
         *sections, key = path.split(".")
         node, given = resolved, data
         for section in sections:
             node = node.setdefault(section, {})
             given = given.get(section, {})
         node[key] = given.get(key, builtin)
+        if field is not None:
+            fields.setdefault(".".join(sections), {})[field] = node[key]
 
-    timing = SequenceTiming(
-        pulse_s=resolved["timing"]["tau_bm_s"],
-        separation_s=resolved["timing"]["t_sep_s"],
-        free_evolution_s=resolved["timing"]["big_t_s"],
-        start_s=resolved["timing"]["t0_s"],
-    )
-    constants = PhysicalConstants(k_eff_per_m=resolved["constants"]["k_eff_per_m"])
-
-    sq = resolved["noise"]["squeezing"]
-    model = SqueezingModel(
-        atom_number=resolved["noise"]["atom_number_mean"],
-        strength=sq["strength_r"],
-        optimal_phase_rad=sq["optimal_phase_rad"],
-        detection_noise_atoms=sq["detection_noise_atoms"],
-    )
-    noise = NoiseConfig(
-        squeezing=model,
-        contrast=resolved["noise"]["contrast"],
-        raman_efficiency=resolved["noise"]["raman_efficiency"],
-        sigma_ac_rad=resolved["noise"]["sigma_ac_rad"],
-        sigma_raman_phase_rad=resolved["noise"]["sigma_raman_phase_rad"],
-        atom_number_mean=resolved["noise"]["atom_number_mean"],
-        atom_number_sigma=resolved["noise"]["atom_number_sigma"],
-        sigma_accel_m_s2=resolved["noise"]["sigma_accel_m_s2"],
-        projection_noise=resolved["noise"]["projection_noise"],
-    )
-
-    cam = resolved["campaign"]
-    alpha = cam["alpha_rad_per_s2"]
-    if alpha is None:
-        alpha = cam["chirp_target_m_per_s2"] * constants.k_eff_per_m
-    campaign = CampaignConfig(
-        t1_s=cam["t1_s"],
-        t2_s=cam["t2_s"],
-        alpha_rad_per_s2=alpha,
-        g_true_m_per_s2=cam["g_true_m_per_s2"],
-        n_pairs=cam["n_pairs"],
-        cycle_time_s=cam["cycle_time_s"],
-        seed=cam["seed"],
-    )
-
+    constants = PhysicalConstants(**fields["constants"])
+    model = SqueezingModel(atom_number=resolved["noise"]["atom_number_mean"], **fields["noise.squeezing"])
+    alpha = resolved["campaign"]["chirp_target_m_per_s2"] * constants.k_eff_per_m
     return AppConfig(
-        timing=timing,
+        timing=SequenceTiming(**fields["timing"]),
         constants=constants,
-        noise=noise,
-        campaign=campaign,
+        noise=NoiseConfig(squeezing=model, **fields["noise"]),
+        campaign=CampaignConfig(alpha_rad_per_s2=alpha, **fields["campaign"]),
         output_dir=resolved["output_dir"],
         resolved=resolved,
     )

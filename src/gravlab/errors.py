@@ -70,7 +70,6 @@ DURATION = POSITIVE._replace(words="a duration in seconds > 0")
 NON_NEGATIVE = Rule(lambda v: _number(v) and v >= 0, "a finite number >= 0")
 AT_LEAST_ONE = Rule(lambda v: _number(v) and v >= 1, "a finite number >= 1")
 FRACTION = Rule(lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]")
-NUMBER_OR_NULL = Rule(lambda v: v is None or _number(v), "a finite number or null")
 SIZE = Rule(lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0, "an integer >= 0")
 COUNT = Rule(lambda v: SIZE.test(v) and v >= 1, "an integer >= 1")
 SEED = Rule(lambda v: SIZE.test(v) and v < 2**64, "an integer in [0, 2^64)")  # a word of the Philox key

@@ -44,14 +44,14 @@ SHOT_FIELDS = (
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Per-shot noise budget of the simulator."""
+    """Per-shot noise budget of the simulator. The mean atom number per shot is
+    squeezing.atom_number (at least 1), the one the tomography reads."""
 
     squeezing: SqueezingModel
     contrast: float = 0.98
     raman_efficiency: float = 1.0   # per-pulse; enters contrast as eff^4
     sigma_ac_rad: float = 0.0       # differential light-shift phase, per shot
     sigma_raman_phase_rad: float = 0.0
-    atom_number_mean: float = 6000.0
     atom_number_sigma: float = 0.0
     sigma_accel_m_s2: float = 0.0   # common acceleration noise, per shot
     projection_noise: bool = True   # False: deterministic mean readout
@@ -59,9 +59,10 @@ class NoiseConfig:
     def __post_init__(self):
         check_fields(
             self, contrast=FRACTION, raman_efficiency=FRACTION, sigma_ac_rad=NON_NEGATIVE,
-            sigma_raman_phase_rad=NON_NEGATIVE, atom_number_mean=AT_LEAST_ONE, atom_number_sigma=NON_NEGATIVE,
-            sigma_accel_m_s2=NON_NEGATIVE, projection_noise=FLAG,
+            sigma_raman_phase_rad=NON_NEGATIVE, atom_number_sigma=NON_NEGATIVE, sigma_accel_m_s2=NON_NEGATIVE,
+            projection_noise=FLAG,
         )
+        require(AT_LEAST_ONE, "NoiseConfig.squeezing.atom_number", self.squeezing.atom_number, ConfigError)
 
     @property
     def effective_contrast(self) -> float:
@@ -207,7 +208,7 @@ def _simulate(
     scale = np.array([scale_factor(replace(timing, free_evolution_s=float(t)), constants) for t in t_free])
     z_atoms, z_accel, z_ac, z_raman, z_readout = _standard_normals(campaign.seed, indices)
 
-    n = np.maximum(1.0, np.rint(noise.atom_number_mean + noise.atom_number_sigma * z_atoms))
+    n = np.maximum(1.0, np.rint(noise.squeezing.atom_number + noise.atom_number_sigma * z_atoms))
     n -= n % 2.0  # even split keeps integer counts; may drop to 0
 
     g = campaign.g_true_m_per_s2 + noise.sigma_accel_m_s2 * z_accel

@@ -272,6 +272,22 @@ class TestMetrologicalSqueezing:
         assert est.ci_low_db == -math.inf
         assert math.isfinite(est.db) and math.isfinite(est.ci_high_db)
 
+    def test_counts_whose_squared_differences_overflow_refused(self):
+        recs = coherent_campaign(50)
+        huge = replace(recs, **{k: 1e300 * getattr(recs, k) for k in ("count_f1", "count_f2", "imbalance")})
+        with pytest.raises(DomainError, match="^the squeezing leaves the float range at max_abs_imbalance_diff="):
+            metrological_squeezing(huge)
+
+    def test_nan_percentile_refused_not_unbounded(self):
+        # one difference of 1e154 in 50 pairs: its square is a float, but 26 % of the
+        # resamples draw it twice or more and their sums overflow, so the 97.5th
+        # percentile is inf - inf = NaN, which is no unbounded end
+        recs = coherent_campaign(50)
+        imbalance = np.zeros(len(recs))
+        imbalance[0] = 1e154
+        with pytest.raises(DomainError, match="^a squeezing CI end leaves the float range at percentile=nan$"):
+            metrological_squeezing(replace(recs, imbalance=imbalance))
+
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 40, 999, 1000, 1001])
 def test_percentiles_equal_numpys_bit_for_bit(n):

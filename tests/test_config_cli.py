@@ -1,5 +1,7 @@
 """Strict config parsing and the command-line surface."""
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -26,10 +28,38 @@ from gravlab import (
     scale_factor,
 )
 from gravlab.cli import Manifest, main
-from gravlab.config import config_hash, load_config, parse_config
+from gravlab.config import SCHEMA, config_hash, load_config, parse_config
+from gravlab.errors import COUNT, DURATION, FLAG, FRACTION, PATH, SEED
 
 K_EFF = 1.61057e7
 DEFAULTS_FILE = os.path.join(os.path.dirname(gravlab.__file__), "default_config.yaml")
+
+
+def distinct_value(k: int, builtin, rule):
+    """A valid value of the k-th SCHEMA row that no other row and no built-in takes."""
+    if rule in (FLAG, PATH):
+        return not builtin if rule is FLAG else f"elsewhere{k}"
+    if rule in (COUNT, SEED):
+        return builtin + k + 1
+    return (k + 1) / 100 if rule is FRACTION else (k + 1) * 1e-6 if rule is DURATION else k + 1.5
+
+
+def nested(values: dict) -> dict:
+    """Key paths and their values as the nested sections of a config."""
+    tree: dict = {}
+    for path, value in values.items():
+        *sections, key = path.split(".")
+        functools.reduce(lambda node, name: node.setdefault(name, {}), sections, tree)[key] = value
+    return tree
+
+
+# the keys whose field has another name; every other key fills its namesake
+RENAMED = {
+    "timing.tau_bm_s": "pulse_s", "timing.t_sep_s": "separation_s", "timing.big_t_s": "free_evolution_s",
+    "timing.t0_s": "start_s", "noise.squeezing.strength_r": "strength",
+}
+EVERY_KEY_VALUES = {path: distinct_value(k, builtin, rule) for k, (path, (builtin, rule, _)) in enumerate(SCHEMA.items())}
+EVERY_KEY_SET = parse_config(json.dumps(nested(EVERY_KEY_VALUES)))  # JSON is YAML
 
 
 def rows_as_dict(csv_text):
@@ -50,7 +80,7 @@ class TestParseConfig:
         assert cfg.campaign.cycle_time_s == 52.0
         assert cfg.campaign.n_pairs == 5000
         assert cfg.noise.contrast == 0.98
-        assert cfg.noise.atom_number_mean == 6000.0
+        assert cfg.noise.squeezing.atom_number == 6000.0
         assert cfg.output_dir == "runs"
 
     def test_shipped_defaults_file_equals_builtins(self):
@@ -63,13 +93,41 @@ class TestParseConfig:
         assert from_file.noise == from_empty.noise
         assert from_file.campaign == from_empty.campaign
 
-    def test_null_alpha_resolves_to_chirp_target(self):
+    def test_default_alpha_is_chirp_target_times_k_eff(self):
         cfg = parse_config("")
         assert cfg.campaign.alpha_rad_per_s2 == 9.8126 * K_EFF
 
-    def test_explicit_alpha_wins(self):
-        cfg = parse_config("campaign:\n  alpha_rad_per_s2: 1.5e+8\n")
-        assert cfg.campaign.alpha_rad_per_s2 == 1.5e8
+    @pytest.mark.parametrize("path", list(SCHEMA))
+    def test_every_key_reaches_its_field(self, path):
+        # one config sets every key to a value of its own, so a key that
+        # filled another key's field would show
+        cfg, value = EVERY_KEY_SET, EVERY_KEY_VALUES[path]
+        section, _, key = path.rpartition(".")
+        field = SCHEMA[path][2]
+        if field is not None:
+            assert field == RENAMED.get(path, key)  # a row that named another key's field would pass below
+            assert getattr(functools.reduce(getattr, section.split("."), cfg), field) == value
+        elif path == "campaign.chirp_target_m_per_s2":
+            assert cfg.campaign.alpha_rad_per_s2 == value * EVERY_KEY_VALUES["constants.k_eff_per_m"]
+        elif path == "noise.atom_number_mean":
+            assert cfg.noise.squeezing.atom_number == value
+        else:
+            assert (path, cfg.output_dir) == ("output_dir", value)
+        assert functools.reduce(dict.get, path.split("."), cfg.resolved) == value
+
+    def test_every_field_is_filled_by_the_schema(self):
+        # a field no row fills would keep its dataclass default whatever the config says
+        filled = {(path.rpartition(".")[0], field) for path, (_, _, field) in SCHEMA.items() if field}
+        filled |= {("noise", "squeezing"), ("noise.squeezing", "atom_number"), ("campaign", "alpha_rad_per_s2")}
+        sections = {"timing": SequenceTiming, "constants": PhysicalConstants, "noise": NoiseConfig,
+                    "noise.squeezing": SqueezingModel, "campaign": CampaignConfig}
+        assert filled == {(s, f.name) for s, cls in sections.items() for f in dataclasses.fields(cls)}
+
+    def test_alpha_key_is_unknown(self):
+        # the chirp has one key: alpha is always chirp_target_m_per_s2 * k_eff_per_m
+        with pytest.raises(ConfigError) as info:
+            parse_config("campaign:\n  t1_s: 4.0e-4\n  alpha_rad_per_s2: 1.5e+8\n")
+        assert str(info.value) == "unknown config key 'campaign.alpha_rad_per_s2' (line 3)"
 
     @pytest.mark.parametrize("text, value", [("6e-05", 6e-05), ("1.5e8", 1.5e8), ("-2E+3", -2e3), (".5e1", 5.0)])
     def test_exponent_float_without_dot_or_sign_is_a_number(self, text, value):
@@ -84,7 +142,7 @@ class TestParseConfig:
     def test_partial_override_keeps_other_defaults(self):
         cfg = parse_config("noise:\n  contrast: 0.5\n")
         assert cfg.noise.contrast == 0.5
-        assert cfg.noise.atom_number_mean == 6000.0
+        assert cfg.noise.squeezing.atom_number == 6000.0
         assert cfg.timing.pulse_s == 60.0e-6
 
     def test_unknown_top_level_key(self):
@@ -261,7 +319,6 @@ SETTINGS = {
         "raman_efficiency": [0, 1.01],
         "sigma_ac_rad": [-1e-3],
         "sigma_raman_phase_rad": [-1e-3],
-        "atom_number_mean": [0.5, 0],
         "atom_number_sigma": [-1.0],
         "sigma_accel_m_s2": [-1e-9],
         "projection_noise": [],
@@ -300,6 +357,19 @@ def test_settings_refuse_a_value_outside_the_rule_naming_the_field(cls, field, v
     given = {"squeezing": SqueezingModel()} if cls is NoiseConfig else {}
     with pytest.raises(ConfigError, match=re.escape(f"{cls.__name__}.{field} must be ")):
         cls(**given, **{field: value})
+
+
+@pytest.mark.parametrize("value", ["1", True, math.nan, math.inf, -math.inf, 0.5, 0])
+def test_noise_config_refuses_a_model_of_fewer_than_one_atom(value):
+    # the model's atom number is the campaign's mean: SqueezingModel asks only > 0, so
+    # the value is set past its check to reach the rule of NoiseConfig
+    model = SqueezingModel()
+    object.__setattr__(model, "atom_number", value)
+    with pytest.raises(ConfigError, match=re.escape("NoiseConfig.squeezing.atom_number must be a finite number >= 1")):
+        NoiseConfig(squeezing=model)
+    if value == 0.5:  # a model that passes its own check
+        with pytest.raises(ConfigError, match=r"NoiseConfig\.squeezing\.atom_number .* got 0\.5$"):
+            NoiseConfig(squeezing=SqueezingModel(atom_number=0.5))
 
 
 class TestCliBasics:

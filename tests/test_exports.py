@@ -193,6 +193,14 @@ OVERFLOWS = [
         "the imbalance variance",
         f"model={SqueezingModel(strength=354.0)!r}, phi_rad=1.0",
     ),
+    # the squares overflow; then they underflow to 0, which nonzero differences are not
+    ("squeezing_from_pairs(np.array([1e200, 2e200]), 100.0, 1.0)", "the squeezing",
+     "max_abs_imbalance_diff=2e+200, mean_atoms_sum=100.0, contrast=1.0"),
+    ("squeezing_from_pairs(np.array([1e-200, 2e-200]), 100.0, 1.0)", "the squeezing",
+     "max_abs_imbalance_diff=2e-200, mean_atoms_sum=100.0, contrast=1.0"),
+    # m tau0 at m = 2; then the second differences' squares
+    ("allan_deviation(np.arange(40.0), 1e308)", "tau_s", "m=2, tau0_s=1e+308"),
+    ("allan_deviation(np.array([1e200, -1e200] * 20), 1.0)", "the Allan deviation", "m=1, max_abs_series=1e+200"),
 ]
 
 

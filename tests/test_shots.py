@@ -158,7 +158,7 @@ class TestPhiloxKernel:
 def scalar_shot(z, noise, g_true, alpha, scale):
     """One shot's counts from its five normals, shot by shot in Python
     floats: the reference for the array arithmetic of the generator."""
-    n = max(1, int(round(noise.atom_number_mean + noise.atom_number_sigma * z[0])))
+    n = max(1, int(round(noise.squeezing.atom_number + noise.atom_number_sigma * z[0])))
     n -= n % 2
     phi = (
         (g_true + noise.sigma_accel_m_s2 * z[1] - alpha / CONST.k_eff_per_m) * scale
@@ -183,7 +183,7 @@ class TestArrayArithmetic:
         [
             calibrated_noise(sigma_ac_rad=0.4, sigma_raman_phase_rad=0.2, atom_number_sigma=700.0, sigma_accel_m_s2=1e-4),
             # a few atoms: zero-atom shots, half-way roundings and clamps
-            calibrated_noise(atom_number_mean=2.0, atom_number_sigma=1.5),
+            calibrated_noise(squeezing=replace(calibrate_model(-5.4, 9.9, 6000.0), atom_number=2.0), atom_number_sigma=1.5),
             quiet_noise(projection_noise=False, sigma_ac_rad=0.3, atom_number_sigma=50.0),
         ],
         ids=["noisy", "few-atoms", "analog"],
@@ -513,7 +513,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             quiet_noise(sigma_ac_rad=-1.0)
         with pytest.raises(ConfigError):
-            quiet_noise(atom_number_mean=0.5)
+            quiet_noise(squeezing=coherent_model(0.5))
 
     def test_effective_contrast_folds_pulse_efficiency(self):
         noise = quiet_noise(contrast=0.98, raman_efficiency=0.99)
@@ -538,7 +538,6 @@ class TestValidation:
             (CampaignConfig, "cycle_time_s"),
             (quiet_noise, "sigma_ac_rad"),
             (quiet_noise, "sigma_raman_phase_rad"),
-            (quiet_noise, "atom_number_mean"),
             (quiet_noise, "atom_number_sigma"),
             (quiet_noise, "sigma_accel_m_s2"),
             (SqueezingModel, "atom_number"),
@@ -556,7 +555,7 @@ class TestValidation:
         # an empty shot has zero readout variance; it is generated, then
         # counted and skipped by the analysis, as with detection noise on
         model = SqueezingModel(atom_number=1, strength=0.5, detection_noise_atoms=0)
-        noise = NoiseConfig(squeezing=model, atom_number_mean=1, atom_number_sigma=2)
+        noise = NoiseConfig(squeezing=model, atom_number_sigma=2)
         camp = CampaignConfig(n_pairs=200)
         shots = run_campaign(camp, TIMING, CONST, noise)
         empty = shots.count_f1 + shots.count_f2 == 0

@@ -600,6 +600,19 @@ class TestEvolution:
         out = evolve(h, scale * vacuum_state(space), 1.0)
         assert np.max(np.abs(out - scale * evolve(h, vacuum_state(space), 1.0))) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_norm_guard_holds_where_the_norms_overflow_or_underflow(self, scale, monkeypatch):
+        # 1e200: |state| overflows to inf and the drift read NaN; 1e-300: both norms read 0
+        space = FockSpace(n_max=40)
+        h = build_hamiltonians(space, HamiltonianParams()).two_mode
+        want = evolve(h, vacuum_state(space), 1.0)
+        assert np.max(np.abs(evolve(h, scale * vacuum_state(space), 1.0) / scale - want)) <= 1e-13
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda block: (eigh(block)[0], 1.001 * eigh(block)[1]))
+        small = FockSpace(n_max=6)
+        with pytest.raises(NumericalError, match="^evolution norm drift 2.00e-03$"):
+            evolve(build_hamiltonians(small, HamiltonianParams()).two_mode, scale * vacuum_state(small), 0.5)
+
     def test_vacuum_state_is_normalized_empty(self):
         space = FockSpace(n_max=12)
         psi = vacuum_state(space)
