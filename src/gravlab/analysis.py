@@ -382,6 +382,12 @@ def estimate_g(
 # metrological squeezing
 
 
+def _binary_unit(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x / 2^e and e, for 2^e the power of two of max|x|: exact, and far from both float limits."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e), e
+
+
 def squeezing_from_pairs(
     imbalance_diff: np.ndarray, mean_atoms_sum: float, contrast: float
 ) -> float:
@@ -396,10 +402,12 @@ def squeezing_from_pairs(
     require(FRACTION, "contrast", contrast)
     if not diffs.any():
         raise DomainError("every pair difference is zero: no noise to compare with the projection limit")
-    with np.errstate(over="ignore"):  # an infinite square gives an infinite value, refused here
-        linear = float(_squeezing(np.mean(diffs * diffs), mean_atoms_sum, contrast))
-    arguments = {"max_abs_imbalance_diff": float(np.abs(diffs).max()), "mean_atoms_sum": mean_atoms_sum}
-    return in_float_range("the squeezing", lambda: linear if linear > 0 else math.nan, **arguments, contrast=contrast)
+    unit, e = _binary_unit(diffs)
+    mean_square = float(np.mean(unit * unit))
+    return in_float_range(  # a 0 underflowed: the differences are nonzero
+        "the squeezing", lambda: math.ldexp(_squeezing(mean_square, mean_atoms_sum, contrast), 2 * e) or math.nan,
+        max_abs_imbalance_diff=float(np.abs(diffs).max()), mean_atoms_sum=mean_atoms_sum, contrast=contrast
+    )
 
 
 def _squeezing(mean_square, mean_atoms_sum: float, contrast: float):
@@ -474,29 +482,30 @@ def metrological_squeezing(
 
     rng = np.random.default_rng(bootstrap_seed)
     n = len(samples)
-    squares = samples * samples
+    unit, e = _binary_unit(samples)  # no resample sum of the squares overflows
+    squares = unit * unit
     values, multiplicity = np.unique(squares, return_counts=True)
     multinomial = MULTINOMIAL_PAIRS_PER_VALUE * len(values) <= n
     pvals = multiplicity / n
     mean_squares = np.empty(n_bootstrap)
-    with np.errstate(over="ignore", invalid="ignore"):  # a resample sum that overflows is refused below
-        for start in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
-            rows = min(BOOTSTRAP_CHUNK, n_bootstrap - start)
-            if multinomial:
-                counts = rng.multinomial(n, pvals, size=rows)
-                # a row-wise sum, not a matrix product: each row sums exactly
-                # as one resample's counts would on their own
-                mean_square = np.sum(counts * values, axis=-1) / n
-            else:
-                # the differences are squared once: squaring each resample
-                # block would add a full pass over every block
-                mean_square = np.mean(squares[rng.integers(0, n, (rows, n))], axis=-1)
-            mean_squares[start : start + rows] = mean_square
-        ends = _percentiles(_squeezing(mean_squares, atoms_sum, contrast), [2.5, 97.5]).tolist()
+    for start in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
+        rows = min(BOOTSTRAP_CHUNK, n_bootstrap - start)
+        if multinomial:
+            counts = rng.multinomial(n, pvals, size=rows)
+            # a row-wise sum, not a matrix product: each row sums exactly
+            # as one resample's counts would on their own
+            mean_square = np.sum(counts * values, axis=-1) / n
+        else:
+            # the differences are squared once: squaring each resample
+            # block would add a full pass over every block
+            mean_square = np.mean(squares[rng.integers(0, n, (rows, n))], axis=-1)
+        mean_squares[start : start + rows] = mean_square
+    ends = _percentiles(_squeezing(mean_squares, atoms_sum, contrast), [2.5, 97.5]).tolist()
 
-    # a percentile of 0 (resamples of zero differences only) is an unbounded end; inf or NaN is refused
-    lo, hi = (in_float_range("a squeezing CI end", lambda: 10.0 * math.log10(p), percentile=p) if p else -math.inf
-              for p in ends)
+    # a percentile of 0 (resamples of zero differences only) is an unbounded end; one beyond the float range,
+    # p 2^(2e), is refused
+    lo, hi = (in_float_range("a squeezing CI end", lambda: 10.0 * math.log10(math.ldexp(p, 2 * e)),
+                             scaled_percentile=p, scale_log2=2 * e) if p else -math.inf for p in ends)
     return SqueezingEstimate(
         linear=linear,
         db=10.0 * math.log10(linear),
@@ -530,20 +539,21 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     require(POSITIVE, "tau0_s", tau0_s)
     m_max = len(x) // 3
     peak = float(np.abs(x).max())
+    unit, e = _binary_unit(x)
 
     taus, adevs, errs = [], [], []
     m = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused by in_float_range
-        csum = np.concatenate(([0.0], np.cumsum(x)))
-        while m <= m_max:
-            block = csum[m:] - csum[:-m]  # running sums of length m
-            d = block[m:] - block[:-m]    # second difference, M - 2m + 1 terms
-            n_terms = len(d)
-            avar = float(np.sum(d * d)) / (2.0 * m * m * n_terms)
-            taus.append(in_float_range("tau_s", lambda: m * tau0_s, m=m, tau0_s=tau0_s))
-            adevs.append(in_float_range("the Allan deviation", lambda: math.sqrt(avar), m=m, max_abs_series=peak))
-            errs.append(adevs[-1] / math.sqrt(n_terms))
-            m *= 2
+    csum = np.concatenate(([0.0], np.cumsum(unit)))
+    while m <= m_max:
+        block = csum[m:] - csum[:-m]  # running sums of length m
+        d = block[m:] - block[:-m]    # second difference, M - 2m + 1 terms
+        n_terms = len(d)
+        avar = float(np.sum(d * d)) / (2.0 * m * m * n_terms)
+        taus.append(in_float_range("tau_s", lambda: m * tau0_s, m=m, tau0_s=tau0_s))
+        adev = in_float_range("the Allan deviation", lambda: math.ldexp(math.sqrt(avar), e), m=m, max_abs_series=peak)
+        adevs.append(adev)
+        errs.append(adev / math.sqrt(n_terms))
+        m *= 2
     return AllanSeries(tau_s=np.asarray(taus), adev=np.asarray(adevs), err=np.asarray(errs))
 
 

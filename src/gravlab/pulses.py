@@ -3,8 +3,8 @@
 Smooth-envelope Raman pulses: the Blackman window, its accumulated
 rotation area, the single-pulse sensitivity ramp built from it, and the
 transfer efficiency of a physical pi pulse under detuning: the Rabi
-formula where the drive keeps a fixed direction, a two-level ODE for a
-Blackman pulse under a constant detuning.
+formula where the drive keeps a fixed direction, fourth-order Magnus
+steps for a Blackman pulse under a constant detuning.
 
 A pulse's ``area_rad`` is the physical rotation it implements (pi for
 the Raman mirror pulses). The sensitivity ramp always accumulates pi/2, so
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DURATION, NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, DomainError, NumericalError, Rule
-from .errors import check_fields, require
+from .errors import DURATION, NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, DomainError, Rule
+from .errors import check_fields, in_float_range, require
 
 # Blackman window coefficients; a0 - a1 + a2 = 0 gives exact endpoint zeros
 # and a0 + a1 + a2 = 1 gives a peak of exactly 1 at the pulse center.
@@ -28,8 +28,10 @@ _A0, _A1, _A2 = 0.42, 0.5, 0.08
 
 BLACKMAN_MEAN = _A0  # mean of the window over one pulse; integral is 0.42*tau
 
-ODE_RTOL = 1e-9  # relative tolerance of the constant-detuning DOP853 solve
+MAGNUS_BLOCK_STEPS = 4096  # Magnus steps built at once: bounds the numpy temporaries
+MAX_MAGNUS_STEPS = 2**22  # a pulse that needs more Magnus steps is refused
 TRANSFER_NODES = 31  # Gauss-Hermite nodes of averaged_transfer
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # two-point Gauss-Legendre on [0, 1]
 
 
 def _window(x):
@@ -115,11 +117,9 @@ def pulse_sensitivity(shape: PulseShape, t: float) -> float:
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: only a
-    Blackman pulse under a constant detuning needs it, and importing
-    scipy.integrate also loads scipy.sparse and scipy.optimize. It is a
-    module-level name so that instrumentation can rebind it to count the
-    solves (bench/tracer.py does)."""
+    """scipy.integrate.solve_ivp, imported on the first call. Nothing in
+    gravlab calls it: the name stays only because the benchmark's tracer
+    rebinds it in every traced replay, and it goes with that rebinding."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
@@ -129,49 +129,49 @@ def _transfer(shape: PulseShape, deltas: np.ndarray, detuning_model: str) -> np.
     """Excited-state population after one pulse, for each detuning.
 
     Rotating-frame Hamiltonian (hbar = 1), starting from the ground state:
-        H(t) = [[-delta(t)/2, Omega(t)/2], [Omega(t)/2, +delta(t)/2]]
+        H(t) = [[-delta(t)/2, Omega(t)/2], [Omega(t)/2, +delta(t)/2]] = a(t).sigma
     When delta(t) and Omega(t) share one envelope (square pulses, or the
-    envelope model), H(t) keeps a fixed direction and commutes with itself,
-    so the transfer is the Rabi formula at the generalized area
-    W * area_rad / Omega0 with W = sqrt(Omega0^2 + delta^2). Only a
-    Blackman pulse under a constant detuning needs the ODE.
+    envelope model), H(t) keeps a fixed direction, so the transfer is the Rabi
+    formula at the generalized area W * area_rad / Omega0, W = hypot(Omega0, delta).
+
+    A Blackman pulse under a constant delta takes n fourth-order Magnus steps
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009): a step h with
+    Gauss-Legendre nodes t1 < t2 is the exact rotation [[alpha, beta], [-beta*,
+    alpha*]] = exp(-i b.sigma), b = h (a1 + a2) / 2 + sqrt(3) h^2 (a2 x a1) / 6.
+    n is the power of two at or above 400 and 64 (Omega0 tau / 2)^1.25, which
+    keep the h^4 error below 1e-9, and |delta| tau: at most one radian of
+    detuning phase per step keeps a detuning from aliasing with the step rate.
     """
     require(_MODEL, "detuning_model", detuning_model, ConfigError)
     if not np.isfinite(deltas).all():
         raise DomainError("detuning must be a finite number")
-    om0 = shape.peak_rabi_rad_s
+    om0, tau, peak = shape.peak_rabi_rad_s, shape.duration_s, float(np.max(np.abs(deltas)))
     if shape.kind == "square" or detuning_model == "envelope":
-        big_w = np.sqrt(om0 * om0 + deltas * deltas)
+        in_float_range("the generalized area", lambda: 0.5 * math.hypot(om0, peak) * shape.area_rad / om0, detuning=peak)
+        big_w = np.hypot(om0, deltas)
         return (om0 / big_w) ** 2 * np.sin(0.5 * big_w * shape.area_rad / om0) ** 2
 
-    tau = shape.duration_s
-    n = len(deltas)
-
-    def rhs(t, y):
-        om = om0 * float(_window(t / tau))
-        cg, ce = y[:n], y[n:]
-        dcg = -1j * (-0.5 * deltas * cg + 0.5 * om * ce)
-        dce = -1j * (0.5 * om * cg + 0.5 * deltas * ce)
-        return np.concatenate((dcg, dce))
-
-    # ground amplitudes of every detuning, then their excited amplitudes
-    y0 = np.zeros(2 * n, dtype=complex)
-    y0[:n] = 1.0
-    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=ODE_RTOL, atol=ODE_RTOL * 1e-3)
-    if not sol.success:
-        raise NumericalError(f"two-level integration failed: {sol.message}")
-    amp2 = np.abs(sol.y) ** 2
-    drift = float(np.max(np.abs(amp2[:n] + amp2[n:] - 1.0)))
-    if drift > 1e-9:
-        raise NumericalError(f"norm drift {drift:.2e} exceeds 1e-9; tighten ODE_RTOL")
-    return np.clip(amp2[n:, -1], 0.0, 1.0)
+    need = max(400.0, 64 * min(om0 * tau / 2, MAX_MAGNUS_STEPS) ** 1.25, peak * tau)
+    if not need <= MAX_MAGNUS_STEPS:
+        raise DomainError(f"detuning {peak!r} rad/s over {shape} needs more than {MAX_MAGNUS_STEPS} Magnus steps")
+    n = 2 ** math.ceil(math.log2(need))  # every block then halves to one rotation
+    h = tau / n
+    alpha, beta = np.ones(deltas.shape, complex), np.zeros(deltas.shape, complex)
+    for start in range(0, n, MAGNUS_BLOCK_STEPS):
+        om = om0 * _window((np.arange(start, min(start + MAGNUS_BLOCK_STEPS, n))[:, None] + _GAUSS_NODES) / n)
+        bx = h / 4 * (om[:, :1] + om[:, 1:])
+        by = math.sqrt(3) / 24 * h * h * (om[:, 1:] - om[:, :1]) * deltas
+        bz = -h / 2 * deltas
+        angle = np.hypot(np.hypot(bx, by), bz)  # > 0: the window is positive inside the pulse
+        s = np.sin(angle) / angle
+        a, b = np.cos(angle) - 1j * s * bz, -s * by - 1j * s * bx
+        while len(a) > 1:
+            a, b = a[1::2] * a[0::2] - b[1::2] * np.conj(b[0::2]), a[1::2] * b[0::2] + b[1::2] * np.conj(a[0::2])
+        alpha, beta = a[0] * alpha - b[0] * np.conj(beta), a[0] * beta + b[0] * np.conj(alpha)
+    return np.minimum(np.abs(beta) ** 2, 1.0)
 
 
-def transfer_probability(
-    shape: PulseShape,
-    detuning_rad_s: float,
-    detuning_model: str = "envelope",
-) -> float:
+def transfer_probability(shape: PulseShape, detuning_rad_s: float, detuning_model: str = "envelope") -> float:
     """Excited-state population after one physical pulse at fixed detuning.
 
     The default "envelope" model lets the detuning follow the pulse
@@ -183,16 +183,11 @@ def transfer_probability(
 
 
 def averaged_transfer(
-    shape: PulseShape,
-    detuning_mean_rad_s: float,
-    detuning_sigma_rad_s: float,
-    detuning_model: str = "envelope",
+    shape: PulseShape, detuning_mean_rad_s: float, detuning_sigma_rad_s: float, detuning_model: str = "envelope"
 ) -> tuple[float, float]:
-    """Mean and std of the transfer probability over a Gaussian detuning,
-    by deterministic Gauss-Hermite quadrature on TRANSFER_NODES nodes,
-    which keeps the smooth integrand converged well below the quoted
-    precision.
-    """
+    """Mean and std of the transfer probability over a Gaussian detuning, by deterministic
+    Gauss-Hermite quadrature on TRANSFER_NODES nodes, which keeps the smooth integrand
+    converged well below the quoted precision."""
     require(NUMBER, "detuning_mean_rad_s", detuning_mean_rad_s)
     require(NON_NEGATIVE, "detuning_sigma_rad_s", detuning_sigma_rad_s)
     if detuning_sigma_rad_s == 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DURATION, NUMBER, POSITIVE, check_fields, require
+from .errors import DURATION, NUMBER, POSITIVE, check_fields, in_float_range, require
 from .pulses import PulseShape, pulse_sensitivity
 
 
@@ -107,12 +107,13 @@ def scale_factor(timing: SequenceTiming, constants: PhysicalConstants) -> float:
     shift times the lobe area pulse + separation. It is computed from the
     durations, so the start time costs no digits. Returned as a positive
     magnitude; measured fringe fits carry the sign convention of the
-    readout instead.
+    readout instead. DomainError if it leaves the float range.
     """
-    tau, sep = timing.pulse_s, timing.separation_s
+    tau, sep, t_free, k_eff = timing.pulse_s, timing.separation_s, timing.free_evolution_s, constants.k_eff_per_m
     lobe_area = tau + sep
-    lobe_shift = timing.free_evolution_s + 2.0 * tau + sep
-    return constants.k_eff_per_m * lobe_area * lobe_shift
+    lobe_shift = t_free + 2.0 * tau + sep
+    arguments = {"pulse_s": tau, "separation_s": sep, "free_evolution_s": t_free, "k_eff_per_m": k_eff}
+    return in_float_range("scale_s2_per_m", lambda: k_eff * lobe_area * lobe_shift, **arguments)
 
 
 def phase_signal(

@@ -272,21 +272,40 @@ class TestMetrologicalSqueezing:
         assert est.ci_low_db == -math.inf
         assert math.isfinite(est.db) and math.isfinite(est.ci_high_db)
 
-    def test_counts_whose_squared_differences_overflow_refused(self):
+    def test_counts_whose_squared_differences_overflow_scale_exactly(self):
+        # 2^1000 times every count and imbalance: the squared differences overflow, the
+        # squeezing (2^1000)^2 / 2^1000 times the unscaled one does not, and is exact
         recs = coherent_campaign(50)
-        huge = replace(recs, **{k: 1e300 * getattr(recs, k) for k in ("count_f1", "count_f2", "imbalance")})
-        with pytest.raises(DomainError, match="^the squeezing leaves the float range at max_abs_imbalance_diff="):
-            metrological_squeezing(huge)
+        huge = replace(recs, **{k: np.ldexp(getattr(recs, k), 1000) for k in ("count_f1", "count_f2", "imbalance")})
+        small, big = metrological_squeezing(recs), metrological_squeezing(huge)
+        assert big.linear == math.ldexp(small.linear, 1000)
+        shift_db = 10.0 * 1000 * math.log10(2.0)
+        assert big.ci_low_db == pytest.approx(small.ci_low_db + shift_db, abs=1e-9)
+        assert big.ci_high_db == pytest.approx(small.ci_high_db + shift_db, abs=1e-9)
 
-    def test_nan_percentile_refused_not_unbounded(self):
-        # one difference of 1e154 in 50 pairs: its square is a float, but 26 % of the
-        # resamples draw it twice or more and their sums overflow, so the 97.5th
-        # percentile is inf - inf = NaN, which is no unbounded end
+    def test_ci_end_beyond_the_float_range_refused(self):
+        # atom counts of ~1e-305 put the squeezing just below the float limit and its
+        # upper CI end above it
         recs = coherent_campaign(50)
-        imbalance = np.zeros(len(recs))
-        imbalance[0] = 1e154
-        with pytest.raises(DomainError, match="^a squeezing CI end leaves the float range at percentile=nan$"):
-            metrological_squeezing(replace(recs, imbalance=imbalance))
+        tiny = replace(recs, count_f1=recs.count_f1 * 5.62e-309, count_f2=recs.count_f2 * 5.62e-309)
+        pattern = r"^a squeezing CI end leaves the float range at scaled_percentile=\S+, scale_log2=\d+$"
+        with pytest.raises(DomainError, match=pattern):
+            metrological_squeezing(tiny)
+
+    def test_resample_sums_beyond_the_float_range_give_a_finite_end(self):
+        # one difference of 1e154 in 50 pairs: its square is a float, and 26 % of the
+        # resamples draw it twice or more, whose sums would overflow; the same campaign
+        # with that difference 2^520 times smaller gives the same ends, shifted
+        recs = coherent_campaign(50)
+        ends = []
+        for k in (0, -520):
+            imbalance = np.zeros(len(recs))
+            imbalance[0] = math.ldexp(1e154, k)
+            est = metrological_squeezing(replace(recs, imbalance=imbalance))
+            assert est.ci_low_db == -math.inf  # 36 % of the resamples draw only zeros
+            ends.append(est.ci_high_db)
+        assert math.isfinite(ends[0])
+        assert ends[0] == pytest.approx(ends[1] + 10.0 * 2 * 520 * math.log10(2.0), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 40, 999, 1000, 1001])
@@ -685,6 +704,18 @@ class TestAllanDeviation:
         assert list(m) == [1, 2, 4, 8, 16, 32, 64]  # last octave <= 300 // 3
         for mi, ad, er in zip(m, out.adev, out.err):
             assert er == ad / math.sqrt(300 - 2 * mi + 1)
+
+    @pytest.mark.parametrize("k", [-600, -560, 530, 560])
+    def test_power_of_two_units_scale_bit_for_bit(self, k):
+        # 2^-560 z is ~1e-169, whose squared differences underflow to 0; 2^560 z is ~1e169,
+        # whose squares overflow
+        z = np.random.default_rng(1).standard_normal(300)
+        assert allan_deviation(np.ldexp(z, k), 1.0).adev.tobytes() == np.ldexp(allan_deviation(z, 1.0).adev, k).tobytes()
+
+    def test_alternating_series_beyond_the_squares_float_range(self):
+        out = allan_deviation(np.array([1e200, -1e200] * 20), 1.0)
+        assert out.adev[0] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)  # second differences of 2e200
+        assert np.all(out.adev[1:] == 0.0)  # running sums of an even length cancel
 
     def test_validation(self):
         with pytest.raises(DataError):

@@ -683,6 +683,13 @@ class TestSimulateAnalyze:
         taus = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert taus == [104.0 * 2**k for k in range(len(taus))]
 
+    def test_allan_on_too_few_pairs_names_the_minimum(self, tmp_path, capsys):
+        assert main(["simulate", "--pairs", "10", "--output-dir", str(tmp_path), "--out", "s.jsonl"]) == 0
+        capsys.readouterr()
+        assert main(["allan", "--shots", str(tmp_path / "s.jsonl"), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
+        assert "need a 1-d series of at least 16 samples" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "allan"])
     def test_varying_chirp_is_exit_two_naming_the_record(self, tmp_path, capsys, command):
         log = self.run_sim(tmp_path, "shots.jsonl")
@@ -1046,6 +1053,12 @@ class TestNoNonFiniteOutput:
     def test_pulse_overflow_is_exit_two(self, capsys, argv, names):
         assert main([*argv, "--out", "-"]) == 2
         self.assert_one_error_line(capsys, *names)
+
+    def test_pulse_at_a_huge_finite_detuning_is_a_negligible_transfer(self, capsys):
+        assert main(["pulse", "--detuning-hz", "1e160", "--out", "-"]) == 0
+        out, err = capsys.readouterr()
+        _, mean, std = out.strip().splitlines()[1].split(",")
+        assert 0.0 <= float(mean) <= 1e-300 and float(std) == 0.0 and err == ""
 
     def test_scale_factor_overflow_names_the_quantity(self, capsys):
         assert main(["scale-factor", "--T", "1e308", "--out", "-"]) == 2

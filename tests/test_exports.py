@@ -41,6 +41,7 @@ from gravlab import (
     pulse_sensitivity,
     pump_block,
     run_campaign,
+    scale_factor,
     simulate_shot,
     squeezing_from_pairs,
     squeezing_parameter,
@@ -198,9 +199,16 @@ OVERFLOWS = [
      "max_abs_imbalance_diff=2e+200, mean_atoms_sum=100.0, contrast=1.0"),
     ("squeezing_from_pairs(np.array([1e-200, 2e-200]), 100.0, 1.0)", "the squeezing",
      "max_abs_imbalance_diff=2e-200, mean_atoms_sum=100.0, contrast=1.0"),
-    # m tau0 at m = 2; then the second differences' squares
+    # m tau0 at m = 2; then a deviation of 2 * 1.7e308 / sqrt(2) at m = 1
     ("allan_deviation(np.arange(40.0), 1e308)", "tau_s", "m=2, tau0_s=1e+308"),
-    ("allan_deviation(np.array([1e200, -1e200] * 20), 1.0)", "the Allan deviation", "m=1, max_abs_series=1e+200"),
+    ("allan_deviation(np.array([1.7e308, -1.7e308] * 20), 1.0)", "the Allan deviation", "m=1, max_abs_series=1.7e+308"),
+    # k_eff times the two lobe sums
+    (
+        "scale_factor(SequenceTiming(pulse_s=1e200), PhysicalConstants())",
+        "scale_s2_per_m",
+        f"pulse_s=1e+200, separation_s={SequenceTiming().separation_s!r}, "
+        f"free_evolution_s={SequenceTiming().free_evolution_s!r}, k_eff_per_m={PhysicalConstants().k_eff_per_m!r}",
+    ),
 ]
 
 

@@ -99,3 +99,33 @@ def test_fock_layer_runs_without_scipy():
     )
     assert lines == ["288 36 1.0 1.0"]
     assert scipy_modules(modules) == ["scipy"]  # the blocking entry, no module
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # the runtime needs numpy and PyYAML only: each command, the constant-detuning
+    # pulse included, runs with every import of scipy blocked
+    out = str(tmp_path)
+    log = str(tmp_path / "s.jsonl")
+    commands = [
+        ["reproduce", "--pairs", "16", "--output-dir", str(tmp_path / "reproduce")],
+        ["simulate", "--pairs", "20", "--output-dir", out, "--out", "s.jsonl"],
+        ["analyze", "--shots", log, "--output-dir", out, "--out", "a.csv"],
+        ["allan", "--shots", log, "--output-dir", out, "--out", "adev.csv"],
+        ["fringes", *fringe_scans(tmp_path), "--output-dir", out],
+        ["scale-factor"],
+        ["tomography", "--points", "8"],
+        ["tomography", "--coherent", "--points", "8"],
+        ["pulse", "--samples", "5"],
+        ["pulse", "--detuning-hz", "2500", "--detuning-sigma-hz", "500"],
+        ["pulse", "--detuning-hz", "2500", "--detuning-sigma-hz", "500", "--model", "constant"],
+    ]
+    _, modules = run_fresh(
+        f"""
+        import sys
+        sys.modules["scipy"] = None
+        import gravlab.cli
+        for argv in {commands!r}:
+            assert gravlab.cli.main(argv) == 0, argv
+        """
+    )
+    assert scipy_modules(modules) == ["scipy"]  # the blocking entry, no module

@@ -4,15 +4,18 @@ Expected numbers come from independent routes wherever the value is
 not trivially known: a closed-form generalized-Rabi expression (exact
 for the envelope-following detuning model, where the Hamiltonian
 direction is time-independent), a hand-rolled fixed-step RK4 integrator
-that shares no code with the production solver, and scipy's expm of the
-constant Hamiltonian of a square pulse.
+that shares no code with the production solver, scipy's DOP853 at a tight
+tolerance, first-order perturbation theory far from resonance, and scipy's
+expm of the constant Hamiltonian of a square pulse.
 """
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from gravlab import (
@@ -191,6 +194,32 @@ class TestShapeValidation:
         assert sh.peak_rabi_rad_s * 0.42 * sh.duration_s == pytest.approx(math.pi, rel=1e-15)
 
 
+def dop853_transfer(shape: PulseShape, deltas: np.ndarray) -> np.ndarray:
+    """Constant-detuning transfer by scipy's DOP853 at rtol 1e-13, all detunings in one solve."""
+    om0, tau, n = shape.peak_rabi_rad_s, shape.duration_s, len(deltas)
+
+    def rhs(t, y):
+        om = om0 * blackman_literal(t / tau)
+        cg, ce = y[:n], y[n:]
+        return np.concatenate((-1j * (-0.5 * deltas * cg + 0.5 * om * ce), -1j * (0.5 * om * cg + 0.5 * deltas * ce)))
+
+    y0 = np.concatenate((np.ones(n), np.zeros(n))).astype(complex)
+    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=1e-13, atol=1e-16)
+    assert sol.success, sol.message
+    return np.abs(sol.y[n:, -1]) ** 2
+
+
+def first_order_transfer(shape: PulseShape, detuning: float) -> float:
+    """|integral of Omega(t)/2 exp(i delta t) dt|^2 over the pulse, by 8-node
+    Gauss-Legendre quadrature on panels of at most one radian of detuning phase."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    panels = max(1000, math.ceil(abs(detuning) * shape.duration_s))
+    half = shape.duration_s / panels / 2
+    t = (2 * np.arange(panels) + 1)[:, None] * half + half * x
+    f = 0.5 * shape.peak_rabi_rad_s * blackman_literal(t / shape.duration_s) * np.exp(1j * detuning * t)
+    return abs(half * np.sum(w * f)) ** 2
+
+
 class TestTransfer:
     def test_resonant_pi_pulse_is_complete(self):
         sh = PulseShape(duration_s=TAU_EFF)
@@ -245,6 +274,49 @@ class TestTransfer:
             ham = 0.5 * np.array([[-d, om], [om, d]])
             excited = (expm(-1j * ham * tau) @ np.array([1.0, 0.0]))[1]
             assert transfer_probability(sh, d, model) == pytest.approx(abs(excited) ** 2, abs=1e-12)
+
+
+class TestConstantDetuningMagnus:
+    # areas from a quarter of pi to 10 pi, each at delta / Omega0 from 0 to 10
+    @pytest.mark.parametrize("area", [math.pi / 4, math.pi, 3 * math.pi, 10 * math.pi])
+    def test_matches_dop853_within_1e_9(self, area):
+        sh = PulseShape(area_rad=area)
+        deltas = sh.peak_rabi_rad_s * np.array([0.0, 0.01, -0.1, 0.3, 1.0, -3.0, 10.0])
+        got = np.array([transfer_probability(sh, float(d), "constant") for d in deltas])
+        assert np.abs(got - dop853_transfer(sh, deltas)).max() <= 1e-9
+
+    # 400.5 and 9600.5 turns over the 60 us pulse: a fixed grid of 400 steps
+    # would alias them to half a turn per pulse and err by 3e-6 and 6e-9; a
+    # half turn is where the first-order transfer peaks
+    @pytest.mark.parametrize("detuning", [2 * math.pi * 400.5 / 60e-6, 2 * math.pi * 9600.5 / 60e-6, 1e9])
+    def test_far_detuning_matches_first_order_theory(self, detuning):
+        sh = PulseShape()
+        start = time.process_time()
+        got = transfer_probability(sh, detuning, "constant")
+        assert time.process_time() - start < 1.0
+        # 1e-12 absolute, a thousandth of the 1e-9 bound: first-order theory
+        # leaves out the light shift, about 1 % of transfers below 1e-17 here
+        assert got == pytest.approx(first_order_transfer(sh, detuning), abs=1e-12)
+
+    @pytest.mark.parametrize("detuning", [1e160, 1e300])
+    def test_envelope_model_at_a_huge_detuning_is_negligible(self, detuning):
+        # the transfer is below (Omega0 / delta)^2 < 1e-310
+        assert 0.0 <= transfer_probability(PulseShape(), detuning) <= 1e-300
+
+    @pytest.mark.parametrize("detuning", [1e160, 1e300, 1e12])
+    def test_constant_model_beyond_the_step_budget_names_the_detuning(self, detuning):
+        # at most one radian of detuning phase per step: delta * 60 us > 2^22 steps
+        with pytest.raises(DomainError, match=f"^detuning {re.escape(repr(detuning))} rad/s over PulseShape"):
+            transfer_probability(PulseShape(), detuning, "constant")
+
+    def test_area_beyond_the_step_budget_is_refused(self):
+        with pytest.raises(DomainError, match="needs more than 4194304 Magnus steps"):
+            transfer_probability(PulseShape(area_rad=1e5), 0.0, "constant")
+
+    @pytest.mark.parametrize("model", ["envelope", "constant"])
+    def test_largest_finite_detuning(self, model):
+        with pytest.raises(DomainError, match="1.7976931348623157e\\+308"):
+            transfer_probability(PulseShape(), 1.7976931348623157e308, model)
 
 
 class TestAveragedTransfer:

@@ -89,6 +89,11 @@ class TestDeterminism:
         for i in (0, CAMPAIGN_BLOCK_SHOTS - 1, CAMPAIGN_BLOCK_SHOTS, len(records) - 1):
             assert simulate_shot(camp, TIMING, CONST, noise, index=i) == records[i], i
 
+    def test_scale_factor_beyond_the_float_range_is_refused(self):
+        # a 1e200 s pulse: the scale factor overflows, where the phases once read NaN
+        with pytest.raises(DomainError, match="^scale_s2_per_m leaves the float range at pulse_s=1e\\+200, "):
+            run_campaign(CampaignConfig(n_pairs=5, seed=1), SequenceTiming(pulse_s=1e200), CONST, calibrated_noise())
+
     def test_different_seeds_differ(self):
         noise = calibrated_noise()
         a = run_campaign(CampaignConfig(n_pairs=5, seed=1), TIMING, CONST, noise)
