@@ -400,6 +400,8 @@ def squeezing_from_pairs(
     require_finite("imbalance_diff", diffs)
     require(POSITIVE, "mean_atoms_sum", mean_atoms_sum)
     require(FRACTION, "contrast", contrast)
+    if contrast**2 == 0:  # 4 / contrast^2 in _squeezing would divide by 0
+        raise DomainError(f"the squeezing leaves the float range at contrast={contrast!r}: its square underflows to 0")
     if not diffs.any():
         raise DomainError("every pair difference is zero: no noise to compare with the projection limit")
     unit, e = _binary_unit(diffs)
@@ -420,7 +422,7 @@ def _squeezing(mean_square, mean_atoms_sum: float, contrast: float):
 
 
 RESAMPLES = Rule(lambda v: SIZE.test(v) and v >= 2, "an integer >= 2")  # what n_bootstrap must be
-BOOTSTRAP_CHUNK = 16  # resamples drawn at once: bounds the draw arrays
+BOOTSTRAP_CHUNK_VALUES = 1 << 16  # draws held at once (a row is n indices or K counts): bounds the draw arrays
 # Resample counts of the K distinct squared differences when there are at
 # least this many pairs per distinct value, else resample pair indices.
 # 1000 resamples of n = 50k pairs on one core (2-core VM, numpy 2.4):
@@ -469,9 +471,9 @@ def metrological_squeezing(
     law as n index draws (Efron & Tibshirani, An Introduction to the
     Bootstrap, 1993, sec. 6). When n >= MULTINOMIAL_PAIRS_PER_VALUE * K
     the counts are drawn (sampler "multinomial"), else the indices
-    (sampler "index"). Either way BOOTSTRAP_CHUNK resamples are rows of
-    one generator call, which yields the same draws as one call per
-    resample.
+    (sampler "index"). Either way each generator call draws as many
+    resamples as fit BOOTSTRAP_CHUNK_VALUES draws, one at least, as rows;
+    numpy yields the same draws row by row as in one call per resample.
     """
     require(RESAMPLES, "n_bootstrap", n_bootstrap)
     require(SEED, "bootstrap_seed", bootstrap_seed)
@@ -488,8 +490,9 @@ def metrological_squeezing(
     multinomial = MULTINOMIAL_PAIRS_PER_VALUE * len(values) <= n
     pvals = multiplicity / n
     mean_squares = np.empty(n_bootstrap)
-    for start in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
-        rows = min(BOOTSTRAP_CHUNK, n_bootstrap - start)
+    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // (len(values) if multinomial else n))
+    for start in range(0, n_bootstrap, chunk):
+        rows = min(chunk, n_bootstrap - start)
         if multinomial:
             counts = rng.multinomial(n, pvals, size=rows)
             # a row-wise sum, not a matrix product: each row sums exactly

@@ -303,6 +303,8 @@ def _write_allan(args, name, shots):
     written as a tau_s,adev,err table to the output `name`; returns the
     path written (None for stdout) and the series."""
     deltas = delta_p(shots)
+    if len(deltas.values) < MIN_ALLAN_SAMPLES:  # before tau0 reads a third shot
+        raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples, got {len(deltas.values)}")
     # tau0 is the log's pair spacing: skipped pairs are closed up, not gaps
     series = allan_deviation(deltas.values, float(shots.wall_time_s[2] - shots.wall_time_s[0]))
     rows = [[_f17(t), _f17(a), _f17(e)] for t, a, e in zip(series.tau_s, series.adev, series.err)]

@@ -72,7 +72,8 @@ AT_LEAST_ONE = Rule(lambda v: _number(v) and v >= 1, "a finite number >= 1")
 FRACTION = Rule(lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]")
 SIZE = Rule(lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0, "an integer >= 0")
 COUNT = Rule(lambda v: SIZE.test(v) and v >= 1, "an integer >= 1")
-SEED = Rule(lambda v: SIZE.test(v) and v < 2**64, "an integer in [0, 2^64)")  # a word of the Philox key
+# the Philox key of every shot of a campaign, and the bootstrap's seed
+SEED = Rule(lambda v: SIZE.test(v) and v < 2**64, "an integer in [0, 2^64)")
 FLAG = Rule(lambda v: isinstance(v, bool), "true or false")
 PATH = Rule(lambda v: isinstance(v, str) and v != "", "a non-empty path")
 

@@ -7,11 +7,12 @@ SqueezingModel), which reads the squeezed quadrature at mid-fringe. A
 campaign is one array computation over all shot indices, and a single
 shot is a batch of one.
 
-The draws are counter-based (Philox4x64-10 keyed by (seed, shot index)),
-so any subset of shots can be regenerated independently. Each draw has
-its own counter, one per channel: atom number, acceleration offset,
-light-shift phase, Raman-laser phase, imbalance. Switching a channel off
-therefore never shifts another.
+The draws are counter-based (numpy's Philox4x64-10 keyed by the seed,
+with the shot index in the counter), so any subset of shots can be
+regenerated independently. Each draw has its own counter, one per
+channel: atom number, acceleration offset, light-shift phase,
+Raman-laser phase, imbalance. Switching a channel off therefore never
+shifts another.
 
 A CampaignConfig (seed, the two free-evolution times, chirp, g and cycle
 time) is the key of every shot: shot i runs t1_s if i is even and t2_s if
@@ -131,65 +132,29 @@ class ShotTable:
         return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in SHOT_FIELDS)
 
 
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11): round multipliers and Weyl key increments
-_PHILOX_M0 = 0xD2E7470EE14C6C93
-_PHILOX_M1 = 0xCA5A826395121157
-_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT_32 = np.uint64(32)
+# channel c of shot i is block N_CHANNELS*i + c + 1 of numpy's Philox4x64-10
+# under key seed, in the draw order of the module docstring
+N_CHANNELS = 5
+STREAM_VERSION = 3
+# a shot's place in the Philox counter, held as int64 by ShotTable and the log
+SHOT_INDEX = Rule(lambda v: SIZE.test(v) and v < 2**63, "an integer in [0, 2^63)")
 _SHIFT_11 = np.uint64(11)
 
-# channel c of shot i is the Philox block at counter (c + 1, 0, 0, 0) under
-# key (seed, i), in the draw order of the module docstring
-N_CHANNELS = 5
-STREAM_VERSION = 2
-# the Philox key word of a shot, held as int64 by ShotTable and the log
-SHOT_INDEX = Rule(lambda v: SIZE.test(v) and v < 2**63, "an integer in [0, 2^63)")
 
+def _standard_normals(seed: int, first: int, n: int) -> np.ndarray:
+    """One standard normal per channel of shots first .. first + n - 1,
+    shape (N_CHANNELS, n).
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product m * x, from 32-bit limbs."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT_32
-    lo_lo = x_lo * m_lo
-    hi_lo = x_hi * m_lo
-    # at most 3 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1: no carry is lost
-    cross = (lo_lo >> _SHIFT_32) + (hi_lo & _LOW32) + x_lo * m_hi
-    return x_hi * m_hi + (hi_lo >> _SHIFT_32) + (cross >> _SHIFT_32), x * np.uint64(m)
-
-
-def philox4x64(counter, key) -> tuple[np.ndarray, ...]:
-    """The four output words of Philox4x64-10 at each counter and key.
-
-    `counter` holds four and `key` two uint64 words; each word is a
-    scalar or an array, and all of them broadcast together.
-    """
-    c0, c1, c2, c3 = (np.asarray(w, dtype=np.uint64) for w in counter)
-    k0, k1 = (np.asarray(w, dtype=np.uint64) for w in key)
-    with np.errstate(over="ignore"):
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
-            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
-
-
-def _standard_normals(seed: int, indices: np.ndarray) -> np.ndarray:
-    """One standard normal per channel and shot, shape (N_CHANNELS, n).
-
+    numpy increments the counter before it generates, so the blocks
+    from counter N_CHANNELS*first on are the shots' channels in order.
     Words 0 and 1 of each block give u1 = ((w0 >> 11) + 1) 2^-53 in
     (0, 1] and u2 = (w1 >> 11) 2^-53, and Box-Muller maps them to
     sqrt(-2 ln u1) cos(2 pi u2).
     """
-    channel = np.arange(1, N_CHANNELS + 1, dtype=np.uint64)[:, None]
-    w0, w1, _, _ = philox4x64((channel, 0, 0, 0), (np.uint64(seed), indices))
-    u1 = ((w0 >> _SHIFT_11) + np.uint64(1)) * 2.0**-53
-    u2 = (w1 >> _SHIFT_11) * 2.0**-53
+    raw = np.random.Philox(key=seed, counter=N_CHANNELS * first).random_raw(4 * N_CHANNELS * n)
+    words = raw.reshape(n, N_CHANNELS, 4).T
+    u1 = ((words[0] >> _SHIFT_11) + np.uint64(1)) * 2.0**-53
+    u2 = (words[1] >> _SHIFT_11) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -198,15 +163,17 @@ def _simulate(
     timing: SequenceTiming,
     constants: PhysicalConstants,
     noise: NoiseConfig,
-    indices: np.ndarray,
+    first: int,
+    count: int,
 ) -> ShotTable:
-    """The shots of `campaign` at `indices` (uint64). Even indices run the
+    """Shots first .. first + count - 1 of `campaign`. Even indices run the
     long free evolution t1_s and odd ones the short t2_s; every shot
-    depends only on (seed, its index)."""
+    depends only on the seed and its own counters."""
+    indices = first + np.arange(count, dtype=np.int64)
     parity = indices % 2
     t_free = np.array([campaign.t1_s, campaign.t2_s])
     scale = np.array([scale_factor(replace(timing, free_evolution_s=float(t)), constants) for t in t_free])
-    z_atoms, z_accel, z_ac, z_raman, z_readout = _standard_normals(campaign.seed, indices)
+    z_atoms, z_accel, z_ac, z_raman, z_readout = _standard_normals(campaign.seed, first, count)
 
     n = np.maximum(1.0, np.rint(noise.squeezing.atom_number + noise.atom_number_sigma * z_atoms))
     n -= n % 2.0  # even split keeps integer counts; may drop to 0
@@ -232,9 +199,9 @@ def _simulate(
         jz = mean_jz  # exact analog mean, not quantized
 
     return ShotTable(
-        index=indices.astype(np.int64),
+        index=indices,
         free_evolution_s=t_free[parity],
-        chirp_rad_per_s2=np.broadcast_to(campaign.alpha_rad_per_s2, indices.shape),
+        chirp_rad_per_s2=np.broadcast_to(campaign.alpha_rad_per_s2, count),
         count_f1=n / 2.0 - jz,
         count_f2=n / 2.0 + jz,
         imbalance=jz,
@@ -249,10 +216,10 @@ def simulate_shot(
     noise: NoiseConfig,
     index: int,
 ) -> ShotTable:
-    """Shot `index` of the campaign, regenerated from its (seed, index)
-    counters alone: run_campaign(...)[index], a campaign of one."""
+    """Shot `index` of the campaign, regenerated from its own counters
+    alone: run_campaign(...)[index], a campaign of one."""
     require(SHOT_INDEX, "shot index", index)
-    return _simulate(campaign, timing, constants, noise, np.array([index], dtype=np.uint64))
+    return _simulate(campaign, timing, constants, noise, int(index), 1)
 
 
 CAMPAIGN_BLOCK_SHOTS = 4096  # shots generated at once: bounds the numpy temporaries
@@ -267,12 +234,13 @@ def run_campaign(
     """The campaign's 2 n_pairs shots, ordered by index.
 
     The shots are generated in blocks of CAMPAIGN_BLOCK_SHOTS indices,
-    which cannot change them, since each depends only on (seed, its index).
+    which cannot change them, since each depends only on the seed and its
+    own counters.
     """
-    indices = np.arange(2 * campaign.n_pairs, dtype=np.uint64)
+    n_shots = 2 * campaign.n_pairs
     blocks = [
-        _simulate(campaign, timing, constants, noise, indices[start : start + CAMPAIGN_BLOCK_SHOTS])
-        for start in range(0, len(indices), CAMPAIGN_BLOCK_SHOTS)
+        _simulate(campaign, timing, constants, noise, start, min(CAMPAIGN_BLOCK_SHOTS, n_shots - start))
+        for start in range(0, n_shots, CAMPAIGN_BLOCK_SHOTS)
     ]
     return ShotTable(*(np.concatenate([getattr(b, name) for b in blocks]) for name in SHOT_FIELDS))
 

@@ -208,6 +208,12 @@ class TestSqueezingFromPairs:
         with pytest.raises(DomainError, match="contrast"):
             squeezing_from_pairs(np.array([1.0, 2.0]), 100.0, contrast)
 
+    def test_contrast_whose_square_underflows_refused(self):
+        # 4 / contrast^2 divides by an underflowed 0 below ~1.5e-154
+        with pytest.raises(DomainError, match="contrast=1e-200: its square underflows to 0"):
+            squeezing_from_pairs(np.array([0.1, -0.2, 0.3]), 100.0, 1e-200)
+        assert squeezing_from_pairs(np.array([3.0, -3.0]), 36.0, 1.5e-154) == pytest.approx(1.5e-154**-2, rel=1e-15)
+
     def test_all_zero_differences_refused(self):
         with pytest.raises(DomainError, match="zero"):
             squeezing_from_pairs(np.zeros(10), 100.0, 1.0)
@@ -256,6 +262,10 @@ class TestMetrologicalSqueezing:
     def test_fewer_than_two_resamples_refused(self, n_bootstrap):
         with pytest.raises(DomainError, match="n_bootstrap"):
             metrological_squeezing(coherent_campaign(50), n_bootstrap=n_bootstrap)
+
+    def test_contrast_whose_square_underflows_refused(self):
+        with pytest.raises(DomainError, match="contrast=1e-200: its square underflows to 0"):
+            metrological_squeezing(coherent_campaign(50), contrast=1e-200)
 
     def test_all_zero_differences_refused(self):
         recs = coherent_campaign(50)
@@ -401,6 +411,28 @@ class TestBootstrapStream:
     def test_sampler_switches_at_twenty_pairs_per_distinct_square(self, n_pairs, sampler):
         est = self.check(edge_table(n_pairs, 25), sampler, n_pairs)
         assert est.n_distinct_squares == 25
+
+    @pytest.mark.parametrize("chunk_values", [1, 2660])
+    @pytest.mark.parametrize(("n_pairs", "sampler"), [(380, "index"), (5000, "multinomial")])
+    def test_any_chunk_size_draws_the_same(self, monkeypatch, chunk_values, n_pairs, sampler):
+        # one resample per call, or 7 index rows (2660 / 380) and 2660 / K
+        # count rows per call: neither divides the 250 resamples
+        monkeypatch.setattr(analysis, "BOOTSTRAP_CHUNK_VALUES", chunk_values)
+        self.check(coherent_campaign(50_000)[: 2 * n_pairs], sampler, n_pairs)
+
+    def test_draw_arrays_are_bounded_by_values(self, monkeypatch):
+        # 2^14 values hold less than one row of 49 999 index draws, so each
+        # call draws one resample (0.4 MB of indices and 0.4 MB gathered);
+        # 16 resamples per call would peak near 15 MB
+        monkeypatch.setattr(analysis, "BOOTSTRAP_CHUNK_VALUES", 1 << 14)
+        shots = continuous_table(49_999)
+        tracemalloc.start()
+        try:
+            metrological_squeezing(shots, contrast=0.98, n_bootstrap=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_samplers_agree_within_monte_carlo_noise(self, monkeypatch):
         # 5000 whole-count pairs, 1000 resamples, two streams. The linear

@@ -574,7 +574,7 @@ class TestSimulateAnalyze:
     def test_manifest_records_stream_version(self, tmp_path):
         self.run_sim(tmp_path, "shots.jsonl")
         manifest = json.loads((tmp_path / "shots.jsonl.manifest.json").read_text())
-        assert manifest["stream_version"] == 2
+        assert manifest["stream_version"] == 3
 
     def test_zero_atom_and_clamped_shots_counted_in_manifest(self, tmp_path):
         # ~1 atom per shot: the even split leaves many shots empty, and the
@@ -688,6 +688,14 @@ class TestSimulateAnalyze:
         capsys.readouterr()
         assert main(["allan", "--shots", str(tmp_path / "s.jsonl"), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
         assert "need a 1-d series of at least 16 samples" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_allan_on_a_one_pair_log_names_the_minimum(self, tmp_path, capsys):
+        # two shots: the pair spacing would read a third shot that is not there
+        assert main(["simulate", "--pairs", "1", "--output-dir", str(tmp_path), "--out", "s.jsonl"]) == 0
+        capsys.readouterr()
+        assert main(["allan", "--shots", str(tmp_path / "s.jsonl"), "--output-dir", str(tmp_path), "--out", "a.csv"]) == 2
+        assert "need a 1-d series of at least 16 samples, got 1" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "allan"])
@@ -949,7 +957,7 @@ class TestReproduceCommand:
     def test_manifest_stream_version_and_diagnostics(self, tmp_path):
         out = self.run_repro(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["stream_version"] == 2
+        assert manifest["stream_version"] == 3
         for label in ("squeezed", "coherent"):
             recs = read_shot_log(out / f"shots_{label}.jsonl")
             counts = list(zip(recs.count_f1.tolist(), recs.count_f2.tolist()))
@@ -1081,6 +1089,12 @@ class TestNoNonFiniteOutput:
             digest = hashlib.blake2b((out / entry["path"]).read_bytes(), digest_size=8).hexdigest()
             assert entry["blake2b16"] == digest, entry
         assert set(manifest["diagnostics"]) == set(manifest["bootstrap"]) == {"squeezed", "coherent"}
+
+    def test_contrast_whose_square_underflows_is_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  contrast: 1.0e-200\n")
+        assert main(["reproduce", "--config", str(cfg), "--pairs", "16", "--output-dir", str(tmp_path / "out")]) == 2
+        self.assert_one_error_line(capsys, "contrast=1e-200")
 
     @pytest.mark.parametrize("command", [["tomography", "--out", "-"], ["simulate", "--pairs", "16"], ["reproduce", "--pairs", "16"]])
     def test_overflowing_squeezing_strength_is_exit_two(self, tmp_path, capsys, command):

@@ -22,6 +22,7 @@ from gravlab import (
     SqueezingModel,
     calibrate_model,
     coherent_model,
+    parse_config,
     read_shot_log,
     run_campaign,
     scale_factor,
@@ -35,7 +36,6 @@ from gravlab.shots import (
     SHOT_FIELDS,
     _standard_normals,
     dump_shot_log,
-    philox4x64,
 )
 
 TIMING = SequenceTiming()
@@ -70,6 +70,15 @@ class TestDeterminism:
         a = run_campaign(camp, TIMING, CONST, calibrated_noise(sigma_ac_rad=0.01))
         b = run_campaign(camp, TIMING, CONST, calibrated_noise(sigma_ac_rad=0.01))
         assert a == b
+
+    def test_stream_version_3_golden_shots(self):
+        # literal counts of the first shots under the built-in config: a
+        # change in numpy's Philox or in the counter layout moves them
+        cfg = parse_config("")
+        shots = run_campaign(CampaignConfig(n_pairs=2, seed=7), cfg.timing, cfg.constants, cfg.noise)
+        assert shots.count_f1.tolist() == [3030.0, 2937.0, 2965.0, 3010.0]
+        assert shots.count_f2.tolist() == [2970.0, 3063.0, 3035.0, 2990.0]
+        assert shots.imbalance.tolist() == [-30.0, 63.0, 35.0, -10.0]
 
     def test_every_shot_regenerates_alone(self):
         # every index of a campaign, then the edges of the generation blocks
@@ -112,46 +121,50 @@ class TestDeterminism:
 
 
 def numpy_philox_block(seed, index, channel):
-    """numpy's Philox4x64-10 block for one channel of one shot; numpy
-    increments the counter before it generates, so this is the block at
-    counter (channel + 1, 0, 0, 0)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return Philox(key=key, counter=[channel, 0, 0, 0]).random_raw(4)
+    """numpy's Philox4x64-10 block for one channel of one shot, built
+    alone; numpy increments the counter before it generates, so this is
+    block N_CHANNELS * index + channel + 1 under key seed."""
+    return Philox(key=seed, counter=N_CHANNELS * index + channel).random_raw(4)
+
+
+def box_muller(w0, w1):
+    """The generator's Box-Muller map of words 0 and 1, in numpy."""
+    u1 = ((w0 >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    u2 = (w1 >> np.uint64(11)) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 class TestPhiloxKernel:
-    # (seed, index) pairs: index 0, small and top-bit words
+    # (seed, first shot, shots): index 0, top-bit seeds, the shot whose
+    # channel-0 counter is 2^64 - 1 (its next block carries into word 1),
+    # indices >= 2^62 (every counter past 2^64) and the last index 2^63 - 1
+    RANGES = [(0, 0, 3), (7, 0, 4), (2**64 - 1, 5, 2), (3, 2**64 // N_CHANNELS - 1, 3),
+              (2**63 + 5, 2**62, 2), (2**64 - 2, 2**63 - 3, 3)]
     rng = np.random.default_rng(2011)
-    KEYS = [(0, 0), (7, 0), (2**64 - 1, 0), (3, 2**63), (2**63 + 5, 2**64 - 1)] + [
-        (int(s), int(i)) for s, i in rng.integers(0, 2**64, size=(40, 2), dtype=np.uint64)
-    ]
+    RANGES += [(int(s), int(i), 2) for s, i in zip(rng.integers(0, 2**64, 20, dtype=np.uint64),
+                                                   rng.integers(0, 2**63 - 1, 20, dtype=np.int64))]
 
     def test_blocks_bit_exact_against_numpy(self):
-        seeds = np.array([k[0] for k in self.KEYS], dtype=np.uint64)
-        indices = np.array([k[1] for k in self.KEYS], dtype=np.uint64)
-        channel = np.arange(1, N_CHANNELS + 1, dtype=np.uint64)[:, None]
-        got = np.stack(philox4x64((channel, 0, 0, 0), (seeds, indices)), axis=-1)
-        want = np.array(
-            [[numpy_philox_block(s, i, c) for s, i in self.KEYS] for c in range(N_CHANNELS)]
-        )
-        assert got.dtype == np.uint64
-        assert (want >= 2**63).any()  # the top bit passes through the limb multiply
-        assert np.array_equal(got, want)
+        for seed, first, n in self.RANGES:
+            blocks = np.array([[numpy_philox_block(seed, first + k, c) for k in range(n)] for c in range(N_CHANNELS)])
+            want = box_muller(blocks[..., 0], blocks[..., 1])
+            assert np.array_equal(_standard_normals(seed, first, n), want), (seed, first)
+        assert N_CHANNELS * (2**64 // N_CHANNELS) == 2**64 - 1  # the carry range's middle shot starts there
 
     def test_gaussians_are_box_muller_of_words_0_and_1(self):
         seed = 2**63 + 17
-        indices = np.array([0, 1, 2, 2**40, 2**64 - 1], dtype=np.uint64)
-        got = _standard_normals(seed, indices)
-        for c in range(N_CHANNELS):
-            for k, index in enumerate(indices.tolist()):
-                w0, w1, _, _ = (int(w) for w in numpy_philox_block(seed, index, c))
-                u1 = ((w0 >> 11) + 1) * 2.0**-53
-                u2 = (w1 >> 11) * 2.0**-53
-                want = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-                assert got[c, k] == pytest.approx(want, rel=1e-14, abs=1e-15)
+        for first in (0, 2**40, 2**62, 2**63 - 3):
+            got = _standard_normals(seed, first, 3)
+            for c in range(N_CHANNELS):
+                for k in range(3):
+                    w0, w1, _, _ = (int(w) for w in numpy_philox_block(seed, first + k, c))
+                    u1 = ((w0 >> 11) + 1) * 2.0**-53
+                    u2 = (w1 >> 11) * 2.0**-53
+                    want = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                    assert got[c, k] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     def test_gaussian_moments(self):
-        z = _standard_normals(99, np.arange(40000, dtype=np.uint64))
+        z = _standard_normals(99, 0, 40000)
         assert z.shape == (N_CHANNELS, 40000)
         se = 1.0 / math.sqrt(40000)
         assert np.all(np.abs(z.mean(axis=1)) < 4 * se)
@@ -196,7 +209,7 @@ class TestArrayArithmetic:
     def test_counts_match_the_scalar_reference(self, noise):
         camp = CampaignConfig(n_pairs=400, seed=17)
         recs = run_campaign(camp, TIMING, CONST, noise)
-        z = _standard_normals(camp.seed, np.arange(len(recs), dtype=np.uint64))
+        z = _standard_normals(camp.seed, 0, len(recs))
         scales = {t: scale_factor(replace(TIMING, free_evolution_s=t), CONST) for t in (camp.t1_s, camp.t2_s)}
         for i, t in enumerate(recs.free_evolution_s.tolist()):
             f1, f2 = scalar_shot(z[:, i], noise, camp.g_true_m_per_s2, camp.alpha_rad_per_s2, scales[t])
@@ -585,11 +598,11 @@ class TestValidation:
 
     # an index at or above 2^63 would wrap in the int64 index column
     @pytest.mark.parametrize("index", [1.5, -1, 2**63, 2**64 - 1, 2**64, True, "1", np.float64(1.0)])
-    def test_simulate_shot_refuses_an_index_that_is_not_a_key_word(self, index):
+    def test_simulate_shot_refuses_an_index_that_is_not_a_shot_index(self, index):
         with pytest.raises(DomainError, match=r"shot index must be an integer in \[0, 2\^63\)"):
             simulate_shot(CampaignConfig(n_pairs=2), TIMING, CONST, quiet_noise(), index=index)
 
-    def test_simulate_shot_takes_the_last_key_word(self, tmp_path):
+    def test_simulate_shot_takes_the_last_shot_index(self, tmp_path):
         shot = simulate_shot(CampaignConfig(seed=3), TIMING, CONST, quiet_noise(), index=2**63 - 1)
         write_shot_log(shot, tmp_path / "shot.jsonl")
         assert shot.index.tolist() == read_shot_log(tmp_path / "shot.jsonl").index.tolist() == [2**63 - 1]
