@@ -1,8 +1,8 @@
 """Estimation chain from shot tables to physics results.
 
 Fringe fitting, pair differencing, gravity extraction, the metrological
-squeezing factor, overlapping Allan deviation and the phase-noise
-budget conversion.
+squeezing factor with its exact chi-square confidence interval,
+overlapping Allan deviation and the phase-noise budget conversion.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule, require
+from .errors import FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, require
 from .errors import DataError, DomainError, FitError, as_numbers, in_float_range, require_finite
 from .sensitivity import PhysicalConstants
 from .shots import ShotTable
@@ -67,11 +67,6 @@ class SqueezingEstimate:
     ci_low_db: float
     ci_high_db: float
     n_pairs: int
-    # how the CI was drawn: resamples, distinct squared pair differences
-    # (K) and the sampler ("multinomial" or "index")
-    n_resamples: int
-    n_distinct_squares: int
-    sampler: str
 
 
 @dataclass(frozen=True)
@@ -144,22 +139,21 @@ def fit_fringe(points, constants: PhysicalConstants) -> FringeFit:
         raise DomainError("need at least 8 (alpha, p) points")
     x = pts[:, 0] / constants.k_eff_per_m
     p = pts[:, 1]
+    dx = np.diff(np.sort(x))
+    distinct = 1 + int(np.count_nonzero(dx))
+    if distinct < 4:
+        raise DomainError(f"need at least 4 distinct alpha values for the 4 fit parameters, got {distinct}")
     span = float(x.max() - x.min())
-    if span <= 0:
-        raise DomainError("degenerate fringe data: no alpha span")
     if float(np.var(p)) < 1e-16:
         raise FitError(
             "constant data: no fringe to fit",
             diagnostics={"p_variance": float(np.var(p)), "n_points": int(len(p))},
         )
 
-    # frequency grid: at least one period over the span, below Nyquist
-    dx = np.diff(np.sort(x))
-    min_dx = float(dx[dx > 0].min())
+    # frequency grid: at least one period over the span, below Nyquist;
+    # 4 distinct values put the smallest spacing below a third of the span
     f_lo = 0.5 * 2.0 * math.pi / span
-    f_hi = math.pi / min_dx
-    if f_hi <= f_lo:
-        f_hi = 10.0 * f_lo
+    f_hi = math.pi / float(dx[dx > 0].min())
     f0 = _best_frequency(x, p, np.geomspace(f_lo, f_hi, 400))
     # the winner's coefficients from lstsq, not from the batched QR: on
     # noisy data the Gauss-Newton stopping point moves by ~1e-10 with the
@@ -388,6 +382,14 @@ def _binary_unit(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
+def require_squeezing_contrast(contrast: float) -> None:
+    """Refuse a contrast outside (0, 1], or one whose square underflows to 0:
+    the squeezing divides by it."""
+    require(FRACTION, "contrast", contrast)
+    if contrast**2 == 0:
+        raise DomainError(f"the squeezing leaves the float range at contrast={contrast!r}: its square underflows to 0")
+
+
 def squeezing_from_pairs(
     imbalance_diff: np.ndarray, mean_atoms_sum: float, contrast: float
 ) -> float:
@@ -399,125 +401,88 @@ def squeezing_from_pairs(
         raise DataError("need at least 2 pairs")
     require_finite("imbalance_diff", diffs)
     require(POSITIVE, "mean_atoms_sum", mean_atoms_sum)
-    require(FRACTION, "contrast", contrast)
-    if contrast**2 == 0:  # 4 / contrast^2 in _squeezing would divide by 0
-        raise DomainError(f"the squeezing leaves the float range at contrast={contrast!r}: its square underflows to 0")
+    require_squeezing_contrast(contrast)
     if not diffs.any():
         raise DomainError("every pair difference is zero: no noise to compare with the projection limit")
     unit, e = _binary_unit(diffs)
+    # second moment about zero, the ideal mid-fringe operating point:
+    # exactly symmetric under negating the difference series, and any
+    # static fringe offset is counted as noise rather than absorbed
     mean_square = float(np.mean(unit * unit))
     return in_float_range(  # a 0 underflowed: the differences are nonzero
-        "the squeezing", lambda: math.ldexp(_squeezing(mean_square, mean_atoms_sum, contrast), 2 * e) or math.nan,
+        "the squeezing",
+        lambda: math.ldexp((4.0 / contrast**2) * mean_square / mean_atoms_sum, 2 * e) or math.nan,
         max_abs_imbalance_diff=float(np.abs(diffs).max()), mean_atoms_sum=mean_atoms_sum, contrast=contrast
     )
 
 
-def _squeezing(mean_square, mean_atoms_sum: float, contrast: float):
-    """Linear squeezing from the mean squared pair difference (a float or
-    an array of them)."""
-    # second moment about zero, the ideal mid-fringe operating point:
-    # exactly symmetric under negating the difference series, and any
-    # static fringe offset is counted as noise rather than absorbed
-    return (4.0 / contrast**2) * mean_square / mean_atoms_sum
+# Newton steps of _chi2_quantile at most: a step below 1e-10 in ln y ends it
+# within 10 from 2 to 10^8 degrees of freedom, and the cap bounds the loop
+# should the rounding of ln P keep the steps above that
+CHI2_MAX_STEPS = 100
 
 
-RESAMPLES = Rule(lambda v: SIZE.test(v) and v >= 2, "an integer >= 2")  # what n_bootstrap must be
-BOOTSTRAP_CHUNK_VALUES = 1 << 16  # draws held at once (a row is n indices or K counts): bounds the draw arrays
-# Resample counts of the K distinct squared differences when there are at
-# least this many pairs per distinct value, else resample pair indices.
-# 1000 resamples of n = 50k pairs on one core (2-core VM, numpy 2.4):
-# counts cost ~0.17 us per value and resample, index draws plus gather
-# ~0.011 us per pair, so K = 1706 takes 0.30 s against 0.54 s and
-# K = 3500 0.64 s against 0.50 s: they break even near K = n/18.
-# Whole-atom counts give K = 169 (0.02 s); continuous values give K ~ n.
-MULTINOMIAL_PAIRS_PER_VALUE = 20
+def _chi2_quantile(q: float, dof: int) -> float:
+    """The q quantile of the chi-square law with dof degrees of freedom.
 
-
-def _percentiles(values: np.ndarray, q: list[float]) -> np.ndarray:
-    """np.percentile(values, q) by its default linear method, bit for bit
-    but for the sign of a zero (its partition may put -0.0 and 0.0 in
-    another order than a sort), from one sort: the first np.percentile
-    call in a process imports numpy.ma (~24 ms of CPU) through np.unique's
-    masked-array check."""
-    ordered = np.sort(values)
-    if np.isnan(ordered[-1]):  # NaN sorts last and makes every percentile NaN
-        return np.full(len(q), np.nan)
-    at = (len(ordered) - 1) * np.true_divide(q, 100)
-    below = np.floor(at)
-    t = at - below
-    low = ordered[below.astype(np.intp)]
-    high = ordered[np.minimum(below + 1, len(ordered) - 1).astype(np.intp)]
-    step = high - low
-    # numpy's lerp: from the nearer end, so that t = 1 gives high exactly
-    return np.where(t >= 0.5, high - step * (1 - t), low + step * t)
+    That is 2y for P(dof/2, y) = q, P the regularized lower incomplete
+    gamma function, found by Newton steps on ln y from ln(dof/2), the
+    inflection point of P in ln y: P is convex in ln y below it and
+    concave above, so the steps approach the root from one side and never
+    pass it. P(a, y) = y^a e^-y / Gamma(a + 1) * sum_k y^k / ((a + 1) ... (a + k))
+    (Abramowitz & Stegun 6.5.29), summed past its largest term until the
+    terms fall to about e^-50 of it.
+    """
+    a = 0.5 * dof
+    u = math.log(a)  # ln y
+    for _ in range(CHI2_MAX_STEPS):
+        y = math.exp(u)
+        k = np.arange(1, int(max(y - a, 0.0) + 10.0 * math.sqrt(y) + 40.0))
+        ratios = np.cumsum(np.log(y / (a + k)))  # ln of each term of the sum over its first, 1
+        top = max(float(ratios.max()), 0.0)
+        log_sum = top + math.log(math.exp(-top) + float(np.sum(np.exp(ratios - top))))
+        log_density = a * u - y - math.lgamma(a)  # dP / d ln y = y^a e^-y / Gamma(a)
+        step = (math.exp(log_density + log_sum) / a - q) / math.exp(log_density)
+        u -= step
+        if abs(step) <= 1e-10:
+            break
+    return 2.0 * math.exp(u)
 
 
 def metrological_squeezing(
     shots: ShotTable,
     contrast: float = 1.0,
     n_bootstrap: int = 1000,
-    bootstrap_seed: int = 1234567,
 ) -> SqueezingEstimate:
-    """Squeezing of the two-T difference signal, in dB, with a seeded
-    percentile bootstrap confidence interval.
+    """Squeezing of the two-T difference signal, in dB, with an exact 95 %
+    confidence interval for Gaussian, mean-zero pair differences.
 
     Uses the pairs delta_p uses: strict alternation, a trailing shot
     dropped, zero-atom pairs skipped. The denominator is the sum of the
     campaign-mean atom numbers of the two arms.
 
-    The statistic is a mean of n squared differences, so a resample is
-    fixed by how often it draws each of the K distinct squares: counts
-    distributed Multinomial(n, m_k/n) for multiplicities m_k, the same
-    law as n index draws (Efron & Tibshirani, An Introduction to the
-    Bootstrap, 1993, sec. 6). When n >= MULTINOMIAL_PAIRS_PER_VALUE * K
-    the counts are drawn (sampler "multinomial"), else the indices
-    (sampler "index"). Either way each generator call draws as many
-    resamples as fit BOOTSTRAP_CHUNK_VALUES draws, one at least, as rows;
-    numpy yields the same draws row by row as in one call per resample.
+    The squeezing is proportional to the mean m2 of the n squared pair
+    differences. For Gaussian, mean-zero differences of variance s^2,
+    n m2 / s^2 follows the chi-square law with n degrees of freedom, so
+    [n m2 / chi2_n(0.975), n m2 / chi2_n(0.025)] covers s^2 with
+    probability 0.95; the interval is db plus 10 log10 of n / chi2_n(q).
+
+    `n_bootstrap` has no effect: it keeps its name and default because
+    the benchmark's tracer binds it by name, as it rebinds
+    pulses.solve_ivp, and it goes with that binding.
     """
-    require(RESAMPLES, "n_bootstrap", n_bootstrap)
-    require(SEED, "bootstrap_seed", bootstrap_seed)
     first, second, _, _ = _pairs(shots)
     atoms_sum = float(np.mean(first.count_f1 + first.count_f2) + np.mean(second.count_f1 + second.count_f2))
     samples = first.imbalance - second.imbalance
     linear = squeezing_from_pairs(samples, atoms_sum, contrast)
-
-    rng = np.random.default_rng(bootstrap_seed)
     n = len(samples)
-    unit, e = _binary_unit(samples)  # no resample sum of the squares overflows
-    squares = unit * unit
-    values, multiplicity = np.unique(squares, return_counts=True)
-    multinomial = MULTINOMIAL_PAIRS_PER_VALUE * len(values) <= n
-    pvals = multiplicity / n
-    mean_squares = np.empty(n_bootstrap)
-    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // (len(values) if multinomial else n))
-    for start in range(0, n_bootstrap, chunk):
-        rows = min(chunk, n_bootstrap - start)
-        if multinomial:
-            counts = rng.multinomial(n, pvals, size=rows)
-            # a row-wise sum, not a matrix product: each row sums exactly
-            # as one resample's counts would on their own
-            mean_square = np.sum(counts * values, axis=-1) / n
-        else:
-            # the differences are squared once: squaring each resample
-            # block would add a full pass over every block
-            mean_square = np.mean(squares[rng.integers(0, n, (rows, n))], axis=-1)
-        mean_squares[start : start + rows] = mean_square
-    ends = _percentiles(_squeezing(mean_squares, atoms_sum, contrast), [2.5, 97.5]).tolist()
-
-    # a percentile of 0 (resamples of zero differences only) is an unbounded end; one beyond the float range,
-    # p 2^(2e), is refused
-    lo, hi = (in_float_range("a squeezing CI end", lambda: 10.0 * math.log10(math.ldexp(p, 2 * e)),
-                             scaled_percentile=p, scale_log2=2 * e) if p else -math.inf for p in ends)
+    db = 10.0 * math.log10(linear)
     return SqueezingEstimate(
         linear=linear,
-        db=10.0 * math.log10(linear),
-        ci_low_db=lo,
-        ci_high_db=hi,
+        db=db,
+        ci_low_db=db + 10.0 * math.log10(n / _chi2_quantile(0.975, n)),
+        ci_high_db=db + 10.0 * math.log10(n / _chi2_quantile(0.025, n)),
         n_pairs=n,
-        n_resamples=n_bootstrap,
-        n_distinct_squares=len(values),
-        sampler="multinomial" if multinomial else "index",
     )
 
 

@@ -27,6 +27,7 @@ from .analysis import (
     fringe_intersection,
     metrological_squeezing,
     phase_noise_budget,
+    require_squeezing_contrast,
 )
 from .config import AppConfig, config_hash, load_config
 from .errors import COUNT, DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE
@@ -112,12 +113,11 @@ def _utcnow() -> str:
 class Manifest:
     """Run manifest: enough to regenerate every output bit-exactly.
 
-    Written after each data file, with the digest of every output so far,
-    the shot diagnostics of each arm and, for `reproduce`, how each arm's
-    squeezing CI was drawn; `finish` adds the end timestamp. A run that
-    fails before its first data file leaves no manifest, and one that
-    fails later leaves it with `finished_utc` null. Timestamps are the one
-    part that differs between otherwise identical re-runs.
+    Written after each data file, with the digest of every output so far
+    and the shot diagnostics of each arm; `finish` adds the end timestamp.
+    A run that fails before its first data file leaves no manifest, and
+    one that fails later leaves it with `finished_utc` null. Timestamps
+    are the one part that differs between otherwise identical re-runs.
     """
 
     def __init__(self, path, config: AppConfig, seed, argv):
@@ -405,8 +405,9 @@ def _cmd_reproduce(args) -> int:
         # refused before any file exists: the coherent arm runs on seed + 1
         raise ConfigError(f"reproduce needs a seed in [0, 2^64 - 1), since the coherent arm runs on seed + 1; got {seed}")
     _apply_state_choice(cfg, True)  # refused before any file exists: the squeezed arm needs squeezing
+    # refused before any file exists: each arm's squeezing estimate divides by the contrast squared
+    require_squeezing_contrast(cfg.noise.effective_contrast)
     manifest = Manifest(_out_path(args, "manifest.json"), cfg, seed, args.raw_argv)
-    manifest.doc["bootstrap"] = {}  # how each arm's squeezing CI was drawn
 
     summary = []
 
@@ -441,11 +442,6 @@ def _cmd_reproduce(args) -> int:
         campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=n_pairs)
         shots = _write_arm(arm_cfg, campaign, label, _out_path(args, f"shots_{label}.jsonl"), manifest)
         path, grav, squeeze = _write_analysis(args, f"analysis_{label}.csv", arm_cfg, shots)
-        manifest.doc["bootstrap"][label] = {
-            "resamples": squeeze.n_resamples,
-            "distinct_squares": squeeze.n_distinct_squares,
-            "sampler": squeeze.sampler,
-        }
         manifest.add(path)
         path, series = _write_allan(args, f"allan_{label}.csv", shots)
         manifest.add(path)

@@ -143,8 +143,6 @@ def _transfer(shape: PulseShape, deltas: np.ndarray, detuning_model: str) -> np.
     detuning phase per step keeps a detuning from aliasing with the step rate.
     """
     require(_MODEL, "detuning_model", detuning_model, ConfigError)
-    if not np.isfinite(deltas).all():
-        raise DomainError("detuning must be a finite number")
     om0, tau, peak = shape.peak_rabi_rad_s, shape.duration_s, float(np.max(np.abs(deltas)))
     if shape.kind == "square" or detuning_model == "envelope":
         in_float_range("the generalized area", lambda: 0.5 * math.hypot(om0, peak) * shape.area_rad / om0, detuning=peak)
@@ -195,7 +193,13 @@ def averaged_transfer(
 
     x, w = np.polynomial.hermite.hermgauss(TRANSFER_NODES)
     w = w / math.sqrt(math.pi)
-    deltas = detuning_mean_rad_s + math.sqrt(2.0) * detuning_sigma_rad_s * x
+    scale = math.sqrt(2.0) * detuning_sigma_rad_s
+    # the node farthest from the mean bounds every |mean + scale x|, as rounding is monotone
+    in_float_range(
+        "the widest quadrature detuning", lambda: abs(detuning_mean_rad_s) + scale * float(np.abs(x).max()),
+        detuning_mean_rad_s=detuning_mean_rad_s, detuning_sigma_rad_s=detuning_sigma_rad_s,
+    )
+    deltas = detuning_mean_rad_s + scale * x
     probs = _transfer(shape, deltas, detuning_model)
     mean = float(np.sum(w * probs))
     second = float(np.sum(w * probs * probs))

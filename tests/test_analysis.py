@@ -3,11 +3,13 @@
 import functools
 import math
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from gravlab import (
     CampaignConfig,
@@ -220,7 +222,7 @@ class TestSqueezingFromPairs:
 
 
 class TestMetrologicalSqueezing:
-    def test_bootstrap_is_deterministic(self):
+    def test_estimate_is_deterministic(self):
         recs = coherent_campaign(400)
         a = metrological_squeezing(recs)
         b = metrological_squeezing(recs)
@@ -258,10 +260,10 @@ class TestMetrologicalSqueezing:
         with pytest.raises(DomainError, match="contrast"):
             metrological_squeezing(coherent_campaign(50), contrast=contrast)
 
-    @pytest.mark.parametrize("n_bootstrap", [0, 1])
-    def test_fewer_than_two_resamples_refused(self, n_bootstrap):
-        with pytest.raises(DomainError, match="n_bootstrap"):
-            metrological_squeezing(coherent_campaign(50), n_bootstrap=n_bootstrap)
+    @pytest.mark.parametrize("n_bootstrap", [0, 1, 2.5, "many"])
+    def test_n_bootstrap_has_no_effect(self, n_bootstrap):
+        recs = coherent_campaign(50)
+        assert metrological_squeezing(recs, n_bootstrap=n_bootstrap) == metrological_squeezing(recs)
 
     def test_contrast_whose_square_underflows_refused(self):
         with pytest.raises(DomainError, match="contrast=1e-200: its square underflows to 0"):
@@ -272,15 +274,15 @@ class TestMetrologicalSqueezing:
         with pytest.raises(DomainError, match="zero"):
             metrological_squeezing(replace(recs, imbalance=np.zeros(len(recs))))
 
-    def test_zero_lower_percentile_is_unbounded(self):
-        # one nonzero difference in 16 pairs: (15/16)**16 = 36 % of the
-        # resamples draw only zeros, so the 2.5th percentile is 0
+    def test_one_nonzero_difference_gives_finite_ends(self):
+        # one nonzero difference in 16 pairs: the interval is still db
+        # plus the two chi-square ratios of 16 degrees of freedom
         recs = coherent_campaign(16)
         imbalance = np.zeros(len(recs))
         imbalance[0] = 40.0
         est = metrological_squeezing(replace(recs, imbalance=imbalance))
-        assert est.ci_low_db == -math.inf
-        assert math.isfinite(est.db) and math.isfinite(est.ci_high_db)
+        assert est.ci_low_db == pytest.approx(est.db + 10.0 * math.log10(16 / chi2.ppf(0.975, 16)), abs=1e-9)
+        assert est.ci_high_db == pytest.approx(est.db + 10.0 * math.log10(16 / chi2.ppf(0.025, 16)), abs=1e-9)
 
     def test_counts_whose_squared_differences_overflow_scale_exactly(self):
         # 2^1000 times every count and imbalance: the squared differences overflow, the
@@ -293,41 +295,15 @@ class TestMetrologicalSqueezing:
         assert big.ci_low_db == pytest.approx(small.ci_low_db + shift_db, abs=1e-9)
         assert big.ci_high_db == pytest.approx(small.ci_high_db + shift_db, abs=1e-9)
 
-    def test_ci_end_beyond_the_float_range_refused(self):
-        # atom counts of ~1e-305 put the squeezing just below the float limit and its
-        # upper CI end above it
+    def test_squeezing_near_the_float_limit_has_finite_ends(self):
+        # atom counts of ~1e-305 put the squeezing just below the float limit: its upper
+        # CI end, ~1e308 times a ratio above 1 in linear terms, is a finite number of dB
         recs = coherent_campaign(50)
         tiny = replace(recs, count_f1=recs.count_f1 * 5.62e-309, count_f2=recs.count_f2 * 5.62e-309)
-        pattern = r"^a squeezing CI end leaves the float range at scaled_percentile=\S+, scale_log2=\d+$"
-        with pytest.raises(DomainError, match=pattern):
-            metrological_squeezing(tiny)
-
-    def test_resample_sums_beyond_the_float_range_give_a_finite_end(self):
-        # one difference of 1e154 in 50 pairs: its square is a float, and 26 % of the
-        # resamples draw it twice or more, whose sums would overflow; the same campaign
-        # with that difference 2^520 times smaller gives the same ends, shifted
-        recs = coherent_campaign(50)
-        ends = []
-        for k in (0, -520):
-            imbalance = np.zeros(len(recs))
-            imbalance[0] = math.ldexp(1e154, k)
-            est = metrological_squeezing(replace(recs, imbalance=imbalance))
-            assert est.ci_low_db == -math.inf  # 36 % of the resamples draw only zeros
-            ends.append(est.ci_high_db)
-        assert math.isfinite(ends[0])
-        assert ends[0] == pytest.approx(ends[1] + 10.0 * 2 * 520 * math.log10(2.0), abs=1e-9)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 40, 999, 1000, 1001])
-def test_percentiles_equal_numpys_bit_for_bit(n):
-    # non-negative as the bootstrap's values are, continuous and with ties;
-    # a sort may order -0.0 and 0.0 otherwise than numpy's partition
-    rng = np.random.default_rng(n)
-    for values in (rng.exponential(size=n), rng.integers(0, 4, n) * 0.1):
-        for q in ([2.5, 97.5], [0.0, 50.0, 100.0], [0.1, 33.3, 99.9]):
-            assert analysis._percentiles(values, q).tobytes() == np.percentile(values, q).tobytes(), (q, values)
-    with_nan = np.r_[rng.exponential(size=n), math.nan]
-    assert np.isnan(analysis._percentiles(with_nan, [2.5, 97.5])).all()
+        est = metrological_squeezing(tiny)
+        assert est.linear > 1e307
+        assert est.ci_low_db < est.db < est.ci_high_db
+        assert math.isfinite(est.ci_high_db) and est.ci_high_db > 10.0 * math.log10(sys.float_info.max)
 
 
 def pair_columns(shots):
@@ -337,157 +313,104 @@ def pair_columns(shots):
     return j[0::2] - j[1::2], float(np.mean(n[0::2]) + np.mean(n[1::2]))
 
 
-def continuous_table(n_pairs):
-    """A whole-count campaign with every imbalance moved by a uniform
-    fraction of an atom, so that nearly every squared difference is
-    distinct."""
-    shots = coherent_campaign(50_000)[: 2 * n_pairs]
-    jitter = np.random.default_rng(3).uniform(-0.5, 0.5, len(shots))
-    return replace(shots, imbalance=shots.imbalance + jitter)
+class TestChiSquareInterval:
+    @pytest.mark.parametrize("q", [0.001, 0.025, 0.16, 0.5, 0.84, 0.975, 0.999])
+    def test_quantile_matches_scipy(self, q):
+        # every dof from 2 to 300, and 40 from 10^3 to 10^6
+        dofs = [*range(2, 301), *np.unique(np.geomspace(1e3, 1e6, 40).round().astype(int)).tolist()]
+        for dof in dofs:
+            assert analysis._chi2_quantile(q, dof) == pytest.approx(chi2.ppf(q, dof), rel=1e-9, abs=0.0), dof
 
+    def test_quantile_at_two_dof_is_the_exponential_law(self):
+        # chi2_2 is exponential with mean 2: its q quantile is -2 ln(1 - q)
+        for q in np.linspace(0.001, 0.999, 999):
+            assert analysis._chi2_quantile(q, 2) == pytest.approx(-2.0 * math.log1p(-q), rel=1e-12, abs=0.0), q
 
-def index_reference(samples, atoms_sum, contrast, n_boot, seed):
-    # one rng.integers call per resample, squeezed by squeezing_from_pairs
-    rng = np.random.default_rng(seed)
-    n = len(samples)
-    boots = [squeezing_from_pairs(samples[rng.integers(0, n, n)], atoms_sum, contrast) for _ in range(n_boot)]
-    return np.percentile(boots, [2.5, 97.5])
+    def test_quantile_at_two_million_dof(self):
+        for q in (0.025, 0.975):
+            assert analysis._chi2_quantile(q, 2_000_000) == pytest.approx(chi2.ppf(q, 2_000_000), rel=1e-9, abs=0.0)
 
+    def test_quantile_rises_with_q_and_with_dof(self):
+        qs = np.linspace(0.01, 0.99, 99)
+        for dof in (2, 3, 16, 500, 50_000):
+            row = [analysis._chi2_quantile(q, dof) for q in qs]
+            assert all(a < b for a, b in zip(row, row[1:])), dof
+        for q in (0.025, 0.975):
+            col = [analysis._chi2_quantile(q, dof) for dof in range(2, 200)]
+            assert all(a < b for a, b in zip(col, col[1:])), q
 
-def multinomial_reference(samples, atoms_sum, contrast, n_boot, seed):
-    # one rng.multinomial call per resample over the distinct squares
-    rng = np.random.default_rng(seed)
-    n = len(samples)
-    values, m = np.unique(samples * samples, return_counts=True)
-    boots = [
-        (4.0 / contrast**2) * (np.sum(rng.multinomial(n, m / n) * values) / n) / atoms_sum
-        for _ in range(n_boot)
-    ]
-    return np.percentile(boots, [2.5, 97.5])
+    def test_ci_offsets_from_db_do_not_depend_on_the_readout_scale(self):
+        # the interval is db shifted by amounts fixed by n alone: doubling
+        # every imbalance moves db and both ends by the same 6.02 dB
+        shots = coherent_campaign(200)
+        est = metrological_squeezing(shots)
+        scaled = metrological_squeezing(edited(shots, slice(None), imbalance=2.0 * shots.imbalance))
+        assert scaled.db == pytest.approx(est.db + 20.0 * math.log10(2.0), abs=1e-9)
+        assert scaled.ci_low_db - scaled.db == pytest.approx(est.ci_low_db - est.db, abs=1e-12)
+        assert scaled.ci_high_db - scaled.db == pytest.approx(est.ci_high_db - est.db, abs=1e-12)
 
-
-REFERENCES = {"index": index_reference, "multinomial": multinomial_reference}
-
-
-def edge_table(n_pairs, n_values):
-    """Pair differences cycling through 0, 1, ..., n_values - 1 atoms:
-    n_values distinct squares."""
-    shots = coherent_campaign(n_pairs)
-    imbalance = np.zeros(len(shots))
-    imbalance[0::2] = np.arange(n_pairs) % n_values
-    return replace(shots, imbalance=imbalance)
-
-
-class TestBootstrapStream:
-    # each estimate must agree to the bit with a reference that makes one
-    # generator call per resample, for a resample count that is not a
-    # multiple of the chunk; 49 999 is an odd number of pairs
-
-    def check(self, shots, sampler, n_pairs):
-        samples, atoms_sum = pair_columns(shots)
-        lo, hi = REFERENCES[sampler](samples, atoms_sum, 0.98, 250, 99)
-        est = metrological_squeezing(shots, contrast=0.98, n_bootstrap=250, bootstrap_seed=99)
-        assert (est.sampler, est.n_pairs, est.n_resamples) == (sampler, n_pairs, 250)
-        assert est.linear == squeezing_from_pairs(samples, atoms_sum, 0.98)
-        assert est.ci_low_db == 10.0 * math.log10(lo)
-        assert est.ci_high_db == 10.0 * math.log10(hi)
-        return est
-
-    def test_index_draws_on_whole_counts_with_many_distinct_squares(self):
-        # 380 pairs hold more than 380 / 20 distinct squares
-        est = self.check(coherent_campaign(50_000)[:760], "index", 380)
-        assert 20 * est.n_distinct_squares > 380
-
-    def test_index_draws_on_continuous_values(self):
-        est = self.check(continuous_table(49_999), "index", 49_999)
-        assert est.n_distinct_squares > 49_000
-
-    @pytest.mark.parametrize("n_pairs", [5000, 49_999])
-    def test_multinomial_counts_on_whole_counts(self, n_pairs):
-        est = self.check(coherent_campaign(50_000)[: 2 * n_pairs], "multinomial", n_pairs)
-        assert est.n_distinct_squares < 300
-
-    @pytest.mark.parametrize(("n_pairs", "sampler"), [(500, "multinomial"), (499, "index")])
-    def test_sampler_switches_at_twenty_pairs_per_distinct_square(self, n_pairs, sampler):
-        est = self.check(edge_table(n_pairs, 25), sampler, n_pairs)
-        assert est.n_distinct_squares == 25
-
-    @pytest.mark.parametrize("chunk_values", [1, 2660])
-    @pytest.mark.parametrize(("n_pairs", "sampler"), [(380, "index"), (5000, "multinomial")])
-    def test_any_chunk_size_draws_the_same(self, monkeypatch, chunk_values, n_pairs, sampler):
-        # one resample per call, or 7 index rows (2660 / 380) and 2660 / K
-        # count rows per call: neither divides the 250 resamples
-        monkeypatch.setattr(analysis, "BOOTSTRAP_CHUNK_VALUES", chunk_values)
-        self.check(coherent_campaign(50_000)[: 2 * n_pairs], sampler, n_pairs)
-
-    def test_draw_arrays_are_bounded_by_values(self, monkeypatch):
-        # 2^14 values hold less than one row of 49 999 index draws, so each
-        # call draws one resample (0.4 MB of indices and 0.4 MB gathered);
-        # 16 resamples per call would peak near 15 MB
-        monkeypatch.setattr(analysis, "BOOTSTRAP_CHUNK_VALUES", 1 << 14)
-        shots = continuous_table(49_999)
-        tracemalloc.start()
-        try:
-            metrological_squeezing(shots, contrast=0.98, n_bootstrap=50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
-
-    def test_samplers_agree_within_monte_carlo_noise(self, monkeypatch):
-        # 5000 whole-count pairs, 1000 resamples, two streams. The linear
-        # bootstrap spread is ~sqrt(2/n) = 2 %, 0.087 dB, so a 2.5 % or
-        # 97.5 % percentile of 1000 resamples has a standard error of
-        # sqrt(0.025 * 0.975 / 1000) / phi(1.96) * 0.087 = 0.0074 dB, and the
-        # difference of two independent ones 0.0104 dB: 0.05 dB is 4.8 of those
+    def test_ci_brackets_db_and_narrows_with_more_pairs(self):
         shots = coherent_campaign(5000)
-        counts = metrological_squeezing(shots, contrast=0.98)
-        monkeypatch.setattr(analysis, "MULTINOMIAL_PAIRS_PER_VALUE", 10**9)
-        indices = metrological_squeezing(shots, contrast=0.98)
-        assert (counts.sampler, indices.sampler) == ("multinomial", "index")
-        assert (counts.linear, counts.db) == (indices.linear, indices.db)
-        assert counts.ci_low_db == pytest.approx(indices.ci_low_db, abs=0.05)
-        assert counts.ci_high_db == pytest.approx(indices.ci_high_db, abs=0.05)
+        widths = []
+        for n_pairs in (2, 3, 4, 8, 16, 50, 500, 5000):
+            est = metrological_squeezing(shots[: 2 * n_pairs])
+            assert est.ci_low_db < est.db < est.ci_high_db, n_pairs
+            widths.append(est.ci_high_db - est.ci_low_db)
+        assert all(a > b for a, b in zip(widths, widths[1:])), widths
+
+    @pytest.mark.parametrize("n_pairs", [2, 3, 16, 500, 5000])
+    def test_interval_is_db_plus_the_chi_square_ratios(self, n_pairs):
+        shots = coherent_campaign(5000)[: 2 * n_pairs]
+        samples, atoms_sum = pair_columns(shots)
+        est = metrological_squeezing(shots, contrast=0.98)
+        assert est.n_pairs == n_pairs
+        assert est.linear == squeezing_from_pairs(samples, atoms_sum, 0.98)
+        assert est.db == 10.0 * math.log10(est.linear)
+        assert est.ci_low_db == pytest.approx(est.db + 10.0 * math.log10(n_pairs / chi2.ppf(0.975, n_pairs)), abs=1e-9)
+        assert est.ci_high_db == pytest.approx(est.db + 10.0 * math.log10(n_pairs / chi2.ppf(0.025, n_pairs)), abs=1e-9)
+
+    def test_two_pairs_give_the_wide_exact_interval(self):
+        # chi2_2(0.025) = 0.0506: the upper end sits 15.97 dB above db, where
+        # the Wilson-Hilferty approximation of that quantile (-48 %) would put
+        # it 2.9 dB higher
+        est = metrological_squeezing(coherent_campaign(2))
+        assert est.db - est.ci_low_db == pytest.approx(5.67, abs=0.005)
+        assert est.ci_high_db - est.db == pytest.approx(15.97, abs=0.005)
 
 
-class TestBootstrapCoverage:
-    def test_95_percent_ci_covers_the_analytic_squeezing(self):
-        # Gaussian readout at the compensating chirp: each shot's imbalance
-        # has variance N/4 e^{-2r} + sigma_det^2, plus 1/12 from rounding to
-        # whole atoms, and a pair difference twice that
-        model = calibrate_model(-5.4, 9.9, 6000.0)
-        contrast = 0.98
-        shot_var = 6000.0 / 4.0 * math.exp(-2.0 * model.strength) + model.detection_noise_atoms**2 + 1.0 / 12.0
-        true_db = 10.0 * math.log10((4.0 / contrast**2) * 2.0 * shot_var / (2.0 * 6000.0))
+def analytic_squeezing_db(model, contrast):
+    """Squeezing of the Gaussian readout at the compensating chirp: each
+    shot's imbalance has variance N/4 e^{-2r} + sigma_det^2, plus 1/12 from
+    rounding to whole atoms, and a pair difference twice that."""
+    shot_var = 6000.0 / 4.0 * math.exp(-2.0 * model.strength) + model.detection_noise_atoms**2 + 1.0 / 12.0
+    return 10.0 * math.log10((4.0 / contrast**2) * 2.0 * shot_var / (2.0 * 6000.0))
+
+
+class TestSqueezingCoverage:
+    # for a true 95% rate over 200 campaigns, P(covered <= 179) = 0.12% and
+    # P(covered = 200) = 3.5e-5
+    BAND = (180, 199)
+
+    def coverage(self, n_pairs):
+        model, contrast = calibrate_model(-5.4, 9.9, 6000.0), 0.98
+        true_db = analytic_squeezing_db(model, contrast)
         assert true_db == pytest.approx(-5.22, abs=0.005)
-
         noise = NoiseConfig(squeezing=model, contrast=contrast, sigma_ac_rad=0.0)
         covered = 0
         for seed in range(200):
-            camp = CampaignConfig(n_pairs=500, seed=seed, alpha_rad_per_s2=ALPHA_COMP)
+            camp = CampaignConfig(n_pairs=n_pairs, seed=seed, alpha_rad_per_s2=ALPHA_COMP)
             est = metrological_squeezing(run_campaign(camp, TIMING, CONST, noise), contrast=contrast)
             covered += est.ci_low_db <= true_db <= est.ci_high_db
-        # for a true 95% rate, P(covered <= 179) = 0.12% and P(covered = 200) = 3.5e-5
-        assert 180 <= covered <= 199, covered
+        return covered
 
-    def test_95_percent_ci_covers_the_analytic_squeezing_with_multinomial_counts(self):
-        # the same readout at 5000 pairs: ~100 distinct squares, far below
-        # 5000 / 20, so every campaign resamples counts
-        model = calibrate_model(-5.4, 9.9, 6000.0)
-        contrast = 0.98
-        shot_var = 6000.0 / 4.0 * math.exp(-2.0 * model.strength) + model.detection_noise_atoms**2 + 1.0 / 12.0
-        true_db = 10.0 * math.log10((4.0 / contrast**2) * 2.0 * shot_var / (2.0 * 6000.0))
+    @pytest.mark.parametrize("n_pairs", [2, 4, 8, 16, 50, 500])
+    def test_95_percent_ci_covers_the_analytic_squeezing(self, n_pairs):
+        covered = self.coverage(n_pairs)
+        assert self.BAND[0] <= covered <= self.BAND[1], covered
 
-        noise = NoiseConfig(squeezing=model, contrast=contrast, sigma_ac_rad=0.0)
-        covered = 0
-        for seed in range(200):
-            camp = CampaignConfig(n_pairs=5000, seed=seed, alpha_rad_per_s2=ALPHA_COMP)
-            est = metrological_squeezing(run_campaign(camp, TIMING, CONST, noise), contrast=contrast)
-            assert est.sampler == "multinomial"
-            covered += est.ci_low_db <= true_db <= est.ci_high_db
-        # the band of the index-path test: P(covered <= 179) = 0.12% and
-        # P(covered = 200) = 3.5e-5 for a true 95% rate
-        assert 180 <= covered <= 199, covered
+    def test_95_percent_ci_covers_the_analytic_squeezing_at_5000_pairs(self):
+        covered = self.coverage(5000)
+        assert self.BAND[0] <= covered <= self.BAND[1], covered
 
 
 class TestGravityCoverage:
@@ -556,10 +479,27 @@ class TestFitFringe:
             fit_fringe(pts, CONST)
         assert "p_variance" in info.value.diagnostics
 
+    @pytest.mark.parametrize("distinct", [1, 2, 3])
+    def test_fewer_distinct_alphas_than_fit_parameters_rejected(self, distinct):
+        # 12 points on 1 to 3 chirps cannot fix offset, amplitude, scale and
+        # phase; one chirp is a zero alpha span
+        alphas = np.resize(1.5e8 + 1e6 * np.arange(distinct), 12)
+        pts = np.column_stack([alphas, 0.5 + 0.4 * np.cos(alphas / 3e5)])
+        with pytest.raises(DomainError, match=f"^need at least 4 distinct alpha values for the 4 fit parameters, got {distinct}$"):
+            fit_fringe(pts, CONST)
+
     def test_zero_alpha_span_rejected(self):
         pts = np.column_stack([np.full(20, 1.5e8), np.linspace(0.1, 0.9, 20)])
         with pytest.raises(DomainError):
             fit_fringe(pts, CONST)
+
+    def test_fit_that_does_not_converge_raises_fit_error_with_diagnostics(self, monkeypatch):
+        # one damped Gauss-Newton step cannot bring a noisy scan's step norm below 1e-10
+        monkeypatch.setattr(analysis, "FIT_MAX_ITER", 1)
+        with pytest.raises(FitError, match="^fringe fit did not converge$") as info:
+            fit_fringe(synth_fringe(0.5, 0.4, -1.42, 1.0, noise=0.01, seed=3), CONST)
+        assert len(info.value.diagnostics["theta"]) == 4
+        assert info.value.diagnostics["sse"] > 0
 
     def test_sub_period_span_rejected(self):
         pts = synth_fringe(0.5, 0.4, -1.42, 1.0, periods=0.9)

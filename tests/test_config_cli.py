@@ -831,6 +831,22 @@ class TestFringesCommand:
     def test_missing_file_is_exit_two(self, tmp_path):
         assert main(["fringes", str(tmp_path / "none.csv")]) == 2
 
+    def test_header_only_file_is_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "empty.csv"
+        bad.write_text("alpha_rad_per_s2,p\n")
+        assert main(["fringes", str(bad), "--out", "-"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: no fringe points\n"
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3])
+    def test_fewer_than_four_distinct_chirps_is_exit_two(self, tmp_path, capsys, distinct):
+        # 12 points on 1 to 3 chirp rates: too few for the fit's 4 parameters
+        bad = tmp_path / "few.csv"
+        rows = [f"{1.5e8 + 1e6 * (k % distinct)!r},{0.5 + 0.1 * k!r}" for k in range(12)]
+        bad.write_text("\n".join(["alpha_rad_per_s2,p", *rows]) + "\n")
+        assert main(["fringes", str(bad), "--out", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: need at least 4 distinct alpha values for the 4 fit parameters, got {distinct}\n"
+
     def test_file_that_is_not_utf8_is_exit_two_naming_it(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes("alpha_rad_per_s2,p # \u00b5\n1.5e8,0.5\n".encode("latin-1"))
@@ -958,25 +974,13 @@ class TestReproduceCommand:
         out = self.run_repro(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stream_version"] == 3
+        assert "bootstrap" not in manifest  # the closed-form CI draws nothing
         for label in ("squeezed", "coherent"):
             recs = read_shot_log(out / f"shots_{label}.jsonl")
             counts = list(zip(recs.count_f1.tolist(), recs.count_f2.tolist()))
             assert manifest["diagnostics"][label] == {
                 "zero_atom_shots": sum(f1 + f2 == 0 for f1, f2 in counts),
                 "clamped_imbalances": sum(f1 + f2 > 0 and min(f1, f2) == 0 for f1, f2 in counts),
-            }
-
-    @pytest.mark.parametrize(("pairs", "sampler"), [("24", "index"), ("5000", "multinomial")])
-    def test_manifest_records_how_each_ci_was_drawn(self, tmp_path, pairs, sampler):
-        assert main(["reproduce", "--pairs", pairs, "--seed", "3", "--output-dir", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        for label in ("squeezed", "coherent"):
-            recs = read_shot_log(tmp_path / f"shots_{label}.jsonl")
-            diffs = recs.imbalance[0::2] - recs.imbalance[1::2]  # no zero-atom shots at 6000 atoms
-            assert manifest["bootstrap"][label] == {
-                "resamples": 1000,
-                "distinct_squares": len(np.unique(diffs * diffs)),
-                "sampler": sampler,
             }
 
     def test_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -1053,10 +1057,15 @@ class TestNoNonFiniteOutput:
         [
             (["pulse", "--area-rad", "1e308", "--detuning-hz", "1"], ("area", "1e+308")),
             (["pulse", "--detuning-hz", "1e308", "--detuning-sigma-hz", "1e308"], ()),
+            # finite detunings whose widest quadrature node is not
+            (
+                ["pulse", "--detuning-hz", "1e307", "--detuning-sigma-hz", "1e307"],
+                ("the widest quadrature detuning", "detuning_mean_rad_s=6.28", "detuning_sigma_rad_s=6.28"),
+            ),
             # 0.42 x 5e-324 rounds to 0: the Blackman peak rate divides by zero
             (["pulse", "--tau-s", "5e-324", "--detuning-hz", "1"], ("area", "5e-324")),
         ],
-        ids=["huge-area", "huge-detuning", "subnormal-duration"],
+        ids=["huge-area", "huge-detuning", "huge-quadrature-detuning", "subnormal-duration"],
     )
     def test_pulse_overflow_is_exit_two(self, capsys, argv, names):
         assert main([*argv, "--out", "-"]) == 2
@@ -1088,7 +1097,7 @@ class TestNoNonFiniteOutput:
         for entry in manifest["outputs"]:
             digest = hashlib.blake2b((out / entry["path"]).read_bytes(), digest_size=8).hexdigest()
             assert entry["blake2b16"] == digest, entry
-        assert set(manifest["diagnostics"]) == set(manifest["bootstrap"]) == {"squeezed", "coherent"}
+        assert set(manifest["diagnostics"]) == {"squeezed", "coherent"}
 
     def test_contrast_whose_square_underflows_is_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
@@ -1104,11 +1113,18 @@ class TestNoNonFiniteOutput:
         assert main([*command, "--config", str(cfg), "--output-dir", str(out)]) == 2
         self.assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("command", [["simulate"], ["reproduce"]])
     @pytest.mark.parametrize(
-        "setting",
-        ["noise:\n  squeezing:\n    strength_r: 400.0\n", "campaign:\n  cycle_time_s: 1.0e+308\n"],
-        ids=["huge-squeezing", "huge-cycle-time"],
+        "setting, command",
+        [
+            pytest.param(setting, command, id=f"{name}-command{k}")
+            for name, setting in (
+                ("huge-squeezing", "noise:\n  squeezing:\n    strength_r: 400.0\n"),
+                ("huge-cycle-time", "campaign:\n  cycle_time_s: 1.0e+308\n"),
+            )
+            for k, command in enumerate([["simulate"], ["reproduce"]])
+        ]
+        # simulate estimates no squeezing, so only reproduce refuses the contrast
+        + [pytest.param("noise:\n  contrast: 1.0e-200\n", ["reproduce"], id="tiny-contrast-reproduce")],
     )
     def test_run_failing_before_its_first_file_leaves_none(self, tmp_path, capsys, command, setting):
         cfg = tmp_path / "c.yaml"

@@ -121,8 +121,6 @@ ARGUMENTS = [
     ("squeezing_from_pairs(SERIES + 1.0, x, 1.0)", "mean_atoms_sum", [0.0, -1.0]),
     ("squeezing_from_pairs(SERIES + 1.0, 100.0, x)", "contrast", [0.0, 1.5]),
     ("metrological_squeezing(SHOTS, contrast=x)", "contrast", [0.0, 1.5]),
-    ("metrological_squeezing(SHOTS, n_bootstrap=x)", "n_bootstrap", [1, 2.5]),
-    ("metrological_squeezing(SHOTS, bootstrap_seed=x)", "bootstrap_seed", [-1, 2**64]),
     ("allan_deviation(SERIES, x)", "tau0_s", [0.0, -1.0]),
     ("phase_noise_budget(x, 6000.0)", "sigma_phi_rad", [-1e-3]),
     ("phase_noise_budget(1e-3, x)", "atoms", [0.0]),
@@ -202,6 +200,12 @@ OVERFLOWS = [
     # m tau0 at m = 2; then a deviation of 2 * 1.7e308 / sqrt(2) at m = 1
     ("allan_deviation(np.arange(40.0), 1e308)", "tau_s", "m=2, tau0_s=1e+308"),
     ("allan_deviation(np.array([1.7e308, -1.7e308] * 20), 1.0)", "the Allan deviation", "m=1, max_abs_series=1.7e+308"),
+    # finite mean and width, but mean + sqrt(2) sigma x at the widest Gauss-Hermite node x is not
+    (
+        "averaged_transfer(SHAPE, 1e308, 1e308)",
+        "the widest quadrature detuning",
+        "detuning_mean_rad_s=1e+308, detuning_sigma_rad_s=1e+308",
+    ),
     # k_eff times the two lobe sums
     (
         "scale_factor(SequenceTiming(pulse_s=1e200), PhysicalConstants())",

@@ -67,6 +67,7 @@ OTHER_LAYOUTS = {
     "stream_id": (lambda lines: [former_layout(ln, "stream_id") for ln in lines], 1, "key 'count_f1' out of place"),
     "blank-lines": (lambda lines: ["", *lines, "  "], 1, "blank line"),
     "whitespace-last": (lambda lines: [*lines, "  "], 41, "blank line"),
+    "text-after-the-record": (lambda lines: [ln + "}" for ln in lines], 1, "'}}' after wall_time_s, not '}'"),
     "float-index": (
         lambda lines: [ln.replace('"index":1,', '"index":1.0,') for ln in lines],
         2,
