@@ -86,8 +86,8 @@ class PhaseNoiseBudget:
 # fringe fitting
 
 FIT_MAX_ITER = 200  # damped Gauss-Newton steps before fit_fringe gives up
-# (trial frequency, point) pairs of the frequency scan solved at once:
-# bounds its design array and QR to ~20 MB, whatever the scan's length
+# (trial frequency, point) pairs of the frequency scan summed at once:
+# bounds each of its arrays to 2 MB, whatever the scan's length
 FIT_SCAN_PAIRS = 1 << 18
 
 
@@ -98,19 +98,29 @@ def _design(x: np.ndarray, freq):
 
 
 def _best_frequency(x: np.ndarray, p: np.ndarray, freqs: np.ndarray) -> float:
-    """Trial frequency whose linear least-squares fit of p in the cos/sin
-    basis leaves the smallest residual, from batched QR solves over blocks
-    of FIT_SCAN_PAIRS // len(x) frequencies. Each frequency's residual is
-    computed alone, so the block size cannot change it."""
+    """Trial frequency whose linear least-squares fit of p in the (1, cos fx, sin fx) basis
+    leaves the smallest residual, from sums over the points: the generalized Lomb-Scargle
+    form (Zechmeister & Kuerster, A&A 496, 577, 2009). With C, S and Y the centred cos fx,
+    sin fx and p, and CC = sum C C and so on, the fit removes (SS YC^2 + CC YS^2 - 2 CS YC YS) / D
+    of the squared residual, D = CC SS - CS^2. A frequency whose C and S are collinear to
+    1e-9 (D <= 1e-9 CC SS, as at the Nyquist frequency of an even grid) has no three-term fit
+    and is never picked. The sums run over blocks of FIT_SCAN_PAIRS // len(x) frequencies;
+    each frequency's are its own, so the block size cannot change them."""
+    y = p - p.mean()
     step = max(1, FIT_SCAN_PAIRS // len(x))
-    sse = np.empty(len(freqs))
+    removed = np.empty(len(freqs))
     for start in range(0, len(freqs), step):
-        design = _design(x, freqs[start : start + step])
-        q, r = np.linalg.qr(design)
-        coef = np.linalg.solve(r, np.swapaxes(q, 1, 2) @ p[:, None])
-        resid = p - (design @ coef)[..., 0]
-        sse[start : start + step] = np.einsum("fn,fn->f", resid, resid)
-    return float(freqs[np.argmin(sse)])
+        arg = np.multiply.outer(freqs[start : start + step], x)
+        c, s = np.cos(arg), np.sin(arg)
+        c -= c.mean(axis=1, keepdims=True)
+        s -= s.mean(axis=1, keepdims=True)
+        cc, ss, cs = (np.einsum("fn,fn->f", a, b) for a, b in ((c, c), (s, s), (c, s)))
+        yc, ys = c @ y, s @ y
+        det = cc * ss - cs * cs
+        fitted = det > 1e-9 * cc * ss
+        fit = np.divide(ss * yc * yc + cc * ys * ys - 2.0 * cs * yc * ys, det, out=np.zeros_like(det), where=fitted)
+        removed[start : start + step] = np.where(fitted, fit, -np.inf)
+    return float(freqs[np.argmax(removed)])
 
 
 def _model(theta, x):
@@ -155,7 +165,7 @@ def fit_fringe(points, constants: PhysicalConstants) -> FringeFit:
     f_lo = 0.5 * 2.0 * math.pi / span
     f_hi = math.pi / float(dx[dx > 0].min())
     f0 = _best_frequency(x, p, np.geomspace(f_lo, f_hi, 400))
-    # the winner's coefficients from lstsq, not from the batched QR: on
+    # the winner's coefficients from lstsq, not from the scan's sums: on
     # noisy data the Gauss-Newton stopping point moves by ~1e-10 with the
     # last bits of its start
     a0, *_ = np.linalg.lstsq(_design(x, f0), p, rcond=None)

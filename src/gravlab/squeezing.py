@@ -13,10 +13,11 @@ Two layers:
   which the propagator is block diagonal: `evolve` exponentiates each
   occupied block by its eigendecomposition, which the operator keeps as
   long as it lives, so a sweep of durations on one H decomposes each
-  block once. The beamsplitter, which its FockSpace builds once and keeps,
-  is one more call to `evolve`, in the gauge diag(i^n+) where its generator
-  is real. The pump-explicit
-  model, which the chain approximates by an undepleted pump, is built on
+  block once. A chain builds each of its four operators on first access
+  and keeps it, so a caller pays only for the ones it touches; likewise the
+  beamsplitter, which its FockSpace builds once and keeps, is one more call
+  to `evolve`, in the gauge diag(i^n+) where its generator is real. The
+  pump-explicit model, which the chain approximates by an undepleted pump, is built on
   the only block it reaches from the pump vacuum, |N - 2k, k, k>:
   tridiagonal in k, whatever the pump's atom number N. The layer needs
   numpy only.
@@ -161,16 +162,69 @@ def _symmetric_bands(dim: int, bands: dict[int, np.ndarray], sector: np.ndarray)
 
 @dataclass(frozen=True)
 class Hamiltonians:
-    """The operator chain on the two-mode space, pump replaced by a number."""
+    """The operator chain on the two-mode space, pump replaced by a number (see build_hamiltonians).
 
-    two_mode: SparseOperator
-    undepleted: SparseOperator
-    symmetric_mode: SparseOperator
-    antisymmetric_mode: SparseOperator
+    Each operator is built on first access and kept as long as the chain lives, as a FockSpace
+    keeps its beamsplitter, with the eigendecompositions `evolve` keeps on it; the four share
+    the occupations and labels the chain computes once. Equality, hash and repr see `space` and
+    `params` only. Construction raises DomainError if an entry would leave the float range."""
+
+    space: FockSpace
+    params: HamiltonianParams
+
+    def __post_init__(self):
+        # the largest |entry|, computed as the builders compute it: |Omega| sqrt(n_max)^2 on the
+        # pair band, |q - Omega| 2 sqrt(n_max)^2 on undepleted's diagonal, at most half of the
+        # pair band's on the halves; Python floats, so an overflow gives inf, not a numpy warning
+        q, om, root = float(self.params.zeeman_q_rad_s), float(self.params.interaction_rad_s), math.sqrt(self.space.n_max)
+        in_float_range(
+            "max(|Omega|, 2|q - Omega|) n_max", lambda: max(abs(om), 2.0 * abs(q - om)) * (root * root),
+            zeeman_q_rad_s=q, interaction_rad_s=om, n_max=self.space.n_max,
+        )
+
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """sqrt(n+), sqrt(n-), N+ - N- and the parity of N+ + N- of each index n+ (n_max + 1) + n-."""
+        plus, minus = np.divmod(np.arange(self.space.dim, dtype=np.int32), self.space.dim_single)
+        # labels in 2 bytes: the operator's checks gather two per entry
+        return np.sqrt(plus), np.sqrt(minus), (plus - minus).astype(np.int16), (plus + minus).astype(np.int16) % 2
+
+    @cached_property
+    def two_mode(self) -> SparseOperator:
+        return self._pairs_and_number(0.0)
+
+    @cached_property
+    def undepleted(self) -> SparseOperator:
+        return self._pairs_and_number(float(self.params.zeeman_q_rad_s) - float(self.params.interaction_rad_s))
+
+    def _pairs_and_number(self, detuning: float) -> SparseOperator:
+        """detuning (N+ + N-) - Omega (a+ a- + a+^ a-^); a zero diagonal is not stored."""
+        d, (n_plus, n_minus, difference, _) = self.space.dim_single, self._levels
+        bands = {0: detuning * (n_plus**2 + n_minus**2)} if detuning else {}
+        bands[d + 1] = -float(self.params.interaction_rad_s) * (n_plus * n_minus)[d + 1:]  # a+ a- at (i, i + d + 1)
+        return _symmetric_bands(self.space.dim, bands, difference)
+
+    @cached_property
+    def symmetric_mode(self) -> SparseOperator:
+        return self._half(+1.0)
+
+    @cached_property
+    def antisymmetric_mode(self) -> SparseOperator:
+        return self._half(-1.0)
+
+    def _half(self, sign: float) -> SparseOperator:
+        """-(Omega/2)(a a + a^ a^) of a = (a+ + sign a-)/sqrt(2)."""
+        d, (n_plus, n_minus, _, parity) = self.space.dim_single, self._levels
+        # (a+ +- a-)/sqrt(2) as a product with 1/sqrt(2), as scipy.sparse divides, squared:
+        # the a+ a+ and a- a- bands are shared, the cross band sums two equal products
+        u, w = n_plus * (1.0 / math.sqrt(2.0)), n_minus * (1.0 / math.sqrt(2.0))
+        cross, scale = sign * (u * w)[d + 1:], -0.5 * float(self.params.interaction_rad_s)
+        bands = {2 * d: u[d:-d] * u[2 * d:], 2: w[1:-1] * w[2:], d + 1: cross + cross}
+        return _symmetric_bands(self.space.dim, {k: scale * v for k, v in bands.items()}, parity)
 
 
 def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltonians:
-    """Build the squeezing Hamiltonian chain.
+    """The squeezing Hamiltonian chain, a new one on every call:
 
     undepleted      = (q - Omega)(N+ + N-) - Omega (a+ a- + a+^ a-^)
     two_mode        = undepleted at q = Omega
@@ -179,24 +233,12 @@ def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltoni
 
     Every piece is a SparseOperator with O(dim) nonzeros, labelled by
     N+ - N- (two_mode, undepleted) or the parity of N+ + N- (the halves).
+    The chain builds each on first access and keeps it (see Hamiltonians),
+    so a caller pays only for the pieces it touches; an equal chain built
+    anew builds and decomposes afresh. Raises DomainError, naming q, Omega
+    and n_max, if max(|Omega|, 2|q - Omega|) n_max leaves the float range.
     """
-    d, om, q = space.dim_single, params.interaction_rad_s, params.zeeman_q_rad_s
-    plus, minus = np.divmod(np.arange(space.dim, dtype=np.int32), d)  # the occupations of each index n+ * d + n-
-    n_plus, n_minus = np.sqrt(plus), np.sqrt(minus)
-    # labels in 2 bytes: the operator's checks gather two per entry
-    difference, parity = (plus - minus).astype(np.int16), (plus + minus).astype(np.int16) % 2
-    pair = -om * (n_plus * n_minus)[d + 1:]  # a+ a- at (i, i + d + 1)
-    two_mode = _symmetric_bands(space.dim, {d + 1: pair}, difference)
-    undepleted = _symmetric_bands(space.dim, {0: (q - om) * (n_plus**2 + n_minus**2), d + 1: pair}, difference)
-    # (a+ +- a-)/sqrt(2) as a product with 1/sqrt(2), as scipy.sparse divides, squared:
-    # the a+ a+ and a- a- bands are shared, the cross band sums two equal products
-    u, w = n_plus * (1.0 / math.sqrt(2.0)), n_minus * (1.0 / math.sqrt(2.0))
-    same, cross = {2 * d: u[d:-d] * u[2 * d:], 2: w[1:-1] * w[2:]}, (u * w)[d + 1:]
-    h_s, h_a = (
-        _symmetric_bands(space.dim, {k: -0.5 * om * v for k, v in {**same, d + 1: c + c}.items()}, parity)
-        for c in (cross, -cross)
-    )
-    return Hamiltonians(two_mode, undepleted, h_s, h_a)
+    return Hamiltonians(space, params)
 
 
 def pump_block(space: FockSpace, params: HamiltonianParams) -> SparseOperator:

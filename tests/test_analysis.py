@@ -510,8 +510,32 @@ class TestFitFringe:
         with pytest.raises(DomainError):
             fit_fringe(synth_fringe(0.5, 0.4, -1.42, 1.0, n=7), CONST)
 
+    def test_frequency_scan_from_sums_picks_what_a_qr_scan_picks(self):
+        rng = np.random.default_rng(29)
+        scans = [
+            synth_fringe(0.5, 0.49, s, (-s * ALPHA_COMP / CONST.k_eff_per_m) % (2.0 * math.pi),
+                         n=120, periods=2.0, noise=0.01, seed=1000 * seed + k)
+            for seed in range(20) for k, s in enumerate((-1.42, -0.767, -1.1))
+        ] + [
+            synth_fringe(rng.uniform(0.4, 0.6), rng.uniform(0.2, 0.5), rng.choice([-1.0, 1.0]) * rng.uniform(0.7, 1.5),
+                         rng.uniform(0.1, math.pi - 0.1), periods=rng.uniform(1.2, 3.0))
+            for _ in range(40)
+        ]
+        for pts in scans:
+            x, p = pts[:, 0] / CONST.k_eff_per_m, pts[:, 1]
+            freqs = fringe_scan_grid(x)
+            assert analysis._best_frequency(x, p, freqs) == qr_scan(x, p, freqs)
+
+    def test_a_fringe_at_the_nyquist_frequency_still_fits(self):
+        # on an even grid the Nyquist frequency's cos and sin are collinear, so the
+        # scan never picks it; the refinement climbs to it from the grid point below
+        x = 9.8 + 0.05 * np.arange(40)
+        fit = fit_fringe(np.column_stack([x * CONST.k_eff_per_m, 0.5 + 0.4 * (-1.0) ** np.arange(40)]), CONST)
+        assert fit.scale_s2_per_m == pytest.approx(math.pi / 0.05, rel=1e-12)
+        assert fit.amplitude == pytest.approx(0.4, rel=1e-6) and fit.residual_rms < 1e-12
+
     def test_long_scan_fits_in_bounded_memory(self):
-        # the frequency scan is solved in blocks of FIT_SCAN_PAIRS: all 400
+        # the frequency scan is summed in blocks of FIT_SCAN_PAIRS: all 400
         # trial frequencies at once would peak near 550 MB at 20 000 points
         pts = synth_fringe(0.5, 0.45, -1.42, 1.3, n=20_000, periods=4.0, noise=0.01, seed=3)
         tracemalloc.start()
@@ -522,6 +546,21 @@ class TestFitFringe:
             tracemalloc.stop()
         assert peak < 64e6
         assert fit.scale_s2_per_m == pytest.approx(-1.42, rel=1e-3)
+
+
+def fringe_scan_grid(x: np.ndarray) -> np.ndarray:
+    """fit_fringe's trial frequencies: 400 from half a period over the span to the Nyquist frequency."""
+    dx = np.diff(np.sort(x))
+    return np.geomspace(math.pi / float(x.max() - x.min()), math.pi / float(dx[dx > 0].min()), 400)
+
+
+def qr_scan(x: np.ndarray, p: np.ndarray, freqs: np.ndarray) -> float:
+    """The frequency scan as batched QR solves of the (1, cos fx, sin fx) design, one
+    residual per frequency: the reference of the scan from sums."""
+    design = analysis._design(x, freqs)
+    q, r = np.linalg.qr(design)
+    resid = p - (design @ np.linalg.solve(r, np.swapaxes(q, 1, 2) @ p[:, None]))[..., 0]
+    return float(freqs[np.argmin(np.einsum("fn,fn->f", resid, resid))])
 
 
 def analytic_fit(scale, alpha_star, amp=0.49):

@@ -10,9 +10,11 @@ whose error must fall as 1/N from N = 60 to the paper's 6000 atoms.
 """
 
 import functools
+import hashlib
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -719,6 +721,160 @@ class TestKeptBeamsplitter:
         in_threads(work)
         assert wrong == []
         assert 0 < held(space._beamsplitter) <= 8**2
+
+
+OPERATORS = ("two_mode", "undepleted", "symmetric_mode", "antisymmetric_mode")
+
+# sha256 over (name, dtype, shape, bytes) of rows, cols, data and sector of each operator
+# of build_hamiltonians at q = 1.3, from the chain that built all four at once; at
+# q = Omega = 1 undepleted stores no diagonal and equals two_mode byte for byte
+CHAIN_SHA256 = {
+    12: {
+        "two_mode": "1b44c3b1e21e7de73a87043f31c2d16dad1cade7c1d7ff869492438c064ae0ef",
+        "undepleted": "34e2dc737cd202619b1821e6d26321b481df806eb1d87a9b4209b61b3dc64d3d",
+        "symmetric_mode": "65f2d753fecb6ce78a85eb594405268513a30a62ced96814614698fca04afea4",
+        "antisymmetric_mode": "ab818b3ca52e9257036eb8de0de6f02c044327dc0041b62a57b2b18a52d77af1",
+    },
+    40: {
+        "two_mode": "07b8de72dbcbba76ffbb1c0941419065d1e1e0e070a9daa97d09fe835a036753",
+        "undepleted": "ccb7b649b96def1869aec9eadd8fcea9c43dd082a6ca6cd9fe7f1956c67ba534",
+        "symmetric_mode": "93b3639a2380fea454a9623132faac58fcc36348ad8d0b8fd485dfe8d5afefcc",
+        "antisymmetric_mode": "56795f8f319fa429d09b73466f856b0235a4c08b350cd2aadfe6acc386fe756e",
+    },
+    100: {
+        "two_mode": "b94deb3df34d40493fafd231f6251afe35e7c9febf5d1546f9f94e0dd0d629a0",
+        "undepleted": "e3f852124168107fd9cfe11e6abd46abf344c2b92e1cb6e7a2458fb93230433b",
+        "symmetric_mode": "a07a3e57b64b9772edd1f530107f5a8deb0c6bc7f5ff53a769bad4c8ee3e429e",
+        "antisymmetric_mode": "c184291810b12d39671424373e95e272c663b797ad7916f0a47a537b10e2b0e6",
+    },
+}
+
+
+def operator_sha256(op: SparseOperator) -> str:
+    digest = hashlib.sha256()
+    for name in ("rows", "cols", "data", "sector"):
+        array = getattr(op, name)
+        digest.update(f"{name}:{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def count_builds(monkeypatch) -> list:
+    """Patch the band builder every operator of a chain goes through to record each call."""
+    calls, build = [], squeezing._symmetric_bands
+
+    def spy(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(squeezing, "_symmetric_bands", spy)
+    return calls
+
+
+class TestKeptChain:
+    """A chain builds each operator on first access and keeps it, as a FockSpace keeps its beamsplitter."""
+
+    @pytest.mark.parametrize("q", [1.0, 1.3])
+    @pytest.mark.parametrize("n_max", [12, 40, 100])
+    def test_every_operator_keeps_its_bytes(self, n_max, q):
+        chain = build_hamiltonians(FockSpace(n_max=n_max), HamiltonianParams(zeeman_q_rad_s=q))
+        want = dict(CHAIN_SHA256[n_max], **({"undepleted": CHAIN_SHA256[n_max]["two_mode"]} if q == 1.0 else {}))
+        assert {name: operator_sha256(getattr(chain, name)) for name in OPERATORS} == want
+
+    def test_touching_two_mode_builds_no_other_operator(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        chain = build_hamiltonians(FockSpace(n_max=100), HamiltonianParams())
+        assert built == []
+        chain.two_mode
+        assert len(built) == 1 and [name for name in OPERATORS if name in vars(chain)] == ["two_mode"]
+        chain.symmetric_mode
+        assert len(built) == 2 and "antisymmetric_mode" not in vars(chain) and "undepleted" not in vars(chain)
+
+    def test_a_sweep_of_durations_decomposes_the_kept_operator_once(self, monkeypatch):
+        space = FockSpace(n_max=40)
+        chain, built, sizes = build_hamiltonians(space, HamiltonianParams()), count_builds(monkeypatch), count_eigh(monkeypatch)
+        states = [evolve(chain.two_mode, vacuum_state(space), r) for r in (0.5, 1.0, 1.13, 1.5)]
+        assert chain.two_mode is chain.two_mode
+        assert len(built) == 1 and sizes == [41]  # the vacuum's one sector, N+ - N- = 0
+        # an equal chain built anew builds and decomposes afresh, to the same bytes
+        assert squeezed(space).tobytes() == states[2].tobytes()
+        assert len(built) == 2 and sizes == [41, 41]
+
+    def test_threads_sharing_one_chain_get_the_same_bytes(self):
+        space, params = FockSpace(n_max=12), HamiltonianParams(zeeman_q_rad_s=1.3)
+        psi = spread_state(space.dim)
+        want = {name: evolve(getattr(build_hamiltonians(space, params), name), psi, 0.7).tobytes() for name in OPERATORS}
+        chain, wrong = build_hamiltonians(space, params), []
+
+        def work(first):
+            for k in range(first, first + 24):
+                name = OPERATORS[k % 4]
+                if evolve(getattr(chain, name), psi, 0.7).tobytes() != want[name]:
+                    wrong.append(k)
+
+        in_threads(work)
+        assert wrong == []
+        assert {name: operator_sha256(getattr(chain, name)) for name in OPERATORS} == CHAIN_SHA256[12]
+
+    def test_equality_hash_and_repr_see_space_and_params_only(self):
+        space, params = FockSpace(n_max=12), HamiltonianParams()
+        used, fresh = build_hamiltonians(space, params), build_hamiltonians(space, params)
+        for name in OPERATORS:
+            getattr(used, name)
+        assert all(name in vars(used) and name not in vars(fresh) for name in OPERATORS)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh) == (
+            "Hamiltonians(space=FockSpace(n_max=12), "
+            "params=HamiltonianParams(zeeman_q_rad_s=1.0, interaction_rad_s=1.0, pump_atoms=100))"
+        )
+        assert used != build_hamiltonians(space, HamiltonianParams(zeeman_q_rad_s=1.3))
+        assert used != build_hamiltonians(FockSpace(n_max=13), params)
+
+
+MAX_FLOAT = sys.float_info.max
+
+
+class TestChainFloatRange:
+    """build_hamiltonians refuses a chain whose largest entry, max(|Omega|, 2|q - Omega|) n_max,
+    leaves the float range, and every operator of a chain it accepts builds."""
+
+    @pytest.mark.parametrize(
+        "q, omega",
+        [(1.0, 1e307), (1e307, 1.0), (1e308, -1e308), (np.float64(1e308), np.float64(-1e308)), (10**308, -(10**308))],
+        ids=["omega", "q", "q-omega-overflows", "numpy-floats", "integers"],
+    )
+    def test_out_of_range_chain_refused_at_build_naming_q_omega_and_n_max(self, q, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            with pytest.raises(DomainError, match=r"leaves the float range at zeeman_q_rad_s=.*interaction_rad_s=.*n_max=100"):
+                build_hamiltonians(FockSpace(n_max=100), HamiltonianParams(zeeman_q_rad_s=q, interaction_rad_s=omega))
+
+    @pytest.mark.parametrize("n_max", [4, 12, 100, 255])
+    @pytest.mark.parametrize("term", ["pairs", "number", "both"])
+    def test_the_largest_accepted_chain_builds_every_operator(self, n_max, term):
+        # x at the edge: the pair band -Omega sqrt(n+ n-) alone (q = Omega), the number term
+        # (q - Omega)(N+ + N-) alone (Omega = 0), or both with 2|q - Omega| the larger
+        def params(x):
+            return {
+                "pairs": HamiltonianParams(zeeman_q_rad_s=x, interaction_rad_s=x),
+                "number": HamiltonianParams(zeeman_q_rad_s=x, interaction_rad_s=0.0),
+                "both": HamiltonianParams(zeeman_q_rad_s=-x / 2, interaction_rad_s=x / 2),
+            }[term]
+
+        x = float(np.nextafter(MAX_FLOAT / (n_max if term == "pairs" else 2 * n_max), math.inf))
+        refused = 0
+        while refused < 8:  # a few ulps above the edge
+            try:
+                chain = build_hamiltonians(FockSpace(n_max=n_max), params(x))
+                break
+            except DomainError:
+                refused, x = refused + 1, float(np.nextafter(x, 0.0))
+        assert 1 <= refused < 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            largest = max(np.abs(getattr(chain, name).data).max(initial=0.0) for name in OPERATORS)
+        assert MAX_FLOAT / 2 < largest <= MAX_FLOAT
+        with pytest.raises(DomainError, match="leaves the float range"):
+            build_hamiltonians(FockSpace(n_max=n_max), params(float(np.nextafter(x, math.inf))))
 
 
 def pair_number_error(pump: int, n_max: int, r: float = 1.13) -> float:
