@@ -232,7 +232,7 @@ def fit_fringe(points, constants: PhysicalConstants) -> FringeFit:
 def fringe_intersection(
     fits: list[FringeFit],
     constants: PhysicalConstants,
-    alpha_window: tuple[float, float],
+    alpha_center_rad_per_s2: float,
 ) -> FringeCrossing:
     """Chirp rate where the phases of all fitted fringes agree, and its
     standard uncertainty (chirp-scan method, Peters, Chung & Chu, Nature
@@ -240,26 +240,33 @@ def fringe_intersection(
 
     At the compensating chirp the inertial phase vanishes for every T, so
     the phases psi_i(x) = |S_i| x + sign(S_i) phase0_i, x = alpha/k_eff,
-    agree there mod 2 pi. Taken at the window midpoint x_m and unwrapped
-    to the branch nearest the first fit's, psi_i + |S_i| delta = c is
-    solved for (delta, c), weighted by 1/Var psi_i from each fit's (scale,
-    phase0) covariance; sigma comes from (A^T W A)^-1. If any fit has zero
+    agree there mod 2 pi. The crossing is sought in one beat period
+    2 pi/(|S_a| + |S_b|) of the two steepest fringes, centred on
+    `alpha_center_rad_per_s2` (the scan centre): narrower than the
+    2 pi/||S_i| - |S_j|| spacing of phase agreements, so the window holds
+    at most one. Taken at the window midpoint x_m and unwrapped to the
+    branch nearest the first fit's, psi_i + |S_i| delta = c is solved for
+    (delta, c), weighted by 1/Var psi_i from each fit's (scale, phase0)
+    covariance; sigma comes from (A^T W A)^-1. If any fit has zero
     variance (an exact fit), the weights are equal and sigma is 0.
+    DomainError for fits of equal |S| (two flat ones too), a window that
+    leaves the float range, or a crossing outside the window.
     """
     if len(fits) < 2:
         raise DomainError("need at least 2 fringe fits")
     scales = np.array([f.scale_s2_per_m for f in fits])
     mags = np.abs(scales)
-    if mags.max() - mags.min() < 1e-12 * mags.max():
+    if mags.max() - mags.min() <= 1e-12 * mags.max():
         raise DomainError("fringes are parallel (equal |scale|); no crossing")
-    lo, hi = alpha_window
-    require(NUMBER, "alpha_window[0]", lo)
-    require(NUMBER, "alpha_window[1]", hi)
-    if hi <= lo:
-        raise DomainError("empty alpha window")
+    require(NUMBER, "alpha_center_rad_per_s2", alpha_center_rad_per_s2)
+    center = float(alpha_center_rad_per_s2)
 
     k = constants.k_eff_per_m
-    x_mid = 0.5 * (lo + hi) / k
+    steepest = sorted(mags.tolist(), reverse=True)
+    half = math.pi / (steepest[0] + steepest[1]) * k  # in Python floats, so tiny scales give inf, not a warning
+    lo, hi = center - half, center + half
+    x_mid = in_float_range("the one-beat window", lambda: 0.5 * (lo + hi) / k, scales=scales.tolist(),
+                           alpha_center_rad_per_s2=center)
     psi = mags * x_mid + np.sign(scales) * np.array([f.phase0_rad for f in fits])
     psi -= 2.0 * math.pi * np.round((psi - psi[0]) / (2.0 * math.pi))
     grad = np.array([x_mid, 1.0])  # d psi / d(scale, phase0), up to sign(S_i)

@@ -30,7 +30,7 @@ from .analysis import (
     require_squeezing_contrast,
 )
 from .config import AppConfig, config_hash, load_config
-from .errors import COUNT, DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE
+from .errors import COUNT, DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule
 from .errors import ConfigError, DataError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity
 from .sensitivity import net_area, scale_factor
@@ -48,6 +48,13 @@ REF_COHERENT_DB = 2.2      # derived calibration, not a direct quote
 REF_TIME_RATIO = 10**0.39  # ~2.45x faster averaging
 REF_G_EXP = 9.8118
 REF_BUDGET = (4.0, -20.0)  # rounded imbalance noise and dB level
+
+# rows a `pulse --samples` or `tomography --points` table may have: a
+# million rows take ~14 s CPU and ~0.6 GB peak RSS for either command
+MAX_TABLE_ROWS = 10**6
+TABLE_ROWS = Rule(lambda v: SIZE.test(v) and v <= MAX_TABLE_ROWS, f"an integer in [0, {MAX_TABLE_ROWS}]")
+# the FringeFit fields of a fringes.csv row, after the file name
+FRINGE_COLUMNS = ("offset", "amplitude", "contrast", "scale_s2_per_m", "phase0_rad", "residual_rms")
 
 
 class _UsageError(Exception):
@@ -261,7 +268,7 @@ def _write_arm(cfg: AppConfig, campaign, label: str, path, manifest: Manifest):
 def _write_analysis(args, name, cfg: AppConfig, shots):
     """Estimate g and the metrological squeezing of a log and write them
     as a quantity,value table to the output `name`; returns the path
-    written (None for stdout) and both estimates."""
+    written (None for stdout), the log's pair differences and both estimates."""
     deltas = delta_p(shots)  # refuses a log without one full pair
     t1, t2 = shots.free_evolution_s[:2].tolist()
     s1 = scale_factor(replace(cfg.timing, free_evolution_s=t1), cfg.constants)
@@ -285,11 +292,11 @@ def _write_analysis(args, name, cfg: AppConfig, shots):
         ["alpha_rad_per_s2", _f17(alpha)],
         ["alpha_over_keff_m_s2", _f17(alpha / cfg.constants.k_eff_per_m)],
     ]
-    return _write_csv(args, name, ["quantity", "value"], rows), grav, squeeze
+    return _write_csv(args, name, ["quantity", "value"], rows), deltas, grav, squeeze
 
 
 def _cmd_analyze(args) -> int:
-    _, grav, squeeze = _write_analysis(args, args.out, args.config_obj, read_shot_log(args.shots))
+    _, _, grav, squeeze = _write_analysis(args, args.out, args.config_obj, read_shot_log(args.shots))
     print(
         f"g = {grav.g_exp_m_s2:.6f} +- {grav.sigma_g_m_s2:.6f} m/s^2, "
         f"squeezing {squeeze.db:+.2f} dB "
@@ -298,11 +305,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _write_allan(args, name, shots):
-    """The overlapping Allan deviation of a log's pair differences,
-    written as a tau_s,adev,err table to the output `name`; returns the
-    path written (None for stdout) and the series."""
-    deltas = delta_p(shots)
+def _write_allan(args, name, shots, deltas):
+    """The overlapping Allan deviation of a log's pair differences
+    `deltas`, written as a tau_s,adev,err table to the output `name`;
+    returns the path written (None for stdout) and the series."""
     if len(deltas.values) < MIN_ALLAN_SAMPLES:  # before tau0 reads a third shot
         raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples, got {len(deltas.values)}")
     # tau0 is the log's pair spacing: skipped pairs are closed up, not gaps
@@ -312,7 +318,8 @@ def _write_allan(args, name, shots):
 
 
 def _cmd_allan(args) -> int:
-    _write_allan(args, args.out, read_shot_log(args.shots))
+    shots = read_shot_log(args.shots)
+    _write_allan(args, args.out, shots, delta_p(shots))
     return 0
 
 
@@ -356,34 +363,13 @@ def _cmd_fringes(args) -> int:
         fit = fit_fringe(pts, cfg.constants)
         fits.append(fit)
         alphas += [a for a, _ in pts]
-        rows.append(
-            [
-                os.path.basename(path),
-                _f17(fit.offset),
-                _f17(fit.amplitude),
-                _f17(fit.contrast),
-                _f17(fit.scale_s2_per_m),
-                _f17(fit.phase0_rad),
-                _f17(fit.residual_rms),
-            ]
-        )
-    _write_csv(
-        args,
-        args.out,
-        ["file", "offset", "amplitude", "contrast", "scale_s2_per_m", "phase0_rad", "residual_rms"],
-        rows,
-    )
-    scales = {round(abs(f.scale_s2_per_m), 12) for f in fits}
-    if len(fits) >= 2 and len(scales) >= 2:
-        # one beat period 2*pi/(|S_a| + |S_b|) of the two steepest fringes
-        # around the scan center: narrower than the 2*pi/||S_i| - |S_j||
-        # spacing of phase agreements, so it holds at most one crossing
-        k = cfg.constants.k_eff_per_m
-        mags = sorted((abs(f.scale_s2_per_m) for f in fits), reverse=True)
-        half = math.pi / (mags[0] + mags[1]) * k
+        rows.append([os.path.basename(path), *(_f17(getattr(fit, name)) for name in FRINGE_COLUMNS)])
+    _write_csv(args, args.out, ["file", *FRINGE_COLUMNS], rows)
+    if len({round(abs(f.scale_s2_per_m), 12) for f in fits}) >= 2:  # scans of equal |S| have no crossing
         ordered, mid = sorted(alphas), len(alphas) // 2  # np.median would import numpy.ma
         center = ordered[mid] if len(alphas) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-        star = fringe_intersection(fits, cfg.constants, (center - half, center + half))
+        star = fringe_intersection(fits, cfg.constants, center)
+        k = cfg.constants.k_eff_per_m
         print(f"alpha_star_rad_per_s2,{_f17(star.alpha_rad_per_s2)}")
         print(f"alpha_star_over_keff_m_s2,{_f17(star.alpha_rad_per_s2 / k)}")
         print(f"sigma_alpha_star_rad_per_s2,{_f17(star.sigma_alpha_rad_per_s2)}")
@@ -441,12 +427,12 @@ def _cmd_reproduce(args) -> int:
         arm_cfg = _apply_state_choice(cfg, squeezed)
         campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=n_pairs)
         shots = _write_arm(arm_cfg, campaign, label, _out_path(args, f"shots_{label}.jsonl"), manifest)
-        path, grav, squeeze = _write_analysis(args, f"analysis_{label}.csv", arm_cfg, shots)
+        path, deltas, grav, squeeze = _write_analysis(args, f"analysis_{label}.csv", arm_cfg, shots)
         manifest.add(path)
-        path, series = _write_allan(args, f"allan_{label}.csv", shots)
+        path, series = _write_allan(args, f"allan_{label}.csv", shots, deltas)
         manifest.add(path)
         results[label] = (grav, squeeze, series)
-        del shots  # else both arms' shots are held while the next arm is generated
+        del shots, deltas  # else both arms' shots are held while the next arm is generated
 
     grav_s, squeeze_s, series_s = results["squeezed"]
     _, squeeze_c, series_c = results["coherent"]
@@ -493,7 +479,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau-s", type=_number(DURATION), help="pulse duration in seconds")
     p.add_argument("--shape", choices=("blackman", "square"), default="blackman")
     p.add_argument("--area-rad", type=_number(POSITIVE), default=math.pi)
-    p.add_argument("--samples", type=_number(SIZE, int), default=201)
+    p.add_argument("--samples", type=_number(TABLE_ROWS, int), default=201)
     p.add_argument("--detuning-hz", type=_number(NUMBER), help="emit transfer probability at this detuning")
     p.add_argument("--detuning-sigma-hz", type=_number(NON_NEGATIVE), default=0.0)
     p.add_argument("--model", choices=("envelope", "constant"), default="envelope")
@@ -506,7 +492,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tomography", help="variance vs readout angle of the input-state model")
     common(p, None)
-    p.add_argument("--points", type=_number(SIZE, int), default=181)
+    p.add_argument("--points", type=_number(TABLE_ROWS, int), default=181)
     p.add_argument("--coherent", action="store_true", help="ideal coherent input instead of the configured model")
     p.set_defaults(func=_cmd_tomography)
 

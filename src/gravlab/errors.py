@@ -13,7 +13,6 @@ that leaves the float range.
 """
 
 import math
-import sys
 from contextlib import suppress
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
@@ -60,8 +59,11 @@ class Rule(NamedTuple):
     words: str
 
 
-def _number(v) -> bool:  # NaN compares false; an int beyond the float range is refused, not converted
-    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+def _number(v) -> bool:  # isfinite reads v as a float, in no narrower numpy type
+    try:
+        return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 NUMBER = Rule(_number, "a finite number")

@@ -577,23 +577,18 @@ def analytic_fit(scale, alpha_star, amp=0.49):
 
 
 class TestFringeIntersection:
-    def window(self, scales, center):
-        mags = sorted((abs(s) for s in scales), reverse=True)
-        half = math.pi / (mags[0] + mags[1]) * CONST.k_eff_per_m
-        return (center - half, center + half)
-
     def test_noiseless_crossing_recovers_truth(self):
         scales = (-1.42, -0.767)
         fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
-        got = fringe_intersection(fits, CONST, self.window(scales, ALPHA_COMP + 2e5))
+        got = fringe_intersection(fits, CONST, ALPHA_COMP + 2e5)
         assert got.alpha_rad_per_s2 / CONST.k_eff_per_m == pytest.approx(G_TRUE, abs=1e-7)
         assert got.sigma_alpha_rad_per_s2 == 0.0  # exact fits carry no covariance
 
     def test_noiseless_scan_sets_cross_at_the_generating_chirp(self):
         # built like the benchmark's scans: the scales of T = 455, 305 and
         # 155 us on one 90-point grid over 1.25 periods of the slowest
-        # fringe, p = offset - amp cos(S (x - g0)), and the window the
-        # fringes command uses around the scan center
+        # fringe, p = offset - amp cos(S (x - g0)), centred where the
+        # fringes command centres them, on the scan median
         rng = random.Random(2024)
         scales = [scale_factor(replace(TIMING, free_evolution_s=t), CONST) for t in (455e-6, 305e-6, 155e-6)]
         span = 1.25 * 2.0 * math.pi / min(scales)
@@ -606,7 +601,7 @@ class TestFringeIntersection:
                 fit_fringe(np.column_stack([x * CONST.k_eff_per_m, offset - amp * np.cos(s * (x - g0))]), CONST)
                 for s in scales
             ]
-            star = fringe_intersection(fits, CONST, self.window(scales, float(np.median(x)) * CONST.k_eff_per_m))
+            star = fringe_intersection(fits, CONST, float(np.median(x)) * CONST.k_eff_per_m)
             worst = max(worst, abs(star.alpha_rad_per_s2 / CONST.k_eff_per_m - g0))
         assert worst <= 1e-10, worst
 
@@ -621,7 +616,7 @@ class TestFringeIntersection:
                     0.5, 0.49, s, phase0, n=120, periods=2.0, noise=0.01, seed=100 * seed + k
                 )
                 fits.append(fit_fringe(pts, CONST))
-            alpha = fringe_intersection(fits, CONST, self.window(scales, ALPHA_COMP)).alpha_rad_per_s2
+            alpha = fringe_intersection(fits, CONST, ALPHA_COMP).alpha_rad_per_s2
             estimates.append(alpha / CONST.k_eff_per_m)
         err = np.asarray(estimates) - G_TRUE
         sem = float(np.std(err, ddof=1)) / math.sqrt(len(err))
@@ -631,7 +626,6 @@ class TestFringeIntersection:
         # the +-1.96 sigma interval against the true crossing over 200
         # noisy three-scan sets
         scales = (-1.42, -0.767, -1.1)
-        window = self.window(scales, ALPHA_COMP)
         covered = 0
         for seed in range(200):
             fits = []
@@ -639,35 +633,64 @@ class TestFringeIntersection:
                 phase0 = (-s * ALPHA_COMP / CONST.k_eff_per_m) % (2.0 * math.pi)
                 pts = synth_fringe(0.5, 0.49, s, phase0, n=120, periods=2.0, noise=0.01, seed=1000 * seed + k)
                 fits.append(fit_fringe(pts, CONST))
-            star = fringe_intersection(fits, CONST, window)
+            star = fringe_intersection(fits, CONST, ALPHA_COMP)
             covered += abs(star.alpha_rad_per_s2 - ALPHA_COMP) <= 1.96 * star.sigma_alpha_rad_per_s2
         # for a true 95% rate, P(covered <= 179) = 0.12% and P(covered = 200) = 3.5e-5
         assert 180 <= covered <= 199, covered
 
-    @pytest.mark.parametrize("scales", [(-1.0, -1.0), (-1.0, 1.0)], ids=["same-sign", "opposite-sign"])
+    @pytest.mark.parametrize(
+        "scales", [(-1.0, -1.0), (-1.0, 1.0), (0.0, 0.0)], ids=["same-sign", "opposite-sign", "both-zero"]
+    )
     def test_parallel_fringes_rejected(self, scales):
         # a fit folds the sign of the cosine into its scale, so S and -S
-        # are the same fringe slope
+        # are the same fringe slope; two flat fringes are parallel too
         fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
         with pytest.raises(DomainError, match="parallel"):
-            fringe_intersection(fits, CONST, (ALPHA_COMP - 1e6, ALPHA_COMP + 1e6))
+            fringe_intersection(fits, CONST, ALPHA_COMP)
+
+    # each set with the largest centre offset on the sweep's 0.25 m/s^2 grid
+    # whose window still holds the crossing: the half-widths pi/(|S_a| + |S_b|)
+    # of the two steepest fringes are 1.44 and 1.25 m/s^2
+    @pytest.mark.parametrize(
+        "scales, reach", [((-1.42, -0.767), 1.25), ((-1.42, -0.767, -1.1), 1.0)], ids=["two-fits", "three-fits"]
+    )
+    def test_the_window_holds_the_crossing_or_refuses(self, scales, reach):
+        # the centre swept over +-10 m/s^2 of the crossing in 0.25 m/s^2 steps:
+        # the crossing while the window holds it, then a refusal, never
+        # another point within 8 m/s^2. Beyond, the window reaches the next phase
+        # agreement of -1.42 and -0.767, 2 pi/(1.42 - 0.767) = 9.62 m/s^2
+        # away, which fringe phases cannot tell from the crossing
+        fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
+        for step in range(-40, 41):
+            offset = 0.25 * step
+            try:
+                found = fringe_intersection(fits, CONST, ALPHA_COMP + offset * CONST.k_eff_per_m)
+            except DomainError as exc:
+                assert "lies outside the window" in str(exc)
+                assert abs(offset) > reach, offset
+                continue
+            error = abs(found.alpha_rad_per_s2 / CONST.k_eff_per_m - G_TRUE)
+            if abs(offset) < 8.0:
+                assert abs(offset) <= reach and error <= 1e-10, (offset, error)
+            else:
+                assert error >= 8.0, (offset, error)
+
+    def test_an_infinite_window_is_refused_naming_the_scales(self):
+        # pi / (1e-310 + 0) overflows
+        fits = [analytic_fit(1e-310, ALPHA_COMP), analytic_fit(0.0, ALPHA_COMP)]
+        with pytest.raises(DomainError, match=r"^the one-beat window leaves the float range at scales=\[1e-310, 0\.0\]"):
+            fringe_intersection(fits, CONST, ALPHA_COMP)
 
     def test_crossing_outside_window_rejected(self):
-        # the true crossing lies half a beat period beyond the right edge
-        scales = (-1.42, -0.767)
-        lo, hi = self.window(scales, ALPHA_COMP)
-        fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
+        # the crossing lies 3 m/s^2 above the centre, beyond the window's
+        # half-width of 1.44 m/s^2
+        fits = [analytic_fit(s, ALPHA_COMP) for s in (-1.42, -0.767)]
         with pytest.raises(DomainError, match="outside"):
-            fringe_intersection(fits, CONST, (lo - 0.5 * (hi - lo), lo - 1.0))
+            fringe_intersection(fits, CONST, ALPHA_COMP - 3.0 * CONST.k_eff_per_m)
 
     def test_single_fit_rejected(self):
         with pytest.raises(DomainError):
-            fringe_intersection([analytic_fit(-1.0, ALPHA_COMP)], CONST, (0.0, 1.0))
-
-    def test_empty_window_rejected(self):
-        fits = [analytic_fit(-1.42, ALPHA_COMP), analytic_fit(-0.767, ALPHA_COMP)]
-        with pytest.raises(DomainError):
-            fringe_intersection(fits, CONST, (1.0, 1.0))
+            fringe_intersection([analytic_fit(-1.0, ALPHA_COMP)], CONST, ALPHA_COMP)
 
 
 class TestAllanDeviation:

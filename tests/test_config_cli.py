@@ -414,6 +414,9 @@ class TestCliBasics:
             ["pulse", "--detuning-sigma-hz", "-1", "--detuning-hz", "1"],
             ["pulse", "--samples", "-1"],
             ["tomography", "--points", "-1"],
+            # 72.8 TiB of rows: refused before numpy is asked for them
+            ["pulse", "--samples", "10000000000000"],
+            ["tomography", "--points", "10000000000000"],
             ["simulate", "--pairs", "0"],
             ["simulate", "--pairs", "2.5"],
             ["simulate", "--seed", "-1"],
@@ -426,6 +429,16 @@ class TestCliBasics:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"usage error: argument {argv[1]}: must be")
+
+    @pytest.mark.parametrize("command, flag", [("pulse", "--samples"), ("tomography", "--points")])
+    def test_table_size_is_bounded(self, command, flag, monkeypatch, capsys):
+        monkeypatch.setattr(gravlab.cli, "MAX_TABLE_ROWS", 5)
+        assert main([command, flag, "5", "--out", "-"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 5
+        assert main([command, flag, "6", "--out", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: argument {flag}: must be an integer in [0, ")
 
     def test_env_config_respected(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.yaml"
@@ -992,6 +1005,15 @@ class TestReproduceCommand:
         err = capsys.readouterr().err
         assert "usage error" in err and "--out" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_each_arm_is_paired_twice(self, tmp_path, monkeypatch):
+        # once for its pair differences, which g and the Allan deviation
+        # share, and once inside its squeezing estimate
+        calls = []
+        pairs = gravlab.analysis._pairs
+        monkeypatch.setattr(gravlab.analysis, "_pairs", lambda shots: calls.append(len(shots)) or pairs(shots))
+        self.run_repro(tmp_path)
+        assert calls == [48] * 4
 
     @pytest.mark.parametrize(
         "pairs, why", [("10", "at least 16 pairs"), ("0", "argument --pairs: must be an integer >= 1")], ids=["10", "0"]

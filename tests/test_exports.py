@@ -3,6 +3,8 @@ against NaN, infinity and other values outside their rules."""
 
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,7 @@ from gravlab import (
     vacuum_state,
 )
 from gravlab.analysis import DeltaPSeries
+from gravlab.errors import NUMBER
 from sector_oracle import as_operator
 
 
@@ -143,8 +146,7 @@ ARGUMENTS = [
     ("coherent_model(x)", "atom_number", [0.0]),
     ("evolve(H, PSI, x)", "duration", [HUGE]),
     ("occupation_distribution(vacuum_state(SPACE), SPACE, x)", "mode", [2, -1]),
-    ("fringe_intersection(FITS, CONST, (x, 1.6e8))", "alpha_window[0]", [HUGE]),
-    ("fringe_intersection(FITS, CONST, (1.5e8, x))", "alpha_window[1]", [HUGE]),
+    ("fringe_intersection(FITS, CONST, x)", "alpha_center_rad_per_s2", [HUGE]),
 ]
 
 
@@ -160,6 +162,39 @@ def test_public_function_refuses_a_bad_scalar_naming_it(call, name, value):
     error = ConfigError if name == "detuning_model" else DomainError
     with pytest.raises(error, match=f"^{re.escape(name)} must be .+, got {re.escape(repr(value))}$"):
         eval(call, globals() | {"x": value})
+
+
+# (value, whether it is a number): numpy floats of every width, ints at the
+# edge of the float range, and what is never a number
+NUMBERS = [
+    *[(kind(1.3), True) for kind in (np.float16, np.float32, np.float64, np.longdouble)],
+    *[(kind(-np.finfo(kind).max), True) for kind in (np.float16, np.float32)],
+    (np.float64(sys.float_info.max), True),
+    (np.longdouble("1e400"), False),  # finite in its own type, beyond the float range
+    *[(kind(v), False) for kind in (np.float16, np.float32, np.float64, np.longdouble) for v in ("nan", "inf", "-inf")],
+    (np.int64(-3), True),
+    (10**308, True),
+    (10**309, False),
+    (-(10**309), False),
+    (math.nan, False),
+    (math.inf, False),
+    (-math.inf, False),
+    (True, False),
+    (False, False),
+    (np.True_, False),
+]
+
+
+@pytest.mark.parametrize("value, passes", NUMBERS, ids=[f"{type(v).__name__}-{str(v)[:12]}" for v, _ in NUMBERS])
+def test_a_number_of_any_width_is_judged_without_a_warning(value, passes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert NUMBER.test(value) == passes
+        if passes:
+            HamiltonianParams(zeeman_q_rad_s=value)
+        else:
+            with pytest.raises(ConfigError, match="zeeman_q_rad_s must be a finite number"):
+                HamiltonianParams(zeeman_q_rad_s=value)
 
 
 # finite arguments whose result leaves the float range: (call, the result
@@ -206,6 +241,9 @@ OVERFLOWS = [
         "the widest quadrature detuning",
         "detuning_mean_rad_s=1e+308, detuning_sigma_rad_s=1e+308",
     ),
+    # the sum of the window's two ends at a centre near the float limit
+    ("fringe_intersection(FITS, CONST, 1.7e308)", "the one-beat window",
+     "scales=[-1.42, -0.767], alpha_center_rad_per_s2=1.7e+308"),
     # k_eff times the two lobe sums
     (
         "scale_factor(SequenceTiming(pulse_s=1e200), PhysicalConstants())",
