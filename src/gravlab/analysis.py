@@ -44,10 +44,16 @@ class FringeCrossing:
 
 @dataclass(frozen=True)
 class DeltaPSeries:
-    """Per-pair population differences in acquisition order."""
+    """A log's usable (long-T, short-T) pairs in order, and all else the estimators and tables read."""
 
-    times_s: np.ndarray
-    values: np.ndarray
+    times_s: np.ndarray          # wall time of each pair's long-T shot
+    values: np.ndarray           # p(long T) - p(short T)
+    imbalance_diff: np.ndarray   # imbalance(long T) - imbalance(short T)
+    mean_atoms_sum: float        # mean atom number of the long-T shots plus that of the short-T ones
+    t1_s: float                  # the long (first) free-evolution time
+    t2_s: float
+    chirp_rad_per_s2: float      # the first shot's: one for the whole log, as read_shot_log checks
+    tau0_s: float | None         # pair spacing wall_time_s[2] - wall_time_s[0]; None for a two-shot log
     n_dropped: int   # trailing unpaired shots
     n_skipped: int   # pairs lost to zero-atom shots
 
@@ -147,6 +153,7 @@ def fit_fringe(points, constants: PhysicalConstants) -> FringeFit:
     pts = as_numbers("points", points).astype(float, copy=False)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 8:
         raise DomainError("need at least 8 (alpha, p) points")
+    require_finite("points", pts)
     x = pts[:, 0] / constants.k_eff_per_m
     p = pts[:, 1]
     dx = np.diff(np.sort(x))
@@ -229,6 +236,13 @@ def fit_fringe(points, constants: PhysicalConstants) -> FringeFit:
     )
 
 
+def fringes_parallel(fits: list[FringeFit]) -> bool:
+    """Whether the fits' |S| agree to 1e-12 of the largest (one fit, or flat ones, too): such
+    fringes keep one phase difference at every chirp, so they have no crossing."""
+    mags = np.abs([f.scale_s2_per_m for f in fits])
+    return bool(mags.max() - mags.min() <= 1e-12 * mags.max())
+
+
 def fringe_intersection(
     fits: list[FringeFit],
     constants: PhysicalConstants,
@@ -254,10 +268,10 @@ def fringe_intersection(
     """
     if len(fits) < 2:
         raise DomainError("need at least 2 fringe fits")
+    if fringes_parallel(fits):
+        raise DomainError("fringes are parallel (equal |scale|); no crossing")
     scales = np.array([f.scale_s2_per_m for f in fits])
     mags = np.abs(scales)
-    if mags.max() - mags.min() <= 1e-12 * mags.max():
-        raise DomainError("fringes are parallel (equal |scale|); no crossing")
     require(NUMBER, "alpha_center_rad_per_s2", alpha_center_rad_per_s2)
     center = float(alpha_center_rad_per_s2)
 
@@ -289,13 +303,13 @@ def fringe_intersection(
 # pairing and gravity
 
 
-def _pairs(shots: ShotTable):
-    """Usable (long-T, short-T) pairs of an alternating log.
+def delta_p(shots: ShotTable) -> DeltaPSeries:
+    """The log's one pairing: per usable (long-T, short-T) pair, p(long T) - p(short T)
+    and the imbalance difference, with the log's times and chirp.
 
-    Requires strict alternation starting on the long-T shot. Returns the
-    first and second shots of every pair in which both shots hold atoms,
-    the number of trailing unpaired shots dropped and the number of pairs
-    skipped for a zero-atom shot.
+    Requires strict alternation starting on the long-T shot. A trailing
+    unpaired shot is dropped and a pair with a zero-atom shot is skipped,
+    each counted.
     """
     if len(shots) < 2:
         raise DataError("need at least one full pair of shots")
@@ -312,31 +326,20 @@ def _pairs(shots: ShotTable):
             f"alternation broken at records {2 * k},{2 * k + 1}: "
             f"({float(first.free_evolution_s[k])}, {float(second.free_evolution_s[k])})"
         )
-    usable = (first.count_f1 + first.count_f2 > 0) & (second.count_f1 + second.count_f2 > 0)
+    atoms1, atoms2 = first.count_f1 + first.count_f2, second.count_f1 + second.count_f2
+    usable = (atoms1 > 0) & (atoms2 > 0)
     if not usable.all():
         if not usable.any():
             raise DataError("no usable pairs (all skipped)")
-        first, second = first[usable], second[usable]
-    return first, second, len(shots) % 2, int((~usable).sum())
-
-
-def _population(shots: ShotTable) -> np.ndarray:
-    return shots.count_f2 / (shots.count_f1 + shots.count_f2)
-
-
-def delta_p(shots: ShotTable) -> DeltaPSeries:
-    """Per consecutive pair, p(long T) - p(short T).
-
-    Pairs come from the shared pairing validator: a trailing unpaired
-    shot is dropped (counted), zero-atom pairs are skipped (counted
-    separately).
-    """
-    first, second, n_dropped, n_skipped = _pairs(shots)
+        first, second, atoms1, atoms2 = first[usable], second[usable], atoms1[usable], atoms2[usable]
     return DeltaPSeries(
         times_s=first.wall_time_s,
-        values=_population(first) - _population(second),
-        n_dropped=n_dropped,
-        n_skipped=n_skipped,
+        values=first.count_f2 / atoms1 - second.count_f2 / atoms2,
+        imbalance_diff=first.imbalance - second.imbalance,
+        mean_atoms_sum=float(np.mean(atoms1) + np.mean(atoms2)),
+        t1_s=t1, t2_s=t2, chirp_rad_per_s2=float(shots.chirp_rad_per_s2[0]),
+        tau0_s=float(shots.wall_time_s[2] - shots.wall_time_s[0]) if len(shots) > 2 else None,
+        n_dropped=len(shots) % 2, n_skipped=int((~usable).sum()),
     )
 
 
@@ -467,16 +470,14 @@ def _chi2_quantile(q: float, dof: int) -> float:
 
 
 def metrological_squeezing(
-    shots: ShotTable,
+    deltas: DeltaPSeries,
     contrast: float = 1.0,
     n_bootstrap: int = 1000,
 ) -> SqueezingEstimate:
     """Squeezing of the two-T difference signal, in dB, with an exact 95 %
     confidence interval for Gaussian, mean-zero pair differences.
 
-    Uses the pairs delta_p uses: strict alternation, a trailing shot
-    dropped, zero-atom pairs skipped. The denominator is the sum of the
-    campaign-mean atom numbers of the two arms.
+    Reads the imbalance differences of the pairs delta_p made, over their mean atom sum.
 
     The squeezing is proportional to the mean m2 of the n squared pair
     differences. For Gaussian, mean-zero differences of variance s^2,
@@ -488,11 +489,8 @@ def metrological_squeezing(
     the benchmark's tracer binds it by name, as it rebinds
     pulses.solve_ivp, and it goes with that binding.
     """
-    first, second, _, _ = _pairs(shots)
-    atoms_sum = float(np.mean(first.count_f1 + first.count_f2) + np.mean(second.count_f1 + second.count_f2))
-    samples = first.imbalance - second.imbalance
-    linear = squeezing_from_pairs(samples, atoms_sum, contrast)
-    n = len(samples)
+    linear = squeezing_from_pairs(deltas.imbalance_diff, deltas.mean_atoms_sum, contrast)
+    n = len(deltas.imbalance_diff)
     db = 10.0 * math.log10(linear)
     return SqueezingEstimate(
         linear=linear,
@@ -519,7 +517,7 @@ def allan_deviation(series, tau0_s: float) -> AllanSeries:
     """
     x = as_numbers("series", series).astype(float, copy=False)
     if x.ndim != 1 or len(x) < MIN_ALLAN_SAMPLES:
-        raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples")
+        raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples, got {len(x) if x.ndim == 1 else x.shape}")
     require_finite("series", x)
     require(POSITIVE, "tau0_s", tau0_s)
     m_max = len(x) // 3

@@ -25,16 +25,17 @@ from .analysis import (
     estimate_g,
     fit_fringe,
     fringe_intersection,
+    fringes_parallel,
     metrological_squeezing,
     phase_noise_budget,
     require_squeezing_contrast,
 )
 from .config import AppConfig, config_hash, load_config
-from .errors import COUNT, DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule
+from .errors import DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule
 from .errors import ConfigError, DataError, GravlabError
 from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity
 from .sensitivity import net_area, scale_factor
-from .shots import STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
+from .shots import PAIRS, STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
 from .shots import write_shot_log
 from .squeezing import coherent_model, squeezing_parameter, tomography_variance
 
@@ -265,17 +266,15 @@ def _write_arm(cfg: AppConfig, campaign, label: str, path, manifest: Manifest):
     return shots
 
 
-def _write_analysis(args, name, cfg: AppConfig, shots):
-    """Estimate g and the metrological squeezing of a log and write them
-    as a quantity,value table to the output `name`; returns the path
-    written (None for stdout), the log's pair differences and both estimates."""
-    deltas = delta_p(shots)  # refuses a log without one full pair
-    t1, t2 = shots.free_evolution_s[:2].tolist()
-    s1 = scale_factor(replace(cfg.timing, free_evolution_s=t1), cfg.constants)
-    s2 = scale_factor(replace(cfg.timing, free_evolution_s=t2), cfg.constants)
-    alpha = float(shots.chirp_rad_per_s2[0])  # one for the whole log, as read_shot_log checks
+def _write_analysis(args, name, cfg: AppConfig, deltas):
+    """Estimate g and the metrological squeezing from a log's pairs `deltas`
+    and write them as a quantity,value table to the output `name`; returns
+    the path written (None for stdout) and both estimates."""
+    s1 = scale_factor(replace(cfg.timing, free_evolution_s=deltas.t1_s), cfg.constants)
+    s2 = scale_factor(replace(cfg.timing, free_evolution_s=deltas.t2_s), cfg.constants)
+    alpha = deltas.chirp_rad_per_s2
     grav = estimate_g(deltas, cfg.noise.effective_contrast, s1, s2, alpha, cfg.constants)
-    squeeze = metrological_squeezing(shots, contrast=cfg.noise.effective_contrast)
+    squeeze = metrological_squeezing(deltas, contrast=cfg.noise.effective_contrast)
     rows = [
         ["n_pairs", _f17(grav.n_pairs)],
         ["n_dropped", str(deltas.n_dropped)],
@@ -292,11 +291,11 @@ def _write_analysis(args, name, cfg: AppConfig, shots):
         ["alpha_rad_per_s2", _f17(alpha)],
         ["alpha_over_keff_m_s2", _f17(alpha / cfg.constants.k_eff_per_m)],
     ]
-    return _write_csv(args, name, ["quantity", "value"], rows), deltas, grav, squeeze
+    return _write_csv(args, name, ["quantity", "value"], rows), grav, squeeze
 
 
 def _cmd_analyze(args) -> int:
-    _, _, grav, squeeze = _write_analysis(args, args.out, args.config_obj, read_shot_log(args.shots))
+    _, grav, squeeze = _write_analysis(args, args.out, args.config_obj, delta_p(read_shot_log(args.shots)))
     print(
         f"g = {grav.g_exp_m_s2:.6f} +- {grav.sigma_g_m_s2:.6f} m/s^2, "
         f"squeezing {squeeze.db:+.2f} dB "
@@ -305,21 +304,18 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _write_allan(args, name, shots, deltas):
+def _write_allan(args, name, deltas):
     """The overlapping Allan deviation of a log's pair differences
     `deltas`, written as a tau_s,adev,err table to the output `name`;
     returns the path written (None for stdout) and the series."""
-    if len(deltas.values) < MIN_ALLAN_SAMPLES:  # before tau0 reads a third shot
-        raise DataError(f"need a 1-d series of at least {MIN_ALLAN_SAMPLES} samples, got {len(deltas.values)}")
     # tau0 is the log's pair spacing: skipped pairs are closed up, not gaps
-    series = allan_deviation(deltas.values, float(shots.wall_time_s[2] - shots.wall_time_s[0]))
+    series = allan_deviation(deltas.values, deltas.tau0_s)
     rows = [[_f17(t), _f17(a), _f17(e)] for t, a, e in zip(series.tau_s, series.adev, series.err)]
     return _write_csv(args, name, ["tau_s", "adev", "err"], rows), series
 
 
 def _cmd_allan(args) -> int:
-    shots = read_shot_log(args.shots)
-    _write_allan(args, args.out, shots, delta_p(shots))
+    _write_allan(args, args.out, delta_p(read_shot_log(args.shots)))
     return 0
 
 
@@ -365,7 +361,7 @@ def _cmd_fringes(args) -> int:
         alphas += [a for a, _ in pts]
         rows.append([os.path.basename(path), *(_f17(getattr(fit, name)) for name in FRINGE_COLUMNS)])
     _write_csv(args, args.out, ["file", *FRINGE_COLUMNS], rows)
-    if len({round(abs(f.scale_s2_per_m), 12) for f in fits}) >= 2:  # scans of equal |S| have no crossing
+    if not fringes_parallel(fits):  # one scan, or scans of equal |S|, have no crossing
         ordered, mid = sorted(alphas), len(alphas) // 2  # np.median would import numpy.ma
         center = ordered[mid] if len(alphas) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
         star = fringe_intersection(fits, cfg.constants, center)
@@ -426,13 +422,14 @@ def _cmd_reproduce(args) -> int:
     for label, squeezed, arm_seed in (("squeezed", True, seed), ("coherent", False, seed + 1)):
         arm_cfg = _apply_state_choice(cfg, squeezed)
         campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=n_pairs)
-        shots = _write_arm(arm_cfg, campaign, label, _out_path(args, f"shots_{label}.jsonl"), manifest)
-        path, deltas, grav, squeeze = _write_analysis(args, f"analysis_{label}.csv", arm_cfg, shots)
+        # the arm's shots are released once paired
+        deltas = delta_p(_write_arm(arm_cfg, campaign, label, _out_path(args, f"shots_{label}.jsonl"), manifest))
+        path, grav, squeeze = _write_analysis(args, f"analysis_{label}.csv", arm_cfg, deltas)
         manifest.add(path)
-        path, series = _write_allan(args, f"allan_{label}.csv", shots, deltas)
+        path, series = _write_allan(args, f"allan_{label}.csv", deltas)
         manifest.add(path)
         results[label] = (grav, squeeze, series)
-        del shots, deltas  # else both arms' shots are held while the next arm is generated
+        del deltas  # else its pairs are held while the next arm is generated
 
     grav_s, squeeze_s, series_s = results["squeezed"]
     _, squeeze_c, series_c = results["coherent"]
@@ -498,7 +495,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run one campaign and write a JSONL shot log")
     common(p, "shots.jsonl")
-    p.add_argument("--pairs", type=_number(COUNT, int))
+    p.add_argument("--pairs", type=_number(PAIRS, int))
     p.add_argument("--seed", type=_number(SEED, int))
     state = p.add_mutually_exclusive_group()
     state.add_argument("--squeezed", action="store_true", default=True)
@@ -525,7 +522,7 @@ def build_parser() -> _Parser:
         "reproduce", help="simulate + analyze + allan for both input states, with a summary table", allow_abbrev=False
     )
     common(p, out=False)
-    p.add_argument("--pairs", type=_number(COUNT, int))
+    p.add_argument("--pairs", type=_number(PAIRS, int))
     p.add_argument("--seed", type=_number(SEED, int))
     p.set_defaults(func=_cmd_reproduce)
 

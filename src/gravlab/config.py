@@ -19,10 +19,10 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, PATH, POSITIVE, SEED
+from .errors import AT_LEAST_ONE, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, PATH, POSITIVE, SEED
 from .errors import ConfigError
 from .sensitivity import PhysicalConstants, SequenceTiming
-from .shots import CampaignConfig, NoiseConfig
+from .shots import PAIRS, CampaignConfig, NoiseConfig
 from .squeezing import SqueezingModel
 
 ENV_CONFIG_PATH = "GRAVLAB_CONFIG"
@@ -58,7 +58,7 @@ SCHEMA: dict[str, tuple] = {
     "campaign.t2_s": (155.0e-6, DURATION, "t2_s"),
     "campaign.chirp_target_m_per_s2": (9.8126, NUMBER, None),  # alpha / k_eff
     "campaign.g_true_m_per_s2": (9.812637, NUMBER, "g_true_m_per_s2"),
-    "campaign.n_pairs": (5000, COUNT, "n_pairs"),
+    "campaign.n_pairs": (5000, PAIRS, "n_pairs"),
     "campaign.cycle_time_s": (52.0, DURATION, "cycle_time_s"),
     "campaign.seed": (7, SEED, "seed"),
     "output_dir": ("runs", PATH, None),

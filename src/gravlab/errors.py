@@ -102,9 +102,10 @@ def as_numbers(name: str, value, shape: tuple[int, ...] | None = None) -> np.nda
 
 
 def require_finite(name: str, values: np.ndarray) -> None:
-    """Raise DomainError naming `name` and its first element that is NaN or +-inf, if any."""
+    """Raise DomainError naming `name` and its first element that is NaN or +-inf, if any, by its index (a tuple if n-d)."""
     if (bad := np.flatnonzero(~np.isfinite(values))).size:
-        raise DomainError(f"{name} must hold finite numbers, got {values.flat[bad[0]]} at index {bad[0]}")
+        index = bad[0] if values.ndim == 1 else tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
+        raise DomainError(f"{name} must hold finite numbers, got {values.flat[bad[0]]} at index {index}")
 
 
 def in_float_range(what: str, compute: Callable[[], float], **arguments) -> float:

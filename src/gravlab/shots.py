@@ -41,6 +41,9 @@ SHOT_FIELDS = (
     "imbalance",
     "wall_time_s",
 )
+# pairs a campaign may hold: 10^6 shots (602 days of 52 s cycles) take ~3.5 s CPU and ~136 MB to simulate
+MAX_PAIRS = 500_000
+PAIRS = Rule(lambda v: COUNT.test(v) and v <= MAX_PAIRS, f"an integer in [1, {MAX_PAIRS}]")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         check_fields(
-            self, t1_s=DURATION, t2_s=DURATION, alpha_rad_per_s2=NUMBER, g_true_m_per_s2=NUMBER, n_pairs=COUNT,
+            self, t1_s=DURATION, t2_s=DURATION, alpha_rad_per_s2=NUMBER, g_true_m_per_s2=NUMBER, n_pairs=PAIRS,
             cycle_time_s=DURATION, seed=SEED,
         )
         if self.t1_s == self.t2_s:

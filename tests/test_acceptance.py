@@ -61,7 +61,7 @@ def campaign_estimates(squeezed: bool, n_pairs: int, seed: int):
     s2 = scale_factor(replace(TIMING, free_evolution_s=camp.t2_s), CONST)
     deltas = delta_p(records)
     grav = estimate_g(deltas, 0.98, s1, s2, camp.alpha_rad_per_s2, CONST)
-    squeeze = metrological_squeezing(records, contrast=0.98)
+    squeeze = metrological_squeezing(deltas, contrast=0.98)
     return records, deltas, grav, squeeze
 
 

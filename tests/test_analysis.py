@@ -36,7 +36,6 @@ from gravlab import (
     squeezing_from_pairs,
 )
 from gravlab import analysis
-from gravlab.analysis import DeltaPSeries
 
 CONST = PhysicalConstants()
 TIMING = SequenceTiming()
@@ -78,6 +77,29 @@ class TestDeltaP:
             pb = f2[b] / (f1[b] + f2[b])
             assert out.values[k] == pa - pb
             assert out.times_s[k] == wall[a]
+
+    def test_series_carries_what_the_estimators_read(self):
+        recs = coherent_campaign(50)
+        out = delta_p(recs)
+        j, n = recs.imbalance, recs.count_f1 + recs.count_f2
+        assert out.imbalance_diff.tolist() == (j[0::2] - j[1::2]).tolist()
+        assert out.mean_atoms_sum == float(np.mean(n[0::2]) + np.mean(n[1::2]))
+        assert (out.t1_s, out.t2_s) == (455e-6, 155e-6)
+        assert out.chirp_rad_per_s2 == ALPHA_COMP
+        assert out.tau0_s == recs.wall_time_s[2] - recs.wall_time_s[0] == 104.0
+
+    def test_skipped_pair_leaves_every_column(self):
+        recs = edited(coherent_campaign(10), 5, count_f1=0, count_f2=0)  # the short-T shot of pair 2
+        out, kept = delta_p(recs), np.r_[0:4, 6:20]
+        j, n = recs.imbalance[kept], recs.count_f1[kept] + recs.count_f2[kept]
+        assert out.imbalance_diff.tolist() == (j[0::2] - j[1::2]).tolist()
+        assert out.mean_atoms_sum == float(np.mean(n[0::2]) + np.mean(n[1::2]))
+        assert out.times_s.tolist() == recs.wall_time_s[kept][0::2].tolist()
+        assert out.tau0_s == 104.0  # the log's spacing: the skipped pair is closed up
+
+    def test_a_two_shot_log_has_no_pair_spacing(self):
+        out = delta_p(coherent_campaign(1))
+        assert out.tau0_s is None and len(out.values) == 1
 
     def test_trailing_shot_dropped(self):
         recs = coherent_campaign(10)[:-1]
@@ -143,9 +165,7 @@ class TestGravityFormula:
 class TestEstimateG:
     def series(self, values):
         vals = np.asarray(values, dtype=float)
-        return DeltaPSeries(
-            times_s=np.arange(len(vals)) * 104.0, values=vals, n_dropped=0, n_skipped=0
-        )
+        return replace(delta_p(coherent_campaign(len(vals))), values=vals)
 
     def test_mean_and_sem_propagation(self):
         vals = [2.0e-4, 3.0e-4, 2.5e-4, 2.7e-4, 2.1e-4]
@@ -222,15 +242,21 @@ class TestSqueezingFromPairs:
 
 
 class TestMetrologicalSqueezing:
+    def test_reads_the_series_it_is_given(self):
+        # the estimate is the series' imbalance differences over its atom sum, whatever made them
+        deltas = replace(delta_p(coherent_campaign(50)), imbalance_diff=np.array([3.0, -3.0]), mean_atoms_sum=36.0)
+        est = metrological_squeezing(deltas)
+        assert (est.linear, est.db, est.n_pairs) == (1.0, 0.0, 2)
+
     def test_estimate_is_deterministic(self):
         recs = coherent_campaign(400)
-        a = metrological_squeezing(recs)
-        b = metrological_squeezing(recs)
+        a = metrological_squeezing(delta_p(recs))
+        b = metrological_squeezing(delta_p(recs))
         assert a == b
 
     def test_coherent_campaign_sits_at_unity(self):
         recs = coherent_campaign(5000)
-        est = metrological_squeezing(recs)
+        est = metrological_squeezing(delta_p(recs))
         assert est.ci_low_db < 0.0 < est.ci_high_db
         assert abs(est.db) < 0.3
 
@@ -239,40 +265,40 @@ class TestMetrologicalSqueezing:
         rows = 2 * k + k % 2  # either shot of every 20th pair
         recs = edited(coherent_campaign(400), rows, count_f1=0, count_f2=0, imbalance=0.0)
         assert len(delta_p(recs).values) == 380
-        assert metrological_squeezing(recs).n_pairs == 380
+        assert metrological_squeezing(delta_p(recs)).n_pairs == 380
 
     def test_broken_alternation_rejected(self):
         recs = coherent_campaign(50)
         recs = edited(recs, 10, free_evolution_s=recs.free_evolution_s[11])
         with pytest.raises(DataError, match="alternation broken"):
-            metrological_squeezing(recs)
+            metrological_squeezing(delta_p(recs))
 
     def test_odd_record_trimmed(self):
         recs = coherent_campaign(10)  # 10 pairs = 20 shots
-        assert metrological_squeezing(recs[:-1]).n_pairs == 9
+        assert metrological_squeezing(delta_p(recs[:-1])).n_pairs == 9
 
     def test_too_few_records(self):
         with pytest.raises(DataError):
-            metrological_squeezing(coherent_campaign(10)[:3])
+            metrological_squeezing(delta_p(coherent_campaign(10)[:3]))
 
     @pytest.mark.parametrize("contrast", [0.0, -0.5, 1.5, math.nan])
     def test_contrast_outside_unit_interval_refused(self, contrast):
         with pytest.raises(DomainError, match="contrast"):
-            metrological_squeezing(coherent_campaign(50), contrast=contrast)
+            metrological_squeezing(delta_p(coherent_campaign(50)), contrast=contrast)
 
     @pytest.mark.parametrize("n_bootstrap", [0, 1, 2.5, "many"])
     def test_n_bootstrap_has_no_effect(self, n_bootstrap):
         recs = coherent_campaign(50)
-        assert metrological_squeezing(recs, n_bootstrap=n_bootstrap) == metrological_squeezing(recs)
+        assert metrological_squeezing(delta_p(recs), n_bootstrap=n_bootstrap) == metrological_squeezing(delta_p(recs))
 
     def test_contrast_whose_square_underflows_refused(self):
         with pytest.raises(DomainError, match="contrast=1e-200: its square underflows to 0"):
-            metrological_squeezing(coherent_campaign(50), contrast=1e-200)
+            metrological_squeezing(delta_p(coherent_campaign(50)), contrast=1e-200)
 
     def test_all_zero_differences_refused(self):
         recs = coherent_campaign(50)
         with pytest.raises(DomainError, match="zero"):
-            metrological_squeezing(replace(recs, imbalance=np.zeros(len(recs))))
+            metrological_squeezing(delta_p(replace(recs, imbalance=np.zeros(len(recs)))))
 
     def test_one_nonzero_difference_gives_finite_ends(self):
         # one nonzero difference in 16 pairs: the interval is still db
@@ -280,7 +306,7 @@ class TestMetrologicalSqueezing:
         recs = coherent_campaign(16)
         imbalance = np.zeros(len(recs))
         imbalance[0] = 40.0
-        est = metrological_squeezing(replace(recs, imbalance=imbalance))
+        est = metrological_squeezing(delta_p(replace(recs, imbalance=imbalance)))
         assert est.ci_low_db == pytest.approx(est.db + 10.0 * math.log10(16 / chi2.ppf(0.975, 16)), abs=1e-9)
         assert est.ci_high_db == pytest.approx(est.db + 10.0 * math.log10(16 / chi2.ppf(0.025, 16)), abs=1e-9)
 
@@ -289,7 +315,7 @@ class TestMetrologicalSqueezing:
         # squeezing (2^1000)^2 / 2^1000 times the unscaled one does not, and is exact
         recs = coherent_campaign(50)
         huge = replace(recs, **{k: np.ldexp(getattr(recs, k), 1000) for k in ("count_f1", "count_f2", "imbalance")})
-        small, big = metrological_squeezing(recs), metrological_squeezing(huge)
+        small, big = metrological_squeezing(delta_p(recs)), metrological_squeezing(delta_p(huge))
         assert big.linear == math.ldexp(small.linear, 1000)
         shift_db = 10.0 * 1000 * math.log10(2.0)
         assert big.ci_low_db == pytest.approx(small.ci_low_db + shift_db, abs=1e-9)
@@ -300,7 +326,7 @@ class TestMetrologicalSqueezing:
         # CI end, ~1e308 times a ratio above 1 in linear terms, is a finite number of dB
         recs = coherent_campaign(50)
         tiny = replace(recs, count_f1=recs.count_f1 * 5.62e-309, count_f2=recs.count_f2 * 5.62e-309)
-        est = metrological_squeezing(tiny)
+        est = metrological_squeezing(delta_p(tiny))
         assert est.linear > 1e307
         assert est.ci_low_db < est.db < est.ci_high_db
         assert math.isfinite(est.ci_high_db) and est.ci_high_db > 10.0 * math.log10(sys.float_info.max)
@@ -343,8 +369,8 @@ class TestChiSquareInterval:
         # the interval is db shifted by amounts fixed by n alone: doubling
         # every imbalance moves db and both ends by the same 6.02 dB
         shots = coherent_campaign(200)
-        est = metrological_squeezing(shots)
-        scaled = metrological_squeezing(edited(shots, slice(None), imbalance=2.0 * shots.imbalance))
+        est = metrological_squeezing(delta_p(shots))
+        scaled = metrological_squeezing(delta_p(edited(shots, slice(None), imbalance=2.0 * shots.imbalance)))
         assert scaled.db == pytest.approx(est.db + 20.0 * math.log10(2.0), abs=1e-9)
         assert scaled.ci_low_db - scaled.db == pytest.approx(est.ci_low_db - est.db, abs=1e-12)
         assert scaled.ci_high_db - scaled.db == pytest.approx(est.ci_high_db - est.db, abs=1e-12)
@@ -353,7 +379,7 @@ class TestChiSquareInterval:
         shots = coherent_campaign(5000)
         widths = []
         for n_pairs in (2, 3, 4, 8, 16, 50, 500, 5000):
-            est = metrological_squeezing(shots[: 2 * n_pairs])
+            est = metrological_squeezing(delta_p(shots[: 2 * n_pairs]))
             assert est.ci_low_db < est.db < est.ci_high_db, n_pairs
             widths.append(est.ci_high_db - est.ci_low_db)
         assert all(a > b for a, b in zip(widths, widths[1:])), widths
@@ -362,7 +388,7 @@ class TestChiSquareInterval:
     def test_interval_is_db_plus_the_chi_square_ratios(self, n_pairs):
         shots = coherent_campaign(5000)[: 2 * n_pairs]
         samples, atoms_sum = pair_columns(shots)
-        est = metrological_squeezing(shots, contrast=0.98)
+        est = metrological_squeezing(delta_p(shots), contrast=0.98)
         assert est.n_pairs == n_pairs
         assert est.linear == squeezing_from_pairs(samples, atoms_sum, 0.98)
         assert est.db == 10.0 * math.log10(est.linear)
@@ -373,7 +399,7 @@ class TestChiSquareInterval:
         # chi2_2(0.025) = 0.0506: the upper end sits 15.97 dB above db, where
         # the Wilson-Hilferty approximation of that quantile (-48 %) would put
         # it 2.9 dB higher
-        est = metrological_squeezing(coherent_campaign(2))
+        est = metrological_squeezing(delta_p(coherent_campaign(2)))
         assert est.db - est.ci_low_db == pytest.approx(5.67, abs=0.005)
         assert est.ci_high_db - est.db == pytest.approx(15.97, abs=0.005)
 
@@ -399,7 +425,7 @@ class TestSqueezingCoverage:
         covered = 0
         for seed in range(200):
             camp = CampaignConfig(n_pairs=n_pairs, seed=seed, alpha_rad_per_s2=ALPHA_COMP)
-            est = metrological_squeezing(run_campaign(camp, TIMING, CONST, noise), contrast=contrast)
+            est = metrological_squeezing(delta_p(run_campaign(camp, TIMING, CONST, noise)), contrast=contrast)
             covered += est.ci_low_db <= true_db <= est.ci_high_db
         return covered
 

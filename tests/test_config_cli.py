@@ -30,6 +30,7 @@ from gravlab import (
 from gravlab.cli import Manifest, main
 from gravlab.config import SCHEMA, config_hash, load_config, parse_config
 from gravlab.errors import COUNT, DURATION, FLAG, FRACTION, PATH, SEED
+from gravlab.shots import PAIRS
 
 K_EFF = 1.61057e7
 DEFAULTS_FILE = os.path.join(os.path.dirname(gravlab.__file__), "default_config.yaml")
@@ -39,7 +40,7 @@ def distinct_value(k: int, builtin, rule):
     """A valid value of the k-th SCHEMA row that no other row and no built-in takes."""
     if rule in (FLAG, PATH):
         return not builtin if rule is FLAG else f"elsewhere{k}"
-    if rule in (COUNT, SEED):
+    if rule in (COUNT, PAIRS, SEED):
         return builtin + k + 1
     return (k + 1) / 100 if rule is FRACTION else (k + 1) * 1e-6 if rule is DURATION else k + 1.5
 
@@ -328,7 +329,7 @@ SETTINGS = {
         "t2_s": [0, -155e-6],
         "alpha_rad_per_s2": [],
         "g_true_m_per_s2": [-(10**400)],
-        "n_pairs": [0, 2.5, np.float64(3.0)],
+        "n_pairs": [0, 2.5, np.float64(3.0), 500_001, 10**9],
         "cycle_time_s": [0.0, -52.0],
         "seed": [-1, 2**64, 7.0],
     },
@@ -419,6 +420,7 @@ class TestCliBasics:
             ["tomography", "--points", "10000000000000"],
             ["simulate", "--pairs", "0"],
             ["simulate", "--pairs", "2.5"],
+            ["simulate", "--pairs", "500001"],
             ["simulate", "--seed", "-1"],
             ["simulate", "--seed", str(2**64)],
         ],
@@ -439,6 +441,35 @@ class TestCliBasics:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"usage error: argument {flag}: must be an integer in [0, ")
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    def test_a_billion_pairs_are_refused_before_any_shot(self, command, tmp_path, monkeypatch, capsys):
+        # 2 * 10^9 shots would be generated before the first write
+        monkeypatch.setattr(gravlab.cli, "run_campaign", lambda *args: pytest.fail("shots were generated"))
+        out = tmp_path / "out"
+        assert main([command, "--pairs", "1000000000", "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --pairs: must be an integer in [1, 500000], got '1000000000'")
+        assert not out.exists()
+
+    def test_a_billion_configured_pairs_are_refused_naming_the_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gravlab.cli, "run_campaign", lambda *args: pytest.fail("shots were generated"))
+        cfg, out = tmp_path / "c.yaml", tmp_path / "out"
+        cfg.write_text("campaign:\n  n_pairs: 1000000000\n")
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert "config key 'campaign.n_pairs' must be an integer in [1, 500000], got 1000000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pair_count_is_bounded(self, tmp_path, monkeypatch, capsys):
+        # the rule reads the bound when it runs: at a bound of 5, 5 pairs are written and 6 refused
+        monkeypatch.setattr(gravlab.shots, "MAX_PAIRS", 5)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("campaign:\n  n_pairs: 2\n")  # the built-in 5000 is above this bound
+        assert main(["simulate", "--config", str(cfg), "--pairs", "5", "--output-dir", str(tmp_path), "--out", "s.jsonl"]) == 0
+        assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 10
+        assert main(["simulate", "--config", str(cfg), "--pairs", "6", "--output-dir", str(tmp_path / "no")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --pairs: must be an integer in [1, ")
+        assert not (tmp_path / "no").exists()
 
     def test_env_config_respected(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.yaml"
@@ -778,6 +809,13 @@ class TestSimulateAnalyze:
         assert "wrote" in captured.err
         assert not (tmp_path / "dash").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "allan"])
+    def test_a_log_is_paired_once(self, tmp_path, monkeypatch, command):
+        assert main(["simulate", "--pairs", "20", "--output-dir", str(tmp_path), "--out", "s.jsonl"]) == 0
+        calls = record_pairing(monkeypatch)
+        assert main([command, "--shots", str(tmp_path / "s.jsonl"), "--output-dir", str(tmp_path)]) == 0
+        assert [(name, n) for name, n in calls if n is not None] == [("delta_p", 40)]
+
 
 def write_fringe_csv(path, scale, alpha_star, noise=0.0, seed=0):
     k = K_EFF
@@ -790,6 +828,23 @@ def write_fringe_csv(path, scale, alpha_star, noise=0.0, seed=0):
         fh.write("alpha_rad_per_s2,p\n")
         for xi, pi in zip(x, p):
             fh.write(f"{xi * k:.17g},{pi:.17g}\n")
+
+
+def record_pairing(monkeypatch):
+    """Record each call the CLI makes to the pairing and to the estimators, as (name, the
+    length of the ShotTable among its arguments, or None)."""
+    calls = []
+
+    def record(name, fn):
+        def recorded(*args, **kwargs):
+            tables = [len(a) for a in args if isinstance(a, gravlab.ShotTable)]
+            calls.append((name, tables[0] if tables else None))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(gravlab.cli, name, recorded)
+
+    for name in ("delta_p", "estimate_g", "metrological_squeezing", "allan_deviation"):
+        record(name, getattr(gravlab.cli, name))
+    return calls
 
 
 class TestFringesCommand:
@@ -825,6 +880,23 @@ class TestFringesCommand:
         assert "alpha_star" not in capsys.readouterr().out
         fits = (tmp_path / "fringes.csv").read_text().strip().splitlines()[1:]
         assert sorted(float(row.split(",")[4]) for row in fits) == pytest.approx([-1.1077, 1.1077], rel=1e-9)
+
+    def test_scales_the_parallel_rule_calls_equal_report_no_crossing(self, tmp_path, capsys):
+        # noiseless scans at S = -1.4200000000004 and -1.4200000000006 fit to scales 2.0e-13
+        # apart: below 1e-12 of |S|, the one rule of fringes_parallel, though they differ
+        # when rounded to 12 decimals
+        files = []
+        for name, scale in (("a.csv", -1.4200000000004), ("b.csv", -1.4200000000006)):
+            xs = [9.8 + 0.05 * i for i in range(-120, 121)]
+            rows = [f"{x * K_EFF!r},{0.5 + 0.49 * math.cos(scale * (x - 9.8126))!r}" for x in xs]
+            (tmp_path / name).write_text("\n".join(["alpha_rad_per_s2,p", *rows]) + "\n")
+            files.append(str(tmp_path / name))
+        assert main(["fringes", *files, "--output-dir", str(tmp_path)]) == 0
+        assert "alpha_star" not in capsys.readouterr().out
+        fits = (tmp_path / "fringes.csv").read_text().strip().splitlines()[1:]
+        scales = [float(row.split(",")[4]) for row in fits]
+        assert scales == [-1.4200000000004003, -1.4200000000005999]
+        assert round(abs(scales[0]), 12) != round(abs(scales[1]), 12)
 
     def test_single_fringe_reports_no_crossing(self, tmp_path, capsys):
         f1 = tmp_path / "t1.csv"
@@ -1006,17 +1078,15 @@ class TestReproduceCommand:
         assert "usage error" in err and "--out" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_each_arm_is_paired_twice(self, tmp_path, monkeypatch):
-        # once for its pair differences, which g and the Allan deviation
-        # share, and once inside its squeezing estimate
-        calls = []
-        pairs = gravlab.analysis._pairs
-        monkeypatch.setattr(gravlab.analysis, "_pairs", lambda shots: calls.append(len(shots)) or pairs(shots))
+    def test_each_arm_is_paired_once(self, tmp_path, monkeypatch):
+        # g, the squeezing and the Allan deviation all read the one series
+        calls = record_pairing(monkeypatch)
         self.run_repro(tmp_path)
-        assert calls == [48] * 4
+        assert [(name, n) for name, n in calls if n is not None] == [("delta_p", 48)] * 2
+        assert [name for name, _ in calls].count("metrological_squeezing") == 2
 
     @pytest.mark.parametrize(
-        "pairs, why", [("10", "at least 16 pairs"), ("0", "argument --pairs: must be an integer >= 1")], ids=["10", "0"]
+        "pairs, why", [("10", "at least 16 pairs"), ("0", "argument --pairs: must be an integer in [1, 500000]")], ids=["10", "0"]
     )
     def test_too_few_pairs_refused_before_writing(self, tmp_path, capsys, pairs, why):
         code = main(["reproduce", "--pairs", pairs, "--output-dir", str(tmp_path / "out")])

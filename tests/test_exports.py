@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gravlab import (
     averaged_transfer,
     calibrate_model,
     coherent_model,
+    delta_p,
     envelope,
     estimate_g,
     evolve,
@@ -51,7 +53,6 @@ from gravlab import (
     transfer_probability,
     vacuum_state,
 )
-from gravlab.analysis import DeltaPSeries
 from gravlab.errors import NUMBER
 from sector_oracle import as_operator
 
@@ -107,6 +108,7 @@ def test_public_guard_refuses_nan_and_infinity(call, error):
 TIMING, CONST = SequenceTiming(), PhysicalConstants()
 NOISE = NoiseConfig(squeezing=SqueezingModel())
 SHOTS = run_campaign(CampaignConfig(n_pairs=20), TIMING, CONST, NOISE)
+PAIRED = delta_p(SHOTS)
 MODEL = SqueezingModel(strength=1.1)
 SPACE = FockSpace(n_max=4)
 H, PSI = as_operator(np.diag([1.0, 2.0])), np.array([1.0, 0.0])
@@ -123,7 +125,7 @@ ARGUMENTS = [
     ("gravity_from_delta_p(1e-4, 0.98, -1.42, -0.767, x, CONST)", "alpha_rad_per_s2", [HUGE]),
     ("squeezing_from_pairs(SERIES + 1.0, x, 1.0)", "mean_atoms_sum", [0.0, -1.0]),
     ("squeezing_from_pairs(SERIES + 1.0, 100.0, x)", "contrast", [0.0, 1.5]),
-    ("metrological_squeezing(SHOTS, contrast=x)", "contrast", [0.0, 1.5]),
+    ("metrological_squeezing(PAIRED, contrast=x)", "contrast", [0.0, 1.5]),
     ("allan_deviation(SERIES, x)", "tau0_s", [0.0, -1.0]),
     ("phase_noise_budget(x, 6000.0)", "sigma_phi_rad", [-1e-3]),
     ("phase_noise_budget(1e-3, x)", "atoms", [0.0]),
@@ -264,9 +266,17 @@ def test_a_result_beyond_the_float_range_is_a_domain_error_naming_the_arguments(
         eval(call)
 
 
-DELTAS = DeltaPSeries(
-    times_s=np.arange(5.0), values=np.array([1e-3, 2e-3, 0.0, math.nan, 1e-3]), n_dropped=0, n_skipped=0
-)
+DELTAS = replace(delta_p(SHOTS[:10]), values=np.array([1e-3, 2e-3, 0.0, math.nan, 1e-3]))
+# a fringe fit_fringe fits: 40 (alpha, p) points over 1.4 periods of S = -1.42 s^2/m
+FRINGE_X = np.linspace(9.8126 - 3.1, 9.8126 + 3.1, 40)
+FRINGE = np.column_stack([FRINGE_X * CONST.k_eff_per_m, 0.5 + 0.49 * np.cos(-1.42 * FRINGE_X + 0.3)])
+
+
+def spoiled(row, col, value):
+    """FRINGE with one element set to `value`."""
+    points = FRINGE.copy()
+    points[row, col] = value
+    return points
 
 
 @pytest.mark.parametrize(
@@ -277,6 +287,13 @@ DELTAS = DeltaPSeries(
         ("squeezing_from_pairs(np.array([1.0, math.nan, 2.0]), 100.0, 1.0)", "imbalance_diff", "nan", 1),
         ("squeezing_from_pairs(np.array([1.0, 2.0, math.inf]), 100.0, 1.0)", "imbalance_diff", "inf", 2),
         ("estimate_g(DELTAS, 0.98, -1.42, -0.767, 1.58e8, CONST)", "deltas.values", "nan", 3),
+        # the first bad element of fit_fringe's (n, 2) points, as (row, column)
+        ("fit_fringe(spoiled(3, 0, math.nan), CONST)", "points", "nan", (3, 0)),
+        ("fit_fringe(spoiled(0, 0, math.inf), CONST)", "points", "inf", (0, 0)),
+        ("fit_fringe(spoiled(39, 0, -math.inf), CONST)", "points", "-inf", (39, 0)),
+        ("fit_fringe(spoiled(5, 1, math.nan), CONST)", "points", "nan", (5, 1)),
+        ("fit_fringe(spoiled(0, 1, math.inf), CONST)", "points", "inf", (0, 1)),
+        ("fit_fringe(spoiled(39, 1, -math.inf), CONST)", "points", "-inf", (39, 1)),
         ("evolve(H, np.array([math.nan, 0.0]), 1.0)", "state", "nan", 0),
         ("evolve(H, np.array([1.0, -math.inf]), 1.0)", "state", "-inf", 1),
         # the entries H stores, in row order: the diagonal of np.diag, the upper entry first
@@ -287,7 +304,7 @@ DELTAS = DeltaPSeries(
     ids=lambda v: v.split("(")[0] if isinstance(v, str) and "(" in v else None,
 )
 def test_an_array_argument_is_checked_element_by_element(call, name, element, index):
-    with pytest.raises(DomainError, match=f"^{re.escape(name)} must hold finite numbers, got {element} at index {index}$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must hold finite numbers, got {element} at index {re.escape(str(index))}$"):
         eval(call)
 
 
