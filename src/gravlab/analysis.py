@@ -243,6 +243,11 @@ def fringes_parallel(fits: list[FringeFit]) -> bool:
     return bool(mags.max() - mags.min() <= 1e-12 * mags.max())
 
 
+# largest phase residual psi_i + |S_i| delta - c a crossing of three or more fits may leave: noisy
+# fits leave < 0.01 rad, the next phase agreement of two fringes (an alias) leaves > 2 rad
+MAX_PHASE_RESIDUAL_RAD = 0.5
+
+
 def fringe_intersection(
     fits: list[FringeFit],
     constants: PhysicalConstants,
@@ -264,7 +269,9 @@ def fringe_intersection(
     covariance; sigma comes from (A^T W A)^-1. If any fit has zero
     variance (an exact fit), the weights are equal and sigma is 0.
     DomainError for fits of equal |S| (two flat ones too), a window that
-    leaves the float range, or a crossing outside the window.
+    leaves the float range, a crossing outside the window, or, for three
+    or more fits, a phase residual above MAX_PHASE_RESIDUAL_RAD: a point
+    where not all phases agree, which two fits cannot tell apart.
     """
     if len(fits) < 2:
         raise DomainError("need at least 2 fringe fits")
@@ -290,11 +297,16 @@ def fringe_intersection(
     weights = np.ones(len(fits)) if var_min == 0.0 else var_min / var
     design = np.column_stack([-mags, np.ones(len(fits))])  # unknowns (delta, c)
     normal_inv = np.linalg.inv(design.T @ (weights[:, None] * design))
-    delta = float((normal_inv @ (design.T @ (weights * psi)))[0])
+    solution = normal_inv @ (design.T @ (weights * psi))
+    delta = float(solution[0])
 
     alpha = (x_mid + delta) * k
     if not lo <= alpha <= hi:
         raise DomainError(f"crossing {alpha!r} rad/s^2 lies outside the window [{lo!r}, {hi!r}]")
+    residual = float(np.abs(psi - design @ solution).max())
+    if len(fits) > 2 and residual > MAX_PHASE_RESIDUAL_RAD:
+        raise DomainError(f"the phases disagree by {residual!r} rad (bound {MAX_PHASE_RESIDUAL_RAD} rad) at "
+                          f"{alpha!r} rad/s^2, so it is no crossing of all fits: scales={scales.tolist()}")
     sigma = math.sqrt(var_min * normal_inv[0, 0]) * k
     return FringeCrossing(alpha_rad_per_s2=alpha, sigma_alpha_rad_per_s2=sigma)
 
@@ -333,7 +345,7 @@ def delta_p(shots: ShotTable) -> DeltaPSeries:
             raise DataError("no usable pairs (all skipped)")
         first, second, atoms1, atoms2 = first[usable], second[usable], atoms1[usable], atoms2[usable]
     return DeltaPSeries(
-        times_s=first.wall_time_s,
+        times_s=first.wall_time_s.copy(),  # its own array: no view keeps the log's whole column alive
         values=first.count_f2 / atoms1 - second.count_f2 / atoms2,
         imbalance_diff=first.imbalance - second.imbalance,
         mean_atoms_sum=float(np.mean(atoms1) + np.mean(atoms2)),

@@ -267,33 +267,35 @@ def write_shot_log(shots: ShotTable, path) -> None:
 
 
 LOG_CHUNK_LINES = 1000  # lines joined per write: bounds the text held at once
-# one line of the log, filled with the repr of each value
-_LOG_LINE = "{" + ",".join(f'"{name}":%s' for name in SHOT_FIELDS) + "}\n"
+# each key of a line with the "{" or "," before it: the layout the writer fills and the reader matches
+_KEYS = [("," if k else "{") + f'"{name}":' for k, name in enumerate(SHOT_FIELDS)]
+_JSON_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # of the non-finite reprs
 
 
-def _reprs(column: np.ndarray) -> list:
-    """The values of a column, floats as their repr strings. Each distinct
-    float is formatted once (by bit pattern, so -0.0 stays apart from
-    0.0): a campaign repeats its chirp and T on every line."""
+def _reprs(column: np.ndarray) -> list[str]:
+    """The values of a column as json spells them: the repr of each int
+    or finite float, and NaN, Infinity or -Infinity. Each distinct float
+    is spelled once (by bit pattern, so -0.0 stays apart from 0.0): a
+    campaign repeats its chirp and T on every line."""
     if column.dtype.kind != "f":
-        return column.tolist()  # %s of a Python int is its repr
+        return list(map(repr, column.tolist()))
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
+    spelled = [_JSON_SPELLINGS.get(r, r) for r in map(repr, bits.view(float).tolist())]
+    return np.array(spelled, dtype=object)[inverse].tolist()
 
 
 def dump_shot_log(shots: ShotTable, fh) -> None:
-    """Write the shots as JSON lines to an open text stream.
-
-    Each line is byte for byte json.dumps of the shot's SHOT_FIELDS with
-    separators (",", ":"): numbers in the repr of the Python int or
-    float, non-finite floats as json's NaN, Infinity and -Infinity.
-    """
+    """Write the shots as JSON lines to an open text stream, each line
+    byte for byte json.dumps of the shot's SHOT_FIELDS with separators
+    (",", ":"). A chunk of lines is one list of _KEYS and value strings,
+    joined once."""
     columns = [getattr(shots, name) for name in SHOT_FIELDS]
+    line = [part for key in _KEYS for part in (key, "")] + ["}\n"]
     for start in range(0, len(shots), LOG_CHUNK_LINES):
-        chunk = [_reprs(column[start : start + LOG_CHUNK_LINES]) for column in columns]
-        text = "".join(map(_LOG_LINE.__mod__, zip(*chunk)))
-        # a value follows each ":", and no finite repr holds "nan" or "inf"
-        fh.write(text.replace(":nan", ":NaN").replace(":inf", ":Infinity").replace(":-inf", ":-Infinity"))
+        parts = line * min(LOG_CHUNK_LINES, len(shots) - start)
+        for k, column in enumerate(columns):
+            parts[2 * k + 1 :: len(line)] = _reprs(column[start : start + LOG_CHUNK_LINES])
+        fh.write("".join(parts))
 
 
 LOG_READ_CHARS = 1 << 18  # text parsed at once: bounds the memory of a read
@@ -302,8 +304,6 @@ LOG_READ_CHARS = 1 << 18  # text parsed at once: bounds the memory of a read
 # text but is ~1.4x slower in CPython 3.11's re
 _NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)|NaN|-?Infinity)"
 _INTEGER = r"(-?(?:0|[1-9][0-9]*))"  # the index: the repr of a Python int
-# each key of a line with the "{" or "," before it, and its value
-_KEYS = [("," if k else "{") + f'"{name}":' for k, name in enumerate(SHOT_FIELDS)]
 _VALUES = [_INTEGER] + [_NUMBER] * (len(SHOT_FIELDS) - 1)
 # a line exactly as dump_shot_log writes it, capturing the values in
 # SHOT_FIELDS order

@@ -97,6 +97,11 @@ class TestDeltaP:
         assert out.times_s.tolist() == recs.wall_time_s[kept][0::2].tolist()
         assert out.tau0_s == 104.0  # the log's spacing: the skipped pair is closed up
 
+    def test_times_keep_no_view_of_the_log(self):
+        # 8 B of time per pair, not the stride-2 view that holds the log's whole column
+        out = delta_p(coherent_campaign(50))
+        assert out.times_s.base is None and out.times_s.nbytes == 8 * 50
+
     def test_a_two_shot_log_has_no_pair_spacing(self):
         out = delta_p(coherent_campaign(1))
         assert out.tau0_s is None and len(out.values) == 1
@@ -685,21 +690,27 @@ class TestFringeIntersection:
         # the crossing while the window holds it, then a refusal, never
         # another point within 8 m/s^2. Beyond, the window reaches the next phase
         # agreement of -1.42 and -0.767, 2 pi/(1.42 - 0.767) = 9.62 m/s^2
-        # away, which fringe phases cannot tell from the crossing
+        # away: two fringe phases cannot tell it from the crossing, and a
+        # third fringe's phase residual (> 2 rad there) refuses it
         fits = [analytic_fit(s, ALPHA_COMP) for s in scales]
+        aliases_refused = 0
         for step in range(-40, 41):
             offset = 0.25 * step
             try:
                 found = fringe_intersection(fits, CONST, ALPHA_COMP + offset * CONST.k_eff_per_m)
             except DomainError as exc:
-                assert "lies outside the window" in str(exc)
-                assert abs(offset) > reach, offset
+                if "lies outside the window" in str(exc):
+                    assert abs(offset) > reach, offset
+                else:
+                    assert "the phases disagree by" in str(exc) and len(fits) > 2 and abs(offset) >= 8.0, offset
+                    aliases_refused += 1
                 continue
             error = abs(found.alpha_rad_per_s2 / CONST.k_eff_per_m - G_TRUE)
             if abs(offset) < 8.0:
                 assert abs(offset) <= reach and error <= 1e-10, (offset, error)
             else:
-                assert error >= 8.0, (offset, error)
+                assert len(fits) == 2 and error >= 8.0, (offset, error)
+        assert aliases_refused == (14 if len(fits) > 2 else 0)  # the centres 8.5-10 m/s^2 off, on both sides
 
     def test_an_infinite_window_is_refused_naming_the_scales(self):
         # pi / (1e-310 + 0) overflows
@@ -713,6 +724,14 @@ class TestFringeIntersection:
         fits = [analytic_fit(s, ALPHA_COMP) for s in (-1.42, -0.767)]
         with pytest.raises(DomainError, match="outside"):
             fringe_intersection(fits, CONST, ALPHA_COMP - 3.0 * CONST.k_eff_per_m)
+
+    def test_an_alias_is_refused_naming_the_residual_and_the_scales(self):
+        # centred 9 m/s^2 off, the window holds the next phase agreement of
+        # -1.42 and -0.767, where the phase of -1.1 misses by 2.05 rad
+        fits = [analytic_fit(s, ALPHA_COMP) for s in (-1.42, -0.767, -1.1)]
+        with pytest.raises(DomainError, match=r"phases disagree by 2\.05\d* rad \(bound 0\.5 rad\).*"
+                                              r"scales=\[-1\.42, -0\.767, -1\.1\]$"):
+            fringe_intersection(fits, CONST, ALPHA_COMP + 9.0 * CONST.k_eff_per_m)
 
     def test_single_fit_rejected(self):
         with pytest.raises(DomainError):

@@ -488,6 +488,30 @@ class TestShotLogIO:
         assert out.getvalue() == self.json_lines(recs)
         assert ":NaN," in out.getvalue() and ":-Infinity}" in out.getvalue()
 
+    def test_special_values_on_both_sides_of_a_chunk_edge(self, tmp_path):
+        # rows LOG_CHUNK_LINES - 1 and LOG_CHUNK_LINES end the first chunk and
+        # make up the second: each holds NaN, +-inf, -0.0, 5e-324 and 1e300
+        # among its float fields, in another order on each row
+        edge = LOG_CHUNK_LINES
+        recs = run_campaign(CampaignConfig(n_pairs=edge // 2 + 1, seed=21), TIMING, CONST, quiet_noise())[: edge + 1]
+        special = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]
+        columns = {name: getattr(recs, name).copy() for name in SHOT_FIELDS}
+        for row in (edge - 1, edge):
+            for k, name in enumerate(SHOT_FIELDS[1:]):
+                columns[name][row] = special[(k + row) % len(special)]
+        special_rows, out = ShotTable(**columns), io.StringIO()
+        dump_shot_log(special_rows, out)
+        assert out.getvalue().splitlines() == self.json_lines(special_rows).splitlines()
+
+        # finite rows a reader accepts: zero imbalances of equal counts, extreme times
+        finite = edited(recs, [edge - 1, edge], count_f1=[5e-324, 1e300], count_f2=[5e-324, 1e300],
+                        imbalance=[-0.0, -0.0], free_evolution_s=[1e300, 5e-324], wall_time_s=[1e300, -0.0])
+        path = tmp_path / "edge.jsonl"
+        write_shot_log(finite, path)
+        back = read_shot_log(path)
+        for name in SHOT_FIELDS:
+            assert getattr(back, name).view(np.int64).tolist() == getattr(finite, name).view(np.int64).tolist(), name
+
     def test_binary_file_rejected(self, tmp_path):
         path = tmp_path / "binary.jsonl"
         path.write_bytes(b"\xff\xfe\x00garbage\n")
