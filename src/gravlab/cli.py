@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,7 @@ from .squeezing import coherent_model, squeezing_parameter, tomography_variance
 REF_SCALE_T1 = 1.4290      # s^2/m at T = 455 us
 REF_SCALE_T2 = 0.7707      # s^2/m at T = 155 us
 REF_TRANSFER = (0.981, 0.007)
+REF_TRANSFER_PULSE = (PulseShape(kind="blackman", duration_s=64.8e-6), 2500.0, 500.0)  # its pulse, detuning, spread (Hz)
 REF_TOMOGRAPHY_DB = (-5.4, 9.9)
 REF_SQUEEZED_DB = -1.7
 REF_COHERENT_DB = 2.2      # derived calibration, not a direct quote
@@ -51,7 +53,7 @@ REF_G_EXP = 9.8118
 REF_BUDGET = (4.0, -20.0)  # rounded imbalance noise and dB level
 
 # rows a `pulse --samples` or `tomography --points` table may have: a
-# million rows take ~14 s CPU and ~0.6 GB peak RSS for either command
+# million rows take ~3-4 s CPU and 70-85 MB peak RSS for either command
 MAX_TABLE_ROWS = 10**6
 TABLE_ROWS = Rule(lambda v: SIZE.test(v) and v <= MAX_TABLE_ROWS, f"an integer in [0, {MAX_TABLE_ROWS}]")
 # the FringeFit fields of a fringes.csv row, after the file name
@@ -98,18 +100,19 @@ def _out_path(args, name):
     return path
 
 
+def _f17_columns(*columns):
+    """The rows of equal-length numeric columns as .17g text, each formatted as it is written."""
+    return zip(*(map(_f17, column) for column in columns))
+
+
 def _write_csv(args, name, header, rows):
-    """Write a CSV table to the output `name` (see _out_path); returns
-    the path written, or None for stdout."""
+    """Write a CSV table, an iterable of rows of text, to the output `name` (see _out_path) row by row:
+    the stream's buffer is all the text held at once. Returns the path written, or None for stdout."""
     path = _out_path(args, name)
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(str(c) for c in row) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    if path is not None:
         print(f"wrote {path}")
     return path
 
@@ -174,54 +177,30 @@ def _cmd_pulse(args) -> int:
     if args.detuning_hz is not None:
         delta = 2.0 * math.pi * args.detuning_hz
         mean, std = averaged_transfer(shape, delta, 2.0 * math.pi * args.detuning_sigma_hz, args.model)
-        _write_csv(
-            args, args.out, ["detuning_rad_s", "transfer_mean", "transfer_std"], [[_f17(delta), _f17(mean), _f17(std)]]
-        )
+        _write_csv(args, args.out, ["detuning_rad_s", "transfer_mean", "transfer_std"], _f17_columns([delta], [mean], [std]))
         return 0
     ts = np.linspace(0.0, tau, args.samples)
-    rows = [
-        [
-            _f17(t),
-            _f17(envelope(shape, t)),
-            _f17(accumulated_area(shape, t)),
-            _f17(pulse_sensitivity(shape, t)),
-        ]
-        for t in ts
-    ]
-    _write_csv(args, args.out, ["t_s", "envelope", "accumulated_area_rad", "sensitivity"], rows)
+    columns = ts, envelope(shape, ts), accumulated_area(shape, ts), pulse_sensitivity(shape, ts)
+    _write_csv(args, args.out, ["t_s", "envelope", "accumulated_area_rad", "sensitivity"], _f17_columns(*columns))
     return 0
 
 
 def _cmd_scale_factor(args) -> int:
     cfg = args.config_obj
-    timing = cfg.timing
-    if args.T is not None:
-        timing = replace(timing, free_evolution_s=args.T)
-    s = scale_factor(timing, cfg.constants)
-    area = net_area(timing)
-    rows = [
-        ["scale_s2_per_m", _f17(s)],
-        ["net_area_s", _f17(area)],
-        ["free_evolution_s", _f17(timing.free_evolution_s)],
-    ]
-    rows += [[f"breakpoint_{i}_s", _f17(t)] for i, t in enumerate(timing.breakpoints)]
-    _write_csv(args, args.out, ["quantity", "value"], rows)
+    timing = cfg.timing if args.T is None else replace(cfg.timing, free_evolution_s=args.T)
+    values = [scale_factor(timing, cfg.constants), net_area(timing), timing.free_evolution_s, *timing.breakpoints]
+    names = ["scale_s2_per_m", "net_area_s", "free_evolution_s", *(f"breakpoint_{i}_s" for i in range(len(values) - 3))]
+    _write_csv(args, args.out, ["quantity", "value"], zip(names, map(_f17, values)))
     return 0
 
 
 def _cmd_tomography(args) -> int:
     cfg = args.config_obj
-    if args.coherent:
-        model = coherent_model(cfg.noise.squeezing.atom_number)
-    else:
-        model = cfg.noise.squeezing
+    model = coherent_model(cfg.noise.squeezing.atom_number) if args.coherent else cfg.noise.squeezing
     phis = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
-    rows = []
-    for phi in phis:
-        var = tomography_variance(model, float(phi))
-        _, db = squeezing_parameter(var, model.atom_number)
-        rows.append([_f17(phi), _f17(var), _f17(db)])
-    _write_csv(args, args.out, ["phi_rad", "variance_atoms2", "squeezing_db"], rows)
+    variances = tomography_variance(model, phis)
+    columns = phis, variances, squeezing_parameter(variances, model.atom_number)[1]
+    _write_csv(args, args.out, ["phi_rad", "variance_atoms2", "squeezing_db"], _f17_columns(*columns))
     return 0
 
 
@@ -310,8 +289,7 @@ def _write_allan(args, name, deltas):
     returns the path written (None for stdout) and the series."""
     # tau0 is the log's pair spacing: skipped pairs are closed up, not gaps
     series = allan_deviation(deltas.values, deltas.tau0_s)
-    rows = [[_f17(t), _f17(a), _f17(e)] for t, a, e in zip(series.tau_s, series.adev, series.err)]
-    return _write_csv(args, name, ["tau_s", "adev", "err"], rows), series
+    return _write_csv(args, name, ["tau_s", "adev", "err"], _f17_columns(series.tau_s, series.adev, series.err)), series
 
 
 def _cmd_allan(args) -> int:
@@ -405,8 +383,8 @@ def _cmd_reproduce(args) -> int:
     add("scale_factor_short_T", s2, REF_SCALE_T2, "s^2/m")
 
     # pi-pulse transfer under the calibrated light-shift detuning
-    shape = PulseShape(kind="blackman", duration_s=64.8e-6)
-    mean, std = averaged_transfer(shape, 2 * math.pi * 2500.0, 2 * math.pi * 500.0)
+    shape, detuning_hz, sigma_hz = REF_TRANSFER_PULSE
+    mean, std = averaged_transfer(shape, 2 * math.pi * detuning_hz, 2 * math.pi * sigma_hz)
     add("transfer_mean", mean, REF_TRANSFER[0], "probability")
     add("transfer_std", std, REF_TRANSFER[1], "probability")
 

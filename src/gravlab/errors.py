@@ -7,9 +7,9 @@ fills check one Rule, so they refuse the same values in the same words;
 a public function's scalar arguments check the same Rules through
 `require`, which raises DomainError. A number is an int or float
 (numpy's too) in the float range: never a bool, string, NaN or +-inf.
-`as_numbers` reads an array argument, `require_finite` checks it element
-by element, and `in_float_range` refuses a result of finite arguments
-that leaves the float range.
+`as_numbers` reads an array argument, `require_finite` and `require_each`
+check it element by element, and `in_float_range` refuses a result of
+finite arguments that leaves the float range.
 """
 
 import math
@@ -86,35 +86,58 @@ def require(rule: Rule, name: str, value, error: type[GravlabError] = DomainErro
         raise error(f"{name} must be {rule.words}, got {value!r}")
 
 
-def as_numbers(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """`value` as the numpy array it reads as, of `shape` if one is given; DomainError naming
-    `name` for a ragged sequence, an array whose dtype is no number (bool, str, object), or
-    another shape."""
+def as_numbers(name: str, value, shape: tuple[int, ...] | None = None, kinds: str = "iufc") -> np.ndarray:
+    """`value` as the numpy array it reads as, of `shape` if one is given; DomainError naming `name` for
+    a ragged sequence, an array whose dtype is not of `kinds` (never bool, str, object), or another shape."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged sequence
         raise DomainError(f"{name} must be an array of numbers, got a ragged sequence") from None
-    if array.dtype.kind not in "iufc":  # integers, floats and complex numbers
+    if array.dtype.kind not in kinds:
         raise DomainError(f"{name} must be an array of numbers, got dtype {array.dtype}")
     if shape is not None and array.shape != shape:
         raise DomainError(f"{name} must have shape {shape}")
     return array
 
 
+def _refuse_first(name: str, words: str, values: np.ndarray, passes: np.ndarray) -> None:
+    """Raise DomainError saying `name` must `words`, with its first element that fails `passes`, by its index."""
+    if (bad := np.flatnonzero(~passes)).size:
+        index = bad[0] if values.ndim == 1 else tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
+        raise DomainError(f"{name} must {words}, got {values.flat[bad[0]]} at index {index}")
+
+
 def require_finite(name: str, values: np.ndarray) -> None:
     """Raise DomainError naming `name` and its first element that is NaN or +-inf, if any, by its index (a tuple if n-d)."""
-    if (bad := np.flatnonzero(~np.isfinite(values))).size:
-        index = bad[0] if values.ndim == 1 else tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
-        raise DomainError(f"{name} must hold finite numbers, got {values.flat[bad[0]]} at index {index}")
+    _refuse_first(name, "hold finite numbers", values, np.isfinite(values))
 
 
-def in_float_range(what: str, compute: Callable[[], float], **arguments) -> float:
+def require_each(rule: Rule, name: str, value, test: Callable[[np.ndarray], np.ndarray]):
+    """`value` checked once: a number by `rule`, as `require` does, or else a real array (see as_numbers)
+    by `test`, the rule for all its elements at once, naming the first that fails; returned as read."""
+    if not isinstance(value, (np.ndarray, list, tuple)):
+        require(rule, name, value)
+        return value
+    values = as_numbers(name, value, kinds="iuf")
+    _refuse_first(name, f"be {rule.words}", values, test(values))
+    return values
+
+
+def float_or_array(result):
+    """A result that holds one number as a float, else the array: a number in, a float out."""
+    return float(result) if np.ndim(result) == 0 else result
+
+
+def in_float_range(what: str, compute: Callable[[], float | np.ndarray], **arguments) -> float | np.ndarray:
     """compute(), or DomainError naming `arguments` if `what` leaves the float range: OverflowError,
-    +-inf, NaN, or a math domain error on a value that left it (log10 of an underflowed 0, cos of inf)."""
-    with suppress(OverflowError, ValueError):
-        if math.isfinite(value := compute()):
+    +-inf, NaN, or a math domain error on a value that left it (log10 of an underflowed 0, cos of inf).
+    An array leaves it at its first element that is not finite, and each array argument is named by its element there."""
+    at = 0
+    with suppress(OverflowError, ValueError), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if (finite := np.isfinite(value := compute())).all():
             return value
-    shown = ", ".join(f"{k}={v!r}" for k, v in arguments.items())
+        at = int(finite.argmin())
+    shown = ", ".join(f"{k}={v.flat[at].item() if isinstance(v, np.ndarray) else v!r}" for k, v in arguments.items())
     raise DomainError(f"{what} leaves the float range at {shown}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DURATION, NON_NEGATIVE, NUMBER, POSITIVE, ConfigError, DomainError, Rule
-from .errors import check_fields, in_float_range, require
+from .errors import check_fields, float_or_array, in_float_range, require, require_each
 
 # Blackman window coefficients; a0 - a1 + a2 = 0 gives exact endpoint zeros
 # and a0 + a1 + a2 = 1 gives a peak of exactly 1 at the pulse center.
@@ -82,38 +82,33 @@ class PulseShape:
         return self.area_rad / (BLACKMAN_MEAN * self.duration_s)
 
 
-def _fraction(shape: PulseShape, t) -> float:
-    """Time t as a fraction of the pulse; a t outside its support [0, duration_s] is refused."""
-    support = Rule(lambda v: NUMBER.test(v) and 0 <= v <= shape.duration_s, f"a time in [0, {shape.duration_s!r}] s")
-    require(support, "t", t)
-    return t / shape.duration_s
+def _fraction(shape: PulseShape, t):
+    """Time t, a number or an array, as a fraction of the pulse; a t outside its support [0, duration_s] is refused."""
+    tau = shape.duration_s
+    support = Rule(lambda v: NUMBER.test(v) and 0 <= v <= tau, f"a time in [0, {tau!r}] s")
+    return require_each(support, "t", t, lambda ts: (0 <= ts) & (ts <= tau)) / tau
 
 
-def envelope(shape: PulseShape, t: float) -> float:
-    """Normalized drive envelope at time t into the pulse, in [0, 1]."""
+def envelope(shape: PulseShape, t: float | np.ndarray) -> float | np.ndarray:
+    """Normalized drive envelope at time t into the pulse, in [0, 1]: a float for a number, an array for an array."""
     x = _fraction(shape, t)
     if shape.kind == "square":
-        return 1.0
-    if x == 0.0 or x == 1.0:  # t == 0 or t == duration_s
-        return 0.0  # sin(pi*1.0) is ~1e-16, not 0; the zeros are exact by definition
-    return float(_window(x))
+        return float_or_array(np.ones_like(x, dtype=float))
+    # at t == 0 and t == duration_s: sin(pi*1.0) is ~1e-16, not 0; the zeros are exact by definition
+    return float_or_array(np.where((x == 0.0) | (x == 1.0), 0.0, _window(x)))
 
 
-def accumulated_area(shape: PulseShape, t: float) -> float:
+def accumulated_area(shape: PulseShape, t: float | np.ndarray) -> float | np.ndarray:
     """Rotation area accumulated by time t, normalized to reach pi/2
-    exactly at the end of the pulse."""
+    exactly at the end of the pulse: a float for a number, an array for an array."""
     x = _fraction(shape, t)
-    if shape.kind == "square":
-        frac = x
-    else:
-        frac = _window_integral(x) / BLACKMAN_MEAN
-    return math.pi / 2 * float(frac)
+    return float_or_array(math.pi / 2 * (x if shape.kind == "square" else _window_integral(x) / BLACKMAN_MEAN))
 
 
-def pulse_sensitivity(shape: PulseShape, t: float) -> float:
+def pulse_sensitivity(shape: PulseShape, t: float | np.ndarray) -> float | np.ndarray:
     """Single-pulse sensitivity ramp sin(accumulated area): runs 0 -> 1
-    over the pulse."""
-    return math.sin(accumulated_area(shape, t))
+    over the pulse; a float for a number, an array for an array."""
+    return float_or_array(np.sin(accumulated_area(shape, t)))
 
 
 def solve_ivp(*args, **kwargs):

@@ -39,8 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, in_float_range, require
-from .errors import CalibrationError, ConfigError, DomainError, NumericalError, as_numbers, require_finite
+from .errors import COUNT, NON_NEGATIVE, NUMBER, POSITIVE, SIZE, Rule, check_fields, float_or_array, in_float_range, require
+from .errors import CalibrationError, ConfigError, DomainError, NumericalError, as_numbers, require_each, require_finite
 
 # Bounds the state vector (1 MB complex at the limit) of the two-mode
 # space, whose sparse operators hold a few nonzeros per row.
@@ -390,25 +390,29 @@ def readout_variance(model: SqueezingModel, atoms: float | np.ndarray, angle_rad
     return (atoms / 4.0) * shape + model.detection_noise_atoms**2
 
 
-def tomography_variance(model: SqueezingModel, phi_rad: float) -> float:
-    """Imbalance variance at tomography angle phi (atoms^2), period pi: readout at phi - optimal_phase_rad."""
-    require(NUMBER, "phi_rad", phi_rad)
+def tomography_variance(model: SqueezingModel, phi_rad: float | np.ndarray) -> float | np.ndarray:
+    """Imbalance variance at tomography angle phi (atoms^2), period pi: readout at phi - optimal_phase_rad;
+    a float for a number, an array for an array."""
+    phi = require_each(NUMBER, "phi_rad", phi_rad, np.isfinite)
+    if not np.size(phi):  # no angle, so no variance to leave the float range, as large as r may be
+        return np.zeros(np.shape(phi))
 
-    def variance():
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, or cos(inf) = NaN: refused below
-            return float(readout_variance(model, model.atom_number, phi_rad - model.optimal_phase_rad))
+    def variance():  # the model's atoms at each angle, so a coherent model's variance has phi's shape too
+        return float_or_array(readout_variance(model, np.full(np.shape(phi), model.atom_number), phi - model.optimal_phase_rad))
 
-    return in_float_range("the imbalance variance", variance, model=model, phi_rad=phi_rad)
+    return in_float_range("the imbalance variance", variance, model=model, phi_rad=phi)
 
 
-def squeezing_parameter(variance_atoms2: float, atom_number: float) -> tuple[float, float]:
-    """Number-squeezing parameter (linear, dB): 4 Var / N vs the
-    quantum projection limit N/4."""
-    require(POSITIVE, "variance_atoms2", variance_atoms2)
+def squeezing_parameter(variance_atoms2: float | np.ndarray, atom_number: float) -> tuple:
+    """Number-squeezing parameter (linear, dB): 4 Var / N vs the quantum
+    projection limit N/4; floats for a number, arrays for an array."""
+    variance = require_each(POSITIVE, "variance_atoms2", variance_atoms2, lambda v: np.isfinite(v) & (v > 0))
     require(POSITIVE, "atom_number", atom_number)
-    arguments = {"variance_atoms2": variance_atoms2, "atom_number": atom_number}
-    linear = in_float_range("4 Var / N", lambda: 4.0 * variance_atoms2 / atom_number, **arguments)
-    return linear, in_float_range("4 Var / N", lambda: 10.0 * math.log10(linear), **arguments)  # 0 if it underflowed
+    arguments = {"variance_atoms2": variance, "atom_number": atom_number}
+    linear = in_float_range("4 Var / N", lambda: 4.0 * variance / atom_number, **arguments)
+    # math.log10 of each value, as numpy's log10 differs in the last bit; NaN where 4 Var / N underflowed to 0
+    logs = np.fromiter((math.log10(v) if v else math.nan for v in np.ravel(linear)), float, np.size(linear))
+    return linear, in_float_range("4 Var / N", lambda: float_or_array(10.0 * logs.reshape(np.shape(linear))), **arguments)
 
 
 def calibrate_model(

@@ -537,7 +537,46 @@ class TestPulseCommand:
         assert std == "0"
 
 
+    @pytest.mark.parametrize("shape", ["blackman", "square"])
+    def test_rows_are_the_scalar_functions_at_17_digits(self, shape, capsys):
+        assert main(["pulse", "--samples", "7", "--shape", shape, "--out", "-"]) == 0
+        pulse = gravlab.PulseShape(kind=shape, duration_s=load_config(None).timing.pulse_s)
+        functions = (gravlab.envelope, gravlab.accumulated_area, gravlab.pulse_sensitivity)
+        want = [[t, *(f(pulse, t) for f in functions)] for t in np.linspace(0.0, pulse.duration_s, 7).tolist()]
+        assert capsys.readouterr().out.splitlines()[1:] == [",".join(format(v, ".17g") for v in row) for row in want]
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["--samples", "0"], ""),
+            (["--samples", "1"], "0,0,0,0\n"),
+            (["--samples", "2"], "0,0,0,0\n6.0000000000000002e-05,0,1.5707963267948966,1\n"),
+            (["--samples", "0", "--shape", "square"], ""),
+            (["--samples", "1", "--shape", "square"], "0,1,0,0\n"),
+            (["--samples", "2", "--shape", "square"], "0,1,0,0\n6.0000000000000002e-05,1,1.5707963267948966,1\n"),
+        ],
+    )
+    def test_the_smallest_tables_keep_their_bytes(self, argv, text, capsys):
+        assert main(["pulse", *argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == "t_s,envelope,accumulated_area_rad,sensitivity\n" + text
+
+    def test_a_table_longer_than_the_stream_buffer_is_written_whole(self, tmp_path, capsys):
+        assert main(["pulse", "--samples", "20000", "--output-dir", str(tmp_path), "--out", "p.csv"]) == 0
+        assert main(["pulse", "--samples", "20000", "--out", "-"]) == 0
+        text = (tmp_path / "p.csv").read_text()
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'p.csv'}\n" + text
+        lines = text.splitlines()
+        assert len(lines) == 20001 and lines[-1] == "6.0000000000000002e-05,0,1.5707963267948966,1"
+
+
 class TestTomographyCommand:
+    @pytest.mark.parametrize(
+        "points, text", [("0", ""), ("1", "0,5347.5508098283053,5.5206366066254109\n")]
+    )
+    def test_the_smallest_tables_keep_their_bytes(self, points, text, capsys):
+        assert main(["tomography", "--points", points, "--out", "-"]) == 0
+        assert capsys.readouterr().out == "phi_rad,variance_atoms2,squeezing_db\n" + text
+
     def test_coherent_reads_zero_db_everywhere(self, capsys):
         assert main(["tomography", "--coherent", "--points", "16"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[1:]
@@ -791,7 +830,10 @@ class TestSimulateAnalyze:
         assert code == 2
         assert capsys.readouterr().err == want + "\n"
         assert main(["tomography", "--config", str(cfg), "--points", "8", "--output-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(want + ", phi_rad=")
+        assert capsys.readouterr().err == want + ", phi_rad=0.0\n"
+        # a table of no angle has no variance to overflow
+        assert main(["tomography", "--config", str(cfg), "--points", "0", "--out", "-"]) == 0
+        assert capsys.readouterr().out == "phi_rad,variance_atoms2,squeezing_db\n"
 
     def test_nested_out_path_creates_directories(self, tmp_path):
         self.run_sim(tmp_path, os.path.join("deep", "nest", "shots.jsonl"))

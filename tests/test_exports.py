@@ -166,6 +166,33 @@ def test_public_function_refuses_a_bad_scalar_naming_it(call, name, value):
         eval(call, globals() | {"x": value})
 
 
+# (call with "x" in the argument's place, the argument's name, a value inside its
+# rule, values outside it besides NaN and +-inf) of the arguments that take an
+# array of numbers as well as a number
+ARRAY_ARGUMENTS = [
+    ("envelope(SHAPE, x)", "t", SHAPE.duration_s / 2, [-1e-9, SHAPE.duration_s + 1e-9]),
+    ("accumulated_area(SHAPE, x)", "t", SHAPE.duration_s / 2, [-1e-9, SHAPE.duration_s + 1e-9]),
+    ("pulse_sensitivity(SHAPE, x)", "t", SHAPE.duration_s / 2, [-1e-9, SHAPE.duration_s + 1e-9]),
+    ("tomography_variance(MODEL, x)", "phi_rad", 1.0, []),
+    ("squeezing_parameter(x, 6000.0)", "variance_atoms2", 1500.0, [0.0, -1.0]),
+]
+
+
+def array_refusal_cases():
+    for call, name, inside, outside in ARRAY_ARGUMENTS:
+        for value in [math.nan, math.inf, -math.inf, *outside]:
+            yield pytest.param(call, name, inside, value, id=f"{call.split('(')[0]}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("call, name, inside, value", array_refusal_cases())
+def test_public_function_refuses_an_array_with_one_bad_element_naming_it(call, name, inside, value):
+    # the words of the refusal of that one value (see the scalar test above), then the element's index
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must ") as alone:
+        eval(call, globals() | {"x": value})
+    with pytest.raises(DomainError, match=f"^{re.escape(str(alone.value))} at index 2$"):
+        eval(call, globals() | {"x": np.array([inside, inside, value, inside])})
+
+
 # (value, whether it is a number): numpy floats of every width, ints at the
 # edge of the float range, and what is never a number
 NUMBERS = [

@@ -146,7 +146,7 @@ class TestAccumulatedArea:
         # independent route: numerically integrate the envelope itself
         sh = PulseShape(duration_s=60e-6)
         ts = np.linspace(0, 60e-6, 200001)
-        w = np.array([envelope(sh, float(t)) for t in ts])
+        w = envelope(sh, ts)
         total = np.trapezoid(w, ts)
         mid = np.trapezoid(w[:100001], ts[:100001])
         expect = (math.pi / 2) * mid / total
@@ -165,6 +165,53 @@ class TestSensitivityRamp:
         vals = [pulse_sensitivity(sh, float(t)) for t in ts]
         assert min(vals) >= 0.0 and max(vals) <= 1.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+PULSE_FUNCTIONS = [envelope, accumulated_area, pulse_sensitivity]
+
+
+class TestArrayCalls:
+    """A time is a batch of one: an array call gives the bits of one scalar call per element."""
+
+    @pytest.mark.parametrize("kind", ["blackman", "square"])
+    @pytest.mark.parametrize("function", PULSE_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_array_call_gives_the_bits_of_scalar_calls(self, kind, function):
+        sh = PulseShape(kind=kind, duration_s=64.8e-6)
+        # the exact endpoints and centre, a grid, and every float just inside each end
+        ts = np.r_[0.0, sh.duration_s / 2, sh.duration_s, np.linspace(0.0, sh.duration_s, 1001)]
+        ts = np.r_[ts, np.nextafter(0.0, 1.0), np.nextafter(sh.duration_s, 0.0)]
+        scalars = [function(sh, t) for t in ts.tolist()]
+        assert all(type(v) is float for v in scalars)
+        got = function(sh, ts)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == ts.shape
+        assert got.tobytes() == np.array(scalars).tobytes()
+
+    @pytest.mark.parametrize("function", PULSE_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_list_and_int_times_read_as_arrays(self, function):
+        sh = PulseShape(duration_s=2.0)
+        assert function(sh, [0, 1, 2]).tobytes() == np.array([function(sh, t) for t in (0, 1, 2)]).tobytes()
+        grid = np.array([[0.0, 0.5], [1.5, 2.0]])
+        assert function(sh, grid).tobytes() == np.array([function(sh, t) for t in grid.ravel().tolist()]).tobytes()
+
+    @pytest.mark.parametrize("function", PULSE_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_an_empty_array_gives_an_empty_result(self, function):
+        got = function(PulseShape(), np.array([]))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    # one bad element of a 1-d array: tests/test_exports.py, with every other array argument
+    @pytest.mark.parametrize("function", PULSE_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_the_first_bad_element_of_an_n_d_array_is_named_by_row_and_column(self, function):
+        sh = PulseShape()
+        ts = np.zeros((2, 3))
+        ts[1, 2], ts[1, 0] = math.nan, -1.0
+        with pytest.raises(DomainError, match=re.escape("got -1.0 at index (1, 0)") + "$"):
+            function(sh, ts)
+
+    @pytest.mark.parametrize("function", PULSE_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("times", [np.array([True, False]), np.array([1e-6 + 0j]), ["1e-6"], [[0.0], [0.0, 1e-6]]])
+    def test_an_array_that_is_not_real_numbers_is_refused(self, function, times):
+        with pytest.raises(DomainError, match="^t must be an array of numbers, got "):
+            function(PulseShape(), times)
 
 
 class TestShapeValidation:

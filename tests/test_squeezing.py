@@ -1005,6 +1005,38 @@ class TestGaussianModel:
             assert type(tomography_variance(model, phi)) is float
             assert tomography_variance(model, phi) == want
 
+    @pytest.mark.parametrize("model", [calibrate_model(-5.4, 9.9, 6000.0), coherent_model(6000.0), SqueezingModel(strength=3.0)])
+    def test_array_calls_give_the_bits_of_scalar_calls(self, model):
+        # the extremes, a grid over two periods, and angles far from the origin
+        phis = np.r_[model.optimal_phase_rad + np.array([0.0, math.pi / 2]), np.linspace(-2 * math.pi, 2 * math.pi, 181), 1e6]
+        variances = [tomography_variance(model, phi) for phi in phis.tolist()]
+        got = tomography_variance(model, phis)
+        assert type(got) is np.ndarray and got.shape == phis.shape
+        assert got.tobytes() == np.array(variances).tobytes()
+        scalars = [squeezing_parameter(v, model.atom_number) for v in variances]
+        linear, db = squeezing_parameter(got, model.atom_number)
+        assert linear.tobytes() == np.array([lin for lin, _ in scalars]).tobytes()
+        assert db.tobytes() == np.array([d for _, d in scalars]).tobytes()
+
+    def test_empty_arrays_give_empty_results(self):
+        # even for a model whose variance leaves the float range at every angle
+        for model in (calibrate_model(-5.4, 9.9, 6000.0), SqueezingModel(strength=400.0)):
+            assert tomography_variance(model, np.array([])).shape == (0,)
+        linear, db = squeezing_parameter(np.array([]), 6000.0)
+        assert linear.shape == db.shape == (0,)
+
+    def test_an_element_beyond_the_float_range_is_named(self):
+        # 4 Var / N overflows at the second element and underflows to 0 at the third
+        with pytest.raises(DomainError, match=r"^4 Var / N leaves the float range at variance_atoms2=1e\+300, atom_number=1e-10$"):
+            squeezing_parameter(np.array([1.0, 1e300, 1e-300]), 1e-10)
+        with pytest.raises(DomainError, match=r"^4 Var / N leaves the float range at variance_atoms2=1e-300, atom_number=1e\+300$"):
+            squeezing_parameter(np.array([1e300, 2e300, 1e-300]), 1e300)
+        # e^(2r) is a float at r = 354, its product with N/4 and sin^2 is not, but at sin = 0 it is
+        model = SqueezingModel(strength=354.0, optimal_phase_rad=0.0)
+        assert tomography_variance(model, np.array([0.0])).tolist() == [tomography_variance(model, 0.0)]
+        with pytest.raises(DomainError, match=r"the imbalance variance leaves the float range at model=.*, phi_rad=1.0$"):
+            tomography_variance(model, np.array([0.0, 1.0, 2.0]))
+
     def test_squeezing_parameter_guards(self):
         with pytest.raises(DomainError):
             squeezing_parameter(0.0, 6000.0)
