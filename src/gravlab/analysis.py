@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, require
 from .errors import DataError, DomainError, FitError, as_numbers, in_float_range, require_finite
-from .sensitivity import PhysicalConstants
-from .shots import ShotTable
+
+if TYPE_CHECKING:  # annotations only: the estimators call neither layer
+    from .sensitivity import PhysicalConstants
+    from .shots import ShotTable
 
 
 @dataclass(frozen=True)

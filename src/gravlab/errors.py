@@ -134,9 +134,13 @@ def in_float_range(what: str, compute: Callable[[], float | np.ndarray], **argum
     An array leaves it at its first element that is not finite, and each array argument is named by its element there."""
     at = 0
     with suppress(OverflowError, ValueError), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if (finite := np.isfinite(value := compute())).all():
+        if isinstance(value := compute(), float):  # Python's or np.float64: no numpy call
+            if math.isfinite(value):
+                return value
+        elif (finite := np.isfinite(value)).all():
             return value
-        at = int(finite.argmin())
+        else:
+            at = int(finite.argmin())
     shown = ", ".join(f"{k}={v.flat[at].item() if isinstance(v, np.ndarray) else v!r}" for k, v in arguments.items())
     raise DomainError(f"{what} leaves the float range at {shown}")
 

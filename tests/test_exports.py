@@ -1,6 +1,7 @@
 """The package's export list, and the guards of its public entry points
 against NaN, infinity and other values outside their rules."""
 
+import importlib
 import math
 import re
 import sys
@@ -55,6 +56,7 @@ from gravlab import (
 )
 from gravlab.errors import NUMBER
 from sector_oracle import as_operator
+from test_imports import run_fresh
 
 
 def test_every_exported_name_resolves():
@@ -66,6 +68,56 @@ def test_star_import():
     namespace = {}
     exec("from gravlab import *", namespace)
     assert set(gravlab.__all__) <= set(namespace)
+
+
+LAYERS = ("analysis", "config", "errors", "pulses", "sensitivity", "shots", "squeezing")
+PUBLIC = {
+    "AllanSeries", "AppConfig", "CalibrationError", "CampaignConfig", "ConfigError", "DataError",
+    "DeltaPSeries", "DomainError", "FitError", "FockSpace", "FringeCrossing", "FringeFit",
+    "GravityEstimate", "GravlabError", "HamiltonianParams", "NoiseConfig", "NumericalError",
+    "PhaseNoiseBudget", "PhysicalConstants", "PulseShape", "SequenceTiming", "ShotTable",
+    "SparseOperator", "SqueezingEstimate", "SqueezingModel", "accumulated_area", "allan_deviation",
+    "averaged_transfer", "build_hamiltonians", "calibrate_model", "coherent_model", "config_hash",
+    "delta_p", "envelope", "estimate_g", "evolve", "fit_fringe", "fringe_intersection",
+    "gravity_from_delta_p", "gravity_sensitivity", "load_config", "mean_occupations",
+    "metrological_squeezing", "mode_transform", "net_area", "occupation_distribution", "parse_config",
+    "phase_noise_budget", "phase_signal", "pulse_sensitivity", "pump_block", "read_shot_log",
+    "run_campaign", "scale_factor", "simulate_shot", "squeezing_from_pairs", "squeezing_parameter",
+    "tomography_variance", "transfer_probability", "vacuum_state", "write_shot_log", "__version__",
+}
+
+
+def test_the_export_list_names_the_public_api():
+    assert len(gravlab.__all__) == len(PUBLIC) == 62
+    assert set(gravlab.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC - {"__version__"}))
+def test_an_exported_name_is_the_object_its_layer_defines(name):
+    value = getattr(gravlab, name)
+    layer = value.__module__.removeprefix("gravlab.")
+    assert layer in LAYERS
+    assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_a_bare_import_resolves_each_layer_as_an_attribute():
+    lines, _ = run_fresh(
+        f"""
+        import gravlab
+        print(*(type(getattr(gravlab, layer)).__name__ for layer in {LAYERS!r}))
+        print(gravlab.shots.MAX_PAIRS)
+        """
+    )
+    assert lines == [" ".join(["module"] * len(LAYERS)), "500000"]
+
+
+def test_dir_lists_every_exported_name():
+    assert set(gravlab.__all__) <= set(dir(gravlab))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'gravlab' has no attribute 'nope'$"):
+        gravlab.nope
 
 
 SHAPE = PulseShape()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import gravlab
 
 SRC = os.path.dirname(os.path.dirname(gravlab.__file__))
@@ -129,3 +131,36 @@ def test_every_command_runs_without_scipy(tmp_path):
         """
     )
     assert scipy_modules(modules) == ["scipy"]  # the blocking entry, no module
+
+
+# the gravlab modules that `import gravlab.<layer>` loads: each layer loads
+# only the layers it calls, and the package loads none
+ERRORS = {"gravlab", "gravlab.errors"}
+SENSITIVITY = ERRORS | {"gravlab.pulses", "gravlab.sensitivity"}
+SHOTS = SENSITIVITY | {"gravlab.squeezing", "gravlab.shots"}
+LAYER_GRAPH = {
+    "errors": ERRORS,
+    "pulses": ERRORS | {"gravlab.pulses"},
+    "squeezing": ERRORS | {"gravlab.squeezing"},
+    "sensitivity": SENSITIVITY,
+    "analysis": ERRORS | {"gravlab.analysis"},
+    "shots": SHOTS,
+    "config": SHOTS | {"gravlab.config"},
+    "cli": SHOTS | {"gravlab.config", "gravlab.analysis", "gravlab.cli"},
+}
+
+
+def gravlab_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "gravlab" or m.startswith("gravlab.")}
+
+
+@pytest.mark.parametrize("layer", LAYER_GRAPH)
+def test_a_layer_loads_only_the_layers_it_calls(layer):
+    _, modules = run_fresh(f"import gravlab.{layer}")
+    assert gravlab_modules(modules) == LAYER_GRAPH[layer]
+
+
+def test_the_package_loads_no_layer_and_no_numpy():
+    _, modules = run_fresh("import gravlab")
+    assert gravlab_modules(modules) == {"gravlab"}
+    assert "numpy" not in modules
