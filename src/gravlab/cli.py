@@ -34,7 +34,7 @@ from .analysis import (
 from .config import AppConfig, config_hash, load_config
 from .errors import DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule
 from .errors import ConfigError, DataError, GravlabError
-from .pulses import PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity
+from .pulses import _KINDS, _MODELS, PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity
 from .sensitivity import net_area, scale_factor
 from .shots import PAIRS, STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
 from .shots import write_shot_log
@@ -361,7 +361,7 @@ def _cmd_reproduce(args) -> int:
             f"reproduce needs at least {MIN_ALLAN_SAMPLES} pairs per arm, got {n_pairs}"
         )
     seed = args.seed if args.seed is not None else cfg.campaign.seed
-    if seed + 1 >= 2**64:
+    if not SEED.test(seed + 1):
         # refused before any file exists: the coherent arm runs on seed + 1
         raise ConfigError(f"reproduce needs a seed in [0, 2^64 - 1), since the coherent arm runs on seed + 1; got {seed}")
     _apply_state_choice(cfg, True)  # refused before any file exists: the squeezed arm needs squeezing
@@ -452,12 +452,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pulse", help="pulse envelope, area and sensitivity ramp; optional transfer probability")
     common(p, None)
     p.add_argument("--tau-s", type=_number(DURATION), help="pulse duration in seconds")
-    p.add_argument("--shape", choices=("blackman", "square"), default="blackman")
+    p.add_argument("--shape", choices=_KINDS, default="blackman")
     p.add_argument("--area-rad", type=_number(POSITIVE), default=math.pi)
     p.add_argument("--samples", type=_number(TABLE_ROWS, int), default=201)
     p.add_argument("--detuning-hz", type=_number(NUMBER), help="emit transfer probability at this detuning")
     p.add_argument("--detuning-sigma-hz", type=_number(NON_NEGATIVE), default=0.0)
-    p.add_argument("--model", choices=("envelope", "constant"), default="envelope")
+    p.add_argument("--model", choices=_MODELS, default="envelope")
     p.set_defaults(func=_cmd_pulse)
 
     p = sub.add_parser("scale-factor", help="scale factor, net area and breakpoints")
@@ -531,6 +531,11 @@ def main(argv=None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"error: numerical overflow or undefined result: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output that cannot be written: an input that cannot be read is a GravlabError
+        if isinstance(exc, BrokenPipeError):  # stdout closed, as by `| head`: its flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

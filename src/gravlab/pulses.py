@@ -51,8 +51,10 @@ def _window_integral(x):
     )
 
 
-_KIND = Rule(lambda v: v in ("blackman", "square"), "'blackman' or 'square'")
-_MODEL = Rule(lambda v: v in ("envelope", "constant"), "'envelope' or 'constant'")
+_KINDS = ("blackman", "square")  # of PulseShape.kind
+_MODELS = ("envelope", "constant")  # of a detuning_model
+_KIND = Rule(lambda v: v in _KINDS, " or ".join(map(repr, _KINDS)))
+_MODEL = Rule(lambda v: v in _MODELS, " or ".join(map(repr, _MODELS)))
 
 
 @dataclass(frozen=True)

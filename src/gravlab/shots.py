@@ -23,24 +23,15 @@ it is odd, so simulate_shot(campaign, ..., i) is run_campaign(campaign,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import AT_LEAST_ONE, COUNT, DURATION, FLAG, FRACTION, NON_NEGATIVE, NUMBER, SEED, SIZE
-from .errors import ConfigError, DataError, DomainError, Rule, check_fields, require
+from .errors import ConfigError, DataError, Rule, check_fields, in_float_range, require
 from .sensitivity import PhysicalConstants, SequenceTiming, phase_signal, scale_factor
 from .squeezing import SqueezingModel, readout_variance
 
-SHOT_FIELDS = (
-    "index",
-    "free_evolution_s",
-    "chirp_rad_per_s2",
-    "count_f1",
-    "count_f2",
-    "imbalance",
-    "wall_time_s",
-)
 # pairs a campaign may hold: 10^6 shots (602 days of 52 s cycles) take ~3.5 s CPU and ~136 MB to simulate
 MAX_PAIRS = 500_000
 PAIRS = Rule(lambda v: COUNT.test(v) and v <= MAX_PAIRS, f"an integer in [1, {MAX_PAIRS}]")
@@ -80,7 +71,7 @@ class CampaignConfig:
     t1_s: float = 455e-6
     t2_s: float = 155e-6
     # default chirp compensates 9.8126 m/s^2 at the default wavevector
-    alpha_rad_per_s2: float = 9.8126 * 1.61057e7
+    alpha_rad_per_s2: float = 9.8126 * PhysicalConstants.k_eff_per_m
     g_true_m_per_s2: float = 9.812637
     n_pairs: int = 5000
     cycle_time_s: float = 52.0
@@ -98,8 +89,8 @@ class CampaignConfig:
 @dataclass(frozen=True, eq=False)
 class ShotTable:
     """Interferometer shots as columns: one read-only numpy array per
-    field of SHOT_FIELDS (index int64, the rest float64), one row per
-    shot. A single shot is a table of one row."""
+    field (index int64, the rest float64), one row per shot; a single
+    shot is a table of one row. The fields in order are SHOT_FIELDS, a log line's keys."""
 
     index: np.ndarray
     free_evolution_s: np.ndarray
@@ -134,6 +125,8 @@ class ShotTable:
             return NotImplemented
         return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in SHOT_FIELDS)
 
+
+SHOT_FIELDS = tuple(f.name for f in fields(ShotTable))
 
 # channel c of shot i is block N_CHANNELS*i + c + 1 of numpy's Philox4x64-10
 # under key seed, in the draw order of the module docstring
@@ -191,10 +184,8 @@ def _simulate(
 
     if noise.projection_noise:
         # the readout quadrature rotates with the accumulated phase: mid-fringe reads the squeezed one
-        try:
-            var = readout_variance(noise.squeezing, n, phi)  # 0 only for a zero-atom shot without detection noise
-        except OverflowError:  # e^(2r) is no float: the refusal of tomography_variance, in its words
-            raise DomainError(f"the imbalance variance leaves the float range at model={noise.squeezing!r}") from None
+        # its variance is 0 only for a zero-atom shot without detection noise, and refused as the tomography's is
+        var = in_float_range("the imbalance variance", lambda: readout_variance(noise.squeezing, n, phi), model=noise.squeezing)
         jz = mean_jz + np.sqrt(var) * z_readout
         jz = np.copysign(np.floor(np.abs(jz) + 0.5), jz)  # round half away from 0
         jz = np.clip(jz, -n / 2.0, n / 2.0)

@@ -2,25 +2,25 @@
 
 Two layers:
 
-* A truncated two-mode Fock space that validates the operator chain
-  from spin-changing collisions down to a pair of single-mode squeezing
-  terms, evolves the vacuum, and splits the result into the symmetric
-  and antisymmetric modes. Every operator is a SparseOperator, numpy
-  coordinate arrays of a few bands whose entries are products of the
-  sqrt(n) read off each index i = n+ (n_max + 1) + n-: no Kronecker or
-  matrix products. Each builder labels every index with the number its
-  operator conserves (N+ - N-, N+ + N- or the parity of N+ + N-), over
-  which the propagator is block diagonal: `evolve` exponentiates each
-  occupied block by its eigendecomposition, which the operator keeps as
-  long as it lives, so a sweep of durations on one H decomposes each
-  block once. A chain builds each of its four operators on first access
-  and keeps it, so a caller pays only for the ones it touches; likewise the
-  beamsplitter, which its FockSpace builds once and keeps, is one more call
-  to `evolve`, in the gauge diag(i^n+) where its generator is real. The
-  pump-explicit model, which the chain approximates by an undepleted pump, is built on
-  the only block it reaches from the pump vacuum, |N - 2k, k, k>:
-  tridiagonal in k, whatever the pump's atom number N. The layer needs
-  numpy only.
+* A truncated two-mode Fock space that validates the operator chain from
+  spin-changing collisions down to a pair of single-mode squeezing terms,
+  evolves the vacuum, and splits the result into the symmetric and
+  antisymmetric modes. Every operator is a SparseOperator, numpy coordinate
+  arrays of a few bands whose entries are products of the sqrt(n) read off
+  each index i = n+ (n_max + 1) + n-: no Kronecker or matrix products. Each
+  builder labels every index with the number its operator conserves (N+ - N-,
+  N+ + N- or the parity of N+ + N-), over which the propagator is block
+  diagonal. The index table (n+-, sqrt(n+-) and the two labels) belongs to
+  the FockSpace, which computes it once for its beamsplitter and every chain
+  on it. `evolve` exponentiates each occupied block by its eigendecomposition,
+  which the operator keeps as long as it lives, so a sweep of durations on one
+  H decomposes each block once. A chain builds each of its four operators on
+  first access and keeps it, so a caller pays only for the ones it touches;
+  likewise the beamsplitter, which its FockSpace builds once and keeps, is one
+  more call to `evolve`, in the gauge diag(i^n+) where its generator is real.
+  The pump-explicit model, which the chain approximates by an undepleted pump,
+  is built on the only block it reaches from the pump vacuum, |N - 2k, k, k>:
+  tridiagonal in k, whatever the pump's atom number N. The layer needs numpy only.
 * A four-number Gaussian model (atom number, squeezing strength,
   tomography angle of the squeezed quadrature, detection noise) whose one
   readout_variance gives the shots' readout noise and the measured
@@ -73,12 +73,17 @@ class FockSpace:
         return self.dim_single**2
 
     @cached_property
+    def _levels(self) -> tuple[np.ndarray, ...]:
+        """n+, n-, sqrt(n+), sqrt(n-), N+ - N- and N+ + N- (int16: checks gather two) of each n+ (n_max + 1) + n-."""
+        plus, minus = np.divmod(np.arange(self.dim, dtype=np.int32), self.dim_single)
+        return plus, minus, np.sqrt(plus), np.sqrt(minus), (plus - minus).astype(np.int16), (plus + minus).astype(np.int16)
+
+    @cached_property
     def _beamsplitter(self) -> SparseOperator:
         """The real-gauge generator a+ a-^ + a+^ a- of mode_transform, labelled by N+ + N-."""
-        d = self.dim_single
-        plus, minus = np.divmod(np.arange(self.dim, dtype=np.int32), d)
-        bands = {d - 1: np.sqrt(plus)[d - 1:] * np.sqrt(minus)[: 1 - d]}  # a+ a-^ at (i, i + d - 1)
-        return _symmetric_bands(self.dim, bands, (plus + minus).astype(np.int16))
+        d, (_, _, root_plus, root_minus, _, total) = self.dim_single, self._levels
+        bands = {d - 1: root_plus[d - 1:] * root_minus[: 1 - d]}  # a+ a-^ at (i, i + d - 1)
+        return _symmetric_bands(self.dim, bands, total)
 
 
 @dataclass(frozen=True)
@@ -165,9 +170,9 @@ class Hamiltonians:
     """The operator chain on the two-mode space, pump replaced by a number (see build_hamiltonians).
 
     Each operator is built on first access and kept as long as the chain lives, as a FockSpace
-    keeps its beamsplitter, with the eigendecompositions `evolve` keeps on it; the four share
-    the occupations and labels the chain computes once. Equality, hash and repr see `space` and
-    `params` only. Construction raises DomainError if an entry would leave the float range."""
+    keeps its beamsplitter, with the eigendecompositions `evolve` keeps on it; the four read the
+    index table of `space`. Equality, hash and repr see `space` and `params` only. Construction
+    raises DomainError if an entry would leave the float range."""
 
     space: FockSpace
     params: HamiltonianParams
@@ -183,13 +188,6 @@ class Hamiltonians:
         )
 
     @cached_property
-    def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """sqrt(n+), sqrt(n-), N+ - N- and the parity of N+ + N- of each index n+ (n_max + 1) + n-."""
-        plus, minus = np.divmod(np.arange(self.space.dim, dtype=np.int32), self.space.dim_single)
-        # labels in 2 bytes: the operator's checks gather two per entry
-        return np.sqrt(plus), np.sqrt(minus), (plus - minus).astype(np.int16), (plus + minus).astype(np.int16) % 2
-
-    @cached_property
     def two_mode(self) -> SparseOperator:
         return self._pairs_and_number(0.0)
 
@@ -199,7 +197,7 @@ class Hamiltonians:
 
     def _pairs_and_number(self, detuning: float) -> SparseOperator:
         """detuning (N+ + N-) - Omega (a+ a- + a+^ a-^); a zero diagonal is not stored."""
-        d, (n_plus, n_minus, difference, _) = self.space.dim_single, self._levels
+        d, (_, _, n_plus, n_minus, difference, _) = self.space.dim_single, self.space._levels
         bands = {0: detuning * (n_plus**2 + n_minus**2)} if detuning else {}
         bands[d + 1] = -float(self.params.interaction_rad_s) * (n_plus * n_minus)[d + 1:]  # a+ a- at (i, i + d + 1)
         return _symmetric_bands(self.space.dim, bands, difference)
@@ -214,13 +212,13 @@ class Hamiltonians:
 
     def _half(self, sign: float) -> SparseOperator:
         """-(Omega/2)(a a + a^ a^) of a = (a+ + sign a-)/sqrt(2)."""
-        d, (n_plus, n_minus, _, parity) = self.space.dim_single, self._levels
+        d, (_, _, n_plus, n_minus, _, total) = self.space.dim_single, self.space._levels
         # (a+ +- a-)/sqrt(2) as a product with 1/sqrt(2), as scipy.sparse divides, squared:
         # the a+ a+ and a- a- bands are shared, the cross band sums two equal products
         u, w = n_plus * (1.0 / math.sqrt(2.0)), n_minus * (1.0 / math.sqrt(2.0))
         cross, scale = sign * (u * w)[d + 1:], -0.5 * float(self.params.interaction_rad_s)
         bands = {2 * d: u[d:-d] * u[2 * d:], 2: w[1:-1] * w[2:], d + 1: cross + cross}
-        return _symmetric_bands(self.space.dim, {k: scale * v for k, v in bands.items()}, parity)
+        return _symmetric_bands(self.space.dim, {k: scale * v for k, v in bands.items()}, total % 2)
 
 
 def build_hamiltonians(space: FockSpace, params: HamiltonianParams) -> Hamiltonians:
@@ -357,7 +355,7 @@ def mode_transform(state, space: FockSpace) -> np.ndarray:
     real: it is D evolve(D^ H D, D^ state, pi/4), D^ H D built once and kept by `space`.
     """
     state = as_numbers("state", state, (space.dim,))
-    gauge = np.resize([1, 1j, -1, -1j], space.dim_single).repeat(space.dim_single)  # D = diag(i^n+)
+    gauge = np.array([1, 1j, -1, -1j])[space._levels[0] % 4]  # D = diag(i^n+)
     return gauge * evolve(space._beamsplitter, gauge.conj() * state, math.pi / 4.0)
 
 

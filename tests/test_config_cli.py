@@ -1,12 +1,15 @@
 """Strict config parsing and the command-line surface."""
 
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -371,6 +374,31 @@ def test_noise_config_refuses_a_model_of_fewer_than_one_atom(value):
     if value == 0.5:  # a model that passes its own check
         with pytest.raises(ConfigError, match=r"NoiseConfig\.squeezing\.atom_number .* got 0\.5$"):
             NoiseConfig(squeezing=SqueezingModel(atom_number=0.5))
+
+
+# the settings dataclass that each section's rows fill, with values for its other fields that
+# pass every cross-field check: t1_s and t2_s differ from each other and from every probe
+SECTION_SETTINGS = {
+    "timing": (SequenceTiming, {}),
+    "constants": (PhysicalConstants, {}),
+    "noise": (NoiseConfig, {"squeezing": SqueezingModel()}),
+    "noise.squeezing": (SqueezingModel, {}),
+    "campaign": (CampaignConfig, {"t1_s": 3e-3, "t2_s": 2e-3}),
+}
+RULE_PROBES = [-1, 0, 0.5, 1, 7, 455e-6, 500_001, 2**63, 2**64, "1", True, None, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("path", [path for path, (_, _, field) in SCHEMA.items() if field is not None])
+def test_each_field_accepts_exactly_what_the_rule_of_its_config_key_accepts(path):
+    _, rule, field = SCHEMA[path]
+    cls, others = SECTION_SETTINGS[path.rpartition(".")[0]]
+    for value in RULE_PROBES:
+        try:
+            cls(**{**others, field: value})
+            accepted = True
+        except ConfigError:
+            accepted = False
+        assert accepted == rule.test(value), f"{cls.__name__}.{field}={value!r}"
 
 
 class TestCliBasics:
@@ -820,6 +848,15 @@ class TestSimulateAnalyze:
         assert not out.exists()
         assert main(["simulate", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out), "--coherent"]) == 0
 
+    def test_variance_beyond_the_float_range_at_a_float_squeezing_names_the_model(self, tmp_path, capsys):
+        # e^(2r) at r = 354 is a float, its product with N/4 at 1e300 atoms is not
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("noise:\n  atom_number_mean: 1.0e+300\n  squeezing:\n    strength_r: 354.0\n")
+        model = load_config(str(cfg)).noise.squeezing
+        assert main(["simulate", "--config", str(cfg), "--pairs", "16", "--out", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: the imbalance variance leaves the float range at model={model!r}\n" and out == ""
+
     def test_squeezing_beyond_the_float_range_names_the_model(self, tmp_path, capsys):
         # e^(2r) at r = 400 is no float; tomography refuses the same model in the same words
         cfg = tmp_path / "c.yaml"
@@ -1011,6 +1048,47 @@ class TestFringesCommand:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["fringes", str(bad)]) == 2
         assert f"{bad}:4: non-finite" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written ends the command with one error
+    line naming it (exit 1), never a traceback."""
+
+    def assert_cannot_write(self, code, err, path, error):
+        assert code == 1 and "Traceback" not in err, err
+        assert err == f"error: cannot write {path}: {os.strerror(error)}\n", err
+
+    def test_an_empty_out_names_the_output_directory(self, tmp_path, capsys):
+        code = main(["scale-factor", "--output-dir", str(tmp_path), "--out", ""])
+        self.assert_cannot_write(code, capsys.readouterr().err, os.path.join(str(tmp_path), ""), errno.EISDIR)
+
+    def test_an_out_that_names_a_directory_is_refused(self, tmp_path, capsys):
+        code = main(["simulate", "--pairs", "16", "--output-dir", str(tmp_path), "--out", "logs/"])
+        self.assert_cannot_write(code, capsys.readouterr().err, str(tmp_path / "logs") + "/", errno.EISDIR)
+
+    @pytest.mark.parametrize(
+        "command", [["scale-factor", "--out", "sf.csv"], ["simulate", "--pairs", "16"], ["reproduce", "--pairs", "16"]]
+    )
+    def test_an_output_dir_that_names_a_file_is_refused_writing_nothing(self, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code = main([*command, "--output-dir", str(blocker)])
+        self.assert_cannot_write(code, capsys.readouterr().err, str(blocker), errno.EEXIST)
+        assert list(tmp_path.rglob("*")) == [blocker] and blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", [["simulate", "--pairs", "20000", "--out", "-"], ["pulse", "--samples", "100000"]])
+    def test_a_closed_stdout_is_one_error_line(self, tmp_path, command):
+        # as `gravlab ... | head -c 100`: the reader takes 100 bytes and closes the pipe
+        src = os.path.dirname(os.path.dirname(gravlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("GRAVLAB_CONFIG", None)
+        argv = [sys.executable, "-m", "gravlab.cli", *command]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        self.assert_cannot_write(code, err, "stdout", errno.EPIPE)
 
 
 class TestReproduceCommand:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from gravlab import (
     run_campaign,
     scale_factor,
     simulate_shot,
+    tomography_variance,
     write_shot_log,
 )
 from gravlab.shots import (
@@ -102,6 +104,21 @@ class TestDeterminism:
         # a 1e200 s pulse: the scale factor overflows, where the phases once read NaN
         with pytest.raises(DomainError, match="^scale_s2_per_m leaves the float range at pulse_s=1e\\+200, "):
             run_campaign(CampaignConfig(n_pairs=5, seed=1), SequenceTiming(pulse_s=1e200), CONST, calibrated_noise())
+
+    @pytest.mark.parametrize(
+        "model",
+        # e^(2r) at r = 400 is no float; at r = 354 it is, and its product with N/4 at 1e300 atoms is not
+        [SqueezingModel(strength=400.0), SqueezingModel(atom_number=1e300, strength=354.0)],
+        ids=["exponential", "product"],
+    )
+    def test_variance_beyond_the_float_range_is_refused_as_the_tomography_refuses_it(self, model):
+        words = re.escape(f"the imbalance variance leaves the float range at model={model!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{words}$"):
+                run_campaign(CampaignConfig(n_pairs=5, seed=1), TIMING, CONST, NoiseConfig(squeezing=model))
+            with pytest.raises(DomainError, match=f"^{words}, phi_rad=1.0$"):
+                tomography_variance(model, 1.0)
 
     def test_different_seeds_differ(self):
         noise = calibrated_noise()
