@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +38,7 @@ from .errors import DURATION, NON_NEGATIVE, NUMBER, POSITIVE, SEED, SIZE, Rule
 from .errors import ConfigError, DataError, GravlabError
 from .pulses import _KINDS, _MODELS, PulseShape, accumulated_area, averaged_transfer, envelope, pulse_sensitivity
 from .sensitivity import net_area, scale_factor
-from .shots import PAIRS, STREAM_VERSION, dump_shot_log, read_shot_log, run_campaign, shot_diagnostics
-from .shots import write_shot_log
+from .shots import PAIRS, STREAM_VERSION, read_shot_log, run_campaign, shot_diagnostics, write_shot_log
 from .squeezing import coherent_model, squeezing_parameter, tomography_variance
 
 # reference values the summary table is compared against
@@ -90,14 +91,53 @@ def _f17(x) -> str:
 
 
 def _out_path(args, name):
-    base = getattr(args, "output_dir", None) or args.config_obj.output_dir
+    """Where the output `name` goes: a path under the output directory, or None for stdout (None or "-")."""
     if name is None or name == "-":
         return None
-    path = name if os.path.isabs(name) else os.path.join(base, name)
+    return name if os.path.isabs(name) else os.path.join(args.output_dir or args.config_obj.output_dir, name)
+
+
+class _HashedFile(io.FileIO):
+    """A file opened for writing whose blake2b-64 `digest` takes each byte as it reaches the file."""
+
+    def __init__(self, path):
+        import hashlib
+        super().__init__(path, "w")
+        self.digest = hashlib.blake2b(digest_size=8)
+
+    def write(self, data):
+        written = super().write(data)
+        self.digest.update(memoryview(data)[:written])
+        return written
+
+
+@contextmanager
+def _output(args, name, what=""):
+    """The one writer of every output: a text stream to the output `name` (see _out_path). A file's
+    missing directories are made as it is opened, and removed if the open fails. On close a file is
+    reported as `wrote <path>` (then ` (<what>)`), stdout as `wrote <what> to stdout` on stderr if
+    `what` is given. A run with a manifest (args.manifest) lists the file there with the digest of
+    its bytes as written; only then are they hashed."""
+    path = _out_path(args, name)
+    if path is None:
+        yield sys.stdout
+        if what:
+            print(f"wrote {what} to stdout", file=sys.stderr)
+        return
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return path
+    made = [d for d in (parent, *map(str, Path(parent).parents)) if not os.path.exists(d)]  # innermost first
+    try:
+        os.makedirs(parent, exist_ok=True)  # a file in the way is a FileExistsError naming it
+        raw = io.FileIO(path, "w") if args.manifest is None else _HashedFile(path)
+    except OSError:
+        for directory in filter(os.path.isdir, made):
+            os.rmdir(directory)
+        raise
+    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as fh:
+        yield fh
+    print(f"wrote {path} ({what})" if what else f"wrote {path}")
+    if args.manifest is not None:
+        args.manifest.add(path, raw.digest.hexdigest())
 
 
 def _f17_columns(*columns):
@@ -106,15 +146,11 @@ def _f17_columns(*columns):
 
 
 def _write_csv(args, name, header, rows):
-    """Write a CSV table, an iterable of rows of text, to the output `name` (see _out_path) row by row:
-    the stream's buffer is all the text held at once. Returns the path written, or None for stdout."""
-    path = _out_path(args, name)
-    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+    """Write a CSV table, an iterable of rows of text, to the output `name` (see _output) row by row:
+    the stream's buffer is all the text held at once."""
+    with _output(args, name) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
-    if path is not None:
-        print(f"wrote {path}")
-    return path
 
 
 def _utcnow() -> str:
@@ -125,7 +161,8 @@ class Manifest:
     """Run manifest: enough to regenerate every output bit-exactly.
 
     Written after each data file, with the digest of every output so far
-    and the shot diagnostics of each arm; `finish` adds the end timestamp.
+    (of its bytes as written) and the shot diagnostics of each arm;
+    `finish` adds the end timestamp.
     A run that fails before its first data file leaves no manifest, and
     one that fails later leaves it with `finished_utc` null. Timestamps
     are the one part that differs between otherwise identical re-runs.
@@ -151,13 +188,8 @@ class Manifest:
             json.dump(self.doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def add(self, path):
-        import hashlib
-        digest = hashlib.blake2b(digest_size=8)
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):  # 1 MiB reads: memory stays bounded for any output size
-                digest.update(chunk)
-        self.doc["outputs"].append({"path": os.path.basename(path), "blake2b16": digest.hexdigest()})
+    def add(self, path, digest: str):
+        self.doc["outputs"].append({"path": os.path.basename(path), "blake2b16": digest})
         self._write()
 
     def finish(self):
@@ -221,34 +253,30 @@ def _cmd_simulate(args) -> int:
         n_pairs=cfg.campaign.n_pairs if args.pairs is None else args.pairs,
         seed=cfg.campaign.seed if args.seed is None else args.seed,
     )
-    out = _out_path(args, args.out)
-    if out is None:
-        # `--out -`: the log goes to stdout, and no manifest is written
-        shots = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
-        dump_shot_log(shots, sys.stdout)
-        print(f"wrote {len(shots)} shots to stdout", file=sys.stderr)
-        return 0
-    manifest = Manifest(out + ".manifest.json", cfg, campaign.seed, args.raw_argv)
-    _write_arm(cfg, campaign, "squeezed" if args.squeezed else "coherent", out, manifest)
-    manifest.finish()
+    path = _out_path(args, args.out)
+    if path is not None:  # `--out -` writes the log to stdout, and no manifest
+        args.manifest = Manifest(path + ".manifest.json", cfg, campaign.seed, args.raw_argv)
+    _write_arm(args, cfg, campaign, "squeezed" if args.squeezed else "coherent", args.out)
+    if args.manifest is not None:
+        args.manifest.finish()
     return 0
 
 
-def _write_arm(cfg: AppConfig, campaign, label: str, path, manifest: Manifest):
-    """Generate one campaign, write its shot log to `path`, and record the
-    log and its shot diagnostics under `label` in the manifest."""
+def _write_arm(args, cfg: AppConfig, campaign, label: str, name):
+    """Generate one campaign and write its shot log to the output `name`; a
+    run with a manifest records the shot diagnostics under `label`."""
     shots = run_campaign(campaign, cfg.timing, cfg.constants, cfg.noise)
-    write_shot_log(shots, path)
-    print(f"wrote {path} ({len(shots)} shots)")
-    manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
-    manifest.add(path)
+    if args.manifest is not None:
+        args.manifest.doc["diagnostics"][label] = shot_diagnostics(shots)
+    with _output(args, name, f"{len(shots)} shots") as fh:
+        write_shot_log(shots, fh)
     return shots
 
 
 def _write_analysis(args, name, cfg: AppConfig, deltas):
     """Estimate g and the metrological squeezing from a log's pairs `deltas`
     and write them as a quantity,value table to the output `name`; returns
-    the path written (None for stdout) and both estimates."""
+    both estimates."""
     s1 = scale_factor(replace(cfg.timing, free_evolution_s=deltas.t1_s), cfg.constants)
     s2 = scale_factor(replace(cfg.timing, free_evolution_s=deltas.t2_s), cfg.constants)
     alpha = deltas.chirp_rad_per_s2
@@ -270,11 +298,12 @@ def _write_analysis(args, name, cfg: AppConfig, deltas):
         ["alpha_rad_per_s2", _f17(alpha)],
         ["alpha_over_keff_m_s2", _f17(alpha / cfg.constants.k_eff_per_m)],
     ]
-    return _write_csv(args, name, ["quantity", "value"], rows), grav, squeeze
+    _write_csv(args, name, ["quantity", "value"], rows)
+    return grav, squeeze
 
 
 def _cmd_analyze(args) -> int:
-    _, grav, squeeze = _write_analysis(args, args.out, args.config_obj, delta_p(read_shot_log(args.shots)))
+    grav, squeeze = _write_analysis(args, args.out, args.config_obj, delta_p(read_shot_log(args.shots)))
     print(
         f"g = {grav.g_exp_m_s2:.6f} +- {grav.sigma_g_m_s2:.6f} m/s^2, "
         f"squeezing {squeeze.db:+.2f} dB "
@@ -286,10 +315,11 @@ def _cmd_analyze(args) -> int:
 def _write_allan(args, name, deltas):
     """The overlapping Allan deviation of a log's pair differences
     `deltas`, written as a tau_s,adev,err table to the output `name`;
-    returns the path written (None for stdout) and the series."""
+    returns the series."""
     # tau0 is the log's pair spacing: skipped pairs are closed up, not gaps
     series = allan_deviation(deltas.values, deltas.tau0_s)
-    return _write_csv(args, name, ["tau_s", "adev", "err"], _f17_columns(series.tau_s, series.adev, series.err)), series
+    _write_csv(args, name, ["tau_s", "adev", "err"], _f17_columns(series.tau_s, series.adev, series.err))
+    return series
 
 
 def _cmd_allan(args) -> int:
@@ -367,7 +397,7 @@ def _cmd_reproduce(args) -> int:
     _apply_state_choice(cfg, True)  # refused before any file exists: the squeezed arm needs squeezing
     # refused before any file exists: each arm's squeezing estimate divides by the contrast squared
     require_squeezing_contrast(cfg.noise.effective_contrast)
-    manifest = Manifest(_out_path(args, "manifest.json"), cfg, seed, args.raw_argv)
+    args.manifest = Manifest(_out_path(args, "manifest.json"), cfg, seed, args.raw_argv)
 
     summary = []
 
@@ -401,12 +431,9 @@ def _cmd_reproduce(args) -> int:
         arm_cfg = _apply_state_choice(cfg, squeezed)
         campaign = replace(arm_cfg.campaign, seed=arm_seed, n_pairs=n_pairs)
         # the arm's shots are released once paired
-        deltas = delta_p(_write_arm(arm_cfg, campaign, label, _out_path(args, f"shots_{label}.jsonl"), manifest))
-        path, grav, squeeze = _write_analysis(args, f"analysis_{label}.csv", arm_cfg, deltas)
-        manifest.add(path)
-        path, series = _write_allan(args, f"allan_{label}.csv", deltas)
-        manifest.add(path)
-        results[label] = (grav, squeeze, series)
+        deltas = delta_p(_write_arm(args, arm_cfg, campaign, label, f"shots_{label}.jsonl"))
+        results[label] = (*_write_analysis(args, f"analysis_{label}.csv", arm_cfg, deltas),
+                          _write_allan(args, f"allan_{label}.csv", deltas))
         del deltas  # else its pairs are held while the next arm is generated
 
     grav_s, squeeze_s, series_s = results["squeezed"]
@@ -427,8 +454,8 @@ def _cmd_reproduce(args) -> int:
     add("raman_phase_imbalance_noise", budget.delta_jz_atoms, REF_BUDGET[0], "atoms")
     add("raman_phase_level_db", budget.db_vs_sql, REF_BUDGET[1], "dB")
 
-    manifest.add(_write_csv(args, "summary.csv", ["quantity", "simulated", "reference", "unit"], summary))
-    manifest.finish()
+    _write_csv(args, "summary.csv", ["quantity", "simulated", "reference", "unit"], summary)
+    args.manifest.finish()
 
     print(f"squeezed: g = {grav_s.g_exp_m_s2:.6f} +- {grav_s.sigma_g_m_s2:.6f} m/s^2")
     print(f"squeezed: {squeeze_s.db:+.2f} dB, coherent: {squeeze_c.db:+.2f} dB, time ratio {ratio:.2f}")
@@ -513,7 +540,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.raw_argv = list(argv)
+        args.raw_argv, args.manifest = list(argv), None
         args.config_obj = load_config(args.config)
         # a result that overflows or is undefined is an error, never a
         # non-finite number in an output file

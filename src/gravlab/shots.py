@@ -23,6 +23,7 @@ it is odd, so simulate_shot(campaign, ..., i) is run_campaign(campaign,
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -252,11 +253,6 @@ def shot_diagnostics(shots: ShotTable) -> dict:
 # shot log I/O (JSON lines, one shot per line)
 
 
-def write_shot_log(shots: ShotTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_shot_log(shots, fh)
-
-
 LOG_CHUNK_LINES = 1000  # lines joined per write: bounds the text held at once
 # each key of a line with the "{" or "," before it: the layout the writer fills and the reader matches
 _KEYS = [("," if k else "{") + f'"{name}":' for k, name in enumerate(SHOT_FIELDS)]
@@ -275,18 +271,19 @@ def _reprs(column: np.ndarray) -> list[str]:
     return np.array(spelled, dtype=object)[inverse].tolist()
 
 
-def dump_shot_log(shots: ShotTable, fh) -> None:
-    """Write the shots as JSON lines to an open text stream, each line
-    byte for byte json.dumps of the shot's SHOT_FIELDS with separators
-    (",", ":"). A chunk of lines is one list of _KEYS and value strings,
-    joined once."""
+def write_shot_log(shots: ShotTable, out) -> None:
+    """Write the shots as JSON lines to `out`, a path or an open text
+    stream, each line byte for byte json.dumps of the shot's SHOT_FIELDS
+    with separators (",", ":"). A chunk of lines is one list of _KEYS and
+    value strings, joined once."""
     columns = [getattr(shots, name) for name in SHOT_FIELDS]
     line = [part for key in _KEYS for part in (key, "")] + ["}\n"]
-    for start in range(0, len(shots), LOG_CHUNK_LINES):
-        parts = line * min(LOG_CHUNK_LINES, len(shots) - start)
-        for k, column in enumerate(columns):
-            parts[2 * k + 1 :: len(line)] = _reprs(column[start : start + LOG_CHUNK_LINES])
-        fh.write("".join(parts))
+    with nullcontext(out) if hasattr(out, "write") else open(out, "w", encoding="utf-8") as fh:
+        for start in range(0, len(shots), LOG_CHUNK_LINES):
+            parts = line * min(LOG_CHUNK_LINES, len(shots) - start)
+            for k, column in enumerate(columns):
+                parts[2 * k + 1 :: len(line)] = _reprs(column[start : start + LOG_CHUNK_LINES])
+            fh.write("".join(parts))
 
 
 LOG_READ_CHARS = 1 << 18  # text parsed at once: bounds the memory of a read
@@ -296,7 +293,7 @@ LOG_READ_CHARS = 1 << 18  # text parsed at once: bounds the memory of a read
 _NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)|NaN|-?Infinity)"
 _INTEGER = r"(-?(?:0|[1-9][0-9]*))"  # the index: the repr of a Python int
 _VALUES = [_INTEGER] + [_NUMBER] * (len(SHOT_FIELDS) - 1)
-# a line exactly as dump_shot_log writes it, capturing the values in
+# a line exactly as write_shot_log writes it, capturing the values in
 # SHOT_FIELDS order
 _WRITER_LINE = re.compile("^" + "".join(map(str.__add__, _KEYS, _VALUES)) + "}$", re.M)
 
@@ -368,7 +365,7 @@ def _first_problem(values: np.ndarray, out_of_range: np.ndarray, chirp: float | 
 
 
 def read_shot_log(path) -> ShotTable:
-    """Read a shot log in dump_shot_log's layout. A line in any other
+    """Read a shot log in write_shot_log's layout. A line in any other
     layout is refused, and so is a record with a non-finite number, a
     negative count, an index outside int64, an imbalance that is not
     (count_f2 - count_f1)/2, a free evolution not > 0 or a chirp unlike

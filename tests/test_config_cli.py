@@ -1,5 +1,6 @@
 """Strict config parsing and the command-line surface."""
 
+import argparse
 import dataclasses
 import errno
 import functools
@@ -30,7 +31,7 @@ from gravlab import (
     read_shot_log,
     scale_factor,
 )
-from gravlab.cli import Manifest, main
+from gravlab.cli import Manifest, _output, main
 from gravlab.config import SCHEMA, config_hash, load_config, parse_config
 from gravlab.errors import COUNT, DURATION, FLAG, FRACTION, PATH, SEED
 from gravlab.shots import PAIRS
@@ -668,19 +669,24 @@ class TestSimulateAnalyze:
         assert entry == {"path": "shots.jsonl", "blake2b16": digest}
 
     def test_manifest_hashes_a_large_output_in_bounded_memory(self, tmp_path):
-        path = tmp_path / "big.bin"
-        path.write_bytes(np.random.default_rng(5).bytes(20 << 20))
-        manifest = Manifest(tmp_path / "m.json", parse_config(""), 7, [])
+        config = parse_config("")
+        args = argparse.Namespace(output_dir=str(tmp_path), config_obj=config)
+        args.manifest = Manifest(tmp_path / "m.json", config, 7, [])
+        rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            manifest.add(path)
+            with _output(args, "big.txt") as fh:
+                for _ in range(20):  # 20 MiB of text in 1 MiB writes
+                    fh.write(rng.bytes(1 << 19).hex())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1 MiB reads: the 20 MiB file is never held whole
+        # hashed as it is written: the 20 MiB file is never held whole, nor read back
         assert peak < 4 << 20
+        path = tmp_path / "big.txt"
+        assert path.stat().st_size == 20 << 20
         digest = hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
-        assert manifest.doc["outputs"] == [{"path": "big.bin", "blake2b16": digest}]
+        assert args.manifest.doc["outputs"] == [{"path": "big.txt", "blake2b16": digest}]
 
     def test_manifest_records_stream_version(self, tmp_path):
         self.run_sim(tmp_path, "shots.jsonl")
@@ -1065,6 +1071,14 @@ class TestUnwritableOutput:
     def test_an_out_that_names_a_directory_is_refused(self, tmp_path, capsys):
         code = main(["simulate", "--pairs", "16", "--output-dir", str(tmp_path), "--out", "logs/"])
         self.assert_cannot_write(code, capsys.readouterr().err, str(tmp_path / "logs") + "/", errno.EISDIR)
+        assert not (tmp_path / "logs").exists()  # the directory made for the open goes with it
+
+    def test_a_refused_nested_out_leaves_no_directory_it_made(self, tmp_path, capsys):
+        (tmp_path / "kept").mkdir()  # an empty directory that was there before stays
+        out = tmp_path / "kept" / "out"
+        code = main(["simulate", "--pairs", "16", "--output-dir", str(out), "--out", "a/b/"])
+        self.assert_cannot_write(code, capsys.readouterr().err, str(out / "a" / "b") + "/", errno.EISDIR)
+        assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
 
     @pytest.mark.parametrize(
         "command", [["scale-factor", "--out", "sf.csv"], ["simulate", "--pairs", "16"], ["reproduce", "--pairs", "16"]]
@@ -1089,6 +1103,42 @@ class TestUnwritableOutput:
             err = proc.stderr.read().decode()
             code = proc.wait(timeout=120)
         self.assert_cannot_write(code, err, "stdout", errno.EPIPE)
+
+
+@functools.cache
+def open_recorder():
+    """The (path, mode, flags) of each file opened while `on` holds an entry:
+    builtins.open, io.FileIO and os.open each raise the "open" audit event.
+    An audit hook stays for the life of the process, so it records only then."""
+    calls, on = [], []
+    sys.addaudithook(lambda event, args: calls.append(args) if on and event == "open" else None)
+    return calls, on
+
+
+class TestOneWriter:
+    """Every output goes through one writer, which hashes it as it is written."""
+
+    @pytest.mark.parametrize("command", [["reproduce", "--pairs", "16"], ["simulate", "--pairs", "16"]])
+    def test_no_output_is_read_back_and_each_digest_is_of_its_bytes(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("GRAVLAB_CONFIG", raising=False)
+        calls, on = open_recorder()
+        calls.clear()
+        on.append(True)
+        try:
+            assert main([*command, "--output-dir", str(tmp_path)]) == 0
+        finally:
+            on.clear()
+        (manifest_path,) = tmp_path.glob("*manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        written = {str(tmp_path / entry["path"]) for entry in manifest["outputs"]} | {str(manifest_path)}
+        assert len(written) == {"reproduce": 8, "simulate": 2}[command[0]]
+        opened = [(os.fsdecode(path), flags) for path, _, flags in calls if isinstance(path, (str, bytes, os.PathLike))]
+        assert {path for path, _ in opened} >= written  # the recorder saw every output opened
+        reads = [path for path, flags in opened if path in written and flags & os.O_ACCMODE == os.O_RDONLY]
+        assert reads == []
+        for entry in manifest["outputs"]:
+            digest = hashlib.blake2b((tmp_path / entry["path"]).read_bytes(), digest_size=8).hexdigest()
+            assert entry["blake2b16"] == digest, entry
 
 
 class TestReproduceCommand:
@@ -1344,7 +1394,7 @@ class TestNoNonFiniteOutput:
         out = tmp_path / "out"
         assert main([*command, "--pairs", "16", "--config", str(cfg), "--output-dir", str(out)]) == 2
         self.assert_one_error_line(capsys)
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+        assert list(tmp_path.rglob("*")) == [cfg]  # no file, and no output directory
 
     def test_overflowing_wall_time_is_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
@@ -1352,4 +1402,5 @@ class TestNoNonFiniteOutput:
         out = tmp_path / "out"
         assert main(["reproduce", "--config", str(cfg), "--pairs", "16", "--output-dir", str(out)]) == 2
         self.assert_one_error_line(capsys)
-        assert not any(NON_FINITE.search(path.read_text()) for path in out.iterdir()), list(out.iterdir())
+        # the first arm's wall time overflows before any file is opened, so not even the directory is made
+        assert not out.exists()

@@ -37,7 +37,6 @@ from gravlab.shots import (
     N_CHANNELS,
     SHOT_FIELDS,
     _standard_normals,
-    dump_shot_log,
 )
 
 TIMING = SequenceTiming()
@@ -487,7 +486,7 @@ class TestShotLogIO:
         # more shots than one chunk, and a partial last chunk
         recs = run_campaign(CampaignConfig(n_pairs=LOG_CHUNK_LINES + 7, seed=21), TIMING, CONST, noise)
         out = io.StringIO()
-        dump_shot_log(recs, out)
+        write_shot_log(recs, out)
         assert out.getvalue() == self.json_lines(recs)
 
     def test_writer_spells_special_values_like_json(self):
@@ -501,7 +500,7 @@ class TestShotLogIO:
             columns[field][k] = value
         recs = ShotTable(**columns)
         out = io.StringIO()
-        dump_shot_log(recs, out)
+        write_shot_log(recs, out)
         assert out.getvalue() == self.json_lines(recs)
         assert ":NaN," in out.getvalue() and ":-Infinity}" in out.getvalue()
 
@@ -517,7 +516,7 @@ class TestShotLogIO:
             for k, name in enumerate(SHOT_FIELDS[1:]):
                 columns[name][row] = special[(k + row) % len(special)]
         special_rows, out = ShotTable(**columns), io.StringIO()
-        dump_shot_log(special_rows, out)
+        write_shot_log(special_rows, out)
         assert out.getvalue().splitlines() == self.json_lines(special_rows).splitlines()
 
         # finite rows a reader accepts: zero imbalances of equal counts, extreme times
